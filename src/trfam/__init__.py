@@ -36,7 +36,6 @@ from .driver import (
 )
 from .hessians import (
     ExactHessian,
-    GrowthEnvelope,
     HessianModel,
     LbfgsModel,
     Lsr1Model,

@@ -65,11 +65,6 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(_jsonify(payload), sort_keys=True))
 
 
-def _seed(args) -> int:
-    env = os.environ.get("TRFAM_SEED")
-    return int(env) if env is not None else args.seed
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -85,9 +80,7 @@ def _cmd_solve(args) -> int:
         problem = get_problem(args.problem)
     except KeyError as exc:
         raise DomainError(str(exc)) from exc
-    model = build_model(
-        args.hessian, problem, memory=args.mem, power_seed=_seed(args)
-    )
+    model = build_model(args.hessian, problem, memory=args.mem)
     report = solve(
         problem,
         params,
@@ -304,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--update-on-unsuccessful", action="store_true")
     p_solve.add_argument("--log-csv", default=None, dest="log_csv")
     p_solve.add_argument("--json", action="store_true")
-    p_solve.add_argument("--seed", type=int, default=0)
     _add_params_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -318,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--emit-function", default=None, dest="emit_function")
     p_adv.add_argument("--cap", type=int, default=adv.K_EPS_CAP)
     p_adv.add_argument("--json", action="store_true")
-    p_adv.add_argument("--seed", type=int, default=0)
     p_adv.set_defaults(func=_cmd_adversarial)
 
     p_bounds = sub.add_parser("bounds", help="print the complexity-bound table")
@@ -331,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--L", type=float, default=1.0)
     p_bounds.add_argument("--a0", type=float, default=1.0)
     p_bounds.add_argument("--s-eps", type=float, default=None, dest="s_eps")
-    p_bounds.add_argument("--seed", type=int, default=0)
     _add_params_flags(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 
@@ -344,13 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--eval-budget", type=int, default=100_000, dest="eval_budget")
     p_bench.add_argument("--problems", default=None)
     p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_prof = sub.add_parser("profile", help="recompute a profile from matrix.csv")
     p_prof.add_argument("--in", required=True, dest="in_dir")
     p_prof.add_argument("--metric", required=True, choices=list(bench_mod.METRICS))
-    p_prof.add_argument("--seed", type=int, default=0)
     p_prof.set_defaults(func=_cmd_profile)
     return parser
 

@@ -3,43 +3,21 @@
 Every model is a symmetric linear operator exposing ``apply`` (B v
 products), ``update`` (pair ingestion with the usual safeguards) and
 ``operator_norm``. Limited-memory products use the direct compact
-representation, not the inverse form, because both the subproblem and the
-agreement ratio consume B v.
+representation (Byrd, Nocedal and Schnabel 1994), not the inverse form,
+because both the subproblem and the agreement ratio consume B v. Its
+factors are built once per accepted pair, and ``operator_norm`` reads the
+exact spectrum from them: a thin QR of the n x k factor W reduces
+B = sigma I -/+ W M^{-1} W^T to a k x k eigenproblem (Erway and Marcia
+2015), k <= 2 * memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .lcg import Lcg
 
 # Pair-acceptance safeguards; standard choices.
 BFGS_CURVATURE_TOL = 1e-8
 SR1_DENOM_TOL = 1e-8
-
-_DENSE_NORM_MAX_DIM = 64
-_POWER_ITERS = 50
-_POWER_RTOL = 1e-6
-_POWER_SAFETY = 1.01
-
-
-@dataclass(frozen=True)
-class GrowthEnvelope:
-    """Assumed growth mu*(1 + c^p) on max model-Hessian norms."""
-
-    mu: float
-    p: float
-    counter_kind: str = "successful"  # or "iteration"
-
-    def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.counter_kind not in ("successful", "iteration"):
-            raise ValueError(f"unknown counter_kind {self.counter_kind!r}")
 
 
 class HessianModel:
@@ -51,9 +29,8 @@ class HessianModel:
 
     mode = "abstract"
 
-    def __init__(self, dim: int, power_seed: int = 0):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.power_seed = power_seed
         self._norm_cache: float | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -89,51 +66,13 @@ class HessianModel:
         return False
 
     def _compute_norm(self) -> float:
-        if self.dim <= _DENSE_NORM_MAX_DIM:
-            return _dense_norm(self)
-        return power_norm_estimate(self)
-
-
-def _dense_norm(model: HessianModel) -> float:
-    mat = dense_matrix(model)
-    return float(np.max(np.abs(np.linalg.eigvalsh(mat)))) if model.dim else 0.0
+        raise NotImplementedError
 
 
 def dense_matrix(model: HessianModel) -> np.ndarray:
+    """B as a dense matrix, one product per column; a test oracle."""
     cols = [model.apply(col) for col in np.eye(model.dim)]
     return np.column_stack(cols)
-
-
-def power_norm_estimate(
-    model: HessianModel,
-    max_iters: int = _POWER_ITERS,
-    rtol: float = _POWER_RTOL,
-    seed: int | None = None,
-) -> float:
-    """Power-iteration spectral norm, inflated by a small safety factor.
-
-    Overestimation only loosens the scaled radius; underestimation could
-    violate its contract, hence the 1.01 inflation.
-    """
-    if seed is None:
-        seed = model.power_seed
-    v = Lcg(seed).vector(model.dim)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    lam = 0.0
-    for _ in range(max_iters):
-        w = model.apply(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        if abs(nw - lam) <= rtol * nw:
-            lam = nw
-            break
-        lam = nw
-        v = w / nw
-    return lam * _POWER_SAFETY
 
 
 class ZeroModel(HessianModel):
@@ -204,12 +143,18 @@ class ExactHessian(HessianModel):
 class _PairModel(HessianModel):
     """Shared storage for limited-memory models: a window of (s, y) pairs.
 
+    Subclasses write B = sigma I + sign * W M^{-1} W^T. The factors W, M
+    and K = M^{-1} W^T are built on first use after an accepted pair and
+    reused until the next one.
+
     ``bb_scaling`` refreshes the base scale to s'y/s's of the newest
     accepted pair; off by default so base-dependent constants stay put.
     """
 
-    def __init__(self, dim, memory=5, b0_scale=1.0, power_seed=0, bb_scaling=False):
-        super().__init__(dim, power_seed)
+    _SIGN: float  # -1 for BFGS, +1 for SR1
+
+    def __init__(self, dim, memory=5, b0_scale=1.0, bb_scaling=False):
+        super().__init__(dim)
         if memory < 1:
             raise ValueError("memory must be positive")
         if not b0_scale > 0:
@@ -218,6 +163,7 @@ class _PairModel(HessianModel):
         self.b0_scale = b0_scale
         self.bb_scaling = bb_scaling
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._factors: tuple | None = None
 
     def _push(self, s, y):
         if len(self.pairs) == self.memory:
@@ -227,11 +173,45 @@ class _PairModel(HessianModel):
             scale = float(s @ y) / float(s @ s)
             if scale > 0:
                 self.b0_scale = scale
+        self._factors = None
 
-    def _mats(self):
-        S = np.column_stack([p[0] for p in self.pairs])
-        Y = np.column_stack([p[1] for p in self.pairs])
-        return S, Y
+    def _compact(self) -> tuple:
+        """(W, M, K) from the subclass's ``_factorize``; empty when B = sigma I."""
+        if self._factors is None:
+            self._factors = self._factorize() if self.pairs else ()
+        return self._factors
+
+    def _apply(self, v):
+        factors = self._compact()
+        if not factors:
+            return self.b0_scale * v
+        W, M, _ = factors
+        # solve per product, not K @ v: this keeps every product's rounding,
+        # and with it every beta = 0 trajectory, as it was
+        z = np.linalg.solve(M, W.T @ v)
+        return self.b0_scale * v + self._SIGN * (W @ z)
+
+    def _compute_norm(self):
+        sig = self.b0_scale
+        factors = self._compact()
+        if not factors:
+            return abs(sig)
+        W, _, K = factors
+        # W = QR with Q orthonormal even when W is rank-deficient, so
+        # B = sigma I + sign * Q (R M^{-1} R^T) Q^T, and R M^{-1} R^T = R K Q
+        Q, R = np.linalg.qr(W)
+        C = R @ K @ Q
+        eigs = sig + self._SIGN * np.linalg.eigvalsh(0.5 * (C + C.T))
+        norm = float(np.max(np.abs(eigs)))
+        if self.dim > Q.shape[1]:
+            norm = max(norm, abs(sig))  # B = sigma I on the complement of range(Q)
+        return norm
+
+
+def _columns(pairs):
+    S = np.column_stack([p[0] for p in pairs])
+    Y = np.column_stack([p[1] for p in pairs])
+    return S, Y
 
 
 class LbfgsModel(_PairModel):
@@ -241,20 +221,17 @@ class LbfgsModel(_PairModel):
     """
 
     mode = "lbfgs"
+    _SIGN = -1.0
 
-    def _apply(self, v):
-        if not self.pairs:
-            return self.b0_scale * v
-        S, Y = self._mats()
+    def _factorize(self):
+        S, Y = _columns(self.pairs)
         sig = self.b0_scale
         SY = S.T @ Y
         L = np.tril(SY, -1)
         D = np.diag(np.diag(SY))
-        m = len(self.pairs)
         M = np.block([[sig * (S.T @ S), L], [L.T, -D]])
         W = np.hstack([sig * S, Y])
-        z = np.linalg.solve(M, W.T @ v)
-        return sig * v - W @ z
+        return W, M, np.linalg.solve(M, W.T)
 
     def _update(self, s, y):
         # curvature safeguard: s'y >= tol * |s| * |y|, and strictly positive
@@ -270,36 +247,28 @@ class Lsr1Model(_PairModel):
     """Limited-memory SR1 in the compact form
     B = sigma I + (Y - sigma S) M^{-1} (Y - sigma S)^T,
     M = D + L + L^T - sigma S^T S.
+
+    The factors use the longest suffix of ``pairs`` whose M is nonsingular
+    to ``np.linalg.solve``; ``pairs`` itself keeps every accepted pair.
     """
 
     mode = "lsr1"
+    _SIGN = 1.0
 
-    def _apply(self, v):
-        if not self.pairs:
-            return self.b0_scale * v
-        pairs_backup = list(self.pairs)
-        try:
-            while True:
-                try:
-                    return self._apply_window(v)
-                except np.linalg.LinAlgError:
-                    # window made M singular; shed the oldest pair
-                    if len(self.pairs) == 1:
-                        return self.b0_scale * v
-                    self.pairs.pop(0)
-        finally:
-            self.pairs = pairs_backup
-
-    def _apply_window(self, v):
-        S, Y = self._mats()
+    def _factorize(self):
         sig = self.b0_scale
-        Psi = Y - sig * S
-        SY = S.T @ Y
-        L = np.tril(SY, -1)
-        D = np.diag(np.diag(SY))
-        M = D + L + L.T - sig * (S.T @ S)
-        z = np.linalg.solve(M, Psi.T @ v)
-        return sig * v + Psi @ z
+        for start in range(len(self.pairs)):
+            S, Y = _columns(self.pairs[start:])
+            Psi = Y - sig * S
+            SY = S.T @ Y
+            L = np.tril(SY, -1)
+            D = np.diag(np.diag(SY))
+            M = D + L + L.T - sig * (S.T @ S)
+            try:
+                return Psi, M, np.linalg.solve(M, Psi.T)
+            except np.linalg.LinAlgError:
+                continue  # window made M singular; shed its oldest pair
+        return ()
 
     def _update(self, s, y):
         z = y - self.apply(s)
@@ -318,7 +287,6 @@ def build_model(
     b0_scale: float = 1.0,
     script=None,
     dim: int | None = None,
-    power_seed: int = 0,
     bb_scaling: bool = False,
 ) -> HessianModel:
     """Construct the model named by ``mode`` for a problem (or raw dim)."""
@@ -327,11 +295,11 @@ def build_model(
             raise ValueError("need a problem or an explicit dim")
         dim = problem.dim
     if mode == "zero":
-        return ZeroModel(dim, power_seed)
+        return ZeroModel(dim)
     if mode == "lbfgs":
-        return LbfgsModel(dim, memory, b0_scale, power_seed, bb_scaling)
+        return LbfgsModel(dim, memory, b0_scale, bb_scaling)
     if mode == "lsr1":
-        return Lsr1Model(dim, memory, b0_scale, power_seed, bb_scaling)
+        return Lsr1Model(dim, memory, b0_scale, bb_scaling)
     if mode == "scripted":
         if script is None:
             raise ValueError("scripted mode needs a script")

@@ -1,9 +1,9 @@
 """Minimal 64-bit linear congruential generator.
 
 Used for every pseudo-random element of the package (gradient-check probe
-points, power-iteration start vectors, random test instances) so that the
-exact same streams can be reproduced in any language from the constants
-below, without depending on numpy's generator internals.
+points, random test instances) so that the exact same streams can be
+reproduced in any language from the constants below, without depending on
+numpy's generator internals.
 """
 
 from __future__ import annotations

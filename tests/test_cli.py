@@ -47,12 +47,6 @@ class TestSolve:
         header = path.read_text().splitlines()[0]
         assert header == "k,f,gnorm,delta,eff_radius,rho,status,bnorm,n_succ,a_k,cg_iters"
 
-    def test_seed_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRFAM_SEED", "7")
-        code, out, _ = run_cli(capsys, "solve", "--problem", "sphere", "--json")
-        assert code == 0
-        assert json.loads(out)["status"] == "first_order"
-
 
 class TestAdversarial:
     def test_verify_p0(self, capsys):

@@ -13,7 +13,7 @@ from trfam import (
     measure_envelope,
 )
 from trfam.driver import IterationRecord
-from trfam.hessians import dense_matrix, power_norm_estimate
+from trfam.hessians import dense_matrix
 
 
 def bfgs_dense_recursion(pairs, n, sigma=1.0):
@@ -31,6 +31,40 @@ def sr1_dense_recursion(pairs, n, sigma=1.0):
         z = y - B @ s
         B = B + np.outer(z, z) / (s @ z)
     return B
+
+
+def compact_apply_reference(mode, pairs, sig, v):
+    """Oracle: the compact-form product rebuilt from the pairs on every call,
+    with L-SR1 shedding its oldest pair while M is singular."""
+    pairs = list(pairs)
+    while pairs:
+        S = np.column_stack([p[0] for p in pairs])
+        Y = np.column_stack([p[1] for p in pairs])
+        SY = S.T @ Y
+        L = np.tril(SY, -1)
+        D = np.diag(np.diag(SY))
+        if mode == "lbfgs":
+            M = np.block([[sig * (S.T @ S), L], [L.T, -D]])
+            W = np.hstack([sig * S, Y])
+            return sig * v - W @ np.linalg.solve(M, W.T @ v)
+        Psi = Y - sig * S
+        M = D + L + L.T - sig * (S.T @ S)
+        try:
+            return sig * v + Psi @ np.linalg.solve(M, Psi.T @ v)
+        except np.linalg.LinAlgError:
+            pairs.pop(0)
+    return sig * v
+
+
+def feed_pairs(m, rng, count, collinear=False):
+    """Update m with pairs from a curved map; collinear steps share one
+    direction, which leaves W with rank at most 3."""
+    n = m.dim
+    A = np.diag(np.geomspace(0.1, 10.0, n))
+    d, u = rng.standard_normal(n), rng.standard_normal(n)
+    for _ in range(count):
+        s = rng.uniform(0.5, 2.0) * d if collinear else rng.standard_normal(n)
+        m.update(s, A @ s + 0.1 * (s @ s) * u)
 
 
 def record(k, bnorm, n_succ):
@@ -61,6 +95,42 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             LbfgsModel(3).apply(np.ones(4))
+
+
+class TestCompactFactors:
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    def test_apply_matches_per_call_formula(self, mode):
+        rng = np.random.default_rng(13)
+        m = build_model(mode, dim=9, memory=3)
+        v = rng.standard_normal(9)
+        for _ in range(6):  # past the memory, so pairs are evicted too
+            feed_pairs(m, rng, 1)
+            expected = compact_apply_reference(mode, m.pairs, m.b0_scale, v)
+            assert np.array_equal(m.apply(v), expected)
+
+    def test_lsr1_sheds_oldest_pair_of_singular_window(self):
+        # y2 = s2 passes the SR1 test against B built from the first pair; once
+        # the first pair is evicted, its column of Psi = Y - S is zero and
+        # the full window's M = [[0, 0], [0, -16]] is exactly singular
+        m = Lsr1Model(2, memory=2)
+        steps = [([1.0, 2.0], [-1.0, 1.0]), ([-2.0, 0.0], [-2.0, 0.0]),
+                 ([-2.0, 2.0], [2.0, -2.0])]
+        for s, y in steps:
+            assert m.update(np.array(s), np.array(y))
+        pairs = [(s.copy(), y.copy()) for s, y in m.pairs]
+        v = np.array([0.3, -1.7])
+        assert np.array_equal(m.apply(v), compact_apply_reference("lsr1", pairs[1:], 1.0, v))
+        assert len(m.pairs) == 2
+        assert all(np.array_equal(a, b) for p, q in zip(m.pairs, pairs) for a, b in zip(p, q))
+
+    def test_bb_scaling_push_refreshes_factors(self):
+        m = LbfgsModel(2, memory=2, bb_scaling=True)
+        v = np.array([1.0, -2.0])
+        assert m.update(np.array([1.0, 0.0]), np.array([4.0, 1.0]))
+        m.apply(v)
+        assert m.update(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+        assert m.b0_scale == 3.0
+        assert np.array_equal(m.apply(v), compact_apply_reference("lbfgs", m.pairs, 3.0, v))
 
 
 class TestUpdates:
@@ -169,18 +239,26 @@ class TestOperatorNorm:
         m.begin_iteration(9)
         assert m.operator_norm() == 3.0
 
-    def test_power_iteration_never_below_dense(self):
+    @pytest.mark.parametrize("collinear", [False, True], ids=["general", "collinear"])
+    @pytest.mark.parametrize("n", [2, 8, 12, 64, 100])
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    def test_matches_dense_eigvalsh(self, mode, n, collinear):
+        # memory 5: n <= 2m and n > 2m for L-BFGS, and collinear steps make
+        # W rank-deficient
         rng = np.random.default_rng(11)
-        for trial in range(10):
-            n = 12
-            m = Lsr1Model(n, memory=5)
-            A = rng.standard_normal((n, n))
-            A = 0.5 * (A + A.T)
-            for _ in range(5):
-                s = rng.standard_normal(n)
-                m.update(s, A @ s)
-            dense = float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(m)))))
-            assert power_norm_estimate(m) >= dense * (1 - 1e-9)
+        m = build_model(mode, dim=n, memory=5)
+        feed_pairs(m, rng, 7, collinear)
+        assert m.pairs
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(m)))))
+        assert abs(m.operator_norm() - dense) <= 1e-9 * dense
+
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    def test_sigma_off_the_pair_range(self, mode):
+        # one pair with y = s / 4: B = 1/4 along s and sigma = 1 elsewhere
+        m = build_model(mode, dim=12, memory=5)
+        s = np.arange(1.0, 13.0)
+        assert m.update(s, 0.25 * s)
+        assert m.operator_norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_cache_invalidation_on_update(self):
         m = LbfgsModel(2, memory=1)
@@ -204,19 +282,6 @@ def test_bb_scaling_refreshes_base():
     off = LbfgsModel(2, memory=1)
     off.update(s, y)
     assert off.b0_scale == 1.0
-
-
-class TestGrowthEnvelope:
-    def test_validation(self):
-        from trfam import GrowthEnvelope
-
-        GrowthEnvelope(mu=1.0, p=0.5)
-        with pytest.raises(ValueError):
-            GrowthEnvelope(mu=0.0, p=0.5)
-        with pytest.raises(ValueError):
-            GrowthEnvelope(mu=1.0, p=1.5)
-        with pytest.raises(ValueError):
-            GrowthEnvelope(mu=1.0, p=0.5, counter_kind="bogus")
 
 
 class TestMeasureEnvelope:
