@@ -197,27 +197,29 @@ class Interpolant1D:
         return float(max(self.tail_curvature, at0.max(), at1.max()))
 
     def lower_bound(self) -> float:
-        """Exact global infimum, from tail vertices and per-segment minima."""
+        """Exact global infimum, from tail vertices, knot values and the
+        interior critical points of every segment at once.
+
+        Those points solve 3 c3 t^2 + 2 c2 t + h g0 = 0; the roots come
+        from the cancellation-free form q = -(b + sign(b) sqrt(disc)) / 2,
+        t = q/a and c/q. A vanishing leading coefficient, a zero slope or a
+        negative discriminant yields inf or NaN roots, which the (0, 1)
+        mask drops; the knot values cover the endpoints.
+        """
         tc = self.tail_curvature
-        best = float(self._f[0]) if self._g[0] <= 0 else float(
-            self._f[0] - self._g[0] ** 2 / (2 * tc)
-        )
-        right = float(self._f[-1]) if self._g[-1] >= 0 else float(
-            self._f[-1] - self._g[-1] ** 2 / (2 * tc)
-        )
-        best = min(best, right)
-        for i in range(len(self._h)):
-            best = min(best, float(self._f[i]), float(self._f[i + 1]))
-            # interior critical points: 3 c3 t^2 + 2 c2 t + h g0 = 0
-            a, b, c = 3.0 * self._c3[i], 2.0 * self._c2[i], self._h[i] * self._g[i]
-            for t in np.roots([a, b, c]) if a != 0 or b != 0 else []:
-                if np.isreal(t) and 0.0 < t.real < 1.0:
-                    tr = float(t.real)
-                    val = self._f[i] + tr * (
-                        self._h[i] * self._g[i] + tr * (self._c2[i] + tr * self._c3[i])
-                    )
-                    best = min(best, float(val))
-        return best
+        f, g = self._f, self._g
+        left = f[0] if g[0] <= 0 else f[0] - g[0] ** 2 / (2 * tc)
+        right = f[-1] if g[-1] >= 0 else f[-1] - g[-1] ** 2 / (2 * tc)
+        c2, c3, hg = self._c2, self._c3, self._h * g[:-1]
+        a, b = 3.0 * c3, 2.0 * c2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * hg), b))
+            roots = np.stack([q / a, hg / q])
+        inside = (roots > 0.0) & (roots < 1.0)
+        seg = np.nonzero(inside)[1]
+        t = roots[inside]
+        interior = f[seg] + t * (hg[seg] + t * (c2[seg] + t * c3[seg]))
+        return float(min(left, right, f.min(), interior.min(initial=np.inf)))
 
     def as_problem(self, name: str = "adversarial") -> Problem:
         def f(x):

@@ -11,7 +11,7 @@ import sys
 from . import adversarial as adv
 from . import bench as bench_mod
 from . import bounds as bounds_mod
-from .driver import TrParams, solve, theoretical_a_min, write_log_csv
+from .driver import SolveError, TrParams, solve, theoretical_a_min, write_log_csv
 from .hessians import build_model
 from .problems import get_problem
 
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, SolveError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -211,10 +211,10 @@ def solve(
         hist_max_b = max(hist_max_b, bnorm)
 
         if params.radius_mode == "history":
-            spec = RadiusSpec(params.alpha, params.beta, delta, hist_min_g, hist_max_b, "history")
+            gterm, bterm = hist_min_g, hist_max_b
         else:
-            spec = RadiusSpec(params.alpha, params.beta, delta, gnorm, bnorm, "current")
-        radius = effective_radius(spec)
+            gterm, bterm = gnorm, bnorm
+        radius = effective_radius(RadiusSpec(params.alpha, params.beta, delta, gterm, bterm))
         if radius < _RADIUS_UNDERFLOW * max(1.0, float(np.linalg.norm(x))):
             status = "delta_underflow"
             break
@@ -223,6 +223,7 @@ def solve(
             step = newton_step_1d(g, model, radius)
         else:
             step = solve_tcg(g, model, radius, params.kappa_mdc, cg_tol, max_cg)
+        snorm = float(np.linalg.norm(step.s))
 
         f_at_k = f
         decrease = step.model_decrease
@@ -258,7 +259,6 @@ def solve(
             evals.n_g += 1
             if not (np.isfinite(f_trial) and np.all(np.isfinite(g_new))):
                 raise SolveError(f"{problem.name}: non-finite f or gradient at k={k}")
-            snorm = float(np.linalg.norm(step.s))
             if snorm > 0:
                 lip = max(lip, float(np.linalg.norm(g_new - g)) / snorm)
             model.update(step.s, g_new - g)
@@ -288,7 +288,7 @@ def solve(
                 a_k=a_k(delta, hist_max_b, hist_min_g, params.alpha, params.beta),
                 cg_iters=step.cg_iters,
                 model_decrease=decrease,
-                snorm=float(np.linalg.norm(step.s)),
+                snorm=snorm,
             )
         )
         delta = _next_delta(delta, iter_status, params)

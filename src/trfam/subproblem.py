@@ -4,7 +4,8 @@ The subproblem minimizes the quadratic model m(s) = f + g's + s'Bs/2 over
 the ball |s| <= R with the scaled radius R = |g|^alpha (1+|B|)^-beta Delta.
 Steps come from a Steihaug-type truncated conjugate gradient whose first
 iterate is the Cauchy point, so the fraction-of-Cauchy-decrease contract
-holds by construction.
+holds by construction; the Cauchy decrease is read off that first
+iteration rather than computed separately.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class RadiusSpec:
     """Ingredients of the scaled trust-region radius.
 
     ``gnorm_term``/``bnorm_term`` hold either the current gradient/model
-    norms or the historical min/max, depending on ``mode``.
+    norms or their historical min/max; the caller picks which.
     """
 
     alpha: float
@@ -29,7 +30,6 @@ class RadiusSpec:
     delta: float
     gnorm_term: float
     bnorm_term: float
-    mode: str = "current"
 
 
 def effective_radius(spec: RadiusSpec) -> float:
@@ -115,7 +115,10 @@ def solve_tcg(
     iterations. A trial landing exactly on the boundary counts as a
     boundary hit. The first iterate is the Cauchy point and the model
     decrease is monotone along CG, so the returned decrease is at least the
-    Cauchy decrease.
+    Cauchy decrease. ``cauchy_decrease`` comes from the first iteration,
+    whose direction is -g: its curvature d'Bd equals g'Bg exactly, so the
+    value equals ``cauchy_point(g, B, radius).model_decrease`` without a
+    separate product. ``max_cg`` must be at least 1.
     """
     g = np.asarray(g, dtype=float)
     n = g.size
@@ -128,6 +131,8 @@ def solve_tcg(
         cg_tol = min(0.1, np.sqrt(gnorm))
     if max_cg is None:
         max_cg = n
+    elif max_cg < 1:
+        raise ValueError("max_cg must be at least 1")
 
     s = np.zeros(n)
     r = g.copy()  # model gradient at s
@@ -139,6 +144,10 @@ def solve_tcg(
         Bd = _matvec(B, d)
         dBd = float(d @ Bd)
         iters += 1
+        if iters == 1:  # the Cauchy step, as in cauchy_point
+            t_boundary = radius / gnorm
+            t = min(rr / dBd, t_boundary) if dBd > 0.0 else t_boundary
+            cauchy_decrease = t * rr - 0.5 * t * t * dBd
         if dBd <= 0.0:
             s = s + _to_boundary(s, d, radius) * d
             boundary = True
@@ -160,11 +169,10 @@ def solve_tcg(
     decrease = -(float(g @ s) + 0.5 * float(s @ _matvec(B, s)))
     if not np.isfinite(decrease):
         raise FloatingPointError("non-finite model decrease: ill-posed model")
-    cp = cauchy_point(g, B, radius)
     return StepResult(
         s=s,
         model_decrease=decrease,
-        cauchy_decrease=cp.model_decrease,
+        cauchy_decrease=cauchy_decrease,
         boundary_hit=boundary,
         cg_iters=iters,
     )
@@ -176,7 +184,9 @@ def newton_step_1d(g: Array, B, radius: float) -> StepResult:
     For positive curvature the interior minimizer is -g/b; concave or
     linear models, and Newton steps past the radius, end on the boundary.
     The single division keeps the step bit-reproducible, which the
-    worst-case verifier relies on.
+    worst-case verifier relies on. In one dimension the Cauchy point
+    minimizes the model over the whole ball, as this step does, so
+    ``cauchy_decrease`` is the step's own model decrease.
     """
     g = np.asarray(g, dtype=float)
     if g.size != 1:
@@ -195,11 +205,10 @@ def newton_step_1d(g: Array, B, radius: float) -> StepResult:
     else:
         step = -np.sign(g0) * radius
     decrease = -(g0 * step + 0.5 * b * step * step)
-    cp = cauchy_point(g, B, radius)
     return StepResult(
         s=np.array([step]),
         model_decrease=decrease,
-        cauchy_decrease=cp.model_decrease,
+        cauchy_decrease=decrease,
         boundary_hit=boundary,
         cg_iters=1,
     )

@@ -14,11 +14,38 @@ from trfam import (
     k_epsilon,
     verify_sharpness,
 )
-from trfam.adversarial import emit_function_csv
+from trfam.adversarial import AdversarialInstance, Interpolant1D, emit_function_csv
 
 SWEEP_EPS = (0.9, 0.5, 0.25)
 SWEEP_P = (0.0, 0.3, 0.5, 0.9, 1.0)
 SWEEP_C = (0.5, 1.0)
+
+
+def lower_bound_reference(interp):
+    """The per-segment np.roots loop that lower_bound replaced."""
+    tc = interp.tail_curvature
+    f, g, h, c2, c3 = interp._f, interp._g, interp._h, interp._c2, interp._c3
+    best = float(f[0]) if g[0] <= 0 else float(f[0] - g[0] ** 2 / (2 * tc))
+    right = float(f[-1]) if g[-1] >= 0 else float(f[-1] - g[-1] ** 2 / (2 * tc))
+    best = min(best, right)
+    for i in range(len(h)):
+        best = min(best, float(f[i]), float(f[i + 1]))
+        a, b, c = 3.0 * c3[i], 2.0 * c2[i], h[i] * g[i]
+        for t in np.roots([a, b, c]) if a != 0 or b != 0 else []:
+            if np.isreal(t) and 0.0 < t.real < 1.0:
+                tr = float(t.real)
+                best = min(best, float(f[i] + tr * (h[i] * g[i] + tr * (c2[i] + tr * c3[i]))))
+    return best
+
+
+def hand_interpolant(x, f, g):
+    """Interpolant1D over arbitrary knot data (only x, f, g are read)."""
+    x, f, g = (np.asarray(v, dtype=float) for v in (x, f, g))
+    inst = AdversarialInstance(
+        k_eps=x.size - 1, knots_x=x, f_vals=f, g_vals=g, B_vals=np.ones_like(x),
+        s_vals=np.diff(x), delta0=1.0, kappa_f=2.0, spec=AdversarialSpec(0.5, 0.0),
+    )
+    return Interpolant1D(inst)
 
 
 def sweep_specs(cap=10**6):
@@ -189,6 +216,44 @@ class TestInterpolant:
         assert np.min(vals) >= low - 1e-12
         # the right-tail vertex attains it
         assert low == pytest.approx(inst.f_vals[-1] - 0.5 * inst.g_vals[-1] ** 2)
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("p,eps,c", [(0.0, 0.01, 1.0), (0.5, 0.1, 1.0), (1.0, 0.33, 1.0)])
+    def test_equals_root_loop_on_worst_case_instances(self, p, eps, c):
+        interp = build_interpolant(generate(AdversarialSpec(eps, p, c)))
+        assert interp.lower_bound() == lower_bound_reference(interp)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_root_loop_with_interior_minima(self, seed):
+        # slopes that change sign (a share of them exactly zero) put
+        # minima inside segments. The offset keeps the bound larger than
+        # the Horner terms: where it is their cancellation, both root forms
+        # carry the same larger rounding error, as 50-digit arithmetic shows
+        rng = np.random.default_rng(seed)
+        n = 200
+        x = np.cumsum(rng.uniform(0.01, 2.0, n))
+        f = 10.0 + 0.3 * rng.standard_normal(n)
+        g = 3.0 * rng.standard_normal(n)
+        g[rng.random(n) < 0.2] = 0.0
+        interp = hand_interpolant(x, f, g)
+        low, ref = interp.lower_bound(), lower_bound_reference(interp)
+        assert low == pytest.approx(ref, rel=1e-15, abs=0.0)
+        assert low < f.min()  # an interior minimum decides the bound
+
+    def test_interior_minimum_of_one_segment(self):
+        # f = (x - 1/2)^2 on [0, 1] needs no cubic term: a = 0, a linear root
+        interp = hand_interpolant([0.0, 1.0], [0.25, 0.25], [-1.0, 1.0])
+        assert interp.lower_bound() == 0.0 == lower_bound_reference(interp)
+
+    def test_zero_slopes_at_both_knots(self):
+        # h g0 = 0 and the other root t = 1 lies on the knot: no interior point
+        interp = hand_interpolant([0.0, 1.0, 2.0], [1.0, 0.5, 2.0], [0.0, 0.0, 0.0])
+        assert interp.lower_bound() == 0.5 == lower_bound_reference(interp)
+
+    def test_monotone_segments_leave_the_tails(self):
+        interp = hand_interpolant([0.0, 1.0, 3.0], [5.0, 4.0, 1.0], [-1.0, -0.5, -2.0])
+        assert interp.lower_bound() == 1.0 - 2.0 == lower_bound_reference(interp)
 
 
 class TestVerifySharpness:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from trfam import cli
 from trfam.cli import main
+from trfam.driver import SolveError
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +39,20 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "--problem", "nessie")
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("exc", [
+        SolveError("rosenbrock: non-finite f or gradient at k=3"),
+        FloatingPointError("non-finite model decrease: ill-posed model"),
+    ])
+    def test_solver_breakdown_is_domain_error(self, capsys, monkeypatch, exc):
+        def breaks(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve", breaks)
+        code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {exc}\n"
 
     def test_log_csv(self, capsys, tmp_path):
         path = tmp_path / "log.csv"

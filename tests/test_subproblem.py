@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from trfam import RadiusSpec, cauchy_point, effective_radius, newton_step_1d, solve_tcg
+from trfam import (
+    RadiusSpec,
+    ScriptedModel,
+    build_model,
+    cauchy_point,
+    effective_radius,
+    newton_step_1d,
+    solve_tcg,
+)
 
 
 def grid_cauchy_oracle(g, B, radius, n_grid=10**6):
@@ -138,7 +146,60 @@ class TestTcg:
             assert res.cauchy_decrease >= oracle - 1e-6 * max(1.0, abs(oracle))
 
 
+def full_window_model(mode, n, rng, memory=5):
+    """A limited-memory model holding a full window of curved-map pairs."""
+    m = build_model(mode, dim=n, memory=memory)
+    A = np.diag(np.geomspace(0.1, 10.0, n))
+    u = rng.standard_normal(n)
+    while len(m.pairs) < memory:
+        s = rng.standard_normal(n)
+        m.update(s, A @ s + 0.1 * (s @ s) * u)
+    return m
+
+
+class TestCauchyDecreaseFromFirstCgStep:
+    """solve_tcg reads the Cauchy decrease off its first CG iteration; it
+    must equal the separate cauchy_point computation bit for bit."""
+
+    def test_dense_spd_and_indefinite(self):
+        rng = np.random.default_rng(21)
+        for _ in range(600):
+            n = int(rng.integers(1, 13))
+            g, A, radius = random_instance(rng, n)
+            for r in (radius, 1e-3 * radius, 1e3 * radius):
+                res = solve_tcg(g, A, r)
+                assert res.cauchy_decrease == cauchy_point(g, A, r).model_decrease
+
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_full_window_models(self, mode, n):
+        rng = np.random.default_rng(n)
+        m = full_window_model(mode, n, rng)
+        for _ in range(100):
+            g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            r = 10.0 ** rng.uniform(-3, 3)
+            assert solve_tcg(g, m, r).cauchy_decrease == cauchy_point(g, m, r).model_decrease
+
+    def test_max_cg_must_allow_one_iteration(self):
+        with pytest.raises(ValueError):
+            solve_tcg(np.ones(2), np.eye(2), 1.0, max_cg=0)
+
+
 class TestNewton1d:
+    def test_cauchy_decrease_is_the_step_decrease(self):
+        # in 1-d the Cauchy point and the Newton step both minimize the
+        # model over the ball; they differ only in rounding
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            g = np.array([rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, 2)])
+            b = rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+            radius = 10.0 ** rng.uniform(-4, 4)
+            for B in (np.array([[b]]), ScriptedModel([b])):
+                res = newton_step_1d(g, B, radius)
+                cp = cauchy_point(g, B, radius)
+                assert res.cauchy_decrease == res.model_decrease
+                assert res.cauchy_decrease == pytest.approx(cp.model_decrease, rel=1e-15)
+
     def test_interior(self):
         res = newton_step_1d(np.array([-1.0]), np.array([[2.0]]), 10.0)
         assert res.s[0] == 0.5
