@@ -46,7 +46,6 @@ from .hessians import (
 )
 from .problems import EvalCounter, Problem, builtin_collection, check_gradient, get_problem
 from .subproblem import (
-    RadiusSpec,
     StepResult,
     cauchy_point,
     effective_radius,

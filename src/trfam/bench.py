@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import SolveReport, TrParams, solve
+from .driver import SolveError, SolveReport, TrParams, solve
 from .hessians import build_model
 from .problems import get_problem
 
@@ -78,7 +78,12 @@ class CostMatrix:
 
 
 def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], SolveReport]]:
-    """Execute every spec; cells are keyed (problem, variant), sorted."""
+    """Execute every spec; cells are keyed (problem, variant), sorted.
+
+    A solve that breaks down (``SolveError`` or ``FloatingPointError``)
+    does not stop the matrix: its cell gets status "error" with zero
+    costs, which profiles count as unsolved, and no report.
+    """
     if not specs:
         raise ValueError("empty spec list")
     problems = sorted({s.problem for s in specs})
@@ -89,17 +94,21 @@ def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], 
         prob = get_problem(spec.problem)
         params = TrParams(alpha=spec.alpha, beta=spec.beta)
         model = build_model(spec.hessian, prob, memory=spec.memory)
-        t0 = time.perf_counter()
-        report = solve(
-            prob,
-            params,
-            model,
-            eps=spec.eps,
-            max_iter=spec.max_iter,
-            eval_budget=spec.eval_budget,
-        )
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
         key = (spec.problem, spec.variant)
+        t0 = time.perf_counter()
+        try:
+            report = solve(
+                prob,
+                params,
+                model,
+                eps=spec.eps,
+                max_iter=spec.max_iter,
+                eval_budget=spec.eval_budget,
+            )
+        except (SolveError, FloatingPointError):
+            matrix.cells[key] = CellResult("error", 0, 0, 0.0, 0)
+            continue
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
         matrix.cells[key] = CellResult(
             status=report.status,
             cost_f=report.evals.n_f,

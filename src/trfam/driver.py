@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import EvalCounter, Problem
-from .subproblem import RadiusSpec, effective_radius, newton_step_1d, solve_tcg
+from .subproblem import _norm, effective_radius, newton_step_1d, solve_tcg
 
 VERY_SUCCESSFUL = "very_successful"
 SUCCESSFUL = "successful"
@@ -80,7 +80,7 @@ class TrParams:
             raise ValueError("update_rule must be three positions in [0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     f: float
@@ -194,7 +194,7 @@ def solve(
 
     k = 0
     while True:
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if gnorm <= eps:
             status = "first_order"
             break
@@ -214,8 +214,8 @@ def solve(
             gterm, bterm = hist_min_g, hist_max_b
         else:
             gterm, bterm = gnorm, bnorm
-        radius = effective_radius(RadiusSpec(params.alpha, params.beta, delta, gterm, bterm))
-        if radius < _RADIUS_UNDERFLOW * max(1.0, float(np.linalg.norm(x))):
+        radius = effective_radius(params.alpha, params.beta, delta, gterm, bterm)
+        if radius < _RADIUS_UNDERFLOW * max(1.0, _norm(x)):
             status = "delta_underflow"
             break
 
@@ -223,7 +223,8 @@ def solve(
             step = newton_step_1d(g, model, radius)
         else:
             step = solve_tcg(g, model, radius, params.kappa_mdc, cg_tol, max_cg)
-        snorm = float(np.linalg.norm(step.s))
+        snorm = _norm(step.s)
+        x_trial = x + step.s
 
         f_at_k = f
         decrease = step.model_decrease
@@ -239,7 +240,7 @@ def solve(
             iter_status = UNSUCCESSFUL
             f_trial = f_at_k
         else:
-            f_trial = float(problem.eval_f(x + step.s))
+            f_trial = float(problem.eval_f(x_trial))
             evals.n_f += 1
             rho = (f_at_k - f_trial) / decrease
             if rho >= params.eta2:
@@ -251,25 +252,25 @@ def solve(
 
         accepted = iter_status != UNSUCCESSFUL
         if accepted:
-            x_new = x + step.s
             if not budget_left(1):
                 status = "eval_budget"
                 break
-            g_new = np.asarray(problem.eval_grad(x_new), dtype=float)
+            g_new = np.asarray(problem.eval_grad(x_trial), dtype=float)
             evals.n_g += 1
-            if not (np.isfinite(f_trial) and np.all(np.isfinite(g_new))):
+            if not (math.isfinite(f_trial) and np.isfinite(g_new).all()):
                 raise SolveError(f"{problem.name}: non-finite f or gradient at k={k}")
+            y = g_new - g
             if snorm > 0:
-                lip = max(lip, float(np.linalg.norm(g_new - g)) / snorm)
-            model.update(step.s, g_new - g)
-            x, f, g = x_new, f_trial, g_new
+                lip = max(lip, _norm(y) / snorm)
+            model.update(step.s, y)
+            x, f, g = x_trial, f_trial, g_new
             n_succ += 1
         elif params.update_on_unsuccessful and model.mode in ("lbfgs", "lsr1"):
             # Assumption-2 regime: pay one extra gradient for the rejected pair
             if not budget_left(1):
                 status = "eval_budget"
                 break
-            g_trial = np.asarray(problem.eval_grad(x + step.s), dtype=float)
+            g_trial = np.asarray(problem.eval_grad(x_trial), dtype=float)
             evals.n_g += 1
             if np.all(np.isfinite(g_trial)):
                 model.update(step.s, g_trial - g)
@@ -300,7 +301,7 @@ def solve(
         n_succ_total=n_succ,
         n_unsucc_total=k - n_succ,
         final_f=f,
-        final_gnorm=float(np.linalg.norm(g)),
+        final_gnorm=_norm(g),
         evals=evals,
         log=log,
         x=x,

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .subproblem import _norm
+
 # Pair-acceptance safeguards; standard choices.
 BFGS_CURVATURE_TOL = 1e-8
 SR1_DENOM_TOL = 1e-8
@@ -42,7 +44,7 @@ class HessianModel:
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
-        if np.linalg.norm(s) == 0.0:
+        if _norm(s) == 0.0:
             raise ValueError("update with zero step")
         accepted = self._update(s, y)
         if accepted:

@@ -10,39 +10,41 @@ iteration rather than computed separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 Array = np.ndarray
 
+# The unit vector newton_step_1d reads the 1-d curvature from; read-only,
+# so no caller can change it.
+_E1 = np.ones(1)
+_E1.flags.writeable = False
 
-@dataclass(frozen=True)
-class RadiusSpec:
-    """Ingredients of the scaled trust-region radius.
+
+def effective_radius(
+    alpha: float, beta: float, delta: float, gnorm_term: float, bnorm_term: float
+) -> float:
+    """gnorm_term^alpha * (1 + bnorm_term)^(-beta) * delta.
 
     ``gnorm_term``/``bnorm_term`` hold either the current gradient/model
     norms or their historical min/max; the caller picks which.
     """
-
-    alpha: float
-    beta: float
-    delta: float
-    gnorm_term: float
-    bnorm_term: float
-
-
-def effective_radius(spec: RadiusSpec) -> float:
-    """gnorm^alpha * (1 + bnorm)^(-beta) * delta."""
-    if not spec.gnorm_term > 0:
+    if not gnorm_term > 0:
         raise ValueError("zero gradient norm: caller must stop at stationarity")
-    if not spec.delta > 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
-    return (
-        spec.gnorm_term**spec.alpha
-        * (1.0 + spec.bnorm_term) ** (-spec.beta)
-        * spec.delta
-    )
+    return gnorm_term**alpha * (1.0 + bnorm_term) ** (-beta) * delta
+
+
+def _norm(v: Array) -> float:
+    """Euclidean norm of a 1-d float vector.
+
+    ``np.linalg.norm`` computes exactly ``sqrt(v.dot(v))`` for such a
+    vector, so this is bit-identical to it, without the wrapper's checks.
+    """
+    return math.sqrt(v.dot(v))
 
 
 @dataclass
@@ -122,7 +124,7 @@ def solve_tcg(
     """
     g = np.asarray(g, dtype=float)
     n = g.size
-    gnorm = np.linalg.norm(g)
+    gnorm = _norm(g)
     if gnorm == 0.0:
         raise ValueError("zero gradient")
     if not radius > 0:
@@ -154,14 +156,14 @@ def solve_tcg(
             break
         alpha = rr / dBd
         trial = s + alpha * d
-        if np.linalg.norm(trial) >= radius:
+        if _norm(trial) >= radius:
             s = s + _to_boundary(s, d, radius) * d
             boundary = True
             break
         s = trial
         r = r + alpha * Bd
         rr_new = float(r @ r)
-        if np.sqrt(rr_new) <= cg_tol * gnorm:
+        if math.sqrt(rr_new) <= cg_tol * gnorm:
             break
         d = -r + (rr_new / rr) * d
         rr = rr_new
@@ -186,7 +188,9 @@ def newton_step_1d(g: Array, B, radius: float) -> StepResult:
     The single division keeps the step bit-reproducible, which the
     worst-case verifier relies on. In one dimension the Cauchy point
     minimizes the model over the whole ball, as this step does, so
-    ``cauchy_decrease`` is the step's own model decrease.
+    ``cauchy_decrease`` is the step's own model decrease. A non-finite
+    gradient raises ValueError: the boundary branch would otherwise turn
+    it into a finite step.
     """
     g = np.asarray(g, dtype=float)
     if g.size != 1:
@@ -194,16 +198,18 @@ def newton_step_1d(g: Array, B, radius: float) -> StepResult:
     g0 = float(g[0])
     if g0 == 0.0:
         raise ValueError("zero gradient")
-    b = float(_matvec(B, np.ones(1))[0])
+    if not math.isfinite(g0):
+        raise ValueError(f"non-finite gradient {g0!r}")
+    b = float(_matvec(B, _E1)[0])
     boundary = True
     if b > 0.0:
         step = -(g0 / b)
         if abs(step) <= radius:
             boundary = abs(step) == radius
         else:
-            step = -np.sign(g0) * radius
+            step = math.copysign(radius, -g0)
     else:
-        step = -np.sign(g0) * radius
+        step = math.copysign(radius, -g0)
     decrease = -(g0 * step + 0.5 * b * step * step)
     return StepResult(
         s=np.array([step]),

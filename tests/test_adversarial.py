@@ -1,6 +1,8 @@
 """Tests for the worst-case instance generator, interpolant, and verifier."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from trfam import (
     build_interpolant,
     generate,
     k_epsilon,
+    log_to_csv,
     verify_sharpness,
 )
 from trfam.adversarial import AdversarialInstance, Interpolant1D, emit_function_csv
@@ -218,6 +221,52 @@ class TestInterpolant:
         assert low == pytest.approx(inst.f_vals[-1] - 0.5 * inst.g_vals[-1] ** 2)
 
 
+class CountingInterpolant(Interpolant1D):
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.calls = 0
+
+    def __call__(self, xq):
+        self.calls += 1
+        return super().__call__(xq)
+
+
+def bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestAsProblem:
+    def interpolant(self):
+        # a knot at 0 with f = -0.0 there: f(+0.0) is 0.0, f(-0.0) is -0.0
+        inst = hand_interpolant([-1.0, 0.0, 2.0], [1.0, -0.0, 3.0], [-1.0, 1.0, 2.0]).instance
+        return CountingInterpolant(inst)
+
+    def test_memo_matches_direct_evaluation(self):
+        interp = self.interpolant()
+        problem = interp.as_problem()
+        a, b = 0.5, 1.25
+        sequence = [("f", a), ("g", a), ("f", b), ("g", a), ("f", 0.0), ("f", -0.0),
+                    ("g", -0.0), ("g", 0.0), ("f", -0.0), ("g", b), ("g", b), ("f", b)]
+        for which, x in sequence:
+            xa = np.array([x])
+            got = problem.eval_f(xa) if which == "f" else problem.eval_grad(xa)[0]
+            want = interp(x)[0 if which == "f" else 1]
+            assert got == want, (which, x)
+            assert bits(got) == bits(want), (which, x)
+        assert bits(interp(0.0)[0]) != bits(interp(-0.0)[0])
+
+    def test_gradient_after_f_at_the_same_point_reuses_it(self):
+        interp = self.interpolant()
+        problem = interp.as_problem()
+        interp.calls = 0
+        problem.eval_f(np.array([0.5]))
+        problem.eval_grad(np.array([0.5]))
+        assert interp.calls == 1
+        problem.eval_grad(np.array([1.5]))
+        problem.eval_f(np.array([0.5]))
+        assert interp.calls == 3
+
+
 class TestLowerBound:
     @pytest.mark.parametrize("p,eps,c", [(0.0, 0.01, 1.0), (0.5, 0.1, 1.0), (1.0, 0.33, 1.0)])
     def test_equals_root_loop_on_worst_case_instances(self, p, eps, c):
@@ -280,6 +329,24 @@ class TestVerifySharpness:
         spec = AdversarialSpec(0.5, 0.0)
         with pytest.raises(ValueError, match="delta0"):
             verify_sharpness(spec, TrParams(delta0=1.0))
+
+    # SHA-256 of log_to_csv. These replays use only scalar IEEE arithmetic,
+    # so the digests hold on any platform.
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            (AdversarialSpec(0.1, 0.0),
+             "069a22221073832e1f9e9cd7691f6cbed2d7d9fc9fb624f75727d316bbebdb79"),
+            (AdversarialSpec(0.3, 0.5),
+             "51966b1c5fdcd0859b4c21e3893fe708c9fcc29ddcc3ceb3514768116c8bc04b"),
+            (AdversarialSpec(0.5, 1.0, 1.0),
+             "7317bf4c4f1b75e6fb354de31c7df313637ff4620c82594bd817bea8aa2d6419"),
+        ],
+    )
+    def test_log_digest_pinned(self, spec, digest):
+        sharp, report = verify_sharpness(spec)
+        assert sharp.passed
+        assert hashlib.sha256(log_to_csv(report).encode()).hexdigest() == digest
 
     def test_mismatch_reporting(self):
         # wrong tolerance in the driver would show as a structured mismatch;

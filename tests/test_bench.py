@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trfam import bench
 from trfam.bench import (
     CellResult,
     CostMatrix,
@@ -58,6 +59,30 @@ class TestRunMatrix:
     def test_unknown_problem(self):
         with pytest.raises(KeyError):
             run_matrix([RunSpec("nope", 0.0, 0.0)])
+
+    @pytest.mark.parametrize("exc", [bench.SolveError, FloatingPointError])
+    def test_breakdown_is_an_error_cell(self, monkeypatch, tmp_path, exc):
+        solve = bench.solve
+
+        def breaks_on_beale(problem, *args, **kwargs):
+            if problem.name == "beale":
+                raise exc("breakdown")
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "solve", breaks_on_beale)
+        matrix, reports = run_matrix(small_specs())
+        assert len(matrix.cells) == 20
+        assert len(reports) == 16
+        for variant in matrix.variants:
+            assert matrix.cells[("beale", variant)] == CellResult("error", 0, 0, 0.0, 0)
+            assert ("beale", variant) not in reports
+            assert matrix.cells[("sphere", variant)].solved
+        for metric in ("fevals", "gevals", "time"):
+            for curve in performance_profile(matrix, metric):
+                assert curve.values[-1] <= 4 / 5  # beale unsolved everywhere
+        emit(matrix, {"fevals": performance_profile(matrix, "fevals")}, tmp_path)
+        back = read_matrix_csv(tmp_path / "matrix.csv")
+        assert back.cells == matrix.cells
 
     def test_costs_positive(self):
         matrix, _ = run_matrix(small_specs())

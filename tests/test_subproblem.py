@@ -1,10 +1,12 @@
 """Tests for the scaled radius, Cauchy point, and truncated CG."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
 from trfam import (
-    RadiusSpec,
     ScriptedModel,
     build_model,
     cauchy_point,
@@ -12,6 +14,7 @@ from trfam import (
     newton_step_1d,
     solve_tcg,
 )
+from trfam.subproblem import _norm
 
 
 def grid_cauchy_oracle(g, B, radius, n_grid=10**6):
@@ -43,21 +46,41 @@ def random_instance(rng, n):
 
 class TestEffectiveRadius:
     def test_classical(self):
-        spec = RadiusSpec(0.0, 0.0, 3.0, gnorm_term=17.0, bnorm_term=123.0)
-        assert effective_radius(spec) == 3.0
+        assert effective_radius(0.0, 0.0, 3.0, gnorm_term=17.0, bnorm_term=123.0) == 3.0
 
     def test_both_scalings(self):
-        spec = RadiusSpec(1.0, 1.0, 1.0, gnorm_term=4.0, bnorm_term=1.0)
-        assert effective_radius(spec) == 2.0
+        assert effective_radius(1.0, 1.0, 1.0, gnorm_term=4.0, bnorm_term=1.0) == 2.0
 
     def test_fractional_alpha(self):
         # 0.25^0.5 / (1+3) * 2 = 0.5 / 4 * 2
-        spec = RadiusSpec(0.5, 1.0, 2.0, gnorm_term=0.25, bnorm_term=3.0)
-        assert effective_radius(spec) == pytest.approx(0.25, rel=1e-15)
+        radius = effective_radius(0.5, 1.0, 2.0, gnorm_term=0.25, bnorm_term=3.0)
+        assert radius == pytest.approx(0.25, rel=1e-15)
 
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError):
-            effective_radius(RadiusSpec(0.0, 0.0, 1.0, 0.0, 1.0))
+            effective_radius(0.0, 0.0, 1.0, 0.0, 1.0)
+
+
+def bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestNorm:
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_bit_identical_to_numpy(self):
+        # zero, subnormal, huge (the square overflows to inf) and NaN
+        # entries mixed into seeded vectors of several lengths
+        rng = np.random.default_rng(11)
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1e200, -1.7e308, math.inf, math.nan]
+        for n in (1, 2, 3, 7, 100):
+            for _ in range(200):
+                v = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)
+                k = rng.integers(0, n + 1)
+                v[rng.choice(n, k, replace=False)] = rng.choice(specials, k)
+                assert bits(_norm(v)) == bits(np.linalg.norm(v)), v
+        for v in ([0.0], [0.0, 0.0], [5e-324], [1e200, 1e200], [math.nan, 1.0], [-math.inf]):
+            v = np.array(v)
+            assert bits(_norm(v)) == bits(np.linalg.norm(v)), v
 
 
 class TestCauchyPoint:
@@ -218,3 +241,25 @@ class TestNewton1d:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             newton_step_1d(np.ones(2), np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("b", [2.0, -1.0])
+    def test_non_finite_gradient_rejected(self, g0, b):
+        with pytest.raises(ValueError, match="non-finite"):
+            newton_step_1d(np.array([g0]), ScriptedModel([b]), 1.0)
+
+    def test_infinite_radius_takes_the_newton_step(self):
+        # the worst-case replays reach an overflowed radius; it stays legal
+        res = newton_step_1d(np.array([-3.0]), ScriptedModel([2.0]), math.inf)
+        assert res.s[0] == 1.5
+        assert not res.boundary_hit
+        assert res.model_decrease == 2.25
+
+    def test_one_product_with_the_unit_vector(self):
+        calls = []
+        model = ScriptedModel([4.0])
+        apply = model.apply
+        model.apply = lambda v: calls.append(v.copy()) or apply(v)
+        newton_step_1d(np.array([1.0]), model, 1.0)
+        newton_step_1d(np.array([-1.0]), model, 1.0)
+        assert [c.tolist() for c in calls] == [[1.0], [1.0]]
