@@ -4,11 +4,12 @@
     PYTHONPATH=src python -m pytest benchmarks/bench_driver.py
 
 Not part of the tier-1 suite: timings on a small shared host are noisy.
-Two cases: the worst-case replay at k_eps = 1e3, where the step is the 1-d
-Newton step on a scripted model and nearly all time is the driver's own
-bookkeeping, and rosenbrock with its exact Hessian, where TCG, the norm
-and the evaluations share the time. Each round solves with a fresh model;
-``extra_info["us_per_iter"]`` is the median solve time per iteration.
+Two cases: the worst-case replay at k_eps = 1e3, a 1-d problem, so the
+step is the exact 1-d step on a scripted model and nearly all time is the
+driver's own bookkeeping; and rosenbrock with its exact Hessian, where
+TCG, the norm and the evaluations share the time. Each round solves with
+a fresh model; ``extra_info["us_per_iter"]`` is the median solve time per
+iteration.
 """
 
 from trfam import AdversarialSpec, TrParams, build_interpolant, generate, get_problem, solve
@@ -34,7 +35,7 @@ def test_worst_case_replay(benchmark):
     problem = build_interpolant(inst).as_problem()
     params = TrParams(delta0=inst.delta0)
     report = per_iteration(benchmark, problem, params, lambda: ScriptedModel(inst.B_vals),
-                           spec.eps, max_iter=inst.k_eps + 10, step_solver="newton1d")
+                           spec.eps, max_iter=inst.k_eps + 10)
     assert report.iterations == inst.k_eps
 
 

@@ -46,7 +46,7 @@ class AdversarialSpec:
             raise ValueError("p must lie in [0, 1]")
         if self.p == 1.0 and not self.c > 0.0:
             raise ValueError("p = 1 requires c > 0")
-        if self.alpha > 1 or self.beta > 1:
+        if not (self.alpha <= 1 and self.beta <= 1):  # NaN fails too
             raise ValueError("alpha and beta must be <= 1")
 
 
@@ -147,11 +147,10 @@ class Interpolant1D:
     the junction points of the tails.
     """
 
-    def __init__(self, inst: AdversarialInstance, tail_curvature: float = 1.0):
-        if not tail_curvature > 0:
-            raise ValueError("tail curvature must be positive for boundedness below")
+    TAIL_CURVATURE = 1.0  # positive, so the tails keep f bounded below
+
+    def __init__(self, inst: AdversarialInstance):
         self.instance = inst
-        self.tail_curvature = tail_curvature
         x, f, g = inst.knots_x, inst.f_vals, inst.g_vals
         self._x = x
         self._f = f
@@ -167,7 +166,7 @@ class Interpolant1D:
         """Return (f(x), f'(x))."""
         x = float(xq)
         knots = self._x
-        tc = self.tail_curvature
+        tc = self.TAIL_CURVATURE
         if x < knots[0]:
             dx = x - knots[0]
             return (
@@ -194,7 +193,7 @@ class Interpolant1D:
         h2 = self._h**2
         at0 = np.abs(2.0 * self._c2) / h2
         at1 = np.abs(2.0 * self._c2 + 6.0 * self._c3) / h2
-        return float(max(self.tail_curvature, at0.max(), at1.max()))
+        return float(max(self.TAIL_CURVATURE, at0.max(), at1.max()))
 
     def lower_bound(self) -> float:
         """Exact global infimum, from tail vertices, knot values and the
@@ -206,7 +205,7 @@ class Interpolant1D:
         negative discriminant yields inf or NaN roots, which the (0, 1)
         mask drops; the knot values cover the endpoints.
         """
-        tc = self.tail_curvature
+        tc = self.TAIL_CURVATURE
         f, g = self._f, self._g
         left = f[0] if g[0] <= 0 else f[0] - g[0] ** 2 / (2 * tc)
         right = f[-1] if g[-1] >= 0 else f[-1] - g[-1] ** 2 / (2 * tc)
@@ -311,38 +310,21 @@ class SharpnessReport:
 
 
 def verify_sharpness(
-    spec: AdversarialSpec,
-    params: TrParams | None = None,
-    cap: int = K_EPS_CAP,
+    spec: AdversarialSpec, cap: int = K_EPS_CAP
 ) -> tuple[SharpnessReport, SolveReport]:
     """Run the driver on the generated instance and check the worst-case
     facts it was built to force: exactly k_eps iterations, agreement ratio
     2 at every iteration, every step inside the scaled radius, and a final
-    gradient of magnitude eps.
+    gradient of magnitude eps. The driver runs with the default constants,
+    the spec's alpha and beta, and the instance's delta0; the problem is
+    1-d, so every step is the exact 1-d step.
     """
     inst = generate(spec, cap)
     interp = build_interpolant(inst)
     problem = interp.as_problem()
-
-    if params is None:
-        params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
-    else:
-        if params.delta0 != inst.delta0:
-            raise ValueError(f"params.delta0 must equal the instance delta0 {inst.delta0}")
-        if params.gamma3 < 1.0:
-            raise ValueError("verification requires gamma3 >= 1 (radius must not shrink)")
-        if (params.alpha, params.beta) != (spec.alpha, spec.beta):
-            raise ValueError("params alpha/beta must match the spec")
-
+    params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
     model = ScriptedModel(inst.B_vals)
-    report = solve(
-        problem,
-        params,
-        model,
-        eps=spec.eps,
-        max_iter=inst.k_eps + 10,
-        step_solver="newton1d",
-    )
+    report = solve(problem, params, model, eps=spec.eps, max_iter=inst.k_eps + 10)
 
     mism: list[dict] = []
     if report.iterations != inst.k_eps:

@@ -46,6 +46,8 @@ class BoundInputs:
             raise ValueError("f0 must be at least f_low")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        if not self.mu >= 0:  # NaN fails too
+            raise ValueError("mu must be nonnegative")
         for name in ("a_min", "eps", "eta1", "kappa_mdc", "gamma1", "gamma2", "delta0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -179,7 +181,7 @@ def xi_beta(
                 return total + tail
         k += 1
         if k > 10**7:
-            raise RuntimeError("xi_beta failed to converge within 1e7 terms")
+            raise ValueError("xi_beta failed to converge within 1e7 terms")
 
 
 def kappa2(inputs: BoundInputs, tau: int) -> float:

@@ -193,7 +193,8 @@ def _cmd_bounds(args) -> int:
         ub = bounds_mod.bound_unsuccessful(inputs, s_for_u) if s_for_u is not None else None
         tb = bounds_mod.bound_total_k(inputs, tau, xi)
         refs = bounds_mod.classical_reference_rows(inputs)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a bound that under- or overflows, e.g. a huge |beta|
         raise DomainError(str(exc)) from exc
 
     def row(name, value, logv=None):

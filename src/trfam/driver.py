@@ -41,10 +41,10 @@ class TrParams:
 
     Orderings 0 < eta1 <= eta2 < 1, 0 < gamma1 <= gamma2 < 1 <= gamma3 <=
     gamma4, 0 < kappa_mdc <= 1/2 and alpha, beta <= 1 are enforced on
-    construction. ``update_rule`` places the next Delta inside the interval
-    each status prescribes, as a position in [0, 1] per status (very
-    successful, successful, unsuccessful); the default picks gamma3*Delta,
-    Delta, gamma2*Delta.
+    construction. Each status prescribes an interval for the next Delta:
+    [gamma3, gamma4], [gamma2, 1] or [gamma1, gamma2] times Delta for very
+    successful, successful and unsuccessful steps. The driver takes the
+    points gamma3*Delta, Delta and gamma2*Delta of those intervals.
     """
 
     eta1: float = 0.1
@@ -58,7 +58,6 @@ class TrParams:
     beta: float = 0.0
     delta0: float = 1.0
     radius_mode: str = "current"  # or "history"
-    update_rule: tuple[float, float, float] = (0.0, 1.0, 1.0)
     update_on_unsuccessful: bool = False
 
     def __post_init__(self):
@@ -68,16 +67,12 @@ class TrParams:
             raise ValueError("need 0 < gamma1 <= gamma2 < 1 <= gamma3 <= gamma4")
         if not 0 < self.kappa_mdc <= 0.5:
             raise ValueError("need 0 < kappa_mdc <= 1/2")
-        if self.alpha > 1 or self.beta > 1:
+        if not (self.alpha <= 1 and self.beta <= 1):  # NaN fails too
             raise ValueError("need alpha <= 1 and beta <= 1")
         if not self.delta0 > 0:
             raise ValueError("need delta0 > 0")
         if self.radius_mode not in ("current", "history"):
             raise ValueError(f"unknown radius_mode {self.radius_mode!r}")
-        if len(self.update_rule) != 3 or any(
-            not 0.0 <= t <= 1.0 for t in self.update_rule
-        ):
-            raise ValueError("update_rule must be three positions in [0, 1]")
 
 
 @dataclass(slots=True)
@@ -133,16 +128,10 @@ def theoretical_a_min(a0: float, params: TrParams, L: float) -> float:
 
 def _next_delta(delta: float, status: str, params: TrParams) -> float:
     if status == VERY_SUCCESSFUL:
-        lo, hi, pos = params.gamma3 * delta, params.gamma4 * delta, params.update_rule[0]
-    elif status == SUCCESSFUL:
-        lo, hi, pos = params.gamma2 * delta, delta, params.update_rule[1]
-    else:
-        lo, hi, pos = params.gamma1 * delta, params.gamma2 * delta, params.update_rule[2]
-    if pos == 0.0:
-        return lo
-    if pos == 1.0:
-        return hi
-    return lo + pos * (hi - lo)
+        return params.gamma3 * delta
+    if status == SUCCESSFUL:
+        return delta
+    return params.gamma2 * delta
 
 
 def solve(
@@ -152,22 +141,18 @@ def solve(
     eps: float,
     max_iter: int = 10_000,
     eval_budget: int | None = None,
-    step_solver: str = "tcg",
-    cg_tol: float | None = None,
-    max_cg: int | None = None,
 ) -> SolveReport:
     """Run the trust-region loop until |grad f| <= eps or a budget stop.
 
     The returned iteration count is the index of the first iterate whose
     gradient norm passes the test; the stopping iterate itself consumes no
     step. ``eval_budget`` caps the combined objective and gradient
-    evaluation count. ``step_solver`` is "tcg" (default) or "newton1d"
-    (exact 1-d solve, used by the worst-case verifier).
+    evaluation count. A 1-d problem takes the exact 1-d step
+    (``newton_step_1d``), which the worst-case verifier relies on; any
+    other dimension takes the truncated CG step (``solve_tcg``).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if step_solver not in ("tcg", "newton1d"):
-        raise ValueError(f"unknown step_solver {step_solver!r}")
 
     evals = EvalCounter()
 
@@ -175,6 +160,7 @@ def solve(
         return eval_budget is None or evals.total + need <= eval_budget
 
     x = np.array(problem.x0, dtype=float)
+    step_solver = newton_step_1d if x.size == 1 else solve_tcg
     if not budget_left(2):
         return SolveReport("eval_budget", 0, 0, 0, math.nan, math.nan, evals, [], x=x)
     f = float(problem.eval_f(x))
@@ -219,10 +205,7 @@ def solve(
             status = "delta_underflow"
             break
 
-        if step_solver == "newton1d":
-            step = newton_step_1d(g, model, radius)
-        else:
-            step = solve_tcg(g, model, radius, params.kappa_mdc, cg_tol, max_cg)
+        step = step_solver(g, model, radius)
         snorm = _norm(step.s)
         x_trial = x + step.s
 

@@ -2,7 +2,8 @@
 
 Every model is a symmetric linear operator exposing ``apply`` (B v
 products), ``update`` (pair ingestion with the usual safeguards) and
-``operator_norm``. Limited-memory products use the direct compact
+``operator_norm``. The limited-memory models start from B0 = sigma I with
+sigma = ``SIGMA``. Limited-memory products use the direct compact
 representation (Byrd, Nocedal and Schnabel 1994), not the inverse form,
 because both the subproblem and the agreement ratio consume B v. Its
 factors are built once per accepted pair, and ``operator_norm`` reads the
@@ -21,9 +22,13 @@ from .subproblem import _norm
 BFGS_CURVATURE_TOL = 1e-8
 SR1_DENOM_TOL = 1e-8
 
+# Scale sigma of the limited-memory seed B0 = sigma I.
+SIGMA = 1.0
+
 
 class HessianModel:
-    """Base class; concrete models override the private hooks.
+    """Base class; concrete models override the private hooks, and models
+    that learn from steps override ``update``.
 
     A model instance is mutable and owned by a single solver run; distinct
     runs must not share one.
@@ -42,14 +47,11 @@ class HessianModel:
         return self._apply(v)
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if _norm(s) == 0.0:
-            raise ValueError("update with zero step")
-        accepted = self._update(s, y)
-        if accepted:
-            self._norm_cache = None
-        return accepted
+        """Ingest the step s and gradient change y; True when B changed.
+
+        Models that never learn keep this default, which reads neither.
+        """
+        return False
 
     def operator_norm(self) -> float:
         if self._norm_cache is None:
@@ -63,9 +65,6 @@ class HessianModel:
 
     def _apply(self, v):
         raise NotImplementedError
-
-    def _update(self, s, y) -> bool:
-        return False
 
     def _compute_norm(self) -> float:
         raise NotImplementedError
@@ -88,7 +87,8 @@ class ZeroModel(HessianModel):
 
 
 class ScriptedModel(HessianModel):
-    """Scalar multiples of the identity, indexed by the iteration counter.
+    """One-dimensional model B_k = values[k], indexed by the iteration
+    counter; it never learns from steps.
 
     Iterations beyond the script hold the last value; the worst-case
     verifier detects any overrun through its own iteration-count check.
@@ -96,8 +96,8 @@ class ScriptedModel(HessianModel):
 
     mode = "scripted"
 
-    def __init__(self, values, dim: int = 1):
-        super().__init__(dim)
+    def __init__(self, values):
+        super().__init__(1)
         self.values = np.asarray(values, dtype=float)
         if self.values.size == 0:
             raise ValueError("empty script")
@@ -133,9 +133,10 @@ class ExactHessian(HessianModel):
     def _apply(self, v):
         return self._mat @ v
 
-    def _update(self, s, y):
-        self._x = self._x + s
+    def update(self, s, y):
+        self._x = self._x + np.asarray(s, dtype=float)
         self._mat = np.asarray(self._eval_hess(self._x), dtype=float)
+        self._norm_cache = None
         return True
 
     def _compute_norm(self):
@@ -147,35 +148,33 @@ class _PairModel(HessianModel):
 
     Subclasses write B = sigma I + sign * W M^{-1} W^T. The factors W, M
     and K = M^{-1} W^T are built on first use after an accepted pair and
-    reused until the next one.
-
-    ``bb_scaling`` refreshes the base scale to s'y/s's of the newest
-    accepted pair; off by default so base-dependent constants stay put.
+    reused until the next one. A pair enters the window when the
+    subclass's ``_admits`` safeguard passes it.
     """
 
     _SIGN: float  # -1 for BFGS, +1 for SR1
 
-    def __init__(self, dim, memory=5, b0_scale=1.0, bb_scaling=False):
+    def __init__(self, dim, memory=5):
         super().__init__(dim)
         if memory < 1:
             raise ValueError("memory must be positive")
-        if not b0_scale > 0:
-            raise ValueError("b0_scale must be positive")
         self.memory = memory
-        self.b0_scale = b0_scale
-        self.bb_scaling = bb_scaling
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
         self._factors: tuple | None = None
 
-    def _push(self, s, y):
+    def update(self, s, y):
+        s = np.asarray(s, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if _norm(s) == 0.0:
+            raise ValueError("update with zero step")
+        if not self._admits(s, y):
+            return False
         if len(self.pairs) == self.memory:
             self.pairs.pop(0)
         self.pairs.append((s.copy(), y.copy()))
-        if self.bb_scaling:
-            scale = float(s @ y) / float(s @ s)
-            if scale > 0:
-                self.b0_scale = scale
         self._factors = None
+        self._norm_cache = None
+        return True
 
     def _compact(self) -> tuple:
         """(W, M, K) from the subclass's ``_factorize``; empty when B = sigma I."""
@@ -186,27 +185,26 @@ class _PairModel(HessianModel):
     def _apply(self, v):
         factors = self._compact()
         if not factors:
-            return self.b0_scale * v
+            return SIGMA * v
         W, M, _ = factors
         # solve per product, not K @ v: this keeps every product's rounding,
         # and with it every beta = 0 trajectory, as it was
         z = np.linalg.solve(M, W.T @ v)
-        return self.b0_scale * v + self._SIGN * (W @ z)
+        return SIGMA * v + self._SIGN * (W @ z)
 
     def _compute_norm(self):
-        sig = self.b0_scale
         factors = self._compact()
         if not factors:
-            return abs(sig)
+            return SIGMA
         W, _, K = factors
         # W = QR with Q orthonormal even when W is rank-deficient, so
         # B = sigma I + sign * Q (R M^{-1} R^T) Q^T, and R M^{-1} R^T = R K Q
         Q, R = np.linalg.qr(W)
         C = R @ K @ Q
-        eigs = sig + self._SIGN * np.linalg.eigvalsh(0.5 * (C + C.T))
+        eigs = SIGMA + self._SIGN * np.linalg.eigvalsh(0.5 * (C + C.T))
         norm = float(np.max(np.abs(eigs)))
         if self.dim > Q.shape[1]:
-            norm = max(norm, abs(sig))  # B = sigma I on the complement of range(Q)
+            norm = max(norm, SIGMA)  # B = sigma I on the complement of range(Q)
         return norm
 
 
@@ -227,22 +225,18 @@ class LbfgsModel(_PairModel):
 
     def _factorize(self):
         S, Y = _columns(self.pairs)
-        sig = self.b0_scale
         SY = S.T @ Y
         L = np.tril(SY, -1)
         D = np.diag(np.diag(SY))
-        M = np.block([[sig * (S.T @ S), L], [L.T, -D]])
-        W = np.hstack([sig * S, Y])
+        M = np.block([[SIGMA * (S.T @ S), L], [L.T, -D]])
+        W = np.hstack([SIGMA * S, Y])
         return W, M, np.linalg.solve(M, W.T)
 
-    def _update(self, s, y):
-        # curvature safeguard: s'y >= tol * |s| * |y|, and strictly positive
+    def _admits(self, s, y):
+        # curvature safeguard: s'y >= tol * |s| * |y|, and strictly positive;
+        # written as a negated rejection test, which admits a NaN s'y
         sy = float(s @ y)
-        ns, ny = np.linalg.norm(s), np.linalg.norm(y)
-        if sy <= 0.0 or sy < BFGS_CURVATURE_TOL * ns * ny:
-            return False
-        self._push(s, y)
-        return True
+        return not (sy <= 0.0 or sy < BFGS_CURVATURE_TOL * _norm(s) * _norm(y))
 
 
 class Lsr1Model(_PairModel):
@@ -258,38 +252,31 @@ class Lsr1Model(_PairModel):
     _SIGN = 1.0
 
     def _factorize(self):
-        sig = self.b0_scale
         for start in range(len(self.pairs)):
             S, Y = _columns(self.pairs[start:])
-            Psi = Y - sig * S
+            Psi = Y - SIGMA * S
             SY = S.T @ Y
             L = np.tril(SY, -1)
             D = np.diag(np.diag(SY))
-            M = D + L + L.T - sig * (S.T @ S)
+            M = D + L + L.T - SIGMA * (S.T @ S)
             try:
                 return Psi, M, np.linalg.solve(M, Psi.T)
             except np.linalg.LinAlgError:
                 continue  # window made M singular; shed its oldest pair
         return ()
 
-    def _update(self, s, y):
+    def _admits(self, s, y):
         z = y - self.apply(s)
-        nz = np.linalg.norm(z)
+        nz = _norm(z)
         # both-zero case counts as rejected: the update is a no-op anyway
-        if nz == 0.0 or abs(float(s @ z)) < SR1_DENOM_TOL * np.linalg.norm(s) * nz:
-            return False
-        self._push(s, y)
-        return True
+        return not (nz == 0.0 or abs(float(s @ z)) < SR1_DENOM_TOL * _norm(s) * nz)
 
 
 def build_model(
     mode: str,
     problem=None,
     memory: int = 5,
-    b0_scale: float = 1.0,
-    script=None,
     dim: int | None = None,
-    bb_scaling: bool = False,
 ) -> HessianModel:
     """Construct the model named by ``mode`` for a problem (or raw dim)."""
     if dim is None:
@@ -299,13 +286,9 @@ def build_model(
     if mode == "zero":
         return ZeroModel(dim)
     if mode == "lbfgs":
-        return LbfgsModel(dim, memory, b0_scale, bb_scaling)
+        return LbfgsModel(dim, memory)
     if mode == "lsr1":
-        return Lsr1Model(dim, memory, b0_scale, bb_scaling)
-    if mode == "scripted":
-        if script is None:
-            raise ValueError("scripted mode needs a script")
-        return ScriptedModel(script, dim)
+        return Lsr1Model(dim, memory)
     if mode == "exact":
         if problem is None or problem.eval_hess is None:
             raise ValueError("exact mode needs a problem with eval_hess")

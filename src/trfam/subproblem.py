@@ -105,7 +105,6 @@ def solve_tcg(
     g: Array,
     B,
     radius: float,
-    kappa_mdc: float = 0.5,
     cg_tol: float | None = None,
     max_cg: int | None = None,
 ) -> StepResult:

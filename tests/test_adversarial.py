@@ -26,7 +26,7 @@ SWEEP_C = (0.5, 1.0)
 
 def lower_bound_reference(interp):
     """The per-segment np.roots loop that lower_bound replaced."""
-    tc = interp.tail_curvature
+    tc = interp.TAIL_CURVATURE
     f, g, h, c2, c3 = interp._f, interp._g, interp._h, interp._c2, interp._c3
     best = float(f[0]) if g[0] <= 0 else float(f[0] - g[0] ** 2 / (2 * tc))
     right = float(f[-1]) if g[-1] >= 0 else float(f[-1] - g[-1] ** 2 / (2 * tc))
@@ -94,6 +94,9 @@ class TestKEpsilon:
             AdversarialSpec(0.5, 2.0)
         with pytest.raises(ValueError):
             AdversarialSpec(0.5, 1.0, c=0.0)
+        for alpha, beta in ((1.5, 0.0), (math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="alpha and beta"):
+                AdversarialSpec(0.5, 0.0, alpha=alpha, beta=beta)
 
 
 class TestGenerate:
@@ -325,11 +328,6 @@ class TestVerifySharpness:
         assert sharp.passed
         assert sharp.iterations == 16
 
-    def test_params_preconditions(self):
-        spec = AdversarialSpec(0.5, 0.0)
-        with pytest.raises(ValueError, match="delta0"):
-            verify_sharpness(spec, TrParams(delta0=1.0))
-
     # SHA-256 of log_to_csv. These replays use only scalar IEEE arithmetic,
     # so the digests hold on any platform.
     @pytest.mark.parametrize(
@@ -347,13 +345,6 @@ class TestVerifySharpness:
         sharp, report = verify_sharpness(spec)
         assert sharp.passed
         assert hashlib.sha256(log_to_csv(report).encode()).hexdigest() == digest
-
-    def test_mismatch_reporting(self):
-        # wrong tolerance in the driver would show as a structured mismatch;
-        # simulate by verifying against a shifted alpha in params
-        spec = AdversarialSpec(0.5, 0.0)
-        with pytest.raises(ValueError, match="alpha/beta"):
-            verify_sharpness(spec, TrParams(alpha=1.0, delta0=4.0))
 
 
 def test_decrease_monitors_hold_with_exact_lipschitz():

@@ -110,6 +110,20 @@ class TestBounds:
         ):
             assert label in out
 
+    @pytest.mark.parametrize("flag,code,message", [
+        ("--beta=nan", 2, "usage error: need alpha <= 1 and beta <= 1"),
+        ("--alpha=nan", 2, "usage error: need alpha <= 1 and beta <= 1"),
+        ("--beta=-1e6", 1, "error: float division by zero"),
+        ("--mu=nan", 1, "error: mu must be nonnegative"),
+        ("--mu=-1", 1, "error: mu must be nonnegative"),
+    ])
+    def test_bad_value_is_one_line_and_exit_code(self, capsys, flag, code, message):
+        # a later --mu overrides the first one
+        got, out, err = run_cli(capsys, "bounds", "--p", "0.5", "--mu", "1", "--eps", "0.1", flag)
+        assert got == code
+        assert out == ""
+        assert err == message + "\n"
+
     def test_domain_error_bubbles(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--p", "2", "--mu", "1", "--eps", "0.1"

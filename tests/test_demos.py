@@ -1,0 +1,15 @@
+"""Smoke test: every script in demos/ runs to completion."""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)  # the demos write their outputs to the cwd
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

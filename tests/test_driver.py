@@ -15,6 +15,7 @@ from trfam import (
     solve,
     theoretical_a_min,
 )
+from trfam import driver
 from trfam.driver import CSV_HEADER, SolveError
 from trfam.problems import Problem
 
@@ -73,8 +74,9 @@ class TestParamsValidation:
             TrParams(gamma3=0.5)
 
     def test_alpha_cap(self):
-        with pytest.raises(ValueError):
-            TrParams(alpha=1.5)
+        for kw in ({"alpha": 1.5}, {"alpha": math.nan}, {"beta": math.nan}):
+            with pytest.raises(ValueError, match="alpha <= 1 and beta <= 1"):
+                TrParams(**kw)
 
 
 class TestSolve:
@@ -187,6 +189,42 @@ class TestSolve:
         )
         with pytest.raises(SolveError):
             solve(bad, TrParams(), build_model("zero", dim=1), eps=1e-6)
+
+
+def quartic_1d():
+    return Problem(
+        "quartic_1d", 1, lambda x: float(x[0] ** 4 + x[0] ** 2),
+        lambda x: np.array([4.0 * x[0] ** 3 + 2.0 * x[0]]), np.array([2.0]),
+    )
+
+
+class TestStepByDimension:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count the driver's calls to each step solver, by global name."""
+        calls = {"newton_step_1d": 0, "solve_tcg": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(driver, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(driver, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1", "zero"])
+    def test_one_dimensional_problem_takes_the_exact_1d_step(self, calls, mode):
+        p = quartic_1d()
+        r = solve(p, TrParams(), build_model(mode, p), eps=1e-8)
+        assert r.iterations > 0
+        assert calls == {"newton_step_1d": r.iterations, "solve_tcg": 0}
+        assert all(rec.cg_iters == 1 for rec in r.log)
+
+    @pytest.mark.parametrize("mode", ["exact", "lbfgs"])
+    def test_two_dimensional_problem_takes_the_cg_step(self, calls, mode):
+        p = get_problem("rosenbrock")
+        r = solve(p, TrParams(), build_model(mode, p), eps=1e-6)
+        assert r.status == "first_order"
+        assert calls == {"newton_step_1d": 0, "solve_tcg": r.iterations}
 
 
 class TestCsv:

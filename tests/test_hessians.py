@@ -13,7 +13,7 @@ from trfam import (
     measure_envelope,
 )
 from trfam.driver import IterationRecord
-from trfam.hessians import dense_matrix
+from trfam.hessians import SIGMA, ExactHessian, dense_matrix
 
 
 def bfgs_dense_recursion(pairs, n, sigma=1.0):
@@ -105,7 +105,7 @@ class TestCompactFactors:
         v = rng.standard_normal(9)
         for _ in range(6):  # past the memory, so pairs are evicted too
             feed_pairs(m, rng, 1)
-            expected = compact_apply_reference(mode, m.pairs, m.b0_scale, v)
+            expected = compact_apply_reference(mode, m.pairs, SIGMA, v)
             assert np.array_equal(m.apply(v), expected)
 
     def test_lsr1_sheds_oldest_pair_of_singular_window(self):
@@ -122,15 +122,6 @@ class TestCompactFactors:
         assert np.array_equal(m.apply(v), compact_apply_reference("lsr1", pairs[1:], 1.0, v))
         assert len(m.pairs) == 2
         assert all(np.array_equal(a, b) for p, q in zip(m.pairs, pairs) for a, b in zip(p, q))
-
-    def test_bb_scaling_push_refreshes_factors(self):
-        m = LbfgsModel(2, memory=2, bb_scaling=True)
-        v = np.array([1.0, -2.0])
-        assert m.update(np.array([1.0, 0.0]), np.array([4.0, 1.0]))
-        m.apply(v)
-        assert m.update(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
-        assert m.b0_scale == 3.0
-        assert np.array_equal(m.apply(v), compact_apply_reference("lbfgs", m.pairs, 3.0, v))
 
 
 class TestUpdates:
@@ -150,8 +141,9 @@ class TestUpdates:
         assert not m.update(s, m.apply(s))
 
     def test_zero_step_rejected_loudly(self):
-        with pytest.raises(ValueError):
-            LbfgsModel(2).update(np.zeros(2), np.ones(2))
+        for mode in ("lbfgs", "lsr1"):
+            with pytest.raises(ValueError, match="zero step"):
+                build_model(mode, dim=2).update(np.zeros(2), np.ones(2))
 
     def test_rejected_update_leaves_apply_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -274,14 +266,43 @@ class TestOperatorNorm:
         assert np.allclose(m.apply(v), 2 * v)
 
 
-def test_bb_scaling_refreshes_base():
-    m = LbfgsModel(2, memory=1, bb_scaling=True)
-    s, y = np.array([1.0, 0.0]), np.array([4.0, 0.0])
-    assert m.update(s, y)
-    assert m.b0_scale == 4.0  # s'y / s's of the newest pair
-    off = LbfgsModel(2, memory=1)
-    off.update(s, y)
-    assert off.b0_scale == 1.0
+class TestModelsThatDoNotLearn:
+    """Models without pairs ignore update; the exact model re-evaluates."""
+
+    def test_zero_model(self):
+        m = ZeroModel(2)
+        v = np.array([1.0, -2.0])
+        assert m.update(np.array([1.0, 0.0]), np.array([3.0, 1.0])) is False
+        assert np.array_equal(m.apply(v), np.zeros(2))
+        assert m.operator_norm() == 0.0
+
+    def test_scripted_model(self):
+        m = ScriptedModel([2.0, -5.0])
+        v = np.array([1.5])
+        m.begin_iteration(0)
+        before = (m.apply(v), m.operator_norm())
+        # a zero step, and one a pair model would accept: neither is read
+        for s, y in ((np.zeros(1), np.zeros(1)), (np.ones(1), 2.0 * np.ones(1))):
+            assert m.update(s, y) is False
+            assert np.array_equal(m.apply(v), before[0])
+            assert m.operator_norm() == before[1] == 2.0
+        m.begin_iteration(1)
+        assert np.array_equal(m.apply(v), -5.0 * v)
+        assert m.operator_norm() == 5.0
+
+    @pytest.mark.parametrize("name,same", [("sphere", True), ("rosenbrock", False)])
+    def test_exact_model_reevaluates_at_the_new_iterate(self, name, same):
+        # sphere is quadratic: apply and the norm stay as they were
+        p = get_problem(name)
+        m = ExactHessian(p.eval_hess, p.x0)
+        v = np.array([1.0, -2.0])
+        before = (m.apply(v), m.operator_norm())
+        s = np.array([0.5, 0.25])
+        assert m.update(s, np.zeros(2)) is True
+        H = p.eval_hess(p.x0 + s)
+        assert np.array_equal(m.apply(v), H @ v)
+        assert m.operator_norm() == np.max(np.abs(np.linalg.eigvalsh(H)))
+        assert (np.array_equal(m.apply(v), before[0]) and m.operator_norm() == before[1]) is same
 
 
 class TestMeasureEnvelope:
