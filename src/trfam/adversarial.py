@@ -11,11 +11,13 @@ the verifier checks that, bit for bit where the construction allows it.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import SolveReport, TrParams, VERY_SUCCESSFUL, solve
+from .driver import STATUSES, SolveReport, TrParams, VERY_SUCCESSFUL, solve
 from .hessians import ScriptedModel
 from .problems import Problem
 
@@ -85,9 +87,9 @@ def generate(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> AdversarialInstance
 
     g_k = -eps (1 + (k_eps - k)/k_eps), B_0 = 1 and B_k = k^p, steps
     s_k = -g_k / B_k, positions accumulate from x_0 = 0, and f follows the
-    recurrence f_{k+1} = f_k + g_k s_k from the prescribed f_0. The
-    accumulation is done in plain float64 so a driver walking the knots
-    reproduces them exactly.
+    recurrence f_{k+1} = f_k + g_k s_k from the prescribed f_0. Both
+    sums are ``np.add.accumulate``, which adds strictly in order, so a
+    driver walking the knots in float64 reproduces them exactly.
     """
     keps = k_epsilon(spec, cap)
     ks = np.arange(keps + 1, dtype=float)
@@ -100,16 +102,16 @@ def generate(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> AdversarialInstance
 
     x = np.empty(keps + 1)
     x[0] = 0.0
-    for k in range(keps):
-        x[k + 1] = x[k] + s[k]
+    x[1:] = s
+    np.add.accumulate(x, out=x)
 
     f = np.empty(keps + 1)
     if spec.p == 1.0:
         f[0] = 8.0 * spec.eps**2 + 4.0 * spec.c
     else:
         f[0] = 8.0 * spec.eps**2 + 4.0 / (1.0 - spec.p)
-    for k in range(keps):
-        f[k + 1] = f[k] + g[k] * s[k]
+    np.multiply(g[:-1], s, out=f[1:])
+    np.add.accumulate(f, out=f)
 
     inst = AdversarialInstance(
         k_eps=keps,
@@ -138,13 +140,22 @@ def _check_instance(inst: AdversarialInstance) -> None:
         raise AssertionError("gradient magnitudes must exceed eps until the last knot")
 
 
+def _doubles(v: np.ndarray) -> array:
+    """An array('d') copy of a float vector, filled in one block."""
+    out = array("d")
+    out.frombytes(memoryview(np.ascontiguousarray(v, dtype=float)).cast("B"))
+    return out
+
+
 class Interpolant1D:
     """C^1 realization of an instance: cubic Hermite segments between the
     knots plus quadratic tails of unit curvature on both sides.
 
     Evaluation at a knot returns the stored value/slope exactly: the local
     Horner forms are anchored at the left endpoint of each segment and at
-    the junction points of the tails.
+    the junction points of the tails. Knot and segment data are kept once,
+    as array('d'): a point evaluation reads Python floats from them, and
+    the whole-instance bounds read numpy views of the same memory.
     """
 
     TAIL_CURVATURE = 1.0  # positive, so the tails keep f bounded below
@@ -152,15 +163,12 @@ class Interpolant1D:
     def __init__(self, inst: AdversarialInstance):
         self.instance = inst
         x, f, g = inst.knots_x, inst.f_vals, inst.g_vals
-        self._x = x
-        self._f = f
-        self._g = g
         h = np.diff(x)
         d = np.diff(f)
         # cubic f(x0 + t h) = f0 + t (h g0 + t (c2 + t c3)) on each segment
-        self._h = h
-        self._c2 = 3.0 * d - h * (2.0 * g[:-1] + g[1:])
-        self._c3 = -2.0 * d + h * (g[:-1] + g[1:])
+        self._x, self._f, self._g, self._h = _doubles(x), _doubles(f), _doubles(g), _doubles(h)
+        self._c2 = _doubles(3.0 * d - h * (2.0 * g[:-1] + g[1:]))
+        self._c3 = _doubles(-2.0 * d + h * (g[:-1] + g[1:]))
 
     def __call__(self, xq: float) -> tuple[float, float]:
         """Return (f(x), f'(x))."""
@@ -179,7 +187,7 @@ class Interpolant1D:
                 self._f[-1] + self._g[-1] * dx + 0.5 * tc * dx * dx,
                 self._g[-1] + tc * dx,
             )
-        i = int(knots.searchsorted(x, side="right")) - 1
+        i = bisect_right(knots, x) - 1
         h = self._h[i]
         t = (x - knots[i]) / h
         c2, c3 = self._c2[i], self._c3[i]
@@ -190,9 +198,10 @@ class Interpolant1D:
     def second_derivative_bound(self) -> float:
         """Exact sup of |f''|: per segment f'' is linear in x, so the
         maximum sits at an endpoint; the tails contribute the curvature."""
-        h2 = self._h**2
-        at0 = np.abs(2.0 * self._c2) / h2
-        at1 = np.abs(2.0 * self._c2 + 6.0 * self._c3) / h2
+        c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
+        h2 = np.frombuffer(self._h) ** 2
+        at0 = np.abs(2.0 * c2) / h2
+        at1 = np.abs(2.0 * c2 + 6.0 * c3) / h2
         return float(max(self.TAIL_CURVATURE, at0.max(), at1.max()))
 
     def lower_bound(self) -> float:
@@ -206,10 +215,11 @@ class Interpolant1D:
         mask drops; the knot values cover the endpoints.
         """
         tc = self.TAIL_CURVATURE
-        f, g = self._f, self._g
+        f, g = np.frombuffer(self._f), np.frombuffer(self._g)
         left = f[0] if g[0] <= 0 else f[0] - g[0] ** 2 / (2 * tc)
         right = f[-1] if g[-1] >= 0 else f[-1] - g[-1] ** 2 / (2 * tc)
-        c2, c3, hg = self._c2, self._c3, self._h * g[:-1]
+        c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
+        hg = np.frombuffer(self._h) * g[:-1]
         a, b = 3.0 * c3, 2.0 * c2
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * hg), b))
@@ -331,22 +341,23 @@ def verify_sharpness(
         mism.append(
             {"check": "iteration_count", "expected": inst.k_eps, "observed": report.iterations}
         )
-    max_rho_err = 0.0
-    max_ratio = 0.0
-    all_vs = True
-    for r in report.log:
-        err = abs(r.rho - 2.0)
-        if not err <= RHO_TOL:
-            mism.append({"check": "rho", "k": r.k, "expected": 2.0, "observed": r.rho})
-        max_rho_err = max(max_rho_err, err)
-        ratio = r.snorm / r.eff_radius
-        if not ratio <= 1.0:
+    log = report.log
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_err = np.abs(log.column("rho") - 2.0)
+        ratio = log.column("snorm") / log.column("eff_radius")
+    bad_rho, outside = ~(rho_err <= RHO_TOL), ~(ratio <= 1.0)
+    for k in np.flatnonzero(bad_rho | outside).tolist():
+        if bad_rho[k]:
+            mism.append({"check": "rho", "k": k, "expected": 2.0, "observed": log.rho[k]})
+        if outside[k]:
             mism.append(
-                {"check": "step_inside", "k": r.k, "snorm": r.snorm, "radius": r.eff_radius}
+                {"check": "step_inside", "k": k, "snorm": log.snorm[k],
+                 "radius": log.eff_radius[k]}
             )
-        max_ratio = max(max_ratio, ratio)
-        if r.status != VERY_SUCCESSFUL:
-            all_vs = False
+    # fmax skips NaN, as a running max(best, value) from 0.0 does
+    max_rho_err = float(np.fmax.reduce(rho_err, initial=0.0))
+    max_ratio = float(np.fmax.reduce(ratio, initial=0.0))
+    all_vs = bool(np.all(log.column("status") == STATUSES.index(VERY_SUCCESSFUL)))
     final_err = abs(report.final_gnorm - spec.eps)
     if not final_err <= FINAL_GRAD_TOL:
         mism.append(

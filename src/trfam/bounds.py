@@ -309,7 +309,7 @@ def audit_run(
             )
         )
 
-    min_a = min((r.a_k for r in report.log), default=math.inf)
+    min_a = min(report.log.a_k, default=math.inf)
     margin = min_a / inputs.a_min if inputs.a_min > 0 else math.inf
     return AuditResult(
         assumption=assumption,

@@ -10,6 +10,7 @@ the successful-iteration count, and historical gradient/Hessian norms.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,10 @@ VERY_SUCCESSFUL = "very_successful"
 SUCCESSFUL = "successful"
 UNSUCCESSFUL = "unsuccessful"
 
-_STATUS_LETTER = {VERY_SUCCESSFUL: "VS", SUCCESSFUL: "S", UNSUCCESSFUL: "U"}
+# The status column stores indices into STATUSES.
+STATUSES = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
+_STATUS_CODE = {name: code for code, name in enumerate(STATUSES)}
+_STATUS_LETTERS = ("VS", "S", "U")
 
 CSV_HEADER = "k,f,gnorm,delta,eff_radius,rho,status,bnorm,n_succ,a_k,cg_iters"
 
@@ -93,6 +97,75 @@ class IterationRecord:
     snorm: float = math.nan
 
 
+_FLOAT_COLUMNS = (
+    "f", "gnorm", "delta", "eff_radius", "rho", "bnorm", "a_k", "model_decrease", "snorm"
+)
+
+
+class IterationLog:
+    """Iteration log with one typed ``array`` per record field.
+
+    ``k`` is not stored: it is the index. ``len``, indexing and iteration
+    give ``IterationRecord`` views, and a slice gives a list of them.
+    Readers that scan the whole log read the columns instead;
+    ``column(name)`` views one as a numpy array without copying it.
+    """
+
+    __slots__ = (*_FLOAT_COLUMNS, "status", "n_succ", "cg_iters")
+
+    def __init__(self):
+        for name in _FLOAT_COLUMNS:
+            setattr(self, name, array("d"))
+        self.status = array("b")  # indices into STATUSES
+        self.n_succ = array("q")
+        self.cg_iters = array("i")
+
+    def append(
+        self, f, gnorm, delta, eff_radius, rho, status, bnorm, n_succ, a_k, cg_iters,
+        model_decrease=math.nan, snorm=math.nan,
+    ) -> None:
+        """Add one iteration; the arguments are IterationRecord's fields after k."""
+        self.f.append(f)
+        self.gnorm.append(gnorm)
+        self.delta.append(delta)
+        self.eff_radius.append(eff_radius)
+        self.rho.append(rho)
+        self.status.append(_STATUS_CODE[status])
+        self.bnorm.append(bnorm)
+        self.n_succ.append(n_succ)
+        self.a_k.append(a_k)
+        self.cg_iters.append(cg_iters)
+        self.model_decrease.append(model_decrease)
+        self.snorm.append(snorm)
+
+    def column(self, name: str) -> np.ndarray:
+        """Read-only numpy view of one column."""
+        col = getattr(self, name)
+        view = np.frombuffer(col, dtype=col.typecode)
+        view.flags.writeable = False
+        return view
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("iteration log index out of range")
+        return IterationRecord(
+            i, self.f[i], self.gnorm[i], self.delta[i], self.eff_radius[i], self.rho[i],
+            STATUSES[self.status[i]], self.bnorm[i], self.n_succ[i], self.a_k[i],
+            self.cg_iters[i], self.model_decrease[i], self.snorm[i],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass
 class SolveReport:
     status: str
@@ -102,7 +175,7 @@ class SolveReport:
     final_f: float
     final_gnorm: float
     evals: EvalCounter
-    log: list[IterationRecord] = field(default_factory=list)
+    log: IterationLog = field(default_factory=IterationLog)
     a_min_theoretical: float = math.nan
     lipschitz_estimate: float = math.nan
     x: np.ndarray | None = None
@@ -162,7 +235,7 @@ def solve(
     x = np.array(problem.x0, dtype=float)
     step_solver = newton_step_1d if x.size == 1 else solve_tcg
     if not budget_left(2):
-        return SolveReport("eval_budget", 0, 0, 0, math.nan, math.nan, evals, [], x=x)
+        return SolveReport("eval_budget", 0, 0, 0, math.nan, math.nan, evals, x=x)
     f = float(problem.eval_f(x))
     evals.n_f += 1
     g = np.asarray(problem.eval_grad(x), dtype=float)
@@ -175,7 +248,7 @@ def solve(
     hist_max_b = 0.0
     n_succ = 0
     lip = 0.0
-    log: list[IterationRecord] = []
+    log = IterationLog()
     status = "max_iter"
 
     k = 0
@@ -259,21 +332,18 @@ def solve(
                 model.update(step.s, g_trial - g)
 
         log.append(
-            IterationRecord(
-                k=k,
-                f=f_at_k,
-                gnorm=gnorm,
-                delta=delta,
-                eff_radius=radius,
-                rho=rho,
-                status=iter_status,
-                bnorm=bnorm,
-                n_succ=n_succ,
-                a_k=a_k(delta, hist_max_b, hist_min_g, params.alpha, params.beta),
-                cg_iters=step.cg_iters,
-                model_decrease=decrease,
-                snorm=snorm,
-            )
+            f_at_k,
+            gnorm,
+            delta,
+            radius,
+            rho,
+            iter_status,
+            bnorm,
+            n_succ,
+            a_k(delta, hist_max_b, hist_min_g, params.alpha, params.beta),
+            step.cg_iters,
+            decrease,
+            snorm,
         )
         delta = _next_delta(delta, iter_status, params)
         k += 1
@@ -292,33 +362,29 @@ def solve(
     if lip > 0:
         report.lipschitz_estimate = _LIPSCHITZ_SAFETY * lip
         report.a_min_theoretical = theoretical_a_min(
-            log[0].a_k, params, report.lipschitz_estimate
+            log.a_k[0], params, report.lipschitz_estimate
         )
     return report
 
 
 def log_to_csv(report: SolveReport) -> str:
     """Iteration log as CSV with 17-significant-digit floats."""
-    lines = [CSV_HEADER]
-    for r in report.log:
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    _fmt(r.f),
-                    _fmt(r.gnorm),
-                    _fmt(r.delta),
-                    _fmt(r.eff_radius),
-                    _fmt(r.rho),
-                    _STATUS_LETTER[r.status],
-                    _fmt(r.bnorm),
-                    str(r.n_succ),
-                    _fmt(r.a_k),
-                    str(r.cg_iters),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    log = report.log
+    letters = [_STATUS_LETTERS[code] for code in log.status]
+    rows = zip(
+        map(str, range(len(log))),
+        map(_fmt, log.f),
+        map(_fmt, log.gnorm),
+        map(_fmt, log.delta),
+        map(_fmt, log.eff_radius),
+        map(_fmt, log.rho),
+        letters,
+        map(_fmt, log.bnorm),
+        map(str, log.n_succ),
+        map(_fmt, log.a_k),
+        map(str, log.cg_iters),
+    )
+    return "\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n"
 
 
 def write_log_csv(report: SolveReport, path) -> None:
@@ -333,38 +399,48 @@ def _fmt(v: float) -> str:
 def check_run_invariants(report: SolveReport, params: TrParams, L: float) -> list[str]:
     """Check the per-iteration lower bounds and update-interval consistency.
 
-    Returns human-readable violation messages (empty list = all hold).
-    With an exact Lipschitz constant the checks are guarantees; with an
-    estimated L they are diagnostics only.
+    Returns human-readable violation messages (empty list = all hold), in
+    iteration order. With an exact Lipschitz constant the checks are
+    guarantees; with an estimated L they are diagnostics only. A very
+    successful step whose next Delta is the clip ``_DELTA_MAX`` is within
+    its interval.
     """
-    issues: list[str] = []
-    if not report.log:
-        return issues
-    a0 = report.log[0].a_k
-    a_min = theoretical_a_min(a0, params, L)
-    min_g = math.inf
-    max_b = 0.0
-    for r in report.log:
-        min_g = min(min_g, r.gnorm)
-        max_b = max(max_b, r.bnorm)
-        if r.a_k < a_min * (1.0 - 1e-10):
-            issues.append(f"k={r.k}: a_k={r.a_k!r} below a_min={a_min!r}")
+    log = report.log
+    if not log:
+        return []
+    a_min = theoretical_a_min(log.a_k[0], params, L)
+    intervals = (  # of the next Delta / Delta, indexed by status code
+        (params.gamma3, params.gamma4),
+        (params.gamma2, 1.0),
+        (params.gamma1, params.gamma2),
+    )
+    status, delta, f = log.column("status")[:-1], log.column("delta"), log.column("f")
+    lo, hi = np.array(intervals)[status].T
+    prev, nxt = delta[:-1], delta[1:]
+    with np.errstate(over="ignore"):  # as in float arithmetic, an overflow is inf
+        min_g = np.fmin.accumulate(log.column("gnorm"))
+        max_b = np.fmax.accumulate(log.column("bnorm"))
         decrease_bound = params.kappa_mdc * min_g**2 / (1.0 + max_b) * a_min
-        if not math.isnan(r.model_decrease) and r.model_decrease < decrease_bound * (1.0 - 1e-10):
+        low_a = log.column("a_k") < a_min * (1.0 - 1e-10)
+        low_decrease = log.column("model_decrease") < decrease_bound * (1.0 - 1e-10)
+        bad_update = ~((lo * prev * (1 - 1e-12) <= nxt) & (nxt <= hi * prev * (1 + 1e-12)))
+    moved = (status == _STATUS_CODE[UNSUCCESSFUL]) & (f[1:] != f[:-1])
+
+    issues: list[str] = []
+    for k in np.flatnonzero(low_a | low_decrease).tolist():
+        if low_a[k]:
+            issues.append(f"k={k}: a_k={log.a_k[k]!r} below a_min={a_min!r}")
+        if low_decrease[k]:
             issues.append(
-                f"k={r.k}: model decrease {r.model_decrease!r} below bound {decrease_bound!r}"
+                f"k={k}: model decrease {log.model_decrease[k]!r} "
+                f"below bound {float(decrease_bound[k])!r}"
             )
-    for prev, nxt in zip(report.log, report.log[1:]):
-        lo, hi = {
-            VERY_SUCCESSFUL: (params.gamma3, params.gamma4),
-            SUCCESSFUL: (params.gamma2, 1.0),
-            UNSUCCESSFUL: (params.gamma1, params.gamma2),
-        }[prev.status]
-        if not lo * prev.delta * (1 - 1e-12) <= nxt.delta <= hi * prev.delta * (1 + 1e-12):
+    for k in np.flatnonzero(bad_update | moved).tolist():
+        if bad_update[k]:
             issues.append(
-                f"k={prev.k}: delta update {prev.delta!r}->{nxt.delta!r} "
-                f"outside [{lo}, {hi}] x delta for status {prev.status}"
+                f"k={k}: delta update {log.delta[k]!r}->{log.delta[k + 1]!r} outside "
+                f"[{lo[k]}, {hi[k]}] x delta for status {STATUSES[log.status[k]]}"
             )
-        if prev.status == UNSUCCESSFUL and nxt.f != prev.f:
-            issues.append(f"k={prev.k}: unsuccessful iteration moved the iterate")
+        if moved[k]:
+            issues.append(f"k={k}: unsuccessful iteration moved the iterate")
     return issues

@@ -299,18 +299,16 @@ def build_model(
 def measure_envelope(log, p: float, counter_kind: str = "successful") -> float:
     """Smallest mu with max_{j<=k} |B_j| <= mu (1 + c_k^p) over a run log.
 
-    ``log`` is a sequence of iteration records carrying ``bnorm`` plus
-    ``n_succ``/``k``; the counter c_k is |S_k| or k per ``counter_kind``.
+    ``log`` is an ``IterationLog``; the counter c_k is its ``n_succ``
+    column (|S_k|) or the index k, per ``counter_kind``. The powers are
+    Python's, whose rounding numpy's vectorised power does not share.
     """
     if counter_kind not in ("successful", "iteration"):
         raise ValueError(f"unknown counter_kind {counter_kind!r}")
-    records = list(log)
-    if not records:
+    if not len(log):
         raise ValueError("empty iteration log")
-    mu_hat = 0.0
-    running_max = 0.0
-    for rec in records:
-        running_max = max(running_max, rec.bnorm)
-        c = rec.n_succ if counter_kind == "successful" else rec.k
-        mu_hat = max(mu_hat, running_max / (1.0 + float(c) ** p))
-    return mu_hat
+    counter = log.n_succ if counter_kind == "successful" else range(len(log))
+    envelope = 1.0 + np.array([float(c) ** p for c in counter])
+    running_max = np.fmax.accumulate(log.column("bnorm"))
+    # fmax skips NaN, as a running max(best, value) from 0.0 does
+    return float(np.fmax.reduce(running_max / envelope, initial=0.0))

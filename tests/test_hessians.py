@@ -12,7 +12,7 @@ from trfam import (
     get_problem,
     measure_envelope,
 )
-from trfam.driver import IterationRecord
+from trfam.driver import IterationLog
 from trfam.hessians import SIGMA, ExactHessian, dense_matrix
 
 
@@ -67,11 +67,12 @@ def feed_pairs(m, rng, count, collinear=False):
         m.update(s, A @ s + 0.1 * (s @ s) * u)
 
 
-def record(k, bnorm, n_succ):
-    return IterationRecord(
-        k=k, f=0.0, gnorm=1.0, delta=1.0, eff_radius=1.0, rho=2.0,
-        status="very_successful", bnorm=bnorm, n_succ=n_succ, a_k=1.0, cg_iters=1,
-    )
+def envelope_log(bnorms, n_succs):
+    log = IterationLog()
+    for bnorm, n_succ in zip(bnorms, n_succs):
+        log.append(f=0.0, gnorm=1.0, delta=1.0, eff_radius=1.0, rho=2.0,
+                   status="very_successful", bnorm=bnorm, n_succ=n_succ, a_k=1.0, cg_iters=1)
+    return log
 
 
 class TestApply:
@@ -308,12 +309,12 @@ class TestModelsThatDoNotLearn:
 class TestMeasureEnvelope:
     def test_constant_norms_all_successful(self):
         # |B_k| = 1, |S_0| = 1: mu_hat = 1 / (1 + 1^p) = 0.5
-        log = [record(k, 1.0, k + 1) for k in range(5)]
+        log = envelope_log([1.0] * 5, range(1, 6))
         assert measure_envelope(log, 0.5, "successful") == pytest.approx(0.5)
 
     def test_scripted_linear_growth(self):
         # B_k = k with every iteration successful: mu_hat <= 1 for p = 1
-        log = [record(k, float(k), k + 1) for k in range(50)]
+        log = envelope_log(map(float, range(50)), range(1, 51))
         mu = measure_envelope(log, 1.0, "successful")
         assert 0 < mu <= 1.0
         # exhaustive-max oracle
@@ -323,11 +324,11 @@ class TestMeasureEnvelope:
         assert mu == pytest.approx(expected)
 
     def test_iteration_counter(self):
-        log = [record(k, 2.0, 0) for k in range(3)]
+        log = envelope_log([2.0] * 3, [0] * 3)
         mu = measure_envelope(log, 1.0, "iteration")
         # max over k of 2 / (1 + k): attained at k = 0
         assert mu == pytest.approx(2.0)
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            measure_envelope([], 0.5)
+            measure_envelope(IterationLog(), 0.5)
