@@ -158,7 +158,13 @@ def xi_beta(
 
     The k = 0 term is included: iterations are indexed from 0 and including
     it only enlarges the estimate, keeping it a valid bound ingredient.
+    Non-finite inputs raise ValueError at once; the series would otherwise
+    run to its 1e7-term limit first.
     """
+    for name, value in (("gamma2", gamma2), ("gamma4", gamma4), ("mu", mu), ("p", p),
+                        ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"xi_beta needs a finite {name}, got {value!r}")
     q = gamma4 * gamma2 ** (tau - 1)
     if not q < 1.0:
         raise ValueError("series diverges: need gamma4 * gamma2^(tau-1) < 1")

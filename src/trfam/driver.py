@@ -31,6 +31,10 @@ CSV_HEADER = "k,f,gnorm,delta,eff_radius,rho,status,bnorm,n_succ,a_k,cg_iters"
 
 # Guards for floating-point corners the analysis assumes away.
 _RADIUS_UNDERFLOW = 1e-15
+# Largest Delta and effective radius: a long run of very successful steps
+# would otherwise double Delta past the float range (the Delta-hat of
+# Nocedal and Wright 2006, Alg. 4.1).
+_DELTA_MAX = 1e150
 _DECREASE_FLOOR = 1e-15
 _LIPSCHITZ_SAFETY = 10.0
 
@@ -48,7 +52,10 @@ class TrParams:
     construction. Each status prescribes an interval for the next Delta:
     [gamma3, gamma4], [gamma2, 1] or [gamma1, gamma2] times Delta for very
     successful, successful and unsuccessful steps. The driver takes the
-    points gamma3*Delta, Delta and gamma2*Delta of those intervals.
+    points gamma3*Delta, Delta and gamma2*Delta of those intervals, except
+    that it clips Delta and the effective radius at Delta_max = 1e150
+    (Nocedal and Wright 2006, Alg. 4.1): it leaves the family only where
+    gamma3*Delta would pass that.
     """
 
     eta1: float = 0.1
@@ -201,7 +208,7 @@ def theoretical_a_min(a0: float, params: TrParams, L: float) -> float:
 
 def _next_delta(delta: float, status: str, params: TrParams) -> float:
     if status == VERY_SUCCESSFUL:
-        return params.gamma3 * delta
+        return min(params.gamma3 * delta, _DELTA_MAX)
     if status == SUCCESSFUL:
         return delta
     return params.gamma2 * delta
@@ -273,7 +280,7 @@ def solve(
             gterm, bterm = hist_min_g, hist_max_b
         else:
             gterm, bterm = gnorm, bnorm
-        radius = effective_radius(params.alpha, params.beta, delta, gterm, bterm)
+        radius = min(effective_radius(params.alpha, params.beta, delta, gterm, bterm), _DELTA_MAX)
         if radius < _RADIUS_UNDERFLOW * max(1.0, _norm(x)):
             status = "delta_underflow"
             break
@@ -423,7 +430,9 @@ def check_run_invariants(report: SolveReport, params: TrParams, L: float) -> lis
         decrease_bound = params.kappa_mdc * min_g**2 / (1.0 + max_b) * a_min
         low_a = log.column("a_k") < a_min * (1.0 - 1e-10)
         low_decrease = log.column("model_decrease") < decrease_bound * (1.0 - 1e-10)
-        bad_update = ~((lo * prev * (1 - 1e-12) <= nxt) & (nxt <= hi * prev * (1 + 1e-12)))
+        in_interval = (lo * prev * (1 - 1e-12) <= nxt) & (nxt <= hi * prev * (1 + 1e-12))
+    clipped = (status == _STATUS_CODE[VERY_SUCCESSFUL]) & (nxt == _DELTA_MAX)
+    bad_update = ~(in_interval | clipped)
     moved = (status == _STATUS_CODE[UNSUCCESSFUL]) & (f[1:] != f[:-1])
 
     issues: list[str] = []

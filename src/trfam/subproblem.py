@@ -29,13 +29,18 @@ def effective_radius(
     """gnorm_term^alpha * (1 + bnorm_term)^(-beta) * delta.
 
     ``gnorm_term``/``bnorm_term`` hold either the current gradient/model
-    norms or their historical min/max; the caller picks which.
+    norms or their historical min/max; the caller picks which. A radius
+    past the float range, as a negative alpha and a tiny gradient give, is
+    inf.
     """
     if not gnorm_term > 0:
         raise ValueError("zero gradient norm: caller must stop at stationarity")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    return gnorm_term**alpha * (1.0 + bnorm_term) ** (-beta) * delta
+    try:
+        return gnorm_term**alpha * (1.0 + bnorm_term) ** (-beta) * delta
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
 
 
 def _norm(v: Array) -> float:

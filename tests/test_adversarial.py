@@ -17,6 +17,7 @@ from trfam import (
     log_to_csv,
     verify_sharpness,
 )
+from trfam import check_run_invariants, driver
 from trfam.adversarial import AdversarialInstance, Interpolant1D, emit_function_csv
 
 SWEEP_EPS = (0.9, 0.5, 0.25)
@@ -39,6 +40,27 @@ def lower_bound_reference(interp):
                 tr = float(t.real)
                 best = min(best, float(f[i] + tr * (h[i] * g[i] + tr * (c2[i] + tr * c3[i]))))
     return best
+
+
+def generate_reference(spec):
+    """(knots_x, f_vals) from the plain Python loops generate used before
+    np.add.accumulate: each sum formed in order from the previous one."""
+    keps = k_epsilon(spec)
+    ks = np.arange(keps + 1, dtype=float)
+    g = -spec.eps * (1.0 + (keps - ks) / keps)
+    B = np.empty(keps + 1)
+    B[0] = 1.0
+    B[1:] = ks[1:] ** spec.p
+    s = -(g[:-1] / B[:-1])
+    x = np.empty(keps + 1)
+    x[0] = 0.0
+    for k in range(keps):
+        x[k + 1] = x[k] + s[k]
+    f = np.empty(keps + 1)
+    f[0] = 8.0 * spec.eps**2 + (4.0 * spec.c if spec.p == 1.0 else 4.0 / (1.0 - spec.p))
+    for k in range(keps):
+        f[k + 1] = f[k] + g[k] * s[k]
+    return x, f
 
 
 def hand_interpolant(x, f, g):
@@ -119,6 +141,18 @@ class TestGenerate:
     def test_delta0_tracks_alpha(self):
         inst = generate(AdversarialSpec(0.5, 0.0, alpha=1.0, beta=1.0))
         assert inst.delta0 == 2.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AdversarialSpec(0.5, 0.0), AdversarialSpec(0.01, 0.0), AdversarialSpec(0.1, 0.5),
+         AdversarialSpec(0.33, 1.0), AdversarialSpec(0.5, 1.0, c=0.5)],
+        ids=lambda s: f"e{s.eps}_p{s.p}_c{s.c}",
+    )
+    def test_accumulation_matches_the_loops_bit_for_bit(self, spec):
+        inst = generate(spec)
+        x, f = generate_reference(spec)
+        assert inst.knots_x.tobytes() == x.tobytes()
+        assert inst.f_vals.tobytes() == f.tobytes()
 
     @pytest.mark.parametrize("spec", sweep_specs(), ids=lambda s: f"e{s.eps}_p{s.p}_c{s.c}")
     def test_sequence_invariants(self, spec):
@@ -346,12 +380,30 @@ class TestVerifySharpness:
         assert sharp.passed
         assert hashlib.sha256(log_to_csv(report).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("eps", [0.03, 0.01])
+    def test_long_very_successful_streak_keeps_the_log_finite(self, eps):
+        # Delta doubles on each of k_eps very successful steps: without the
+        # clip at _DELTA_MAX it passes the float range near k = 1022
+        spec = AdversarialSpec(eps, 0.0)
+        sharp, report = verify_sharpness(spec)
+        assert sharp.passed
+        for name in driver._FLOAT_COLUMNS:
+            assert np.isfinite(report.log.column(name)).all(), name
+        assert max(report.log.delta) == max(report.log.eff_radius) == driver._DELTA_MAX
+        inst = generate(spec)
+        params = TrParams(delta0=inst.delta0)
+        L = build_interpolant(inst).second_derivative_bound()
+        assert check_run_invariants(report, params, L) == []
+
+    def test_clipped_log_digest_pinned(self):
+        _, report = verify_sharpness(AdversarialSpec(0.03, 0.0))
+        digest = hashlib.sha256(log_to_csv(report).encode()).hexdigest()
+        assert digest == "fbcfa4b1baab0c4a6dc804750be3af53ab27c59c705cb2fdfedbab20b7b29562"
+
 
 def test_decrease_monitors_hold_with_exact_lipschitz():
     # on generated instances L is exact, so the per-iteration decrease and
     # a_k floors are assertions, not diagnostics
-    from trfam import check_run_invariants
-
     for spec in (AdversarialSpec(0.5, 0.0), AdversarialSpec(0.5, 1.0, 1.0, 1.0, 1.0)):
         sharp, report = verify_sharpness(spec)
         inst = generate(spec)

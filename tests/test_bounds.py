@@ -171,6 +171,15 @@ class TestXiBeta:
         with pytest.raises(ValueError):
             xi_beta(0.5, 2.0, 1, mu=1.0, p=0.0, beta=0.0)  # q = 2 >= 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["gamma2", "gamma4", "mu", "p", "beta"])
+    def test_rejects_non_finite_inputs_before_summing(self, name, bad):
+        # a NaN beta used to run all 1e7 terms before "failed to converge"
+        args = {"gamma2": 0.5, "gamma4": 2.0, "mu": 1.0, "p": 0.5, "beta": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            xi_beta(args["gamma2"], args["gamma4"], 3, mu=args["mu"], p=args["p"],
+                    beta=args["beta"])
+
     def test_negative_beta_still_converges(self):
         got = xi_beta(0.5, 2.0, 3, mu=1.0, p=1.0, beta=-0.5)
         ks = np.arange(10**5, dtype=float)

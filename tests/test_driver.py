@@ -1,19 +1,25 @@
 """Tests for the outer loop, its monitor quantities, and the CSV log."""
 
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from trfam import (
+    AdversarialSpec,
     TrParams,
+    ZeroModel,
     a_k,
     build_model,
     check_run_invariants,
+    effective_radius,
     get_problem,
     log_to_csv,
     solve,
     theoretical_a_min,
+    verify_sharpness,
 )
 from trfam import driver
 from trfam.driver import CSV_HEADER, SolveError
@@ -253,3 +259,90 @@ class TestCsv:
         letters = {line.split(",")[6] for line in log_to_csv(r).strip().splitlines()[1:]}
         assert letters <= {"VS", "S", "U"}
         assert "VS" in letters
+
+
+class TestIterationLog:
+    def run(self):
+        p = get_problem("rosenbrock")
+        return solve(p, TrParams(), build_model("exact", p), eps=1e-6).log
+
+    def test_views_match_the_columns(self):
+        log = self.run()
+        n = len(log)
+        assert n == len(log.f) == len(log.status) > 10
+        columns = [f.name for f in fields(driver.IterationRecord) if f.name not in ("k", "status")]
+        for i, rec in enumerate(log):
+            assert rec.k == i
+            assert rec.status == driver.STATUSES[log.status[i]]
+            for name in columns:
+                assert repr(getattr(rec, name)) == repr(getattr(log, name)[i]), (i, name)
+            # NaN fields compare unequal, so compare the reprs
+            assert repr(log[i]) == repr(rec) == repr(log[i - n])
+
+    def test_slices_are_lists_of_views(self):
+        log = self.run()
+        n = len(log)
+        assert [r.k for r in log[2:9:3]] == [2, 5, 8]
+        assert [r.k for r in log[-3:]] == [n - 3, n - 2, n - 1]
+        assert repr(log[1:4]) == repr([log[1], log[2], log[3]])
+        assert log[n:] == []
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                log[i]
+
+    def test_column_is_a_read_only_view(self):
+        log = self.run()
+        rho = log.column("rho")
+        assert rho.dtype == np.float64 and rho.size == len(log)
+        assert np.array_equal(rho, np.array(log.rho), equal_nan=True)
+        with pytest.raises(ValueError):
+            rho[0] = 0.0
+
+    def test_replay_log_holds_at_most_120_bytes_per_iteration(self):
+        # one boxed IterationRecord per iteration took about 400 B
+        spec = AdversarialSpec(0.01, 0.0)  # k_eps = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sharp, report = verify_sharpness(spec)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sharp.passed and len(report.log) == sharp.k_eps == 10_000
+        assert held / sharp.k_eps <= 120
+
+
+def tilted_line(slope):
+    """f(x) = slope * x in one dimension."""
+    return Problem("tilt", 1, lambda x: slope * float(x[0]), lambda x: np.array([slope]),
+                   np.zeros(1))
+
+
+class TestRadiusClip:
+    def test_delta_stops_at_delta_max(self):
+        # with a zero model every step is a boundary step with rho = 1, so
+        # Delta doubles until the clip
+        params = TrParams()
+        r = solve(tilted_line(1.0), params, ZeroModel(1), eps=1e-6, max_iter=600)
+        delta = r.log.column("delta")
+        assert r.log[0].status == "very_successful"
+        assert set(r.log.status) == {driver.STATUSES.index("very_successful")}
+        assert delta.max() == driver._DELTA_MAX == delta[-1]
+        assert np.isfinite(r.log.column("a_k")).all()
+        assert check_run_invariants(r, params, 1.0) == []
+
+    def test_delta_max_step_outside_its_interval_is_still_flagged(self):
+        params = TrParams()
+        r = solve(tilted_line(1.0), params, ZeroModel(1), eps=1e-6, max_iter=600)
+        r.log.delta[-1] = driver._DELTA_MAX / 4  # neither the clip nor gamma3 * Delta
+        issues = check_run_invariants(r, params, 1.0)
+        assert len(issues) == 1 and issues[0].startswith(f"k={len(r.log) - 2}: delta update")
+
+    def test_negative_alpha_and_tiny_gradient(self):
+        # |g|^alpha = 1e200: the radius passes Delta_max at Delta = 1
+        assert effective_radius(-2.0, 0.0, 1.0, 1e-160, 0.0) == math.inf  # float ** overflows
+        r = solve(tilted_line(1e-100), TrParams(alpha=-2.0), ZeroModel(1), eps=1e-200,
+                  max_iter=3)
+        assert list(r.log.eff_radius) == [driver._DELTA_MAX] * 3
+        assert list(r.log.delta) == [1.0, 2.0, 4.0]
+        assert np.isfinite(r.log.column("a_k")).all()
