@@ -25,6 +25,7 @@ from .bounds import (
     xi_beta,
 )
 from .driver import (
+    IterationLog,
     IterationRecord,
     SolveReport,
     TrParams,

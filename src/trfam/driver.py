@@ -280,7 +280,9 @@ def solve(
             gterm, bterm = hist_min_g, hist_max_b
         else:
             gterm, bterm = gnorm, bnorm
-        radius = min(effective_radius(params.alpha, params.beta, delta, gterm, bterm), _DELTA_MAX)
+        radius = effective_radius(params.alpha, params.beta, delta, gterm, bterm)
+        if radius > _DELTA_MAX:
+            radius = _DELTA_MAX
         if radius < _RADIUS_UNDERFLOW * max(1.0, _norm(x)):
             status = "delta_underflow"
             break

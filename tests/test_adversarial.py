@@ -12,12 +12,13 @@ from trfam import (
     AdversarialSpec,
     TrParams,
     build_interpolant,
+    check_run_invariants,
+    driver,
     generate,
     k_epsilon,
     log_to_csv,
     verify_sharpness,
 )
-from trfam import check_run_invariants, driver
 from trfam.adversarial import AdversarialInstance, Interpolant1D, emit_function_csv
 
 SWEEP_EPS = (0.9, 0.5, 0.25)
@@ -373,6 +374,9 @@ class TestVerifySharpness:
              "51966b1c5fdcd0859b4c21e3893fe708c9fcc29ddcc3ceb3514768116c8bc04b"),
             (AdversarialSpec(0.5, 1.0, 1.0),
              "7317bf4c4f1b75e6fb354de31c7df313637ff4620c82594bd817bea8aa2d6419"),
+            # Delta reaches the clip at _DELTA_MAX from k = 497 on
+            (AdversarialSpec(0.03, 0.0),
+             "fbcfa4b1baab0c4a6dc804750be3af53ab27c59c705cb2fdfedbab20b7b29562"),
         ],
     )
     def test_log_digest_pinned(self, spec, digest):
@@ -394,11 +398,6 @@ class TestVerifySharpness:
         params = TrParams(delta0=inst.delta0)
         L = build_interpolant(inst).second_derivative_bound()
         assert check_run_invariants(report, params, L) == []
-
-    def test_clipped_log_digest_pinned(self):
-        _, report = verify_sharpness(AdversarialSpec(0.03, 0.0))
-        digest = hashlib.sha256(log_to_csv(report).encode()).hexdigest()
-        assert digest == "fbcfa4b1baab0c4a6dc804750be3af53ab27c59c705cb2fdfedbab20b7b29562"
 
 
 def test_decrease_monitors_hold_with_exact_lipschitz():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trfam import (
+    IterationLog,
     LbfgsModel,
     Lsr1Model,
     ScriptedModel,
@@ -12,7 +13,6 @@ from trfam import (
     get_problem,
     measure_envelope,
 )
-from trfam.driver import IterationLog
 from trfam.hessians import SIGMA, ExactHessian, dense_matrix
 
 
