@@ -335,6 +335,9 @@ def verify_sharpness(
     params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
     model = ScriptedModel(inst.B_vals)
     report = solve(problem, params, model, eps=spec.eps, max_iter=inst.k_eps + 10)
+    # the checks read only the log: free the interpolant's data before
+    # they allocate their per-iteration temporaries
+    del interp, problem, model
 
     mism: list[dict] = []
     if report.iterations != inst.k_eps:

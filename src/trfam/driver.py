@@ -379,7 +379,6 @@ def solve(
 def log_to_csv(report: SolveReport) -> str:
     """Iteration log as CSV with 17-significant-digit floats."""
     log = report.log
-    letters = [_STATUS_LETTERS[code] for code in log.status]
     rows = zip(
         map(str, range(len(log))),
         map(_fmt, log.f),
@@ -387,7 +386,7 @@ def log_to_csv(report: SolveReport) -> str:
         map(_fmt, log.delta),
         map(_fmt, log.eff_radius),
         map(_fmt, log.rho),
-        letters,
+        map(_STATUS_LETTERS.__getitem__, log.status),
         map(_fmt, log.bnorm),
         map(str, log.n_succ),
         map(_fmt, log.a_k),
