@@ -9,7 +9,7 @@ step is the exact 1-d step on a scripted model and nearly all time is the
 driver's own bookkeeping; and rosenbrock with its exact Hessian, where
 TCG, the norm and the evaluations share the time. Each round solves with
 a fresh model; ``extra_info["us_per_iter"]`` is the median solve time per
-iteration.
+iteration, left out under ``--benchmark-disable``.
 """
 
 from trfam import AdversarialSpec, TrParams, build_interpolant, generate, get_problem, solve
@@ -24,7 +24,10 @@ def per_iteration(benchmark, problem, params, make_model, eps, **kwargs):
 
     report = benchmark.pedantic(solve, setup=setup, rounds=ROUNDS, warmup_rounds=1)
     benchmark.extra_info["iterations"] = report.iterations
-    benchmark.extra_info["us_per_iter"] = benchmark.stats.stats.median * 1e6 / report.iterations
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_iter"] = (
+            benchmark.stats.stats.median * 1e6 / report.iterations
+        )
     return report
 
 

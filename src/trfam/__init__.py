@@ -46,12 +46,6 @@ from .hessians import (
     measure_envelope,
 )
 from .problems import EvalCounter, Problem, builtin_collection, check_gradient, get_problem
-from .subproblem import (
-    StepResult,
-    cauchy_point,
-    effective_radius,
-    newton_step_1d,
-    solve_tcg,
-)
+from .subproblem import StepResult, effective_radius, newton_step_1d, solve_tcg
 
 __version__ = "0.1.0"

@@ -20,34 +20,21 @@ class DomainError(RuntimeError):
     """Errors from the problem domain (exit code 1)."""
 
 
-def _add_params_flags(p: argparse.ArgumentParser, alpha_default=0.0, beta_default=0.0):
-    p.add_argument("--alpha", type=float, default=alpha_default)
-    p.add_argument("--beta", type=float, default=beta_default)
-    p.add_argument("--eta1", type=float, default=0.1)
-    p.add_argument("--eta2", type=float, default=0.75)
-    p.add_argument("--gamma1", type=float, default=0.25)
-    p.add_argument("--gamma2", type=float, default=0.5)
-    p.add_argument("--gamma3", type=float, default=2.0)
-    p.add_argument("--gamma4", type=float, default=2.0)
-    p.add_argument("--kappa-mdc", type=float, default=0.5, dest="kappa_mdc")
-    p.add_argument("--delta0", type=float, default=1.0)
+# The TrParams fields each of solve and bounds sets from a flag, in --help order.
+_PARAM_FLAGS = (
+    "alpha", "beta", "eta1", "eta2", "gamma1", "gamma2", "gamma3", "gamma4", "kappa_mdc",
+    "delta0",
+)
+
+
+def _add_params_flags(p: argparse.ArgumentParser):
+    for name in _PARAM_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        p.add_argument(flag, type=float, default=getattr(TrParams, name), dest=name)
 
 
 def _params_from(args, **overrides) -> TrParams:
-    kw = dict(
-        alpha=args.alpha,
-        beta=args.beta,
-        eta1=args.eta1,
-        eta2=args.eta2,
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        gamma3=args.gamma3,
-        gamma4=args.gamma4,
-        kappa_mdc=args.kappa_mdc,
-        delta0=args.delta0,
-    )
-    kw.update(overrides)
-    return TrParams(**kw)
+    return TrParams(**{name: getattr(args, name) for name in _PARAM_FLAGS}, **overrides)
 
 
 def _jsonify(obj):

@@ -189,12 +189,21 @@ class SolveReport:
 
 
 def a_k(delta: float, max_bnorm: float, min_gnorm: float, alpha: float, beta: float) -> float:
-    """Delta * (1 + max |B|)^(1-beta) / (min |grad|)^(1-alpha)."""
+    """Delta * (1 + max |B|)^(1-beta) / (min |grad|)^(1-alpha).
+
+    A value past the float range raises ArithmeticError: OverflowError for
+    an overflowed power or an inf quotient, ZeroDivisionError for a
+    denominator that underflows to 0, as a negative alpha and a tiny
+    gradient give.
+    """
     if not min_gnorm > 0:
         raise ValueError("min_gnorm must be positive")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    return delta * (1.0 + max_bnorm) ** (1.0 - beta) / min_gnorm ** (1.0 - alpha)
+    value = delta * (1.0 + max_bnorm) ** (1.0 - beta) / min_gnorm ** (1.0 - alpha)
+    if value == math.inf:
+        raise OverflowError("a_k overflows")
+    return value
 
 
 def theoretical_a_min(a0: float, params: TrParams, L: float) -> float:
@@ -340,6 +349,10 @@ def solve(
             if np.all(np.isfinite(g_trial)):
                 model.update(step.s, g_trial - g)
 
+        try:
+            ak = a_k(delta, hist_max_b, hist_min_g, params.alpha, params.beta)
+        except ArithmeticError as exc:
+            raise SolveError(f"{problem.name}: a_k out of the float range at k={k}") from exc
         log.append(
             f_at_k,
             gnorm,
@@ -349,7 +362,7 @@ def solve(
             iter_status,
             bnorm,
             n_succ,
-            a_k(delta, hist_max_b, hist_min_g, params.alpha, params.beta),
+            ak,
             step.cg_iters,
             decrease,
             snorm,

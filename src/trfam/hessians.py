@@ -70,12 +70,6 @@ class HessianModel:
         raise NotImplementedError
 
 
-def dense_matrix(model: HessianModel) -> np.ndarray:
-    """B as a dense matrix, one product per column; a test oracle."""
-    cols = [model.apply(col) for col in np.eye(model.dim)]
-    return np.column_stack(cols)
-
-
 class ZeroModel(HessianModel):
     mode = "zero"
 

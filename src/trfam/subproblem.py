@@ -4,16 +4,21 @@ The subproblem minimizes the quadratic model m(s) = f + g's + s'Bs/2 over
 the ball |s| <= R with the scaled radius R = |g|^alpha (1+|B|)^-beta Delta.
 Steps come from a Steihaug-type truncated conjugate gradient whose first
 iterate is the Cauchy point, so the fraction-of-Cauchy-decrease contract
-holds by construction; the Cauchy decrease is read off that first
-iteration rather than computed separately.
+holds by construction (Steihaug 1983; Conn, Gould and Toint 2000, 7.5.1).
+Both step solvers take a ``HessianModel`` and form every product with its
+``apply``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .hessians import HessianModel
 
 Array = np.ndarray
 
@@ -56,45 +61,8 @@ def _norm(v: Array) -> float:
 class StepResult:
     s: Array
     model_decrease: float
-    cauchy_decrease: float
     boundary_hit: bool
     cg_iters: int
-
-
-def _matvec(B, v: Array) -> Array:
-    if hasattr(B, "apply"):
-        return B.apply(v)
-    return np.asarray(B, dtype=float) @ v
-
-
-def cauchy_point(g: Array, B, radius: float) -> StepResult:
-    """Minimizer of the model along -g within the ball of the given radius.
-
-    With positive curvature along g the step length is
-    min(|g|^2 / g'Bg, radius/|g|); otherwise (concave or linear 1-d model)
-    the minimum sits on the boundary.
-    """
-    g = np.asarray(g, dtype=float)
-    gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        raise ValueError("zero gradient")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    Bg = _matvec(B, g)
-    gBg = float(g @ Bg)
-    t_boundary = radius / gnorm
-    if gBg > 0.0:
-        t = min(gnorm**2 / gBg, t_boundary)
-    else:
-        t = t_boundary
-    decrease = t * gnorm**2 - 0.5 * t * t * gBg
-    return StepResult(
-        s=-t * g,
-        model_decrease=decrease,
-        cauchy_decrease=decrease,
-        boundary_hit=(t == t_boundary),
-        cg_iters=0,
-    )
 
 
 def _to_boundary(s: Array, d: Array, radius: float) -> float:
@@ -108,7 +76,7 @@ def _to_boundary(s: Array, d: Array, radius: float) -> float:
 
 def solve_tcg(
     g: Array,
-    B,
+    B: HessianModel,
     radius: float,
     cg_tol: float | None = None,
     max_cg: int | None = None,
@@ -121,10 +89,7 @@ def solve_tcg(
     iterations. A trial landing exactly on the boundary counts as a
     boundary hit. The first iterate is the Cauchy point and the model
     decrease is monotone along CG, so the returned decrease is at least the
-    Cauchy decrease. ``cauchy_decrease`` comes from the first iteration,
-    whose direction is -g: its curvature d'Bd equals g'Bg exactly, so the
-    value equals ``cauchy_point(g, B, radius).model_decrease`` without a
-    separate product. ``max_cg`` must be at least 1.
+    Cauchy decrease. ``max_cg`` must be at least 1.
     """
     g = np.asarray(g, dtype=float)
     n = g.size
@@ -147,13 +112,9 @@ def solve_tcg(
     iters = 0
     boundary = False
     for _ in range(max_cg):
-        Bd = _matvec(B, d)
+        Bd = B.apply(d)
         dBd = float(d @ Bd)
         iters += 1
-        if iters == 1:  # the Cauchy step, as in cauchy_point
-            t_boundary = radius / gnorm
-            t = min(rr / dBd, t_boundary) if dBd > 0.0 else t_boundary
-            cauchy_decrease = t * rr - 0.5 * t * t * dBd
         if dBd <= 0.0:
             s = s + _to_boundary(s, d, radius) * d
             boundary = True
@@ -172,29 +133,22 @@ def solve_tcg(
         d = -r + (rr_new / rr) * d
         rr = rr_new
 
-    decrease = -(float(g @ s) + 0.5 * float(s @ _matvec(B, s)))
+    decrease = -(float(g @ s) + 0.5 * float(s @ B.apply(s)))
     if not np.isfinite(decrease):
         raise FloatingPointError("non-finite model decrease: ill-posed model")
-    return StepResult(
-        s=s,
-        model_decrease=decrease,
-        cauchy_decrease=cauchy_decrease,
-        boundary_hit=boundary,
-        cg_iters=iters,
-    )
+    return StepResult(s=s, model_decrease=decrease, boundary_hit=boundary, cg_iters=iters)
 
 
-def newton_step_1d(g: Array, B, radius: float) -> StepResult:
+def newton_step_1d(g: Array, B: HessianModel, radius: float) -> StepResult:
     """Exact subproblem solve in one dimension.
 
     For positive curvature the interior minimizer is -g/b; concave or
     linear models, and Newton steps past the radius, end on the boundary.
     The single division keeps the step bit-reproducible, which the
     worst-case verifier relies on. In one dimension the Cauchy point
-    minimizes the model over the whole ball, as this step does, so
-    ``cauchy_decrease`` is the step's own model decrease. A non-finite
-    gradient raises ValueError: the boundary branch would otherwise turn
-    it into a finite step.
+    minimizes the model over the whole ball, as this step does. A
+    non-finite gradient raises ValueError: the boundary branch would
+    otherwise turn it into a finite step.
     """
     g = np.asarray(g, dtype=float)
     if g.size != 1:
@@ -204,7 +158,7 @@ def newton_step_1d(g: Array, B, radius: float) -> StepResult:
         raise ValueError("zero gradient")
     if not math.isfinite(g0):
         raise ValueError(f"non-finite gradient {g0!r}")
-    b = float(_matvec(B, _E1)[0])
+    b = float(B.apply(_E1)[0])
     boundary = True
     if b > 0.0:
         step = -(g0 / b)
@@ -216,9 +170,5 @@ def newton_step_1d(g: Array, B, radius: float) -> StepResult:
         step = math.copysign(radius, -g0)
     decrease = -(g0 * step + 0.5 * b * step * step)
     return StepResult(
-        s=np.array([step]),
-        model_decrease=decrease,
-        cauchy_decrease=decrease,
-        boundary_hit=boundary,
-        cg_iters=1,
+        s=np.array([step]), model_decrease=decrease, boundary_hit=boundary, cg_iters=1
     )

@@ -346,3 +346,19 @@ class TestRadiusClip:
         assert list(r.log.eff_radius) == [driver._DELTA_MAX] * 3
         assert list(r.log.delta) == [1.0, 2.0, 4.0]
         assert np.isfinite(r.log.column("a_k")).all()
+
+    def test_a_k_past_the_float_range_is_a_solve_error(self):
+        # |g|^(1 - alpha) = (1e-160)^3 underflows to 0, so a_k divides by 0
+        p = Problem("half_square", 1, lambda x: 0.5 * float(x[0]) ** 2, lambda x: x.copy(),
+                    np.array([1e-160]), eval_hess=lambda x: np.eye(1))
+        with pytest.raises(SolveError, match="a_k out of the float range at k=0"):
+            solve(p, TrParams(alpha=-2.0), build_model("exact", p), eps=1e-300)
+
+    @pytest.mark.parametrize("args,error", [
+        ((1.0, 0.0, 1e-160, -2.0, 0.0), ZeroDivisionError),  # denominator underflows
+        ((1e300, 1e10, 1.0, 0.0, 0.0), OverflowError),  # inf product
+        ((1.0, 1e10, 1.0, 0.0, -40.0), OverflowError),  # float ** overflows
+    ])
+    def test_a_k_raises_past_the_float_range(self, args, error):
+        with pytest.raises(error):
+            a_k(*args)

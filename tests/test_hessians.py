@@ -13,7 +13,9 @@ from trfam import (
     get_problem,
     measure_envelope,
 )
-from trfam.hessians import SIGMA, ExactHessian, dense_matrix
+from trfam.hessians import SIGMA, ExactHessian
+
+from oracles import dense_matrix
 
 
 def bfgs_dense_recursion(pairs, n, sigma=1.0):
