@@ -57,6 +57,7 @@ def test_newton_step_1d(benchmark):
 
 
 def test_lower_bound(benchmark):
-    interp = build_interpolant(generate(AdversarialSpec(eps=0.01, p=0.0)))
-    assert interp.instance.k_eps == 10_000
+    inst = generate(AdversarialSpec(eps=0.01, p=0.0))
+    assert inst.k_eps == 10_000
+    interp = build_interpolant(inst)
     benchmark(interp.lower_bound)

@@ -8,7 +8,7 @@ k_eps, passed, seconds, us_per_iter, peak_rss_mib (the process's peak
 resident set) and bytes_per_iter (that peak above the one right after the
 import, over k_eps). The paper's p = 1 target is eps = 0.25 (k_eps
 8,886,110); climb to it through eps = 0.28 and 0.26, since the replay keeps
-every iterate's log and instance data in memory.
+every iterate's log, model value and knot data in memory.
 """
 
 from __future__ import annotations

@@ -29,15 +29,15 @@ from trfam import (
 print("Successful-iteration bound vs p (mu = 1, kappa1 = 1, eps = 0.1):")
 f0 = 0.1 * 0.5 * 0.03125  # makes kappa1 = 1 under the default constants
 for p in (0.0, 0.5, 0.9, 1.0):
-    inp = BoundInputs(f0=f0, f_low=0.0, a_min=0.03125, mu=1.0, p=p, eps=0.1)
+    inp = BoundInputs(TrParams(), f0=f0, f_low=0.0, a_min=0.03125, mu=1.0, p=p, eps=0.1)
     b = bound_successful(inp)
     shown = f"{b.representable:.4g}" if b.representable is not None else "(too large)"
     print(f"  p = {p:3g}: bound = {shown:>12}  ln = {b.log_value:.4g}")
 
 # The unsuccessful count follows from the successful one; with
 # alpha = beta = 1 the epsilon-dependent terms cancel.
-inp = BoundInputs(f0=f0, f_low=0.0, a_min=0.03125, mu=1.0, p=0.0, eps=0.1,
-                  alpha=1.0, beta=1.0)
+inp = BoundInputs(TrParams(alpha=1.0, beta=1.0), f0=f0, f_low=0.0, a_min=0.03125, mu=1.0,
+                  p=0.0, eps=0.1)
 print(f"\nWith S = 100: |U| <= {bound_unsuccessful(inp, 100.0):.4g} "
       f"(alpha = beta = 1 collapses the log terms)")
 

@@ -17,21 +17,26 @@ from pathlib import Path
 import numpy as np
 
 from .driver import SolveError, SolveReport, TrParams, solve
-from .hessians import build_model
-from .problems import get_problem
+from .hessians import DEFAULT_MEMORY, build_model
+from .problems import builtin_collection, get_problem
 
 METRICS = ("fevals", "gevals", "time")
+
+# (alpha, beta) of the default matrix: each corner of [0, 1]^2.
+DEFAULT_VARIANTS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 @dataclass(frozen=True)
 class RunSpec:
+    """One benchmark cell; its defaults are those of ``trfam bench``."""
+
     problem: str
     alpha: float
     beta: float
     hessian: str = "exact"
-    memory: int = 5
+    memory: int = DEFAULT_MEMORY
     eps: float = 1e-6
     max_iter: int = 10_000
     eval_budget: int = 100_000
@@ -284,19 +289,9 @@ def emit(
 
 
 def default_matrix_specs(
-    variants=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)),
-    hessian: str = "exact",
-    memory: int = 5,
-    eps: float = 1e-6,
-    max_iter: int = 10_000,
-    eval_budget: int = 100_000,
-    problems: list[str] | None = None,
+    variants=DEFAULT_VARIANTS, problems: list[str] | None = None, **settings
 ) -> list[RunSpec]:
-    from .problems import builtin_collection
-
+    """One ``RunSpec`` per problem and (alpha, beta) variant, all built-in
+    problems by default; ``settings`` are the other ``RunSpec`` fields."""
     names = problems if problems is not None else [p.name for p in builtin_collection()]
-    return [
-        RunSpec(name, a, b, hessian, memory, eps, max_iter, eval_budget)
-        for name in names
-        for a, b in variants
-    ]
+    return [RunSpec(name, a, b, **settings) for name in names for a, b in variants]

@@ -13,31 +13,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .driver import SolveReport, TrParams, theoretical_a_min
+from .driver import SolveReport, TrParams
 from .hessians import measure_envelope
 
 _REPRESENTABLE_LOG = 690.0  # exp(690) ~ 5.6e299 < 1e300
+# xi_beta stops once its tail bound is below this fraction of the sum.
+_XI_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Everything the calculators need, in one bag."""
+    """Everything the calculators need, in one bag. The family constants
+    come from ``params``, so the bounds are always for a member of the
+    family."""
 
+    params: TrParams
     f0: float
     f_low: float
     a_min: float
     mu: float
     p: float
     eps: float
-    alpha: float = 0.0
-    beta: float = 0.0
-    eta1: float = 0.1
-    eta2: float = 0.75
-    kappa_mdc: float = 0.5
-    gamma1: float = 0.25
-    gamma2: float = 0.5
-    gamma4: float = 2.0
-    delta0: float = 1.0
     k0: int = 0
     L: float = 1.0
 
@@ -48,24 +44,13 @@ class BoundInputs:
             raise ValueError("p must lie in [0, 1]")
         if not self.mu >= 0:  # NaN fails too
             raise ValueError("mu must be nonnegative")
-        for name in ("a_min", "eps", "eta1", "kappa_mdc", "gamma1", "gamma2", "delta0"):
+        for name in ("a_min", "eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     @classmethod
     def from_params(cls, params: TrParams, **kw) -> "BoundInputs":
-        return cls(
-            alpha=params.alpha,
-            beta=params.beta,
-            eta1=params.eta1,
-            eta2=params.eta2,
-            kappa_mdc=params.kappa_mdc,
-            gamma1=params.gamma1,
-            gamma2=params.gamma2,
-            gamma4=params.gamma4,
-            delta0=params.delta0,
-            **kw,
-        )
+        return cls(params, **kw)
 
 
 @dataclass(frozen=True)
@@ -90,7 +75,8 @@ class LogBound:
 
 def kappa1(inputs: BoundInputs) -> float:
     """(f(x0) - f_low) / (eta1 kappa_mdc a_min)."""
-    return (inputs.f0 - inputs.f_low) / (inputs.eta1 * inputs.kappa_mdc * inputs.a_min)
+    prm = inputs.params
+    return (inputs.f0 - inputs.f_low) / (prm.eta1 * prm.kappa_mdc * inputs.a_min)
 
 
 def _logbound_minus_one(log_plus_one: float) -> LogBound:
@@ -121,16 +107,17 @@ def bound_unsuccessful(inputs: BoundInputs, s_eps: float) -> float:
     + log_g2(a_min/Delta0), with S the successful-iteration count."""
     if s_eps < 0:
         raise ValueError("s_eps must be nonnegative")
-    lg = math.log(inputs.gamma2)
+    prm = inputs.params
+    lg = math.log(prm.gamma2)
 
     def log_g2(x: float) -> float:
         return math.log(x) / lg
 
     return (
-        abs(log_g2(inputs.gamma4)) * s_eps
-        + (1.0 - inputs.alpha) * log_g2(inputs.eps)
-        + (inputs.beta - 1.0) * log_g2(1.0 + inputs.mu * (1.0 + s_eps**inputs.p))
-        + log_g2(inputs.a_min / inputs.delta0)
+        abs(log_g2(prm.gamma4)) * s_eps
+        + (1.0 - prm.alpha) * log_g2(inputs.eps)
+        + (prm.beta - 1.0) * log_g2(1.0 + inputs.mu * (1.0 + s_eps**inputs.p))
+        + log_g2(inputs.a_min / prm.delta0)
     )
 
 
@@ -151,7 +138,6 @@ def xi_beta(
     mu: float,
     p: float,
     beta: float,
-    rel_tol: float = 1e-12,
 ) -> float:
     """Upper estimate of sum_{k>=0} q^(k/tau) / (1 + mu(1 + k^p))^beta with
     q = gamma4 gamma2^(tau-1) < 1, truncated with a geometric tail bound.
@@ -183,7 +169,7 @@ def xi_beta(
         tail_ratio = ratio_geo if beta >= 0 else ratio_geo * (r(k + 2) / r(k + 1)) ** (-beta)
         if tail_ratio < 1.0:
             tail = nxt / (1.0 - tail_ratio)
-            if tail <= rel_tol * total:
+            if tail <= _XI_REL_TOL * total:
                 return total + tail
         k += 1
         if k > 10**7:
@@ -192,12 +178,13 @@ def xi_beta(
 
 def kappa2(inputs: BoundInputs, tau: int) -> float:
     """tau (f(x0) - f_low) / (eta1 kappa_mdc a_min)."""
-    return tau * (inputs.f0 - inputs.f_low) / (inputs.eta1 * inputs.kappa_mdc * inputs.a_min)
+    prm = inputs.params
+    return tau * (inputs.f0 - inputs.f_low) / (prm.eta1 * prm.kappa_mdc * inputs.a_min)
 
 
 def kappa3(inputs: BoundInputs, xi: float) -> float:
     """Delta0 xi_beta / a_min."""
-    return inputs.delta0 * xi / inputs.a_min
+    return inputs.params.delta0 * xi / inputs.a_min
 
 
 @dataclass(frozen=True)
@@ -218,7 +205,7 @@ def bound_total_k(inputs: BoundInputs, tau: int, xi: float) -> TotalBound:
     k2 = kappa2(inputs, tau)
     k3 = kappa3(inputs, xi)
     t_eps2 = k2 * inputs.eps**-2
-    t_alpha = k3 * inputs.eps ** (inputs.alpha - 1.0)
+    t_alpha = k3 * inputs.eps ** (inputs.params.alpha - 1.0)
     if inputs.p == 1.0:
         X = (1.0 + inputs.mu * (2.0 + k0)) / (1.0 + k0) * (t_eps2 + t_alpha)
         lb = _logbound_minus_one(X + math.log(k0 + 1.0))
@@ -302,8 +289,9 @@ def audit_run(
     )
     if assumption == "iteration_counter":
         in_k = replace(inputs, mu=max(mu_k, 1e-300))
-        tau = choose_tau(inputs.gamma2, inputs.gamma4)
-        xi = xi_beta(inputs.gamma2, inputs.gamma4, tau, in_k.mu, inputs.p, inputs.beta)
+        prm = inputs.params
+        tau = choose_tau(prm.gamma2, prm.gamma4)
+        xi = xi_beta(prm.gamma2, prm.gamma4, tau, in_k.mu, inputs.p, prm.beta)
         tb = bound_total_k(in_k, tau, xi)
         checks.append(
             BoundCheck(
@@ -334,19 +322,19 @@ def classical_reference_rows(inputs: BoundInputs) -> dict[str, float]:
 
     These rows are informational table entries, not separately audited.
     """
-    L, mu = inputs.L, inputs.mu
-    g2, g4 = inputs.gamma2, inputs.gamma4
+    L, mu, prm = inputs.L, inputs.mu, inputs.params
+    g2, g4 = prm.gamma2, prm.gamma4
     lead = abs(math.log(g4) / math.log(g2)) + 1.0
     gap = inputs.f0 - inputs.f_low
-    e1, g1 = inputs.eta1, inputs.gamma1
-    slack = 1.0 - inputs.eta2
+    e1, g1 = prm.eta1, prm.gamma1
+    slack = 1.0 - prm.eta2
     scaled = (
         lead * 4.0 * (L + 2 * mu * L) / (g1 * e1 * slack) * gap * inputs.eps**-2
-        + math.log(g1 * slack / (2 * L * inputs.delta0)) / math.log(g2)
+        + math.log(g1 * slack / (2 * L * prm.delta0)) / math.log(g2)
     )
     classical = (
         lead * 4.0 * (L + 2 * mu) / (g1 * e1 * slack) * gap * inputs.eps**-2
         + math.log(inputs.eps) / math.log(g2)
-        + math.log(g1 * slack / (2 * (L + 2 * mu) * inputs.delta0)) / math.log(g2)
+        + math.log(g1 * slack / (2 * (L + 2 * mu) * prm.delta0)) / math.log(g2)
     )
     return {"scaled_radius_p0": scaled, "classical_p0": classical}

@@ -12,7 +12,7 @@ from . import adversarial as adv
 from . import bench as bench_mod
 from . import bounds as bounds_mod
 from .driver import SolveError, TrParams, solve, theoretical_a_min, write_log_csv
-from .hessians import build_model
+from .hessians import MODEL_KINDS, build_model
 from .problems import get_problem
 
 
@@ -31,6 +31,15 @@ def _add_params_flags(p: argparse.ArgumentParser):
     for name in _PARAM_FLAGS:
         flag = "--" + name.replace("_", "-")
         p.add_argument(flag, type=float, default=getattr(TrParams, name), dest=name)
+
+
+def _add_run_flags(p: argparse.ArgumentParser):
+    """--hessian, --mem, --eps and --max-iter, with ``RunSpec``'s defaults."""
+    spec = bench_mod.RunSpec
+    p.add_argument("--hessian", default=spec.hessian, choices=MODEL_KINDS)
+    p.add_argument("--mem", type=int, default=spec.memory)
+    p.add_argument("--eps", type=float, default=spec.eps)
+    p.add_argument("--max-iter", type=int, default=spec.max_iter, dest="max_iter")
 
 
 def _params_from(args, **overrides) -> TrParams:
@@ -276,10 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the solver on a built-in problem")
     p_solve.add_argument("--problem", required=True)
-    p_solve.add_argument("--hessian", default="exact", choices=["exact", "lbfgs", "lsr1", "zero"])
-    p_solve.add_argument("--mem", type=int, default=5)
-    p_solve.add_argument("--eps", type=float, default=1e-6)
-    p_solve.add_argument("--max-iter", type=int, default=10_000, dest="max_iter")
+    _add_run_flags(p_solve)
     p_solve.add_argument("--eval-budget", type=int, default=None, dest="eval_budget")
     p_solve.add_argument("--radius-mode", default="current", choices=["current", "history"])
     p_solve.add_argument("--update-on-unsuccessful", action="store_true")
@@ -314,12 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_bench = sub.add_parser("bench", help="run the variant matrix and emit profiles")
-    p_bench.add_argument("--variants", default="0,0;0,1;1,0;1,1")
-    p_bench.add_argument("--hessian", default="exact", choices=["exact", "lbfgs", "lsr1", "zero"])
-    p_bench.add_argument("--mem", type=int, default=5)
-    p_bench.add_argument("--eps", type=float, default=1e-6)
-    p_bench.add_argument("--max-iter", type=int, default=10_000, dest="max_iter")
-    p_bench.add_argument("--eval-budget", type=int, default=100_000, dest="eval_budget")
+    variants = ";".join(f"{a:g},{b:g}" for a, b in bench_mod.DEFAULT_VARIANTS)
+    p_bench.add_argument("--variants", default=variants)
+    _add_run_flags(p_bench)
+    budget = bench_mod.RunSpec.eval_budget
+    p_bench.add_argument("--eval-budget", type=int, default=budget, dest="eval_budget")
     p_bench.add_argument("--problems", default=None)
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=_cmd_bench)

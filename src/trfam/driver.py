@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hessians import LbfgsModel, Lsr1Model
 from .problems import EvalCounter, Problem
 from .subproblem import _norm, effective_radius, newton_step_1d, solve_tcg
 
@@ -339,7 +340,7 @@ def solve(
             model.update(step.s, y)
             x, f, g = x_trial, f_trial, g_new
             n_succ += 1
-        elif params.update_on_unsuccessful and model.mode in ("lbfgs", "lsr1"):
+        elif params.update_on_unsuccessful and isinstance(model, (LbfgsModel, Lsr1Model)):
             # Assumption-2 regime: pay one extra gradient for the rejected pair
             if not budget_left(1):
                 status = "eval_budget"

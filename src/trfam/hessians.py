@@ -25,6 +25,9 @@ SR1_DENOM_TOL = 1e-8
 # Scale sigma of the limited-memory seed B0 = sigma I.
 SIGMA = 1.0
 
+DEFAULT_MEMORY = 5  # pairs a limited-memory model keeps unless told otherwise
+MODEL_KINDS = ("exact", "lbfgs", "lsr1", "zero")  # what build_model builds
+
 
 class HessianModel:
     """Base class; concrete models override the private hooks, and models
@@ -33,8 +36,6 @@ class HessianModel:
     A model instance is mutable and owned by a single solver run; distinct
     runs must not share one.
     """
-
-    mode = "abstract"
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -71,8 +72,6 @@ class HessianModel:
 
 
 class ZeroModel(HessianModel):
-    mode = "zero"
-
     def _apply(self, v):
         return np.zeros_like(v)
 
@@ -87,8 +86,6 @@ class ScriptedModel(HessianModel):
     Iterations beyond the script hold the last value; the worst-case
     verifier detects any overrun through its own iteration-count check.
     """
-
-    mode = "scripted"
 
     def __init__(self, values):
         super().__init__(1)
@@ -114,8 +111,6 @@ class ScriptedModel(HessianModel):
 
 class ExactHessian(HessianModel):
     """Dense Hessian of the objective, re-evaluated as the iterate moves."""
-
-    mode = "exact"
 
     def __init__(self, eval_hess, x0):
         x0 = np.asarray(x0, dtype=float)
@@ -148,7 +143,7 @@ class _PairModel(HessianModel):
 
     _SIGN: float  # -1 for BFGS, +1 for SR1
 
-    def __init__(self, dim, memory=5):
+    def __init__(self, dim, memory=DEFAULT_MEMORY):
         super().__init__(dim)
         if memory < 1:
             raise ValueError("memory must be positive")
@@ -214,7 +209,6 @@ class LbfgsModel(_PairModel):
     M = [[sigma S^T S, L], [L^T, -D]].
     """
 
-    mode = "lbfgs"
     _SIGN = -1.0
 
     def _factorize(self):
@@ -242,7 +236,6 @@ class Lsr1Model(_PairModel):
     to ``np.linalg.solve``; ``pairs`` itself keeps every accepted pair.
     """
 
-    mode = "lsr1"
     _SIGN = 1.0
 
     def _factorize(self):
@@ -269,7 +262,7 @@ class Lsr1Model(_PairModel):
 def build_model(
     mode: str,
     problem=None,
-    memory: int = 5,
+    memory: int = DEFAULT_MEMORY,
     dim: int | None = None,
 ) -> HessianModel:
     """Construct the model named by ``mode`` for a problem (or raw dim)."""

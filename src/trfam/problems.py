@@ -73,10 +73,10 @@ def check_gradient(p: Problem, x: Array, h: float) -> float:
     return worst
 
 
-def probe_points(p: Problem, count: int = 10, seed: int = 0, spread: float = 0.5):
-    """Fixed pseudo-random points x0 + u, u uniform in [-spread, spread]^n."""
+def probe_points(p: Problem, count: int = 10, seed: int = 0):
+    """Fixed pseudo-random points x0 + u, u uniform in [-0.5, 0.5]^n."""
     rng = Lcg(seed)
-    return [p.x0 + rng.vector(p.dim, -spread, spread) for _ in range(count)]
+    return [p.x0 + rng.vector(p.dim, -0.5, 0.5) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def test_criterion_07_subproblem_oracles():
 
 def test_criterion_08_exponential_calculator():
     inputs = BoundInputs(
-        f0=0.1 * 0.5 * 0.03125, f_low=0.0, a_min=0.03125, mu=0.0, p=1.0, eps=1.0
+        TrParams(), f0=0.1 * 0.5 * 0.03125, f_low=0.0, a_min=0.03125, mu=0.0, p=1.0, eps=1.0
     )
     b = bound_successful(inputs)
     ok = b.representable is not None

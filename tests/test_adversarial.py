@@ -11,6 +11,7 @@ from scipy.interpolate import CubicHermiteSpline
 from trfam import (
     AdversarialSpec,
     TrParams,
+    adversarial,
     build_interpolant,
     check_run_invariants,
     driver,
@@ -64,14 +65,18 @@ def generate_reference(spec):
     return x, f
 
 
-def hand_interpolant(x, f, g):
-    """Interpolant1D over arbitrary knot data (only x, f, g are read)."""
+def hand_instance(x, f, g):
+    """An instance over arbitrary knot data, for the interpolant (which
+    reads only x, f and g)."""
     x, f, g = (np.asarray(v, dtype=float) for v in (x, f, g))
-    inst = AdversarialInstance(
+    return AdversarialInstance(
         k_eps=x.size - 1, knots_x=x, f_vals=f, g_vals=g, B_vals=np.ones_like(x),
         s_vals=np.diff(x), delta0=1.0, kappa_f=2.0, spec=AdversarialSpec(0.5, 0.0),
     )
-    return Interpolant1D(inst)
+
+
+def hand_interpolant(x, f, g):
+    return Interpolant1D(hand_instance(x, f, g))
 
 
 def sweep_specs(cap=10**6):
@@ -276,7 +281,7 @@ def bits(v) -> bytes:
 class TestAsProblem:
     def interpolant(self):
         # a knot at 0 with f = -0.0 there: f(+0.0) is 0.0, f(-0.0) is -0.0
-        inst = hand_interpolant([-1.0, 0.0, 2.0], [1.0, -0.0, 3.0], [-1.0, 1.0, 2.0]).instance
+        inst = hand_instance([-1.0, 0.0, 2.0], [1.0, -0.0, 3.0], [-1.0, 1.0, 2.0])
         return CountingInterpolant(inst)
 
     def test_memo_matches_direct_evaluation(self):
@@ -383,6 +388,33 @@ class TestVerifySharpness:
         sharp, report = verify_sharpness(spec)
         assert sharp.passed
         assert hashlib.sha256(log_to_csv(report).encode()).hexdigest() == digest
+
+    @staticmethod
+    def move_stored_f(monkeypatch, j, by):
+        """Make verify_sharpness replay instances whose f_j is moved."""
+        original = adversarial.generate
+
+        def moved(spec, cap=adversarial.K_EPS_CAP):
+            inst = original(spec, cap)
+            inst.f_vals[j] += by
+            return inst
+
+        monkeypatch.setattr(adversarial, "generate", moved)
+
+    def test_moved_f_value_is_a_rho_mismatch(self, monkeypatch):
+        # f_50 enters rho at k = 49 (as f_k+1) and at k = 50 (as f_k), which
+        # it moves by about 1e-7 / m_k ~ 1e-5, far past the tolerance
+        self.move_stored_f(monkeypatch, 50, 1e-7)
+        sharp, _ = verify_sharpness(AdversarialSpec(0.1, 0.0))
+        assert [(m["check"], m["k"]) for m in sharp.mismatches] == [("rho", 49), ("rho", 50)]
+        assert sharp.iterations == sharp.k_eps == 99
+
+    def test_rho_tolerance_scales_with_f_over_the_model_decrease(self, monkeypatch):
+        # with u = 1e-7 the rounding allowance 2 u |f_k| / m_k is at least
+        # 3.5e-7 / m_k here, above the moved f's 1e-7 / m_k
+        self.move_stored_f(monkeypatch, 50, 1e-7)
+        monkeypatch.setattr(adversarial, "ROUNDING_U", 1e-7)
+        assert verify_sharpness(AdversarialSpec(0.1, 0.0))[0].passed
 
     @pytest.mark.parametrize("eps", [0.03, 0.01])
     def test_long_very_successful_streak_keeps_the_log_finite(self, eps):

@@ -1,6 +1,7 @@
 """Tests for the complexity-bound calculators and the run audit."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,10 +28,41 @@ from trfam.bounds import classical_reference_rows, kappa2, kappa3
 from trfam.hessians import build_model
 
 
+FAMILY = {f.name for f in fields(TrParams)}
+
+
 def inputs(**kw):
+    """BoundInputs with these defaults; TrParams fields go to its params."""
     base = dict(f0=1.0, f_low=0.0, a_min=0.03125, mu=1.0, p=0.0, eps=0.1)
+    family = {k: kw.pop(k) for k in set(kw) & FAMILY}
     base.update(kw)
-    return BoundInputs(**base)
+    return BoundInputs(TrParams(**family), **base)
+
+
+# The five out-of-family constant sets BoundInputs used to accept.
+OUT_OF_FAMILY = [
+    {"kappa_mdc": 5.0},
+    {"eta1": 0.9, "eta2": 0.1},
+    {"gamma1": 0.9, "gamma2": 0.5},
+    {"alpha": 3.0},
+    {"gamma2": 0.5, "gamma4": 0.5},
+]
+
+
+class TestFamilyConstants:
+    @pytest.mark.parametrize("bad", OUT_OF_FAMILY, ids=lambda d: ",".join(d))
+    def test_out_of_family_constants_rejected(self, bad):
+        # the constants reach the bounds only through TrParams, which
+        # enforces the family's orderings
+        assert not set(bad) & {f.name for f in fields(BoundInputs)}
+        with pytest.raises(ValueError):
+            inputs(**bad)
+
+    def test_calculators_read_the_params(self):
+        inp = inputs(eta1=0.2, kappa_mdc=0.25, delta0=2.0, alpha=1.0)
+        assert inp.params == TrParams(eta1=0.2, kappa_mdc=0.25, delta0=2.0, alpha=1.0)
+        assert kappa1(inp) == pytest.approx(1.0 / (0.2 * 0.25 * 0.03125))
+        assert kappa3(inp, 3.0) == pytest.approx(2.0 * 3.0 / 0.03125)
 
 
 class TestKappa1:
@@ -111,7 +143,7 @@ class TestBoundUnsuccessful:
         assert bound_unsuccessful(inp, 100.0) == pytest.approx(105.0)
 
     def test_gamma4_one_drops_s_term(self):
-        inp = inputs(alpha=1.0, beta=1.0, gamma4=1.0)
+        inp = inputs(alpha=1.0, beta=1.0, gamma3=1.0, gamma4=1.0)
         assert bound_unsuccessful(inp, 100.0) == bound_unsuccessful(inp, 10.0)
 
     def test_alpha_term(self):
@@ -194,9 +226,9 @@ class TestBoundTotal:
         # prefactor 3; kappa2 = kappa3 = 1, eps = 0.5, alpha = 1 -> 15
         inp = inputs(mu=1.0, p=0.0, eps=0.5, alpha=1.0, k0=0)
         tau = 1  # engineered so kappa2 comes out 1
-        f0 = inp.eta1 * inp.kappa_mdc * inp.a_min  # kappa2 = tau * 1
+        f0 = inp.params.eta1 * inp.params.kappa_mdc * inp.a_min  # kappa2 = tau * 1
         inp = inputs(mu=1.0, p=0.0, eps=0.5, alpha=1.0, k0=0, f0=f0)
-        xi = inp.a_min / inp.delta0  # kappa3 = 1
+        xi = inp.a_min / inp.params.delta0  # kappa3 = 1
         tb = bound_total_k(inp, tau, xi)
         assert kappa2(inp, tau) == pytest.approx(1.0)
         assert kappa3(inp, xi) == pytest.approx(1.0)
