@@ -1,5 +1,7 @@
 """Tests for the model-Hessian implementations and the growth envelope."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from trfam import (
     ZeroModel,
     build_model,
     get_problem,
+    log_to_csv,
     measure_envelope,
 )
-from trfam.hessians import SIGMA, ExactHessian
+from trfam.bench import RunSpec, run_matrix
+from trfam.hessians import ExactHessian
 
 from oracles import dense_matrix
 
@@ -58,15 +62,51 @@ def compact_apply_reference(mode, pairs, sig, v):
     return sig * v
 
 
-def feed_pairs(m, rng, count, collinear=False):
-    """Update m with pairs from a curved map; collinear steps share one
-    direction, which leaves W with rank at most 3."""
-    n = m.dim
+def compact_norm_reference(mode, pairs, n):
+    """Oracle: |B| rebuilt from the pairs with sigma = 1 by the np.block,
+    thin-QR and k x k eigvalsh route, with L-SR1 shedding its oldest pair
+    while M is singular."""
+    pairs = list(pairs)
+    while pairs:
+        S = np.column_stack([p[0] for p in pairs])
+        Y = np.column_stack([p[1] for p in pairs])
+        SY = S.T @ Y
+        L = np.tril(SY, -1)
+        D = np.diag(np.diag(SY))
+        if mode == "lbfgs":
+            M = np.block([[S.T @ S, L], [L.T, -D]])
+            W, sign = np.hstack([S, Y]), -1.0
+        else:
+            M = D + L + L.T - S.T @ S
+            W, sign = Y - S, 1.0
+        try:
+            K = np.linalg.solve(M, W.T)
+        except np.linalg.LinAlgError:
+            if mode == "lbfgs":
+                raise
+            pairs.pop(0)
+            continue
+        Q, R = np.linalg.qr(W)
+        C = R @ K @ Q
+        norm = float(np.max(np.abs(1.0 + sign * np.linalg.eigvalsh(0.5 * (C + C.T)))))
+        return max(norm, 1.0) if n > Q.shape[1] else norm
+    return 1.0
+
+
+def curved_pairs(rng, n, count, collinear=False):
+    """Pairs (s, y) from a curved map; collinear steps share one direction,
+    which leaves W with rank at most 3."""
     A = np.diag(np.geomspace(0.1, 10.0, n))
     d, u = rng.standard_normal(n), rng.standard_normal(n)
     for _ in range(count):
         s = rng.uniform(0.5, 2.0) * d if collinear else rng.standard_normal(n)
-        m.update(s, A @ s + 0.1 * (s @ s) * u)
+        yield s, A @ s + 0.1 * (s @ s) * u
+
+
+def feed_pairs(m, rng, count, collinear=False):
+    """Update m with ``count`` pairs from ``curved_pairs``."""
+    for s, y in curved_pairs(rng, m.dim, count, collinear):
+        m.update(s, y)
 
 
 def envelope_log(bnorms, n_succs):
@@ -101,15 +141,30 @@ class TestApply:
 
 
 class TestCompactFactors:
+    # n = 2 leaves W rank-deficient; n = 100 is past 2 * memory
+    @pytest.mark.parametrize("n", [2, 9, 100])
     @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
-    def test_apply_matches_per_call_formula(self, mode):
+    def test_apply_matches_per_call_formula(self, mode, n):
         rng = np.random.default_rng(13)
-        m = build_model(mode, dim=9, memory=3)
-        v = rng.standard_normal(9)
+        m = build_model(mode, dim=n, memory=3)
+        v = rng.standard_normal(n)
         for _ in range(6):  # past the memory, so pairs are evicted too
             feed_pairs(m, rng, 1)
-            expected = compact_apply_reference(mode, m.pairs, SIGMA, v)
+            expected = compact_apply_reference(mode, m.pairs, 1.0, v)
             assert np.array_equal(m.apply(v), expected)
+
+    @pytest.mark.parametrize("collinear", [False, True], ids=["random", "collinear"])
+    @pytest.mark.parametrize("memory", [1, 3, 5])
+    @pytest.mark.parametrize("n", [2, 9, 100])
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    def test_norm_is_bit_identical_to_the_block_route(self, mode, n, memory, collinear):
+        rng = np.random.default_rng(17)
+        m = build_model(mode, dim=n, memory=memory)
+        assert m.operator_norm() == compact_norm_reference(mode, m.pairs, n)
+        # past the memory, so pairs are evicted too
+        for s, y in curved_pairs(rng, n, memory + 3, collinear):
+            m.update(s, y)
+            assert m.operator_norm() == compact_norm_reference(mode, m.pairs, n)
 
     def test_lsr1_sheds_oldest_pair_of_singular_window(self):
         # y2 = s2 passes the SR1 test against B built from the first pair; once
@@ -123,6 +178,7 @@ class TestCompactFactors:
         pairs = [(s.copy(), y.copy()) for s, y in m.pairs]
         v = np.array([0.3, -1.7])
         assert np.array_equal(m.apply(v), compact_apply_reference("lsr1", pairs[1:], 1.0, v))
+        assert m.operator_norm() == compact_norm_reference("lsr1", pairs, 2)
         assert len(m.pairs) == 2
         assert all(np.array_equal(a, b) for p, q in zip(m.pairs, pairs) for a, b in zip(p, q))
 
@@ -306,6 +362,33 @@ class TestModelsThatDoNotLearn:
         assert np.array_equal(m.apply(v), H @ v)
         assert m.operator_norm() == np.max(np.abs(np.linalg.eigvalsh(H)))
         assert (np.array_equal(m.apply(v), before[0]) and m.operator_norm() == before[1]) is same
+
+
+class TestCompactPathDigests:
+    """Quasi-Newton runs pinned byte for byte: cells of the matrix-qn
+    benchmark at variant 1_1, solved as ``benchmarks/digests.py`` solves
+    them. n = 2 leaves W rank-deficient, arwhead (n = 100) is past
+    2 * memory, and cliff's L-SR1 window has cond(M) up to 2e30. Unlike
+    the scalar worst-case replays, these logs go through BLAS and LAPACK,
+    so the digests hold for the numpy build they were taken with."""
+
+    DIGESTS = {
+        "rosenbrock/lbfgs": "d048fe92051a74c37295674c170fb9173b1d4be126e01810740ab20a4e1e784e",
+        "rosenbrock/lsr1": "6602117e8f14bf1c546f83cf9a334d323d931236faebfb473fa0b87ad7c429a7",
+        "trigonometric/lbfgs": "df4ad2c7804c8ac2c9fb4e3945334ac8a1cfca7d902ba2e71ee11dfa0ad8b100",
+        "trigonometric/lsr1": "7bc392010bc8bd645c5c38c59a206198225c20f13020bbdd13901a9c7f5ab893",
+        "arwhead/lbfgs": "f3c948b34d14d132a027758bd14bbd7e6fc5c5f24828ce4af51a3ca5c1ad2c12",
+        "arwhead/lsr1": "a4b5381d1afe0f03f8fedc6c3a84f1ffa4c84280c5cb92c2af6998a9df743806",
+        "cliff/lbfgs": "f3fcfb99cc27bbffc50158dfc5c263d663eae754ee750083e17d43bfa26ff83e",
+        "cliff/lsr1": "559603ab1cb9f1bc5b05addd35d4506afac0b9b2e563483400a69a0c8a01898a",
+    }
+
+    @pytest.mark.parametrize("label,digest", DIGESTS.items(), ids=list(DIGESTS))
+    def test_log_digest_pinned(self, label, digest):
+        name, hessian = label.split("/")
+        _, reports = run_matrix([RunSpec(name, 1.0, 1.0, hessian, max_iter=500)])
+        csv = log_to_csv(reports[(name, "1_1")])
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 class TestMeasureEnvelope:
