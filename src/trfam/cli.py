@@ -11,7 +11,7 @@ import sys
 from . import adversarial as adv
 from . import bench as bench_mod
 from . import bounds as bounds_mod
-from .driver import SolveError, TrParams, solve, theoretical_a_min, write_log_csv
+from .driver import RADIUS_MODES, SolveError, TrParams, solve, theoretical_a_min, write_log_csv
 from .hessians import MODEL_KINDS, build_model
 from .problems import get_problem
 
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--problem", required=True)
     _add_run_flags(p_solve)
     p_solve.add_argument("--eval-budget", type=int, default=None, dest="eval_budget")
-    p_solve.add_argument("--radius-mode", default="current", choices=["current", "history"])
+    p_solve.add_argument("--radius-mode", default=TrParams.radius_mode, choices=RADIUS_MODES)
     p_solve.add_argument("--update-on-unsuccessful", action="store_true")
     p_solve.add_argument("--log-csv", default=None, dest="log_csv")
     p_solve.add_argument("--json", action="store_true")

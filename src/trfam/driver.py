@@ -25,6 +25,8 @@ UNSUCCESSFUL = "unsuccessful"
 
 # The status column stores indices into STATUSES.
 STATUSES = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
+# The effective radius reads the current |g| and |B| or their history.
+RADIUS_MODES = ("current", "history")
 _STATUS_CODE = {name: code for code, name in enumerate(STATUSES)}
 _STATUS_LETTERS = ("VS", "S", "U")
 
@@ -69,7 +71,7 @@ class TrParams:
     alpha: float = 0.0
     beta: float = 0.0
     delta0: float = 1.0
-    radius_mode: str = "current"  # or "history"
+    radius_mode: str = "current"  # one of RADIUS_MODES
     update_on_unsuccessful: bool = False
 
     def __post_init__(self):
@@ -83,7 +85,7 @@ class TrParams:
             raise ValueError("need alpha <= 1 and beta <= 1")
         if not self.delta0 > 0:
             raise ValueError("need delta0 > 0")
-        if self.radius_mode not in ("current", "history"):
+        if self.radius_mode not in RADIUS_MODES:
             raise ValueError(f"unknown radius_mode {self.radius_mode!r}")
 
 
@@ -245,13 +247,11 @@ def solve(
         raise ValueError("eps must be positive")
 
     evals = EvalCounter()
-
-    def budget_left(need: int) -> bool:
-        return eval_budget is None or evals.total + need <= eval_budget
+    budget = math.inf if eval_budget is None else eval_budget
 
     x = np.array(problem.x0, dtype=float)
     step_solver = newton_step_1d if x.size == 1 else solve_tcg
-    if not budget_left(2):
+    if evals.n_f + evals.n_g + 2 > budget:
         return SolveReport("eval_budget", 0, 0, 0, math.nan, math.nan, evals, x=x)
     f = float(problem.eval_f(x))
     evals.n_f += 1
@@ -277,7 +277,7 @@ def solve(
         if k >= max_iter:
             status = "max_iter"
             break
-        if not budget_left(1):
+        if evals.n_f + evals.n_g + 1 > budget:
             status = "eval_budget"
             break
 
@@ -327,22 +327,23 @@ def solve(
 
         accepted = iter_status != UNSUCCESSFUL
         if accepted:
-            if not budget_left(1):
+            if evals.n_f + evals.n_g + 1 > budget:
                 status = "eval_budget"
                 break
             g_new = np.asarray(problem.eval_grad(x_trial), dtype=float)
             evals.n_g += 1
-            if not (math.isfinite(f_trial) and np.isfinite(g_new).all()):
-                raise SolveError(f"{problem.name}: non-finite f or gradient at k={k}")
             y = g_new - g
+            ynorm = _norm(y)  # finite only if g_new is, g being finite
+            if not (math.isfinite(f_trial) and (math.isfinite(ynorm) or np.isfinite(g_new).all())):
+                raise SolveError(f"{problem.name}: non-finite f or gradient at k={k}")
             if snorm > 0:
-                lip = max(lip, _norm(y) / snorm)
+                lip = max(lip, ynorm / snorm)
             model.update(step.s, y)
             x, f, g = x_trial, f_trial, g_new
             n_succ += 1
         elif params.update_on_unsuccessful and isinstance(model, (LbfgsModel, Lsr1Model)):
             # Assumption-2 regime: pay one extra gradient for the rejected pair
-            if not budget_left(1):
+            if evals.n_f + evals.n_g + 1 > budget:
                 status = "eval_budget"
                 break
             g_trial = np.asarray(problem.eval_grad(x_trial), dtype=float)

@@ -2,17 +2,19 @@
 
 Every model is a symmetric linear operator exposing ``apply`` (B v
 products), ``update`` (pair ingestion with the usual safeguards) and
-``operator_norm``. The limited-memory models start from B0 = sigma I with
-sigma = ``SIGMA``. Limited-memory products use the direct compact
-representation (Byrd, Nocedal and Schnabel 1994), not the inverse form,
-because both the subproblem and the agreement ratio consume B v. Its
-factors are built once per accepted pair, and ``operator_norm`` reads the
-exact spectrum from them: a thin QR of the n x k factor W reduces
-B = sigma I -/+ W M^{-1} W^T to a k x k eigenproblem (Erway and Marcia
-2015), k <= 2 * memory.
+``operator_norm``. The limited-memory models start from B0 = I.
+Limited-memory products use the direct compact representation (Byrd,
+Nocedal and Schnabel 1994), not the inverse form, because both the
+subproblem and the agreement ratio consume B v. Its factors are built once
+per accepted pair, and ``operator_norm`` reads the exact spectrum from
+them: a thin QR of the n x k factor W reduces B = I -/+ W M^{-1} W^T to a
+k x k eigenproblem (Erway and Marcia 2015), k <= 2 * memory.
 """
 
 from __future__ import annotations
+
+import functools
+from array import array
 
 import numpy as np
 
@@ -21,9 +23,6 @@ from .subproblem import _norm
 # Pair-acceptance safeguards; standard choices.
 BFGS_CURVATURE_TOL = 1e-8
 SR1_DENOM_TOL = 1e-8
-
-# Scale sigma of the limited-memory seed B0 = sigma I.
-SIGMA = 1.0
 
 DEFAULT_MEMORY = 5  # pairs a limited-memory model keeps unless told otherwise
 MODEL_KINDS = ("exact", "lbfgs", "lsr1", "zero")  # what build_model builds
@@ -89,24 +88,18 @@ class ScriptedModel(HessianModel):
 
     def __init__(self, values):
         super().__init__(1)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.size == 0:
+        self.values = array("d")  # 8 B per value; indexing gives a float
+        self.values.frombytes(np.ascontiguousarray(values, dtype=float).view(np.uint8))
+        if not self.values:
             raise ValueError("empty script")
-        self._k = 0
-
-    @property
-    def scalar(self) -> float:
-        return float(self.values[min(self._k, self.values.size - 1)])
+        self.begin_iteration(0)
 
     def begin_iteration(self, k: int) -> None:
-        self._k = k
-        self._norm_cache = None
+        self.scalar = self.values[min(k, len(self.values) - 1)]
+        self._norm_cache = abs(self.scalar)
 
     def _apply(self, v):
         return self.scalar * v
-
-    def _compute_norm(self):
-        return abs(self.scalar)
 
 
 class ExactHessian(HessianModel):
@@ -135,21 +128,26 @@ class ExactHessian(HessianModel):
 class _PairModel(HessianModel):
     """Shared storage for limited-memory models: a window of (s, y) pairs.
 
-    Subclasses write B = sigma I + sign * W M^{-1} W^T. The factors W, M
-    and K = M^{-1} W^T are built on first use after an accepted pair and
-    reused until the next one. A pair enters the window when the
-    subclass's ``_admits`` safeguard passes it.
+    The window is kept as C-contiguous n x k arrays S and Y, oldest pair
+    first, and B = I -/+ W M^{-1} W^T. The factors W, M and K = M^{-1} W^T
+    are built on first use after an accepted pair and reused until the
+    next one. A pair enters the window when ``_admits`` passes it.
     """
 
-    _SIGN: float  # -1 for BFGS, +1 for SR1
+    _combine: np.ufunc  # np.subtract for BFGS, np.add for SR1
 
     def __init__(self, dim, memory=DEFAULT_MEMORY):
         super().__init__(dim)
         if memory < 1:
             raise ValueError("memory must be positive")
         self.memory = memory
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._S = self._Y = np.empty((dim, 0))
         self._factors: tuple | None = None
+
+    @property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The window's (s, y) pairs, oldest first, as views of S and Y."""
+        return list(zip(self._S.T, self._Y.T))
 
     def update(self, s, y):
         s = np.asarray(s, dtype=float)
@@ -158,66 +156,70 @@ class _PairModel(HessianModel):
             raise ValueError("update with zero step")
         if not self._admits(s, y):
             return False
-        if len(self.pairs) == self.memory:
-            self.pairs.pop(0)
-        self.pairs.append((s.copy(), y.copy()))
+        drop = int(self._S.shape[1] == self.memory)  # evict the oldest pair
+        self._S = np.concatenate((self._S[:, drop:], s[:, None]), axis=1)
+        self._Y = np.concatenate((self._Y[:, drop:], y[:, None]), axis=1)
         self._factors = None
         self._norm_cache = None
         return True
 
     def _compact(self) -> tuple:
-        """(W, M, K) from the subclass's ``_factorize``; empty when B = sigma I."""
+        """(W, M, K) from the subclass's ``_factorize``; empty when B = I."""
         if self._factors is None:
-            self._factors = self._factorize() if self.pairs else ()
+            self._factors = self._factorize() if self._S.shape[1] else ()
         return self._factors
 
     def _apply(self, v):
         factors = self._compact()
         if not factors:
-            return SIGMA * v
+            return v.copy()
         W, M, _ = factors
         # solve per product, not K @ v: this keeps every product's rounding,
         # and with it every beta = 0 trajectory, as it was
-        z = np.linalg.solve(M, W.T @ v)
-        return SIGMA * v + self._SIGN * (W @ z)
+        return self._combine(v, W @ np.linalg.solve(M, W.T @ v))
 
     def _compute_norm(self):
         factors = self._compact()
         if not factors:
-            return SIGMA
+            return 1.0
         W, _, K = factors
         # W = QR with Q orthonormal even when W is rank-deficient, so
-        # B = sigma I + sign * Q (R M^{-1} R^T) Q^T, and R M^{-1} R^T = R K Q
+        # B = I -/+ Q (R M^{-1} R^T) Q^T, and R M^{-1} R^T = R K Q
         Q, R = np.linalg.qr(W)
         C = R @ K @ Q
-        eigs = SIGMA + self._SIGN * np.linalg.eigvalsh(0.5 * (C + C.T))
+        eigs = self._combine(1.0, np.linalg.eigvalsh(0.5 * (C + C.T)))
         norm = float(np.max(np.abs(eigs)))
         if self.dim > Q.shape[1]:
-            norm = max(norm, SIGMA)  # B = sigma I on the complement of range(Q)
+            norm = max(norm, 1.0)  # B = I on the complement of range(Q)
         return norm
 
 
-def _columns(pairs):
-    S = np.column_stack([p[0] for p in pairs])
-    Y = np.column_stack([p[1] for p in pairs])
-    return S, Y
+@functools.cache
+def _strict_lower(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict lower triangle of a k x k matrix."""
+    return np.tril_indices(k, -1)
 
 
 class LbfgsModel(_PairModel):
     """Limited-memory BFGS in the compact form
-    B = sigma I - [sigma S, Y] M^{-1} [sigma S, Y]^T,
-    M = [[sigma S^T S, L], [L^T, -D]].
+    B = I - [S, Y] M^{-1} [S, Y]^T,
+    M = [[S^T S, L], [L^T, -D]],
+    with L the strict lower triangle of S^T Y and D its diagonal.
     """
 
-    _SIGN = -1.0
+    _combine = np.subtract
 
     def _factorize(self):
-        S, Y = _columns(self.pairs)
+        S, Y = self._S, self._Y
+        k = S.shape[1]
         SY = S.T @ Y
-        L = np.tril(SY, -1)
-        D = np.diag(np.diag(SY))
-        M = np.block([[SIGMA * (S.T @ S), L], [L.T, -D]])
-        W = np.hstack([SIGMA * S, Y])
+        rows, cols = _strict_lower(k)
+        M = np.zeros((2 * k, 2 * k))
+        M[:k, :k] = S.T @ S
+        M[rows, cols + k] = M[cols + k, rows] = SY[rows, cols]  # L and L^T
+        M[k:, k:] = -0.0  # -D, whose off-diagonal zeros are -0.0
+        np.fill_diagonal(M[k:, k:], -SY.diagonal())
+        W = np.concatenate((S, Y), axis=1)
         return W, M, np.linalg.solve(M, W.T)
 
     def _admits(self, s, y):
@@ -229,23 +231,23 @@ class LbfgsModel(_PairModel):
 
 class Lsr1Model(_PairModel):
     """Limited-memory SR1 in the compact form
-    B = sigma I + (Y - sigma S) M^{-1} (Y - sigma S)^T,
-    M = D + L + L^T - sigma S^T S.
+    B = I + (Y - S) M^{-1} (Y - S)^T,
+    M = D + L + L^T - S^T S.
 
-    The factors use the longest suffix of ``pairs`` whose M is nonsingular
+    The factors use the longest suffix of the window whose M is nonsingular
     to ``np.linalg.solve``; ``pairs`` itself keeps every accepted pair.
     """
 
-    _SIGN = 1.0
+    _combine = np.add
 
     def _factorize(self):
-        for start in range(len(self.pairs)):
-            S, Y = _columns(self.pairs[start:])
-            Psi = Y - SIGMA * S
+        for start in range(self._S.shape[1]):
+            S, Y = self._S[:, start:], self._Y[:, start:]
             SY = S.T @ Y
-            L = np.tril(SY, -1)
-            D = np.diag(np.diag(SY))
-            M = D + L + L.T - SIGMA * (S.T @ S)
+            rows, cols = _strict_lower(S.shape[1])
+            SY[cols, rows] = SY[rows, cols]  # D + L + L^T
+            M = SY - S.T @ S
+            Psi = Y - S
             try:
                 return Psi, M, np.linalg.solve(M, Psi.T)
             except np.linalg.LinAlgError:

@@ -42,10 +42,6 @@ class EvalCounter:
     n_f: int = 0
     n_g: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.n_f + self.n_g
-
 
 def check_gradient(p: Problem, x: Array, h: float) -> float:
     """Max relative error between analytic gradient and central differences.

@@ -148,9 +148,8 @@ def newton_step_1d(g: Array, B: HessianModel, radius: float) -> StepResult:
     worst-case verifier relies on. In one dimension the Cauchy point
     minimizes the model over the whole ball, as this step does. A
     non-finite gradient raises ValueError: the boundary branch would
-    otherwise turn it into a finite step.
+    otherwise turn it into a finite step. ``g`` is a float array.
     """
-    g = np.asarray(g, dtype=float)
     if g.size != 1:
         raise ValueError("newton_step_1d only handles dimension 1")
     g0 = float(g[0])

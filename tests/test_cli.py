@@ -6,7 +6,7 @@ import pytest
 
 from trfam import cli
 from trfam.cli import main
-from trfam.driver import SolveError
+from trfam.driver import RADIUS_MODES, SolveError, TrParams
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +34,15 @@ class TestSolve:
             capsys, "solve", "--problem", "rosenbrock", "--eta1", "0.9", "--eta2", "0.5"
         )
         assert code == 2
+
+    def test_radius_mode_flag_reads_the_driver(self):
+        parse = cli.build_parser().parse_args
+        assert parse(["solve", "--problem", "sphere"]).radius_mode == TrParams.radius_mode
+        for mode in RADIUS_MODES:
+            assert parse(["solve", "--problem", "sphere", "--radius-mode", mode]).radius_mode == mode
+        with pytest.raises(SystemExit) as exit_info:
+            parse(["solve", "--problem", "sphere", "--radius-mode", "past"])
+        assert exit_info.value.code == 2
 
     def test_unknown_problem_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--problem", "nessie")

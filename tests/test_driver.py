@@ -155,6 +155,16 @@ class TestSolve:
         assert r.status == "eval_budget"
         assert r.iterations == 0
 
+    def test_eval_budget_binds_exactly(self):
+        p = get_problem("rosenbrock")
+        full = solve(p, TrParams(), build_model("lbfgs", p), eps=1e-6)
+        used = full.evals.n_f + full.evals.n_g
+        same = solve(p, TrParams(), build_model("lbfgs", p), eps=1e-6, eval_budget=used)
+        assert (same.status, log_to_csv(same)) == (full.status, log_to_csv(full))
+        short = solve(p, TrParams(), build_model("lbfgs", p), eps=1e-6, eval_budget=used - 1)
+        assert short.status == "eval_budget"
+        assert short.evals.n_f + short.evals.n_g <= used - 1
+
     def test_history_radius_mode(self):
         p = get_problem("rosenbrock")
         params = TrParams(alpha=1.0, beta=1.0, radius_mode="history")
@@ -195,6 +205,24 @@ class TestSolve:
         )
         with pytest.raises(SolveError):
             solve(bad, TrParams(), build_model("zero", dim=1), eps=1e-6)
+
+    # (1e300, 1e300) is finite, but |y| of the gradient change overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("g_trial", [(math.nan, 0.0), (1e300, 1e300)])
+    def test_gradient_at_an_accepted_step_must_be_finite(self, g_trial):
+        x0 = np.zeros(2)
+        p = Problem(
+            "step", 2,
+            lambda x: 0.0 if np.array_equal(x, x0) else -1.0,
+            lambda x: np.array([1.0, 0.0] if np.array_equal(x, x0) else g_trial),
+            x0,
+        )
+        model = build_model("zero", dim=2)
+        if math.isfinite(sum(g_trial)):
+            assert solve(p, TrParams(), model, eps=1e-6, max_iter=1).n_succ_total == 1
+        else:
+            with pytest.raises(SolveError, match="step: non-finite f or gradient at k=0"):
+                solve(p, TrParams(), model, eps=1e-6, max_iter=1)
 
 
 def quartic_1d():
