@@ -11,14 +11,13 @@ the verifier checks that, bit for bit where the construction allows it.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .driver import STATUSES, SolveReport, TrParams, VERY_SUCCESSFUL, solve
-from .hessians import ScriptedModel
+from .hessians import ScriptedModel, _doubles
 from .problems import Problem
 
 K_EPS_CAP = 10**8
@@ -139,13 +138,6 @@ def _check_instance(inst: AdversarialInstance) -> None:
     gabs = np.abs(inst.g_vals)
     if not (np.all(gabs[:-1] > inst.spec.eps) and gabs[-1] == inst.spec.eps):
         raise AssertionError("gradient magnitudes must exceed eps until the last knot")
-
-
-def _doubles(v: np.ndarray) -> array:
-    """An array('d') copy of a float vector, filled in one block."""
-    out = array("d")
-    out.frombytes(memoryview(np.ascontiguousarray(v, dtype=float)).cast("B"))
-    return out
 
 
 class Interpolant1D:

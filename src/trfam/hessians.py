@@ -28,6 +28,13 @@ DEFAULT_MEMORY = 5  # pairs a limited-memory model keeps unless told otherwise
 MODEL_KINDS = ("exact", "lbfgs", "lsr1", "zero")  # what build_model builds
 
 
+def _doubles(v) -> array:
+    """An array('d') copy of a float vector, filled in one block."""
+    out = array("d")
+    out.frombytes(memoryview(np.ascontiguousarray(v, dtype=float)).cast("B"))
+    return out
+
+
 class HessianModel:
     """Base class; concrete models override the private hooks, and models
     that learn from steps override ``update``.
@@ -88,8 +95,7 @@ class ScriptedModel(HessianModel):
 
     def __init__(self, values):
         super().__init__(1)
-        self.values = array("d")  # 8 B per value; indexing gives a float
-        self.values.frombytes(np.ascontiguousarray(values, dtype=float).view(np.uint8))
+        self.values = _doubles(values)  # 8 B per value; indexing gives a float
         if not self.values:
             raise ValueError("empty script")
         self.begin_iteration(0)
