@@ -6,7 +6,7 @@ import pytest
 
 from trfam import cli
 from trfam.cli import main
-from trfam.driver import RADIUS_MODES, SolveError, TrParams
+from trfam.driver import SolveError, TrParams
 
 
 def run_cli(capsys, *argv):
@@ -35,11 +35,14 @@ class TestSolve:
         )
         assert code == 2
 
-    def test_radius_mode_flag_reads_the_driver(self):
+    def test_radius_mode_flag_matches_the_driver(self):
         parse = cli.build_parser().parse_args
         assert parse(["solve", "--problem", "sphere"]).radius_mode == TrParams.radius_mode
-        for mode in RADIUS_MODES:
+        for mode in ("current", "history"):
+            assert TrParams(radius_mode=mode).radius_mode == mode
             assert parse(["solve", "--problem", "sphere", "--radius-mode", mode]).radius_mode == mode
+        with pytest.raises(ValueError, match="unknown radius_mode"):
+            TrParams(radius_mode="past")
         with pytest.raises(SystemExit) as exit_info:
             parse(["solve", "--problem", "sphere", "--radius-mode", "past"])
         assert exit_info.value.code == 2

@@ -39,52 +39,43 @@ def sr1_dense_recursion(pairs, n, sigma=1.0):
     return B
 
 
-def compact_apply_reference(mode, pairs, sig, v):
-    """Oracle: the compact-form product rebuilt from the pairs on every call,
-    with L-SR1 shedding its oldest pair while M is singular."""
-    pairs = list(pairs)
-    while pairs:
-        S = np.column_stack([p[0] for p in pairs])
-        Y = np.column_stack([p[1] for p in pairs])
+def compact_windows(mode, pairs, sig):
+    """Oracle: the compact form B = sig I + sign * W M^{-1} W^T rebuilt from
+    the pairs by the np.block route, as (W, M, sign) for the whole window
+    and then for each shorter suffix of it."""
+    for start in range(len(pairs)):
+        S = np.column_stack([p[0] for p in pairs[start:]])
+        Y = np.column_stack([p[1] for p in pairs[start:]])
         SY = S.T @ Y
         L = np.tril(SY, -1)
         D = np.diag(np.diag(SY))
         if mode == "lbfgs":
-            M = np.block([[sig * (S.T @ S), L], [L.T, -D]])
-            W = np.hstack([sig * S, Y])
-            return sig * v - W @ np.linalg.solve(M, W.T @ v)
-        Psi = Y - sig * S
-        M = D + L + L.T - sig * (S.T @ S)
+            yield np.hstack([sig * S, Y]), np.block([[sig * (S.T @ S), L], [L.T, -D]]), -1.0
+        else:
+            yield Y - sig * S, D + L + L.T - sig * (S.T @ S), 1.0
+
+
+def compact_apply_reference(mode, pairs, sig, v):
+    """Oracle: the compact-form product rebuilt from the pairs on every call,
+    with L-SR1 shedding its oldest pair while M is singular."""
+    for W, M, sign in compact_windows(mode, list(pairs), sig):
         try:
-            return sig * v + Psi @ np.linalg.solve(M, Psi.T @ v)
+            return sig * v + sign * (W @ np.linalg.solve(M, W.T @ v))
         except np.linalg.LinAlgError:
-            pairs.pop(0)
+            if mode == "lbfgs":
+                raise
     return sig * v
 
 
 def compact_norm_reference(mode, pairs, n):
-    """Oracle: |B| rebuilt from the pairs with sigma = 1 by the np.block,
-    thin-QR and k x k eigvalsh route, with L-SR1 shedding its oldest pair
-    while M is singular."""
-    pairs = list(pairs)
-    while pairs:
-        S = np.column_stack([p[0] for p in pairs])
-        Y = np.column_stack([p[1] for p in pairs])
-        SY = S.T @ Y
-        L = np.tril(SY, -1)
-        D = np.diag(np.diag(SY))
-        if mode == "lbfgs":
-            M = np.block([[S.T @ S, L], [L.T, -D]])
-            W, sign = np.hstack([S, Y]), -1.0
-        else:
-            M = D + L + L.T - S.T @ S
-            W, sign = Y - S, 1.0
+    """Oracle: |B| with sigma = 1 by the thin-QR and k x k eigvalsh route,
+    with L-SR1 shedding its oldest pair while M is singular."""
+    for W, M, sign in compact_windows(mode, list(pairs), 1.0):
         try:
             K = np.linalg.solve(M, W.T)
         except np.linalg.LinAlgError:
             if mode == "lbfgs":
                 raise
-            pairs.pop(0)
             continue
         Q, R = np.linalg.qr(W)
         C = R @ K @ Q
@@ -345,9 +336,12 @@ class TestModelsThatDoNotLearn:
             assert m.update(s, y) is False
             assert np.array_equal(m.apply(v), before[0])
             assert m.operator_norm() == before[1] == 2.0
-        m.begin_iteration(1)
-        assert np.array_equal(m.apply(v), -5.0 * v)
-        assert m.operator_norm() == 5.0
+        for k in (1, 7):  # past the script, the last value holds
+            m.begin_iteration(k)
+            assert np.array_equal(m.apply(v), -5.0 * v)
+            assert m.operator_norm() == 5.0
+        with pytest.raises(ValueError, match="empty script"):
+            ScriptedModel([])
 
     @pytest.mark.parametrize("name,same", [("sphere", True), ("rosenbrock", False)])
     def test_exact_model_reevaluates_at_the_new_iterate(self, name, same):
