@@ -6,7 +6,9 @@ bound (pytest-benchmark).
 Not part of the tier-1 suite: timings on a small shared host are noisy.
 The exact model holds a seeded SPD matrix with eigenvalues spread over
 [0.1, 10]; the L-BFGS model a full window of memory 5. The radius is large
-enough that CG stops on its residual test, not on the boundary.
+enough that CG stops on its residual test, not on the boundary. The
+re-solve case times what a rejected step costs the step solver: a path
+already walked at radius r is walked again at r/2, as the driver does.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from trfam import AdversarialSpec, build_interpolant, generate
 from trfam.hessians import ExactHessian, ScriptedModel, build_model
-from trfam.subproblem import newton_step_1d, solve_tcg
+from trfam.subproblem import SteihaugPath, newton_step_1d, solve_tcg
 
 MEMORY = 5
 RADIUS = 1e6
@@ -48,6 +50,22 @@ def test_solve_tcg(benchmark, mode, n):
     g = rng.standard_normal(n)
     step = benchmark(solve_tcg, g, model, RADIUS)
     assert not step.boundary_hit
+
+
+def test_resolve_after_rejection(benchmark):
+    n = 100
+    rng = np.random.default_rng(n)
+    model = lbfgs_model(n, rng)
+    g = rng.standard_normal(n)
+    r = 0.5 * np.linalg.norm(solve_tcg(g, model, RADIUS).s)  # the first walk ends on the boundary
+
+    def walked_path():
+        path = SteihaugPath(g, model)
+        solve_tcg(g, model, r, path)
+        return (g, model, 0.5 * r, path), {}
+
+    step = benchmark.pedantic(solve_tcg, setup=walked_path, rounds=2000)
+    assert step.boundary_hit
 
 
 def test_newton_step_1d(benchmark):

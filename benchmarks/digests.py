@@ -7,10 +7,13 @@ from ``perfbench/workloads.py``: the matrix-exact and matrix-qn cells and the
 worst-case specs of the given seed, solved as the benchmark solves them.
 Prints one line per cell,
 
-    workload label sha256(log_to_csv) status iterations n_f n_g
+    workload label sha256(log_to_csv) sha256(log_to_csv without rho) status iterations n_f n_g
 
 and ends with one SHA-256 over all those lines. Two commits whose outputs
-match took the same iterates, byte for byte, in every cell.
+match took the same iterates, byte for byte, in every cell. The second
+digest leaves out the rho column, the one column that reads the model
+decrease: two commits that round the decrease differently but take the
+same iterates match on it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,22 @@ from trfam import adversarial, driver  # noqa: E402
 from trfam.hessians import build_model  # noqa: E402
 
 
+RHO = driver.CSV_HEADER.split(",").index("rho")
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def without_rho(csv: str) -> str:
+    rows = [row.split(",") for row in csv.splitlines()]
+    return "".join(",".join(row[:RHO] + row[RHO + 1:]) + "\n" for row in rows)
+
+
 def line(workload: str, label: str, report: driver.SolveReport) -> str:
-    digest = hashlib.sha256(driver.log_to_csv(report).encode()).hexdigest()
-    return (f"{workload} {label} {digest} {report.status} {report.iterations} "
-            f"{report.evals.n_f} {report.evals.n_g}")
+    csv = driver.log_to_csv(report)
+    return (f"{workload} {label} {sha256(csv)} {sha256(without_rho(csv))} {report.status} "
+            f"{report.iterations} {report.evals.n_f} {report.evals.n_g}")
 
 
 def matrix_lines(name: str, wl) -> list[str]:
@@ -62,7 +77,7 @@ def main(argv=None) -> int:
              + worst_case_lines(args.seed))
     for ln in lines:
         print(ln)
-    print("all", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    print("all", sha256("\n".join(lines)))
     return 0
 
 

@@ -41,6 +41,12 @@ class RunSpec:
     max_iter: int = 10_000
     eval_budget: int = 100_000
 
+    def __post_init__(self):
+        if not self.max_iter >= 0:
+            raise ValueError("max_iter must be nonnegative")
+        if not self.eval_budget >= 0:
+            raise ValueError("eval_budget must be nonnegative")
+
     @property
     def variant(self) -> str:
         return f"{_fmt_ab(self.alpha)}_{_fmt_ab(self.beta)}"

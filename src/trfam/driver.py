@@ -17,7 +17,7 @@ import numpy as np
 
 from .hessians import LbfgsModel, Lsr1Model
 from .problems import EvalCounter, Problem
-from .subproblem import _norm, effective_radius, newton_step_1d, solve_tcg
+from .subproblem import SteihaugPath, _norm, effective_radius, newton_step_1d, solve_tcg
 
 VERY_SUCCESSFUL = "very_successful"
 SUCCESSFUL = "successful"
@@ -241,16 +241,24 @@ def solve(
     step. ``eval_budget`` caps the combined objective and gradient
     evaluation count. A 1-d problem takes the exact 1-d step
     (``newton_step_1d``), which the worst-case verifier relies on; any
-    other dimension takes the truncated CG step (``solve_tcg``).
+    other dimension takes the truncated CG step (``solve_tcg``). While x
+    and the model stay as they are, as after a rejected step, every CG
+    step walks one ``SteihaugPath``; an accepted step, or an update that
+    changes the model, drops it. Negative budgets raise ValueError.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if not max_iter >= 0:
+        raise ValueError("max_iter must be nonnegative")
+    if eval_budget is not None and not eval_budget >= 0:
+        raise ValueError("eval_budget must be nonnegative")
 
     evals = EvalCounter()
     budget = math.inf if eval_budget is None else eval_budget
 
     x = np.array(problem.x0, dtype=float)
-    step_solver = newton_step_1d if x.size == 1 else solve_tcg
+    one_d = x.size == 1
+    path = None  # the CG path of the current g and model
     if evals.n_f + evals.n_g + 2 > budget:
         return SolveReport("eval_budget", 0, 0, 0, math.nan, math.nan, evals, x=x)
     f = float(problem.eval_f(x))
@@ -297,7 +305,12 @@ def solve(
             status = "delta_underflow"
             break
 
-        step = step_solver(g, model, radius)
+        if one_d:
+            step = newton_step_1d(g, model, radius)
+        else:
+            if path is None:
+                path = SteihaugPath(g, model)
+            step = solve_tcg(g, model, radius, path)
         snorm = _norm(step.s)
         x_trial = x + step.s
 
@@ -327,6 +340,7 @@ def solve(
 
         accepted = iter_status != UNSUCCESSFUL
         if accepted:
+            path = None  # x moves on
             if evals.n_f + evals.n_g + 1 > budget:
                 status = "eval_budget"
                 break
@@ -348,8 +362,8 @@ def solve(
                 break
             g_trial = np.asarray(problem.eval_grad(x_trial), dtype=float)
             evals.n_g += 1
-            if np.all(np.isfinite(g_trial)):
-                model.update(step.s, g_trial - g)
+            if np.all(np.isfinite(g_trial)) and model.update(step.s, g_trial - g):
+                path = None
 
         try:
             ak = a_k(delta, hist_max_b, hist_min_g, params.alpha, params.beta)

@@ -66,7 +66,11 @@ class HessianModel:
         return self._norm_cache
 
     def begin_iteration(self, k: int) -> None:
-        """Hook called by the driver at the top of iteration k."""
+        """Hook called by the driver at the top of iteration k.
+
+        A model of more than one dimension must not change B here: the
+        driver keeps its truncated-CG path until ``update`` returns True.
+        """
 
     # hooks -----------------------------------------------------------------
 

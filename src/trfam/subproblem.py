@@ -7,6 +7,13 @@ iterate is the Cauchy point, so the fraction-of-Cauchy-decrease contract
 holds by construction (Steihaug 1983; Conn, Gould and Toint 2000, 7.5.1).
 Both step solvers take a ``HessianModel`` and form every product with its
 ``apply``.
+
+The CG iterates do not depend on the radius: the radius only picks where
+the walk along them stops. ``SteihaugPath`` keeps that path for one (g, B)
+and extends it one product at a time, so a re-solve at a smaller radius,
+as after a rejected step, walks the stored prefix and forms no product.
+The model decrease is carried through the CG recurrences instead of being
+read off a final product ``s'Bs``.
 """
 
 from __future__ import annotations
@@ -71,13 +78,117 @@ def _to_boundary(s: Array, d: Array, radius: float) -> float:
     sd = float(s @ d)
     ss = float(s @ s)
     disc = sd * sd + dd * (radius * radius - ss)
-    return (-sd + np.sqrt(max(disc, 0.0))) / dd
+    return (-sd + math.sqrt(max(disc, 0.0))) / dd
+
+
+class SteihaugPath:
+    """The truncated-CG path of one gradient g and model B.
+
+    Starting from s_0 = 0, CG iteration i forms one product B d_i and the
+    trial point s_{i+1} = s_i + alpha_i d_i. The path stops inside on (i) a
+    residual <= cg_tol |g| at s_{i+1} or (ii) ``max_cg`` iterations; a
+    direction of non-positive curvature (iii) ends it too, on the boundary
+    of any ball. None of this reads the radius, so one path serves every
+    radius: ``walk`` stops at the first trial point that leaves the ball,
+    or at the end of the path. The path is extended lazily, one CG
+    iteration at a time, and keeps per iteration the iterate s_i, the
+    direction d_i, the trial norm |s_{i+1}|, d_i'Bd_i, r_i'd_i (r_i the
+    model gradient at s_i) and the model decrease at s_i, which the
+    recurrence dec_{i+1} = dec_i + alpha_i r_i'r_i / 2 carries. ``max_cg``
+    must be at least 1. B must not change while the path is in use.
+    """
+
+    def __init__(
+        self, g: Array, B: HessianModel, cg_tol: float | None = None,
+        max_cg: int | None = None,
+    ):
+        g = np.asarray(g, dtype=float)
+        gnorm = _norm(g)
+        if gnorm == 0.0:
+            raise ValueError("zero gradient")
+        if cg_tol is None:
+            cg_tol = min(0.1, math.sqrt(gnorm))
+        if max_cg is None:
+            max_cg = g.size
+        elif max_cg < 1:
+            raise ValueError("max_cg must be at least 1")
+        self._B = B
+        self._stop = cg_tol * gnorm  # the residual norm that ends the path
+        self._max_cg = max_cg
+        self._s = [np.zeros(g.size)]
+        self._d: list[Array] = []
+        self._trial_norm: list[float] = []  # inf where d_i'Bd_i <= 0
+        self._dBd: list[float] = []
+        self._rd: list[float] = []
+        self._dec = [0.0]
+        self._end: int | None = None  # index of the iterate the path stops at inside
+        # the residual recurrence: r_i, r_i'r_i, and B d_i and alpha_i once known
+        self._r = g
+        self._rr = gnorm**2
+        self._Bd: Array | None = None
+        self._alpha = 0.0
+
+    def _extend(self) -> None:
+        """Add CG iteration i = len(d), or mark s_i as the end of the path."""
+        i = len(self._d)
+        if i == 0:
+            d = -self._r
+        else:
+            if i == self._max_cg:
+                self._end = i
+                return
+            r = self._r + self._alpha * self._Bd
+            rr = float(r @ r)
+            if math.sqrt(rr) <= self._stop:
+                self._end = i
+                return
+            d = -r + (rr / self._rr) * self._d[-1]
+            self._r, self._rr = r, rr
+        Bd = self._B.apply(d)
+        dBd = float(d @ Bd)
+        self._d.append(d)
+        self._dBd.append(dBd)
+        self._rd.append(float(self._r @ d))
+        if dBd <= 0.0:
+            self._trial_norm.append(math.inf)  # every walk stops on the boundary here
+            return
+        alpha = self._rr / dBd
+        s = self._s[-1] + alpha * d
+        self._s.append(s)
+        self._trial_norm.append(_norm(s))
+        self._dec.append(self._dec[-1] + alpha * self._rr / 2)
+        self._Bd, self._alpha = Bd, alpha
+
+    def walk(self, radius: float) -> StepResult:
+        """The step for the ball of this radius; see ``solve_tcg``."""
+        if not radius > 0:
+            raise ValueError("radius must be positive")
+        trial_norm = self._trial_norm
+        i = 0
+        while i != self._end:
+            if i == len(trial_norm):
+                self._extend()
+            elif trial_norm[i] >= radius:
+                s, d = self._s[i], self._d[i]
+                sigma = _to_boundary(s, d, radius)
+                decrease = self._dec[i] - (sigma * self._rd[i] + sigma * sigma * self._dBd[i] / 2)
+                step = StepResult(s + sigma * d, decrease, True, i + 1)
+                break
+            else:
+                i += 1
+        else:
+            step = StepResult(self._s[i], self._dec[i], False, i)
+        if not math.isfinite(step.model_decrease):
+            raise FloatingPointError("non-finite model decrease: ill-posed model")
+        return step
 
 
 def solve_tcg(
     g: Array,
     B: HessianModel,
     radius: float,
+    path: SteihaugPath | None = None,
+    *,
     cg_tol: float | None = None,
     max_cg: int | None = None,
 ) -> StepResult:
@@ -89,54 +200,19 @@ def solve_tcg(
     iterations. A trial landing exactly on the boundary counts as a
     boundary hit. The first iterate is the Cauchy point and the model
     decrease is monotone along CG, so the returned decrease is at least the
-    Cauchy decrease. ``max_cg`` must be at least 1.
+    Cauchy decrease. The decrease comes from the CG recurrences, not from a
+    final product s'Bs: each interior step adds alpha_i r_i'r_i / 2 to it,
+    and the boundary step sigma d_i from s_i adds
+    -(sigma r_i'd_i + sigma^2 d_i'Bd_i / 2). ``max_cg`` must be at least 1.
+
+    ``path`` is a ``SteihaugPath`` of this g and B that earlier calls may
+    have walked; it is walked again and extended only where this radius
+    needs it. Without one, a fresh path is built with ``cg_tol`` and
+    ``max_cg``. A non-finite decrease raises FloatingPointError.
     """
-    g = np.asarray(g, dtype=float)
-    n = g.size
-    gnorm = _norm(g)
-    if gnorm == 0.0:
-        raise ValueError("zero gradient")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    if cg_tol is None:
-        cg_tol = min(0.1, np.sqrt(gnorm))
-    if max_cg is None:
-        max_cg = n
-    elif max_cg < 1:
-        raise ValueError("max_cg must be at least 1")
-
-    s = np.zeros(n)
-    r = g.copy()  # model gradient at s
-    d = -g
-    rr = gnorm**2
-    iters = 0
-    boundary = False
-    for _ in range(max_cg):
-        Bd = B.apply(d)
-        dBd = float(d @ Bd)
-        iters += 1
-        if dBd <= 0.0:
-            s = s + _to_boundary(s, d, radius) * d
-            boundary = True
-            break
-        alpha = rr / dBd
-        trial = s + alpha * d
-        if _norm(trial) >= radius:
-            s = s + _to_boundary(s, d, radius) * d
-            boundary = True
-            break
-        s = trial
-        r = r + alpha * Bd
-        rr_new = float(r @ r)
-        if math.sqrt(rr_new) <= cg_tol * gnorm:
-            break
-        d = -r + (rr_new / rr) * d
-        rr = rr_new
-
-    decrease = -(float(g @ s) + 0.5 * float(s @ B.apply(s)))
-    if not np.isfinite(decrease):
-        raise FloatingPointError("non-finite model decrease: ill-posed model")
-    return StepResult(s=s, model_decrease=decrease, boundary_hit=boundary, cg_iters=iters)
+    if path is None:
+        path = SteihaugPath(g, B, cg_tol, max_cg)
+    return path.walk(radius)
 
 
 def newton_step_1d(g: Array, B: HessianModel, radius: float) -> StepResult:

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against.
 
 None of these is on a solver's code path: ``trfam``'s step solvers meet
-the fraction-of-Cauchy-decrease contract by construction, and its models
-are never materialised as dense matrices.
+the fraction-of-Cauchy-decrease contract by construction, its models are
+never materialised as dense matrices, and its truncated CG walks a stored
+path instead of running the one-shot loop below.
 """
 
 import numpy as np
@@ -42,6 +43,60 @@ def cauchy_point(g, B, radius: float) -> StepResult:
         boundary_hit=(t == t_boundary),
         cg_iters=0,
     )
+
+
+def solve_tcg_reference(g, B, radius: float, cg_tol=None, max_cg=None) -> StepResult:
+    """One-shot Steihaug truncated CG: the loop ``trfam.solve_tcg`` ran
+    before it kept a path, with the model decrease read off a final
+    product s'Bs."""
+    g = np.asarray(g, dtype=float)
+    n = g.size
+    gnorm = np.linalg.norm(g)
+    if gnorm == 0.0:
+        raise ValueError("zero gradient")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    if cg_tol is None:
+        cg_tol = min(0.1, np.sqrt(gnorm))
+    if max_cg is None:
+        max_cg = n
+
+    def to_boundary(s, d):
+        dd = float(d @ d)
+        sd = float(s @ d)
+        ss = float(s @ s)
+        disc = sd * sd + dd * (radius * radius - ss)
+        return (-sd + np.sqrt(max(disc, 0.0))) / dd
+
+    s = np.zeros(n)
+    r = g.copy()
+    d = -g
+    rr = gnorm**2
+    iters = 0
+    boundary = False
+    for _ in range(max_cg):
+        Bd = B.apply(d)
+        dBd = float(d @ Bd)
+        iters += 1
+        if dBd <= 0.0:
+            s = s + to_boundary(s, d) * d
+            boundary = True
+            break
+        alpha = rr / dBd
+        trial = s + alpha * d
+        if np.linalg.norm(trial) >= radius:
+            s = s + to_boundary(s, d) * d
+            boundary = True
+            break
+        s = trial
+        r = r + alpha * Bd
+        rr_new = float(r @ r)
+        if np.sqrt(rr_new) <= cg_tol * gnorm:
+            break
+        d = -r + (rr_new / rr) * d
+        rr = rr_new
+    decrease = -(float(g @ s) + 0.5 * float(s @ B.apply(s)))
+    return StepResult(s=s, model_decrease=decrease, boundary_hit=boundary, cg_iters=iters)
 
 
 def beats_cauchy(step: StepResult, g, B, radius: float) -> bool:

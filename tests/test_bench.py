@@ -56,6 +56,13 @@ class TestRunMatrix:
         assert not cell.solved
         assert cell.status == "eval_budget"
 
+    @pytest.mark.parametrize("budget", [{"max_iter": -1}, {"eval_budget": -1}])
+    def test_negative_budget_rejected(self, budget):
+        name = next(iter(budget))
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            RunSpec("sphere", 0.0, 0.0, **budget)
+        assert getattr(RunSpec("sphere", 0.0, 0.0, **{name: 0}), name) == 0
+
     def test_unknown_problem(self):
         with pytest.raises(KeyError):
             run_matrix([RunSpec("nope", 0.0, 0.0)])

@@ -47,6 +47,12 @@ class TestSolve:
             parse(["solve", "--problem", "sphere", "--radius-mode", "past"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("flag,name", [("--max-iter", "max_iter"),
+                                           ("--eval-budget", "eval_budget")])
+    def test_negative_budget_is_usage_error(self, capsys, flag, name):
+        code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", flag, "-1", "--json")
+        assert (code, out, err) == (2, "", f"usage error: {name} must be nonnegative\n")
+
     def test_unknown_problem_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--problem", "nessie")
         assert code == 1
@@ -158,6 +164,16 @@ class TestBenchProfile:
         code, out, _ = run_cli(capsys, "profile", "--in", str(out_dir), "--metric", "gevals")
         assert code == 0
         assert (out_dir / "profile_gevals.csv").exists()
+
+    @pytest.mark.parametrize("flag,name", [("--max-iter", "max_iter"),
+                                           ("--eval-budget", "eval_budget")])
+    def test_negative_budget_is_usage_error(self, capsys, tmp_path, flag, name):
+        out_dir = tmp_path / "bench"
+        code, out, err = run_cli(
+            capsys, "bench", flag, "-1", "--problems", "sphere", "--out", str(out_dir)
+        )
+        assert (code, out, err) == (2, "", f"usage error: {name} must be nonnegative\n")
+        assert not out_dir.exists()
 
     def test_missing_matrix_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "profile", "--in", str(tmp_path), "--metric", "fevals")

@@ -155,6 +155,12 @@ class TestSolve:
         assert r.status == "eval_budget"
         assert r.iterations == 0
 
+    @pytest.mark.parametrize("budget", [{"max_iter": -1}, {"eval_budget": -1}])
+    def test_negative_budget_rejected(self, budget):
+        p = get_problem("rosenbrock")
+        with pytest.raises(ValueError, match=f"{next(iter(budget))} must be nonnegative"):
+            solve(p, TrParams(), build_model("exact", p), eps=1e-6, **budget)
+
     def test_eval_budget_binds_exactly(self):
         p = get_problem("rosenbrock")
         full = solve(p, TrParams(), build_model("lbfgs", p), eps=1e-6)
@@ -259,6 +265,84 @@ class TestStepByDimension:
         r = solve(p, TrParams(), build_model(mode, p), eps=1e-6)
         assert r.status == "first_order"
         assert calls == {"newton_step_1d": 0, "solve_tcg": r.iterations}
+
+
+class TestPathReuse:
+    """After a rejected step the driver walks the CG path it already has;
+    an accepted step or a model update that changes B drops it."""
+
+    def record_steps(self, monkeypatch, model):
+        """Per ``solve_tcg`` call of the driver: the radius, the step, the
+        model's ``apply`` calls inside the call, and a one-shot
+        ``solve_tcg`` on the model as it was then."""
+        calls = []
+        products = [0]
+        apply = model.apply
+
+        def counted(v):
+            products[0] += 1
+            return apply(v)
+
+        def recorded(g, B, radius, *rest):
+            before = products[0]
+            step = real(g, B, radius, *rest)
+            calls.append({"products": products[0] - before, "radius": radius, "step": step,
+                          "one_shot": real(g, B, radius)})
+            return step
+
+        real = driver.solve_tcg
+        model.apply = counted
+        monkeypatch.setattr(driver, "solve_tcg", recorded)
+        return calls
+
+    def assert_one_shot(self, call):
+        step, one_shot = call["step"], call["one_shot"]
+        assert np.array_equal(step.s, one_shot.s)
+        assert (step.model_decrease, step.boundary_hit, step.cg_iters) == (
+            one_shot.model_decrease, one_shot.boundary_hit, one_shot.cg_iters)
+
+    @pytest.mark.parametrize("mode", ["exact", "lbfgs", "lsr1"])
+    def test_rejected_step_rewalks_without_a_product(self, monkeypatch, mode):
+        p = get_problem("rosenbrock")
+        model = build_model(mode, p)
+        calls = self.record_steps(monkeypatch, model)
+        r = solve(p, TrParams(), model, eps=1e-6)
+        assert len(calls) == r.iterations
+        rejected = r.log.column("status") == driver.STATUSES.index("unsuccessful")
+        assert rejected.sum() > 5
+        for k, call in enumerate(calls):
+            if k and rejected[k - 1]:
+                # the same g and B at a smaller radius: inside the stored path
+                assert call["products"] == 0
+                assert call["radius"] < calls[k - 1]["radius"]
+            else:
+                assert call["products"] == call["step"].cg_iters
+            self.assert_one_shot(call)
+
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    def test_pair_admitted_on_a_rejected_step_forces_a_new_path(self, monkeypatch, mode):
+        p = get_problem("rosenbrock")
+        model = build_model(mode, p)
+        admitted = []
+        update = model.update
+        model.update = lambda s, y: admitted.append(update(s, y)) or admitted[-1]
+        calls = self.record_steps(monkeypatch, model)
+        r = solve(p, TrParams(update_on_unsuccessful=True), model, eps=1e-6)
+        assert len(admitted) == len(calls) == r.iterations  # one update per step
+        rejected = r.log.column("status") == driver.STATUSES.index("unsuccessful")
+        forced = 0
+        for k, call in enumerate(calls):
+            if k and rejected[k - 1] and admitted[k - 1]:
+                assert call["products"] == call["step"].cg_iters  # a fresh path
+                forced += 1
+            self.assert_one_shot(call)
+        assert forced > 3
+
+    def test_one_dimensional_run_builds_no_path(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(driver, "SteihaugPath", lambda *a: built.append(a))
+        r = solve(quartic_1d(), TrParams(), build_model("lbfgs", dim=1), eps=1e-8)
+        assert r.iterations > 0 and built == []
 
 
 class TestCsv:

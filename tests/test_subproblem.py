@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from trfam import ScriptedModel, build_model, effective_radius, newton_step_1d, solve_tcg
-from trfam.subproblem import _norm
+from trfam.subproblem import SteihaugPath, _norm
 
-from oracles import beats_cauchy, cauchy_point, matrix_model
+from oracles import beats_cauchy, cauchy_point, matrix_model, solve_tcg_reference
 
 
 def grid_cauchy_oracle(g, B, radius, n_grid=10**6):
@@ -206,6 +206,108 @@ class TestCauchyDecreaseFromFirstCgStep:
     def test_max_cg_must_allow_one_iteration(self):
         with pytest.raises(ValueError):
             solve_tcg(np.ones(2), matrix_model(np.eye(2)), 1.0, max_cg=0)
+
+
+# The path's decrease comes from the CG recurrences, the reference's from a
+# final product s'Bs; they differ in rounding only. The largest relative
+# difference seen on the cases below is 3.4e-14, and the largest change of
+# rho in the benchmark runs 5.5e-11.
+DECREASE_RTOL = 1e-10
+
+
+def assert_matches_reference(step, g, B, radius):
+    ref = solve_tcg_reference(g, B, radius)
+    assert np.array_equal(step.s, ref.s)
+    assert (step.cg_iters, step.boundary_hit) == (ref.cg_iters, ref.boundary_hit)
+    assert step.model_decrease == pytest.approx(ref.model_decrease, rel=DECREASE_RTOL)
+
+
+def counting(model):
+    """The model with its ``apply`` calls counted in ``model.products``."""
+    model.products = 0
+    apply = model.apply
+
+    def counted(v):
+        model.products += 1
+        return apply(v)
+
+    model.apply = counted
+    return model
+
+
+def path_cases():
+    """Dense SPD and indefinite matrices and full-window L-BFGS/L-SR1
+    models, each with a gradient and a radius; the models count their
+    products."""
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        g, A, radius = random_instance(rng, n)
+        yield g, counting(matrix_model(A)), radius
+    for mode in ("lbfgs", "lsr1"):
+        for n in (3, 8, 40):
+            m = counting(full_window_model(mode, n, rng))
+            for _ in range(20):
+                g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                yield g, m, 10.0 ** rng.uniform(-3, 3)
+
+
+class TestSteihaugPath:
+    """The path walk against the one-shot loop of ``oracles``: the same
+    step bit for bit, and the same decrease up to rounding."""
+
+    def test_one_shot_matches_the_reference(self):
+        for g, B, radius in path_cases():
+            for r in (radius, 1e-3 * radius, 1e3 * radius):
+                assert_matches_reference(solve_tcg(g, B, r), g, B, r)
+
+    def test_descending_radii_on_one_path_then_an_extension(self):
+        extended = 0
+        for g, B, radius in path_cases():
+            B.products = 0
+            path = SteihaugPath(g, B)
+            assert B.products == 0  # built lazily
+            for i, r in enumerate(radius * 0.5 ** np.arange(6)):
+                B.products = 0
+                step = solve_tcg(g, B, r, path)
+                # the first walk forms one product per CG iteration and no
+                # final one; the later ones stay inside what it stored
+                assert B.products == (step.cg_iters if i == 0 else 0)
+                assert_matches_reference(step, g, B, r)
+            B.products = 0
+            r = 1e6 * radius
+            step = solve_tcg(g, B, r, path)
+            extended += B.products > 0
+            assert_matches_reference(step, g, B, r)
+        assert extended > 50  # 84 of the 180 larger radii go further along the path
+
+    def test_interior_stop_needs_no_final_product(self):
+        m = counting(matrix_model(np.diag([1.0, 4.0])))
+        step = solve_tcg(np.array([1.0, 1.0]), m, 1e6)
+        assert not step.boundary_hit
+        assert m.products == step.cg_iters == 2
+
+    @pytest.mark.parametrize("matrix", [
+        np.full((3, 3), math.nan),
+        np.full((3, 3), 1e308),  # B d overflows; r and then s turn NaN
+        np.full((3, 3), -1e308),  # d'Bd = -inf: a boundary step of infinite decrease
+    ], ids=["nan", "overflow", "overflow-negative"])
+    @np.errstate(all="ignore")
+    def test_non_finite_decrease_raises_on_fresh_and_rewalked_paths(self, matrix):
+        g = np.array([1.0, 2.0, 3.0])
+        B = matrix_model(matrix)
+        with pytest.raises(FloatingPointError, match="non-finite model decrease"):
+            solve_tcg(g, B, 1.0)
+        path = SteihaugPath(g, B)
+        for r in (1.0, 0.5):
+            with pytest.raises(FloatingPointError, match="non-finite model decrease"):
+                solve_tcg(g, B, r, path)
+
+    def test_radius_must_be_positive(self):
+        path = SteihaugPath(np.ones(2), matrix_model(np.eye(2)))
+        for r in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                solve_tcg(np.ones(2), matrix_model(np.eye(2)), r, path)
 
 
 class TestNewton1d:
