@@ -286,7 +286,8 @@ class TestPathReuse:
         def recorded(g, B, radius, *rest):
             before = products[0]
             step = real(g, B, radius, *rest)
-            calls.append({"products": products[0] - before, "radius": radius, "step": step,
+            made = products[0] - before
+            calls.append({"products": made, "radius": radius, "step": step,
                           "one_shot": real(g, B, radius)})
             return step
 
