@@ -5,6 +5,9 @@
 Not part of the tier-1 suite: timings on a small shared host are noisy.
 Each model holds a full window of memory 5; pairs come from a fixed
 diagonal quadratic plus a small curved term, so L-SR1 accepts them too.
+L-BFGS's factor W is 2 * memory = 10 wide, so at n = 10 its spectral
+factors need no QR; at n = 64 and n = 100 they take one. L-SR1's factor is
+memory = 5 wide, so it takes the QR at every n here.
 """
 
 import itertools
@@ -38,7 +41,7 @@ def full_model(mode, n):
 
 
 cases = pytest.mark.parametrize(
-    "mode,n", [(mode, n) for mode in ("lbfgs", "lsr1") for n in (64, 100)])
+    "mode,n", [(mode, n) for mode in ("lbfgs", "lsr1") for n in (10, 64, 100)])
 
 
 @cases

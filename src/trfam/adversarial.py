@@ -52,8 +52,15 @@ class AdversarialSpec:
             raise ValueError("alpha and beta must be <= 1")
 
 
+def check_cap(cap: int) -> None:
+    """A k_eps cap must admit at least one iteration."""
+    if not cap >= 1:
+        raise ValueError(f"the k_eps cap must be at least 1, not {cap}")
+
+
 def k_epsilon(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> int:
     """floor(eps^(-2/(1-p))) for p < 1, floor(exp(c eps^-2)) for p = 1."""
+    check_cap(cap)
     if spec.p == 1.0:
         log_k = spec.c * spec.eps**-2
         if log_k > math.log(cap):
@@ -62,6 +69,15 @@ def k_epsilon(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> int:
             )
         k = int(math.floor(math.exp(log_k)))
     else:
+        # the power overflows a float long before it reaches the cap, so
+        # reject in the log domain first; the margin of 1 (a factor e)
+        # leaves every value within the cap to the exact test below, so an
+        # accepted k_eps is what it was
+        log_value = -2.0 / (1.0 - spec.p) * math.log(spec.eps)
+        if log_value > math.log(cap) + 1.0:
+            raise ValueError(
+                f"k_eps = exp({log_value:.3g}) exceeds the cap {cap:g}; use a larger eps"
+            )
         value = spec.eps ** (-2.0 / (1.0 - spec.p))
         if value > cap:
             raise ValueError(f"k_eps = {value:.3g} exceeds the cap {cap:g}; use a larger eps")

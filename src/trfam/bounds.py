@@ -47,6 +47,11 @@ class BoundInputs:
         for name in ("a_min", "eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("eps", "f0", "f_low", "mu", "L"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.k0 >= 0:
+            raise ValueError("k0 must be nonnegative")
 
     @classmethod
     def from_params(cls, params: TrParams, **kw) -> "BoundInputs":
@@ -105,8 +110,8 @@ def bound_successful(inputs: BoundInputs) -> LogBound:
 def bound_unsuccessful(inputs: BoundInputs, s_eps: float) -> float:
     """|log_g2(g4)| S + (1-alpha) log_g2(eps) + (beta-1) log_g2(1+mu(1+S^p))
     + log_g2(a_min/Delta0), with S the successful-iteration count."""
-    if s_eps < 0:
-        raise ValueError("s_eps must be nonnegative")
+    if not 0 <= s_eps < math.inf:  # NaN fails too
+        raise ValueError("s_eps must be finite and nonnegative")
     prm = inputs.params
     lg = math.log(prm.gamma2)
 

@@ -122,6 +122,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_adversarial(args) -> int:
+    adv.check_cap(args.cap)  # a usage error, raised outside the domain errors below
     try:
         spec = adv.AdversarialSpec(
             eps=args.eps, p=args.p, c=args.c, alpha=args.alpha, beta=args.beta

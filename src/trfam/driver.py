@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class TrParams:
     """Constants of the trust-region family.
 
     Orderings 0 < eta1 <= eta2 < 1, 0 < gamma1 <= gamma2 < 1 <= gamma3 <=
-    gamma4, 0 < kappa_mdc <= 1/2 and alpha, beta <= 1 are enforced on
-    construction. Each status prescribes an interval for the next Delta:
+    gamma4, 0 < kappa_mdc <= 1/2, alpha, beta <= 1 and finite values are
+    enforced on construction. Each status prescribes an interval for the next Delta:
     [gamma3, gamma4], [gamma2, 1] or [gamma1, gamma2] times Delta for very
     successful, successful and unsuccessful steps. The driver takes the
     points gamma3*Delta, Delta and gamma2*Delta of those intervals, except
@@ -85,6 +85,9 @@ class TrParams:
             raise ValueError("need alpha <= 1 and beta <= 1")
         if not self.delta0 > 0:
             raise ValueError("need delta0 > 0")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.radius_mode not in RADIUS_MODES:
             raise ValueError(f"unknown radius_mode {self.radius_mode!r}")
 

@@ -5,10 +5,14 @@ products), ``update`` (pair ingestion with the usual safeguards) and
 ``operator_norm``. The limited-memory models start from B0 = I.
 Limited-memory products use the direct compact representation (Byrd,
 Nocedal and Schnabel 1994), not the inverse form, because both the
-subproblem and the agreement ratio consume B v. Its factors are built once
-per accepted pair, and ``operator_norm`` reads the exact spectrum from
-them: a thin QR of the n x k factor W reduces B = I -/+ W M^{-1} W^T to a
-k x k eigenproblem (Erway and Marcia 2015), k <= 2 * memory.
+subproblem and the agreement ratio consume B v. It is kept in spectral
+form (Erway and Marcia 2015; Brust, Erway and Marcia 2017): an
+orthonormal basis Q of the range of the n x k factor W, with W = QR,
+reduces B = I -/+ W M^{-1} W^T to the small eigenproblem
+R M^{-1} R^T = U Lambda U^T, k <= 2 * memory, so B = I -/+ P Lambda P^T
+with P = QU. The factors are built once per accepted pair; a product is
+two thin matvecs, and ``operator_norm`` reads the exact |B| off the end
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -139,9 +143,10 @@ class _PairModel(HessianModel):
     """Shared storage for limited-memory models: a window of (s, y) pairs.
 
     The window is kept as C-contiguous n x k arrays S and Y, oldest pair
-    first, and B = I -/+ W M^{-1} W^T. The factors W, M and K = M^{-1} W^T
-    are built on first use after an accepted pair and reused until the
-    next one. A pair enters the window when ``_admits`` passes it.
+    first, and B = I -/+ W M^{-1} W^T = I -/+ P Lambda P^T. The spectral
+    factors P, Lambda P^T and |B| are built on first use after an accepted
+    pair and reused until the next one. A pair enters the window when
+    ``_admits`` passes it.
     """
 
     _combine: np.ufunc  # np.subtract for BFGS, np.add for SR1
@@ -174,34 +179,37 @@ class _PairModel(HessianModel):
         return True
 
     def _compact(self) -> tuple:
-        """(W, M, K) from the subclass's ``_factorize``; empty when B = I."""
+        """(P, Lambda P^T, |B|) from the subclass's ``_factorize``; empty
+        when B = I."""
         if self._factors is None:
             self._factors = self._factorize() if self._S.shape[1] else ()
         return self._factors
+
+    def _spectral(self, W, M) -> tuple:
+        """(P, Lambda P^T, |B|) of B = I -/+ W M^{-1} W^T. The solve raises
+        ``LinAlgError`` when M is singular."""
+        n, width = W.shape
+        # Q is orthonormal even when W is rank-deficient; for n <= width the
+        # identity already is an orthonormal basis of range(W), with R = W
+        Q, R = np.linalg.qr(W) if n > width else (None, W)
+        lam, U = np.linalg.eigh(R @ np.linalg.solve(M, R.T), UPLO="L")
+        P = U if Q is None else Q @ U
+        # |1 -/+ lambda| is largest at an end of the ascending spectrum
+        norm = max(map(abs, self._combine(1.0, lam[[0, -1]]).tolist()))
+        if n > width:
+            norm = max(norm, 1.0)  # B = I on the complement of range(P)
+        return P, lam[:, None] * P.T, norm
 
     def _apply(self, v):
         factors = self._compact()
         if not factors:
             return v.copy()
-        W, M, _ = factors
-        # solve per product, not K @ v: this keeps every product's rounding,
-        # and with it every beta = 0 trajectory, as it was
-        return self._combine(v, W @ np.linalg.solve(M, W.T @ v))
+        P, LPt, _ = factors
+        return self._combine(v, P @ (LPt @ v))
 
     def _compute_norm(self):
         factors = self._compact()
-        if not factors:
-            return 1.0
-        W, _, K = factors
-        # W = QR with Q orthonormal even when W is rank-deficient, so
-        # B = I -/+ Q (R M^{-1} R^T) Q^T, and R M^{-1} R^T = R K Q
-        Q, R = np.linalg.qr(W)
-        C = R @ K @ Q
-        eigs = self._combine(1.0, np.linalg.eigvalsh(0.5 * (C + C.T)))
-        norm = float(np.max(np.abs(eigs)))
-        if self.dim > Q.shape[1]:
-            norm = max(norm, 1.0)  # B = I on the complement of range(Q)
-        return norm
+        return factors[2] if factors else 1.0
 
 
 @functools.cache
@@ -229,8 +237,7 @@ class LbfgsModel(_PairModel):
         M[rows, cols + k] = M[cols + k, rows] = SY[rows, cols]  # L and L^T
         M[k:, k:] = -0.0  # -D, whose off-diagonal zeros are -0.0
         np.fill_diagonal(M[k:, k:], -SY.diagonal())
-        W = np.concatenate((S, Y), axis=1)
-        return W, M, np.linalg.solve(M, W.T)
+        return self._spectral(np.concatenate((S, Y), axis=1), M)
 
     def _admits(self, s, y):
         # curvature safeguard: s'y >= tol * |s| * |y|, and strictly positive;
@@ -257,9 +264,8 @@ class Lsr1Model(_PairModel):
             rows, cols = _strict_lower(S.shape[1])
             SY[cols, rows] = SY[rows, cols]  # D + L + L^T
             M = SY - S.T @ S
-            Psi = Y - S
             try:
-                return Psi, M, np.linalg.solve(M, Psi.T)
+                return self._spectral(Y - S, M)
             except np.linalg.LinAlgError:
                 continue  # window made M singular; shed its oldest pair
         return ()

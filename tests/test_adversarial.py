@@ -115,6 +115,30 @@ class TestKEpsilon:
         with pytest.raises(ValueError, match="cap"):
             k_epsilon(AdversarialSpec(0.05, 1.0, c=1.0))
 
+    def test_cap_is_checked_in_the_log_domain(self):
+        # eps^(-2/(1-p)) = 0.9^-2e6 overflows a float; before the log-domain
+        # check this was an OverflowError
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            k_epsilon(AdversarialSpec(0.9, 0.999999))
+
+    def test_log_domain_check_keeps_every_accepted_value(self):
+        # values at and just past the cap: the log-domain margin leaves the
+        # decision to the exact test, and an accepted k_eps is the floor of
+        # the power as before
+        for eps, p in ((0.5, 0.5), (0.1, 0.0), (0.01, 0.5), (0.3, 0.9)):
+            value = eps ** (-2.0 / (1.0 - p))
+            cap = math.ceil(value)
+            assert k_epsilon(AdversarialSpec(eps, p), cap) == math.floor(value)
+            if value > 1.0:
+                with pytest.raises(ValueError, match="exceeds the cap"):
+                    k_epsilon(AdversarialSpec(eps, p), math.ceil(value) - 1)
+
+    @pytest.mark.parametrize("cap", [0, -1, -(10**9)])
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_cap_below_one_rejected(self, cap, p):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            k_epsilon(AdversarialSpec(0.5, p), cap)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             AdversarialSpec(1.5, 0.0)

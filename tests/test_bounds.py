@@ -136,6 +136,29 @@ class TestBoundSuccessful:
             assert abs(ratio - 1.0) <= tol
 
 
+class TestInputValidation:
+    # values that pass every other check (a NaN eps or mu fails its sign
+    # check first)
+    @pytest.mark.parametrize("name,value", [
+        ("eps", math.inf), ("f0", math.inf), ("f0", math.nan), ("f_low", -math.inf),
+        ("f_low", math.nan), ("mu", math.inf), ("L", math.inf), ("L", -math.inf),
+        ("L", math.nan),
+    ])
+    def test_non_finite_input_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            inputs(**{name: value})
+
+    def test_negative_k0_rejected(self):
+        with pytest.raises(ValueError, match="k0 must be nonnegative"):
+            inputs(k0=-5)
+        assert inputs(k0=0).k0 == 0
+
+    @pytest.mark.parametrize("s_eps", [math.nan, math.inf, -1.0])
+    def test_bad_successful_count_rejected(self, s_eps):
+        with pytest.raises(ValueError, match="s_eps must be finite and nonnegative"):
+            bound_unsuccessful(inputs(), s_eps)
+
+
 class TestBoundUnsuccessful:
     def test_alpha_beta_one_collapses(self):
         # 1 * 100 + log_{0.5}(0.03125) = 105

@@ -53,6 +53,16 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", flag, "-1", "--json")
         assert (code, out, err) == (2, "", f"usage error: {name} must be nonnegative\n")
 
+    @pytest.mark.parametrize("flags,name", [
+        (("--gamma3=inf", "--gamma4=inf"), "gamma3"),
+        (("--delta0=inf",), "delta0"),
+        (("--alpha=-inf",), "alpha"),
+        (("--beta=-inf",), "beta"),
+    ])
+    def test_non_finite_constant_is_usage_error(self, capsys, flags, name):
+        code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", *flags, "--json")
+        assert (code, out, err) == (2, "", f"usage error: {name} must be finite\n")
+
     def test_unknown_problem_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--problem", "nessie")
         assert code == 1
@@ -113,6 +123,20 @@ class TestAdversarial:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_overflowing_k_eps_is_domain_error(self, capsys):
+        # the power 0.9^-2e6 overflows; this used to end in a traceback
+        code, out, err = run_cli(
+            capsys, "adversarial", "--p", "0.999999", "--eps", "0.9", "--verify", "--json"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: k_eps = exp(2.11e+05) exceeds the cap 1e+08; use a larger eps\n"
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_cap_below_one_is_usage_error(self, capsys, cap):
+        code, out, err = run_cli(capsys, "adversarial", "--p", "0.5", "--eps", "0.5",
+                                 f"--cap={cap}")
+        assert (code, out, err) == (2, "", f"usage error: the k_eps cap must be at least 1, not {cap}\n")
+
 
 class TestBounds:
     def test_table_rows(self, capsys):
@@ -134,6 +158,14 @@ class TestBounds:
         ("--beta=-1e6", 1, "error: float division by zero"),
         ("--mu=nan", 1, "error: mu must be nonnegative"),
         ("--mu=-1", 1, "error: mu must be nonnegative"),
+        ("--k0=-5", 1, "error: k0 must be nonnegative"),
+        ("--eps=inf", 1, "error: eps must be finite"),
+        ("--f0=inf", 1, "error: f0 must be finite"),
+        ("--flow=-inf", 1, "error: f_low must be finite"),
+        ("--mu=inf", 1, "error: mu must be finite"),
+        ("--s-eps=nan", 1, "error: s_eps must be finite and nonnegative"),
+        ("--s-eps=inf", 1, "error: s_eps must be finite and nonnegative"),
+        ("--alpha=-inf", 2, "usage error: alpha must be finite"),
     ])
     def test_bad_value_is_one_line_and_exit_code(self, capsys, flag, code, message):
         # a later --mu overrides the first one

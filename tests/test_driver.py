@@ -79,6 +79,20 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             TrParams(gamma3=0.5)
 
+    @pytest.mark.parametrize("name", ["eta1", "eta2", "gamma1", "gamma2", "gamma3", "gamma4",
+                                      "kappa_mdc", "alpha", "beta", "delta0"])
+    def test_non_finite_constant_rejected(self, name):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TrParams(**{name: value})
+
+    def test_infinite_constants_that_pass_the_orderings_rejected(self):
+        for kw, name in (({"gamma3": math.inf, "gamma4": math.inf}, "gamma3"),
+                         ({"gamma4": math.inf}, "gamma4"), ({"alpha": -math.inf}, "alpha"),
+                         ({"beta": -math.inf}, "beta"), ({"delta0": math.inf}, "delta0")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TrParams(**kw)
+
     def test_alpha_cap(self):
         for kw in ({"alpha": 1.5}, {"alpha": math.nan}, {"beta": math.nan}):
             with pytest.raises(ValueError, match="alpha <= 1 and beta <= 1"):

@@ -30,3 +30,16 @@ def test_paper_scale_replay_passes():
     result = json.loads(done.stdout)
     assert result["passed"] is True
     assert result["k_eps"] == 99
+
+
+def test_sensitivity_smoke():
+    done = run("benchmarks/sensitivity.py", "--seed", "0", "--perturb", "1",
+               "--cell", "matrix-exact rosenbrock/exact/0_0", "--cell", "matrix-qn beale/lsr1/1_1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [ln.split(" | ")[0].split()[:2] for ln in lines[:2]] == [
+        ["matrix-exact", "rosenbrock/exact/0_0"], ["matrix-qn", "beale/lsr1/1_1"]]
+    assert all(ln.count(" | ") == 2 for ln in lines[:2])
+    assert lines[2].startswith("fragile cells: ") and lines[2].endswith(" of 2")
+    assert lines[-2].startswith("solved: unperturbed ")
+    assert lines[-1].startswith("total iterations: unperturbed ")
