@@ -9,11 +9,20 @@ Prints one line per cell,
 
     workload label sha256(log_to_csv) sha256(log_to_csv without rho) status iterations n_f n_g
 
-and ends with one SHA-256 over all those lines. Two commits whose outputs
+and then one SHA-256 over all those lines. Two commits whose outputs
 match took the same iterates, byte for byte, in every cell. The second
 digest leaves out the rho column, the one column that reads the model
 decrease: two commits that round the decrease differently but take the
 same iterates match on it.
+
+Last come the audits of the worst-case runs, one line per case and
+assumption,
+
+    audit label assumption sha256(audit)
+
+where the digest covers the repr of every ``BoundCheck`` field,
+``mu_hat_successful``, ``a_min`` and ``a_min_margin``. The audit inputs are
+the benchmark's: the case's f0, f_low and L, and mu = 1.
 """
 
 from __future__ import annotations
@@ -21,13 +30,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from trfam import adversarial, driver  # noqa: E402
+from trfam import adversarial, bounds, driver  # noqa: E402
 from trfam.hessians import build_model  # noqa: E402
 
 
@@ -60,12 +70,31 @@ def matrix_lines(name: str, wl) -> list[str]:
     return out
 
 
-def worst_case_lines(seed: int) -> list[str]:
+def audit_lines(case, delta0: float, report: driver.SolveReport) -> list[str]:
+    spec = case.spec
+    params = driver.TrParams(alpha=spec.alpha, beta=spec.beta, delta0=delta0)
+    a_min = driver.theoretical_a_min(report.log.a_k[0], params, case.L)
+    inputs = bounds.BoundInputs.from_params(
+        params, f0=case.f0, f_low=case.f_low, a_min=a_min, mu=1.0, p=spec.p, eps=spec.eps,
+        L=case.L)
     out = []
-    for case in workloads.worst_case(seed).cases:
-        _, report = adversarial.verify_sharpness(case.spec)
-        out.append(line("worst-case", case.label, report))
+    for assumption in ("successful_counter", "iteration_counter"):
+        audit = bounds.audit_run(report, inputs, assumption)
+        values = [getattr(c, f.name) for c in audit.checks for f in fields(c)]
+        values += [audit.mu_hat_successful, audit.a_min, audit.a_min_margin]
+        digest = sha256("\n".join(map(repr, values)))
+        out.append(f"audit {case.label} {assumption} {digest}")
     return out
+
+
+def worst_case_lines(seed: int) -> tuple[list[str], list[str]]:
+    """The trajectory line and the audit lines of every worst-case case."""
+    out, audits = [], []
+    for case in workloads.worst_case(seed).cases:
+        sharp, report = adversarial.verify_sharpness(case.spec)
+        out.append(line("worst-case", case.label, report))
+        audits += audit_lines(case, sharp.delta0, report)
+    return out, audits
 
 
 def main(argv=None) -> int:
@@ -73,11 +102,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     lines = (matrix_lines("matrix-exact", workloads.matrix_exact(args.seed, None))
-             + matrix_lines("matrix-qn", workloads.matrix_qn(args.seed))
-             + worst_case_lines(args.seed))
+             + matrix_lines("matrix-qn", workloads.matrix_qn(args.seed)))
+    worst, audits = worst_case_lines(args.seed)
+    lines += worst
     for ln in lines:
         print(ln)
     print("all", sha256("\n".join(lines)))
+    for ln in audits:
+        print(ln)
     return 0
 
 

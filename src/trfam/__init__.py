@@ -22,6 +22,7 @@ from .bounds import (
     bound_unsuccessful,
     choose_tau,
     kappa1,
+    measure_envelope,
     xi_beta,
 )
 from .driver import (
@@ -43,7 +44,6 @@ from .hessians import (
     ScriptedModel,
     ZeroModel,
     build_model,
-    measure_envelope,
 )
 from .problems import EvalCounter, Problem, builtin_collection, check_gradient, get_problem
 from .subproblem import StepResult, effective_radius, newton_step_1d, solve_tcg

@@ -92,7 +92,6 @@ class AdversarialInstance:
     f_vals: np.ndarray
     g_vals: np.ndarray
     B_vals: np.ndarray
-    s_vals: np.ndarray
     delta0: float
     kappa_f: float
     spec: AdversarialSpec
@@ -115,6 +114,8 @@ def generate(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> AdversarialInstance
     B[0] = 1.0
     B[1:] = ks[1:] ** spec.p
     s = -(g[:-1] / B[:-1])
+    if not np.all(s > 0):
+        raise AssertionError("steps must be positive")
 
     x = np.empty(keps + 1)
     x[0] = 0.0
@@ -135,7 +136,6 @@ def generate(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> AdversarialInstance
         f_vals=f,
         g_vals=g,
         B_vals=B,
-        s_vals=s,
         delta0=2.0 ** (2.0 - spec.alpha),
         kappa_f=max(float(f[0]), 2.0),
         spec=spec,
@@ -145,8 +145,6 @@ def generate(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> AdversarialInstance
 
 
 def _check_instance(inst: AdversarialInstance) -> None:
-    if not np.all(inst.s_vals > 0):
-        raise AssertionError("steps must be positive")
     if not np.all(np.diff(inst.f_vals) < 0):
         raise AssertionError("f values must be strictly decreasing")
     if not (np.all(inst.f_vals >= 0) and np.all(inst.f_vals <= inst.f_vals[0])):
@@ -239,6 +237,8 @@ class Interpolant1D:
         return float(min(left, right, f.min(), interior.min(initial=np.inf)))
 
     def as_problem(self) -> Problem:
+        """The instance as a 1-d ``Problem`` with f and f' only: the
+        verifier drives it with a ``ScriptedModel``, not a Hessian."""
         # The driver asks for the gradient where it just asked for f, so
         # one evaluation serves both. A nonzero float equal to the key has
         # the key's bits; zero, whose sign == ignores, and NaN are always
@@ -257,20 +257,12 @@ class Interpolant1D:
         def g(x):
             return np.array([at(x)[1]])
 
-        def h(x):
-            d = 1e-7
-            _, gp = self(x[0] + d)
-            _, gm = self(x[0] - d)
-            return np.array([[(gp - gm) / (2 * d)]])
-
         return Problem(
             name="adversarial",
             dim=1,
             eval_f=f,
             eval_grad=g,
             x0=np.array([self._x[0]]),
-            f_low_hint=self.lower_bound(),
-            eval_hess=h,
         )
 
     def sample(self):

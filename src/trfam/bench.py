@@ -42,6 +42,7 @@ class RunSpec:
     eval_budget: int = 100_000
 
     def __post_init__(self):
+        TrParams(alpha=self.alpha, beta=self.beta)  # raises for a non-member of the family
         if not self.max_iter >= 0:
             raise ValueError("max_iter must be nonnegative")
         if not self.eval_budget >= 0:

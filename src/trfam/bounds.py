@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .driver import SolveReport, TrParams
-from .hessians import measure_envelope
 
 _REPRESENTABLE_LOG = 690.0  # exp(690) ~ 5.6e299 < 1e300
 # xi_beta stops once its tail bound is below this fraction of the sum.
@@ -64,12 +65,6 @@ class LogBound:
 
     log_value: float
     representable: float | None
-
-    @classmethod
-    def from_log(cls, log_value: float) -> "LogBound":
-        if log_value < _REPRESENTABLE_LOG:
-            return cls(log_value, math.exp(log_value))
-        return cls(log_value, None)
 
     def exceeds(self, count: float) -> bool:
         """True when the bound is at least ``count``."""
@@ -226,6 +221,24 @@ def bound_total_k(inputs: BoundInputs, tau: int, xi: float) -> TotalBound:
 # ---------------------------------------------------------------------------
 
 
+def measure_envelope(log, p: float, counter_kind: str = "successful") -> float:
+    """Smallest mu with max_{j<=k} |B_j| <= mu (1 + c_k^p) over a run log.
+
+    ``log`` is an ``IterationLog``; the counter c_k is its ``n_succ``
+    column (|S_k|) or the index k, per ``counter_kind``. The powers are
+    Python's, whose rounding numpy's vectorised power does not share.
+    """
+    if counter_kind not in ("successful", "iteration"):
+        raise ValueError(f"unknown counter_kind {counter_kind!r}")
+    if not len(log):
+        raise ValueError("empty iteration log")
+    counter = log.n_succ if counter_kind == "successful" else range(len(log))
+    envelope = 1.0 + np.array([float(c) ** p for c in counter])
+    running_max = np.fmax.accumulate(log.column("bnorm"))
+    # fmax skips NaN, as a running max(best, value) from 0.0 does
+    return float(np.fmax.reduce(running_max / envelope, initial=0.0))
+
+
 @dataclass
 class BoundCheck:
     name: str
@@ -239,7 +252,6 @@ class BoundCheck:
 class AuditResult:
     assumption: str
     mu_hat_successful: float
-    mu_hat_iteration: float
     a_min: float
     a_min_margin: float
     checks: list[BoundCheck] = field(default_factory=list)
@@ -268,7 +280,6 @@ def audit_run(
         raise ValueError(f"audit needs a first_order run, got {report.status!r}")
 
     mu_s = measure_envelope(report.log, inputs.p, "successful") if report.log else 0.0
-    mu_k = measure_envelope(report.log, inputs.p, "iteration") if report.log else 0.0
     checks: list[BoundCheck] = []
 
     in_s = replace(inputs, mu=max(mu_s, 1e-300))
@@ -293,6 +304,7 @@ def audit_run(
         )
     )
     if assumption == "iteration_counter":
+        mu_k = measure_envelope(report.log, inputs.p, "iteration") if report.log else 0.0
         in_k = replace(inputs, mu=max(mu_k, 1e-300))
         prm = inputs.params
         tau = choose_tau(prm.gamma2, prm.gamma4)
@@ -313,7 +325,6 @@ def audit_run(
     return AuditResult(
         assumption=assumption,
         mu_hat_successful=mu_s,
-        mu_hat_iteration=mu_k,
         a_min=inputs.a_min,
         a_min_margin=margin,
         checks=checks,

@@ -122,7 +122,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_adversarial(args) -> int:
-    adv.check_cap(args.cap)  # a usage error, raised outside the domain errors below
+    # usage errors, raised outside the domain errors below; a larger cap
+    # would let generate ask for more memory than any host has
+    adv.check_cap(args.cap)
+    if args.cap > adv.K_EPS_CAP:
+        raise ValueError(f"the k_eps cap must be at most {adv.K_EPS_CAP:g}")
     try:
         spec = adv.AdversarialSpec(
             eps=args.eps, p=args.p, c=args.c, alpha=args.alpha, beta=args.beta

@@ -71,8 +71,13 @@ def hand_instance(x, f, g):
     x, f, g = (np.asarray(v, dtype=float) for v in (x, f, g))
     return AdversarialInstance(
         k_eps=x.size - 1, knots_x=x, f_vals=f, g_vals=g, B_vals=np.ones_like(x),
-        s_vals=np.diff(x), delta0=1.0, kappa_f=2.0, spec=AdversarialSpec(0.5, 0.0),
+        delta0=1.0, kappa_f=2.0, spec=AdversarialSpec(0.5, 0.0),
     )
+
+
+def steps(inst):
+    """The unit-model Newton steps s_k = -g_k / B_k, as generate forms them."""
+    return -(inst.g_vals[:-1] / inst.B_vals[:-1])
 
 
 def hand_interpolant(x, f, g):
@@ -157,7 +162,7 @@ class TestGenerate:
         assert inst.f_vals[0] == 6.0  # 8 eps^2 + 4/(1-p)
         assert inst.g_vals[0] == -1.0
         assert inst.B_vals[0] == 1.0
-        assert inst.s_vals[0] == 1.0
+        assert steps(inst)[0] == 1.0
         assert inst.f_vals[1] == 5.0  # f0 - f1 = -g0 s0 = 4 eps^2
         assert inst.knots_x[0] == 0.0
 
@@ -193,29 +198,30 @@ class TestGenerate:
         assert np.all(inst.f_vals <= inst.f_vals[0])
         # knots strictly increasing, steps positive
         assert np.all(np.diff(inst.knots_x) > 0)
-        assert np.all(inst.s_vals > 0)
+        assert np.all(steps(inst) > 0)
         # gradient magnitudes: above eps until the last knot, eps at it
         gabs = np.abs(inst.g_vals)
         assert np.all(gabs[:-1] > spec.eps)
         assert gabs[-1] == spec.eps
         # recurrence holds exactly as stored
         lhs = inst.f_vals[1:]
-        rhs = inst.f_vals[:-1] + inst.g_vals[:-1] * inst.s_vals
+        rhs = inst.f_vals[:-1] + inst.g_vals[:-1] * steps(inst)
         assert np.array_equal(lhs, rhs)
 
     @pytest.mark.parametrize("spec", sweep_specs(), ids=lambda s: f"e{s.eps}_p{s.p}_c{s.c}")
     def test_hermite_hypotheses(self, spec):
         inst = generate(spec)
         kf = inst.kappa_f
+        s = steps(inst)
         assert kf == max(inst.f_vals[0], 2.0)
         # |f_{k+1} - (f_k + g_k s_k)| = 0 <= kf s_k^2 by the exact recurrence
         gaps = np.abs(inst.g_vals[1:] - inst.g_vals[:-1])
         # |g_{k+1} - g_k| <= |s_k| for k >= 1; the k = 0 link directly
-        assert np.all(gaps[1:] <= np.abs(inst.s_vals[1:]) * (1 + 1e-15))
-        assert gaps[0] <= abs(inst.s_vals[0]) * (1 + 1e-15)
+        assert np.all(gaps[1:] <= np.abs(s[1:]) * (1 + 1e-15))
+        assert gaps[0] <= abs(s[0]) * (1 + 1e-15)
         assert np.all(np.abs(inst.f_vals) <= kf)
         assert np.all(np.abs(inst.g_vals) <= kf)
-        assert np.all(np.abs(inst.s_vals) <= kf)
+        assert np.all(np.abs(s) <= kf)
 
 
 class TestInterpolant:
@@ -332,6 +338,15 @@ class TestAsProblem:
         problem.eval_grad(np.array([1.5]))
         problem.eval_f(np.array([0.5]))
         assert interp.calls == 3
+
+    def test_builds_no_lower_bound_and_no_hessian(self, monkeypatch):
+        def unused(self):
+            raise AssertionError("as_problem must not compute the lower bound")
+
+        monkeypatch.setattr(Interpolant1D, "lower_bound", unused)
+        problem = self.interpolant().as_problem()
+        assert problem.eval_hess is None
+        assert problem.f_low_hint is None
 
 
 class TestLowerBound:

@@ -9,16 +9,19 @@ import pytest
 from trfam import (
     AdversarialSpec,
     BoundInputs,
+    IterationLog,
     TrParams,
     audit_run,
     bound_successful,
     bound_total_k,
     bound_unsuccessful,
+    bounds,
     build_interpolant,
     choose_tau,
     generate,
     get_problem,
     kappa1,
+    measure_envelope,
     solve,
     theoretical_a_min,
     verify_sharpness,
@@ -37,6 +40,14 @@ def inputs(**kw):
     family = {k: kw.pop(k) for k in set(kw) & FAMILY}
     base.update(kw)
     return BoundInputs(TrParams(**family), **base)
+
+
+def envelope_log(bnorms, n_succs):
+    log = IterationLog()
+    for bnorm, n_succ in zip(bnorms, n_succs):
+        log.append(f=0.0, gnorm=1.0, delta=1.0, eff_radius=1.0, rho=2.0,
+                   status="very_successful", bnorm=bnorm, n_succ=n_succ, a_k=1.0, cg_iters=1)
+    return log
 
 
 # The five out-of-family constant sets BoundInputs used to accept.
@@ -270,6 +281,34 @@ class TestBoundTotal:
         assert tb.bound.representable == pytest.approx(math.exp(3.0) - 1.0, rel=1e-12)
 
 
+class TestMeasureEnvelope:
+    def test_constant_norms_all_successful(self):
+        # |B_k| = 1, |S_0| = 1: mu_hat = 1 / (1 + 1^p) = 0.5
+        log = envelope_log([1.0] * 5, range(1, 6))
+        assert measure_envelope(log, 0.5, "successful") == pytest.approx(0.5)
+
+    def test_scripted_linear_growth(self):
+        # B_k = k with every iteration successful: mu_hat <= 1 for p = 1
+        log = envelope_log(map(float, range(50)), range(1, 51))
+        mu = measure_envelope(log, 1.0, "successful")
+        assert 0 < mu <= 1.0
+        # exhaustive-max oracle
+        expected = max(
+            max(float(j) for j in range(k + 1)) / (1 + (k + 1) ** 1.0) for k in range(50)
+        )
+        assert mu == pytest.approx(expected)
+
+    def test_iteration_counter(self):
+        log = envelope_log([2.0] * 3, [0] * 3)
+        mu = measure_envelope(log, 1.0, "iteration")
+        # max over k of 2 / (1 + k): attained at k = 0
+        assert mu == pytest.approx(2.0)
+
+    def test_empty_log_rejected(self):
+        with pytest.raises(ValueError):
+            measure_envelope(IterationLog(), 0.5)
+
+
 class TestAudit:
     def adversarial_audit(self, spec, assumption="successful_counter"):
         sharp, report = verify_sharpness(spec)
@@ -316,6 +355,21 @@ class TestAudit:
         assert report.status == "max_iter"
         with pytest.raises(ValueError):
             audit_run(report, inputs())
+
+    @pytest.mark.parametrize("assumption,calls", [("successful_counter", ["successful"]),
+                                                  ("iteration_counter",
+                                                   ["successful", "iteration"])])
+    def test_measures_each_envelope_it_checks(self, monkeypatch, assumption, calls):
+        seen = []
+
+        def counted(log, p, counter_kind="successful"):
+            seen.append(counter_kind)
+            return measure_envelope(log, p, counter_kind)
+
+        monkeypatch.setattr(bounds, "measure_envelope", counted)
+        audit, _ = self.adversarial_audit(AdversarialSpec(0.5, 0.5), assumption)
+        assert audit.passed
+        assert seen == calls
 
     def test_a_min_margin_reported(self):
         audit, _ = self.adversarial_audit(AdversarialSpec(0.5, 0.0))

@@ -137,6 +137,15 @@ class TestAdversarial:
                                  f"--cap={cap}")
         assert (code, out, err) == (2, "", f"usage error: the k_eps cap must be at least 1, not {cap}\n")
 
+    # past the default cap, a 401-digit cap overflows a float in the cap
+    # message and 1e12 lets generate ask numpy for 7.28 TiB
+    @pytest.mark.parametrize("p,eps,cap", [("1", "0.03", "1" + "0" * 400),
+                                           ("0.5", "0.001", "1000000000000"),
+                                           ("0.5", "0.5", "100000001")])
+    def test_cap_above_the_default_is_usage_error(self, capsys, p, eps, cap):
+        code, out, err = run_cli(capsys, "adversarial", "--p", p, "--eps", eps, f"--cap={cap}")
+        assert (code, out, err) == (2, "", "usage error: the k_eps cap must be at most 1e+08\n")
+
 
 class TestBounds:
     def test_table_rows(self, capsys):
@@ -206,6 +215,26 @@ class TestBenchProfile:
         )
         assert (code, out, err) == (2, "", f"usage error: {name} must be nonnegative\n")
         assert not out_dir.exists()
+
+    # each pair is outside the family: TrParams rejects it before any cell runs
+    @pytest.mark.parametrize("variant,message", [
+        ("2,0", "need alpha <= 1 and beta <= 1"),
+        ("nan,0", "need alpha <= 1 and beta <= 1"),
+        ("0,inf", "need alpha <= 1 and beta <= 1"),
+        ("-inf,0", "alpha must be finite"),
+    ])
+    def test_out_of_family_variant_is_usage_error(self, capsys, tmp_path, variant, message):
+        out_dir = tmp_path / "bench"
+        code, out, err = run_cli(capsys, "bench", f"--variants={variant}", "--problems",
+                                 "sphere", "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_unknown_problem_is_domain_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "bench", "--variants", "0,0", "--problems", "nosuch",
+                                 "--out", str(tmp_path / "bench"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
     def test_missing_matrix_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "profile", "--in", str(tmp_path), "--metric", "fevals")

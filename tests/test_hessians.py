@@ -1,4 +1,4 @@
-"""Tests for the model-Hessian implementations and the growth envelope."""
+"""Tests for the model-Hessian implementations."""
 
 import hashlib
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from trfam import (
-    IterationLog,
     LbfgsModel,
     Lsr1Model,
     ScriptedModel,
@@ -14,7 +13,6 @@ from trfam import (
     build_model,
     get_problem,
     log_to_csv,
-    measure_envelope,
 )
 from trfam.bench import RunSpec, run_matrix
 from trfam.hessians import ExactHessian
@@ -113,14 +111,6 @@ def feed_pairs(m, rng, count, collinear=False):
     """Update m with ``count`` pairs from ``curved_pairs``."""
     for s, y in curved_pairs(rng, m.dim, count, collinear):
         m.update(s, y)
-
-
-def envelope_log(bnorms, n_succs):
-    log = IterationLog()
-    for bnorm, n_succ in zip(bnorms, n_succs):
-        log.append(f=0.0, gnorm=1.0, delta=1.0, eff_radius=1.0, rho=2.0,
-                   status="very_successful", bnorm=bnorm, n_succ=n_succ, a_k=1.0, cg_iters=1)
-    return log
 
 
 class TestApply:
@@ -477,31 +467,3 @@ class TestCompactPathDigests:
             hashlib.sha256("".join(",".join(row) + "\n" for row in table).encode()).hexdigest()
             for table in (rows, without_rho)
         ) == digests
-
-
-class TestMeasureEnvelope:
-    def test_constant_norms_all_successful(self):
-        # |B_k| = 1, |S_0| = 1: mu_hat = 1 / (1 + 1^p) = 0.5
-        log = envelope_log([1.0] * 5, range(1, 6))
-        assert measure_envelope(log, 0.5, "successful") == pytest.approx(0.5)
-
-    def test_scripted_linear_growth(self):
-        # B_k = k with every iteration successful: mu_hat <= 1 for p = 1
-        log = envelope_log(map(float, range(50)), range(1, 51))
-        mu = measure_envelope(log, 1.0, "successful")
-        assert 0 < mu <= 1.0
-        # exhaustive-max oracle
-        expected = max(
-            max(float(j) for j in range(k + 1)) / (1 + (k + 1) ** 1.0) for k in range(50)
-        )
-        assert mu == pytest.approx(expected)
-
-    def test_iteration_counter(self):
-        log = envelope_log([2.0] * 3, [0] * 3)
-        mu = measure_envelope(log, 1.0, "iteration")
-        # max over k of 2 / (1 + k): attained at k = 0
-        assert mu == pytest.approx(2.0)
-
-    def test_empty_log_rejected(self):
-        with pytest.raises(ValueError):
-            measure_envelope(IterationLog(), 0.5)
