@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,8 +31,10 @@ FINAL_GRAD_TOL = 1e-12
 class AdversarialSpec:
     """Target tolerance, Hessian growth exponent, and radius parameters.
 
-    ``c`` only matters when p = 1; it must then be positive (c = 0 would
-    collapse the instance to a single knot with a degenerate f_0).
+    ``c`` must be finite; it matters only when p = 1, and must then be
+    positive (c = 0 would collapse the instance to a single knot with a
+    degenerate f_0). ``TrParams`` checks alpha and beta; alpha > -1022
+    keeps delta0 = 2^(2 - alpha) a float.
     """
 
     eps: float
@@ -48,8 +50,11 @@ class AdversarialSpec:
             raise ValueError("p must lie in [0, 1]")
         if self.p == 1.0 and not self.c > 0.0:
             raise ValueError("p = 1 requires c > 0")
-        if not (self.alpha <= 1 and self.beta <= 1):  # NaN fails too
-            raise ValueError("alpha and beta must be <= 1")
+        if not math.isfinite(self.c):
+            raise ValueError("c must be finite")
+        TrParams(alpha=self.alpha, beta=self.beta)  # raises for a non-member of the family
+        if not self.alpha > -1022.0:
+            raise ValueError("need alpha > -1022, or delta0 = 2^(2 - alpha) overflows")
 
 
 def check_cap(cap: int) -> None:
@@ -62,7 +67,10 @@ def k_epsilon(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> int:
     """floor(eps^(-2/(1-p))) for p < 1, floor(exp(c eps^-2)) for p = 1."""
     check_cap(cap)
     if spec.p == 1.0:
-        log_k = spec.c * spec.eps**-2
+        try:
+            log_k = spec.c * spec.eps**-2
+        except OverflowError:  # eps below about 1e-154
+            log_k = math.inf
         if log_k > math.log(cap):
             raise ValueError(
                 f"k_eps = exp({log_k:.3g}) exceeds the cap {cap:g}; use a larger eps"
@@ -297,26 +305,11 @@ class SharpnessReport:
         return not self.mismatches
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.spec.eps,
-            "p": self.spec.p,
-            "c": self.spec.c,
-            "alpha": self.spec.alpha,
-            "beta": self.spec.beta,
-            "k_eps": self.k_eps,
-            "iterations": self.iterations,
-            "all_very_successful": self.all_very_successful,
-            "max_rho_error": self.max_rho_error,
-            "max_step_ratio": self.max_step_ratio,
-            "steps_inside": self.steps_inside,
-            "strictly_inside": self.strictly_inside,
-            "final_grad_abs": self.final_grad_abs,
-            "final_grad_error": self.final_grad_error,
-            "f0": self.f0,
-            "delta0": self.delta0,
-            "passed": self.passed,
-            "mismatches": self.mismatches[:20],
-        }
+        """The spec's fields, the report's, ``passed`` and the first 20 mismatches."""
+        out = {f.name: getattr(self.spec, f.name) for f in fields(self.spec)}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "spec")
+        out.update(passed=self.passed, mismatches=self.mismatches[:20])
+        return out
 
 
 def verify_sharpness(

@@ -8,6 +8,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import adversarial as adv
 from . import bench as bench_mod
 from . import bounds as bounds_mod
@@ -75,7 +77,7 @@ def _cmd_solve(args) -> int:
     try:
         problem = get_problem(args.problem)
     except KeyError as exc:
-        raise DomainError(str(exc)) from exc
+        raise DomainError(exc.args[0]) from exc
     model = build_model(args.hessian, problem, memory=args.mem)
     report = solve(
         problem,
@@ -87,11 +89,8 @@ def _cmd_solve(args) -> int:
     )
     if args.log_csv:
         write_log_csv(report, args.log_csv)
-    payload = {
+    payload = {  # the text output, in order
         "problem": problem.name,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "hessian": args.hessian,
         "status": report.status,
         "iterations": report.iterations,
         "n_succ": report.n_succ_total,
@@ -100,24 +99,19 @@ def _cmd_solve(args) -> int:
         "final_gnorm": report.final_gnorm,
         "n_f": report.evals.n_f,
         "n_g": report.evals.n_g,
-        "a_min_theoretical": report.a_min_theoretical,
-        "lipschitz_estimate": report.lipschitz_estimate,
     }
     if args.json:
-        _emit_json(payload)
+        _emit_json({
+            **payload,
+            "alpha": params.alpha,
+            "beta": params.beta,
+            "hessian": args.hessian,
+            "a_min_theoretical": report.a_min_theoretical,
+            "lipschitz_estimate": report.lipschitz_estimate,
+        })
     else:
-        for key in (
-            "problem",
-            "status",
-            "iterations",
-            "n_succ",
-            "n_unsucc",
-            "final_f",
-            "final_gnorm",
-            "n_f",
-            "n_g",
-        ):
-            print(f"{key}: {payload[key]}")
+        for key, value in payload.items():
+            print(f"{key}: {value}")
     return 0
 
 
@@ -127,10 +121,8 @@ def _cmd_adversarial(args) -> int:
     adv.check_cap(args.cap)
     if args.cap > adv.K_EPS_CAP:
         raise ValueError(f"the k_eps cap must be at most {adv.K_EPS_CAP:g}")
+    spec = adv.AdversarialSpec(eps=args.eps, p=args.p, c=args.c, alpha=args.alpha, beta=args.beta)
     try:
-        spec = adv.AdversarialSpec(
-            eps=args.eps, p=args.p, c=args.c, alpha=args.alpha, beta=args.beta
-        )
         if args.verify:
             sharp, _ = adv.verify_sharpness(spec, cap=args.cap)
             payload = sharp.to_dict()
@@ -194,17 +186,15 @@ def _cmd_bounds(args) -> int:
         ub = bounds_mod.bound_unsuccessful(inputs, s_for_u) if s_for_u is not None else None
         tb = bounds_mod.bound_total_k(inputs, tau, xi)
         refs = bounds_mod.classical_reference_rows(inputs)
-    except (ValueError, ArithmeticError) as exc:
-        # ArithmeticError: a bound that under- or overflows, e.g. a huge |beta|
+    except OverflowError as exc:  # float ** says only "(34, 'Numerical result out of range')"
+        raise DomainError("a bound is out of the float range") from exc
+    except (ValueError, ArithmeticError) as exc:  # e.g. a huge |beta| divides by zero
         raise DomainError(str(exc)) from exc
 
+    rows = []
+
     def row(name, value, logv=None):
-        if value is None:
-            print(f"{name:<28} {'(not representable)':<24} ln = {logv:.10g}")
-        elif logv is None:
-            print(f"{name:<28} {value:<24.10g}")
-        else:
-            print(f"{name:<28} {value:<24.10g} ln = {logv:.10g}")
+        rows.append((name, value, logv))
 
     row("kappa (max{L,1}/2)", max(args.L, 1.0) / 2.0)
     row("a_min", a_min)
@@ -224,6 +214,14 @@ def _cmd_bounds(args) -> int:
     row("  eps^(alpha-1) contribution", tb.eps_alpha_contribution)
     row("ref bounded-case (scaled)", refs["scaled_radius_p0"])
     row("ref bounded-case (classic)", refs["classical_p0"])
+    for name, value, logv in rows:
+        # None is an absent entry and ln = -inf a bound <= 0; any other
+        # non-finite entry overflowed
+        if not math.isfinite(value or 0.0) or not (logv or 0.0) < math.inf:
+            raise DomainError(f"{name.strip()} is out of the float range")
+    for name, value, logv in rows:
+        shown = "(not representable)" if value is None else f"{value:.10g}"
+        print(f"{name:<28} {shown:<24}" + ("" if logv is None else f" ln = {logv:.10g}"))
     return 0
 
 
@@ -256,9 +254,12 @@ def _cmd_bench(args) -> int:
     )
     try:
         matrix, _ = bench_mod.run_matrix(specs)
+    except KeyError as exc:  # an unknown problem
+        raise DomainError(exc.args[0]) from exc
+    try:
         profiles = {m: bench_mod.performance_profile(matrix, m) for m in bench_mod.METRICS}
         written = bench_mod.emit(matrix, profiles, args.out)
-    except (KeyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise DomainError(str(exc)) from exc
     for path in written:
         print(path)
@@ -301,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adv = sub.add_parser("adversarial", help="worst-case instance generator/verifier")
     p_adv.add_argument("--p", type=float, required=True)
-    p_adv.add_argument("--c", type=float, default=1.0)
+    p_adv.add_argument("--c", type=float, default=adv.AdversarialSpec.c)
     p_adv.add_argument("--eps", type=float, required=True)
-    p_adv.add_argument("--alpha", type=float, default=0.0)
-    p_adv.add_argument("--beta", type=float, default=0.0)
+    p_adv.add_argument("--alpha", type=float, default=adv.AdversarialSpec.alpha)
+    p_adv.add_argument("--beta", type=float, default=adv.AdversarialSpec.beta)
     p_adv.add_argument("--verify", action="store_true")
     p_adv.add_argument("--emit-function", default=None, dest="emit_function")
     p_adv.add_argument("--cap", type=int, default=adv.K_EPS_CAP)
@@ -345,7 +346,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the driver rejects what overflows; numpy need not warn of it too
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (DomainError, SolveError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -247,10 +247,13 @@ def solve(
     other dimension takes the truncated CG step (``solve_tcg``). While x
     and the model stay as they are, as after a rejected step, every CG
     step walks one ``SteihaugPath``; an accepted step, or an update that
-    changes the model, drops it. Negative budgets raise ValueError.
+    changes the model, drops it. An eps that is not positive and finite,
+    and negative budgets, raise ValueError.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if not math.isfinite(eps):
+        raise ValueError("eps must be finite")
     if not max_iter >= 0:
         raise ValueError("max_iter must be nonnegative")
     if eval_budget is not None and not eval_budget >= 0:

@@ -144,6 +144,10 @@ class TestKEpsilon:
         with pytest.raises(ValueError, match="cap must be at least 1"):
             k_epsilon(AdversarialSpec(0.5, p), cap)
 
+    def test_p1_eps_whose_inverse_square_overflows_is_over_the_cap(self):
+        with pytest.raises(ValueError, match=r"k_eps = exp\(inf\) exceeds the cap"):
+            k_epsilon(AdversarialSpec(1e-300, 1.0))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             AdversarialSpec(1.5, 0.0)
@@ -152,8 +156,25 @@ class TestKEpsilon:
         with pytest.raises(ValueError):
             AdversarialSpec(0.5, 1.0, c=0.0)
         for alpha, beta in ((1.5, 0.0), (math.nan, 0.0), (0.0, math.nan)):
-            with pytest.raises(ValueError, match="alpha and beta"):
+            with pytest.raises(ValueError, match="need alpha <= 1 and beta <= 1"):
                 AdversarialSpec(0.5, 0.0, alpha=alpha, beta=beta)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            AdversarialSpec(0.5, 0.0, alpha=-math.inf)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_infinite_c_rejected(self, p):
+        # c is unused for p < 1, but the verifier's report prints it
+        with pytest.raises(ValueError, match="c must be finite"):
+            AdversarialSpec(0.5, p, c=math.inf)
+
+    @pytest.mark.parametrize("alpha", [-2000.0, -1e300, -1022.0])
+    def test_alpha_whose_delta0_overflows_rejected(self, alpha):
+        with pytest.raises(ValueError, match="need alpha > -1022, or delta0"):
+            AdversarialSpec(0.5, 0.0, alpha=alpha)
+
+    def test_alpha_just_above_the_overflow_keeps_delta0_finite(self):
+        alpha = math.nextafter(-1022.0, 0.0)
+        assert generate(AdversarialSpec(0.5, 0.0, alpha=alpha)).delta0 == 2.0 ** (2.0 - alpha)
 
 
 class TestGenerate:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, JSON contract, files."""
 
 import json
+import warnings
 
 import pytest
 
@@ -10,9 +11,13 @@ from trfam.driver import SolveError, TrParams
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one in-process run. Under pytest a
+    warning does not reach stderr, so each one is added to it as a line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
     out, err = capsys.readouterr()
-    return code, out, err
+    return code, out, err + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
 
 
 class TestSolve:
@@ -65,8 +70,18 @@ class TestSolve:
 
     def test_unknown_problem_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--problem", "nessie")
-        assert code == 1
-        assert err.startswith("error:")
+        assert (code, out, err) == (1, "", "error: unknown problem name: 'nessie'\n")
+
+    def test_infinite_eps_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", "--eps=inf", "--json")
+        assert (code, out, err) == (2, "", "usage error: eps must be finite\n")
+
+    def test_overflowing_trial_step_leaves_stderr_empty(self, capsys):
+        # the driver rejects the overflowing trial f; numpy warned of it
+        code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", "--delta0=1e300",
+                                 "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "first_order"
 
     @pytest.mark.parametrize("exc", [
         SolveError("rosenbrock: non-finite f or gradient at k=3"),
@@ -131,6 +146,27 @@ class TestAdversarial:
         assert (code, out) == (1, "")
         assert err == "error: k_eps = exp(2.11e+05) exceeds the cap 1e+08; use a larger eps\n"
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--alpha=-inf", "alpha must be finite"),
+        ("--alpha=2", "need alpha <= 1 and beta <= 1"),
+        ("--beta=nan", "need alpha <= 1 and beta <= 1"),
+        ("--eps=2", "eps must lie in (0, 1)"),
+        ("--p=2", "p must lie in [0, 1]"),
+        ("--c=inf", "c must be finite"),
+        ("--alpha=-2000", "need alpha > -1022, or delta0 = 2^(2 - alpha) overflows"),
+        ("--alpha=-1e300", "need alpha > -1022, or delta0 = 2^(2 - alpha) overflows"),
+    ])
+    def test_rejected_spec_is_usage_error(self, capsys, flag, message):
+        code, out, err = run_cli(capsys, "adversarial", "--p", "0.5", "--eps", "0.5", flag,
+                                 "--json")
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+    def test_k_eps_past_the_float_range_is_domain_error(self, capsys):
+        # eps^-2 overflows; this used to end in a traceback
+        code, out, err = run_cli(capsys, "adversarial", "--p=1", "--eps=1e-300")
+        assert (code, out) == (1, "")
+        assert err == "error: k_eps = exp(inf) exceeds the cap 1e+08; use a larger eps\n"
+
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_cap_below_one_is_usage_error(self, capsys, cap):
         code, out, err = run_cli(capsys, "adversarial", "--p", "0.5", "--eps", "0.5",
@@ -175,6 +211,8 @@ class TestBounds:
         ("--s-eps=nan", 1, "error: s_eps must be finite and nonnegative"),
         ("--s-eps=inf", 1, "error: s_eps must be finite and nonnegative"),
         ("--alpha=-inf", 2, "usage error: alpha must be finite"),
+        ("--f0=1e308", 1, "error: kappa1 is out of the float range"),
+        ("--eps=1e-300", 1, "error: a bound is out of the float range"),
     ])
     def test_bad_value_is_one_line_and_exit_code(self, capsys, flag, code, message):
         # a later --mu overrides the first one
@@ -182,6 +220,12 @@ class TestBounds:
         assert got == code
         assert out == ""
         assert err == message + "\n"
+
+    def test_overflowing_bound_is_one_line(self, capsys):
+        # the table used to print inf here and exit 0
+        got, out, err = run_cli(capsys, "bounds", "--p=0.5", "--mu=1e300", "--eps=0.1",
+                                "--f0=1e300")
+        assert (got, out, err) == (1, "", "error: bound successful is out of the float range\n")
 
     def test_domain_error_bubbles(self, capsys):
         code, _, err = run_cli(
@@ -233,8 +277,26 @@ class TestBenchProfile:
     def test_unknown_problem_is_domain_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "bench", "--variants", "0,0", "--problems", "nosuch",
                                  "--out", str(tmp_path / "bench"))
-        assert (code, out) == (1, "")
-        assert err.startswith("error:")
+        assert (code, out, err) == (1, "", "error: unknown problem name: 'nosuch'\n")
+
+    # solve and build_model reject these in every cell: usage errors, as in solve
+    @pytest.mark.parametrize("flags,message", [
+        (("--eps=0",), "eps must be positive"),
+        (("--eps=inf",), "eps must be finite"),
+        (("--hessian", "lbfgs", "--mem=0"), "memory must be positive"),
+    ])
+    def test_rejected_run_setting_is_usage_error(self, capsys, tmp_path, flags, message):
+        out_dir = tmp_path / "bench"
+        code, out, err = run_cli(capsys, "bench", *flags, "--problems", "sphere",
+                                 "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_overflowing_variant_fails_in_one_line(self, capsys, tmp_path):
+        # beta = -1e300 overflows in every cell; numpy warned of each overflow
+        code, out, err = run_cli(capsys, "bench", "--problems", "sphere,beale", "--max-iter=30",
+                                 "--variants=0,-1e300", "--out", str(tmp_path / "bench"))
+        assert (code, out, err) == (1, "", "error: no variant solved any problem\n")
 
     def test_missing_matrix_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "profile", "--in", str(tmp_path), "--metric", "fevals")

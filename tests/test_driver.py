@@ -175,6 +175,16 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"{next(iter(budget))} must be nonnegative"):
             solve(p, TrParams(), build_model("exact", p), eps=1e-6, **budget)
 
+    @pytest.mark.parametrize("eps,message", [
+        (0.0, "eps must be positive"),
+        (math.nan, "eps must be positive"),
+        (math.inf, "eps must be finite"),
+    ])
+    def test_eps_outside_the_positive_floats_rejected(self, eps, message):
+        p = get_problem("rosenbrock")
+        with pytest.raises(ValueError, match=message):
+            solve(p, TrParams(), build_model("exact", p), eps=eps)
+
     def test_eval_budget_binds_exactly(self):
         p = get_problem("rosenbrock")
         full = solve(p, TrParams(), build_model("lbfgs", p), eps=1e-6)
