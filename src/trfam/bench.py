@@ -9,6 +9,7 @@ problems whose ratio is within tau.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import SolveError, SolveReport, TrParams, solve
+from .driver import SolveError, SolveReport, TrParams, check_budgets, solve
 from .hessians import DEFAULT_MEMORY, build_model
 from .problems import builtin_collection, get_problem
 
@@ -43,10 +44,7 @@ class RunSpec:
 
     def __post_init__(self):
         TrParams(alpha=self.alpha, beta=self.beta)  # raises for a non-member of the family
-        if not self.max_iter >= 0:
-            raise ValueError("max_iter must be nonnegative")
-        if not self.eval_budget >= 0:
-            raise ValueError("eval_budget must be nonnegative")
+        check_budgets(self.max_iter, self.eval_budget)
 
     @property
     def variant(self) -> str:
@@ -109,14 +107,8 @@ def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], 
         key = (spec.problem, spec.variant)
         t0 = time.perf_counter()
         try:
-            report = solve(
-                prob,
-                params,
-                model,
-                eps=spec.eps,
-                max_iter=spec.max_iter,
-                eval_budget=spec.eval_budget,
-            )
+            report = solve(prob, params, model, eps=spec.eps, max_iter=spec.max_iter,
+                           eval_budget=spec.eval_budget)
         except (SolveError, FloatingPointError):
             matrix.cells[key] = CellResult("error", 0, 0, 0.0, 0)
             continue
@@ -145,7 +137,8 @@ class ProfileCurve:
 
 def performance_profile(matrix: CostMatrix, metric: str = "fevals") -> list[ProfileCurve]:
     """Cost-ratio step functions, one per variant, right-continuous and
-    non-decreasing with terminal value = solved fraction."""
+    non-decreasing with terminal value = solved fraction; ValueError for a
+    ratio past the float range."""
     n_prob = len(matrix.problems)
     ratios: dict[str, list[float]] = {v: [] for v in matrix.variants}
     any_solved = False
@@ -158,6 +151,8 @@ def performance_profile(matrix: CostMatrix, metric: str = "fevals") -> list[Prof
         for v, c in costs.items():
             if math.isfinite(c):
                 ratios[v].append(c / best)
+                if ratios[v][-1] == math.inf:
+                    raise ValueError(f"a {metric} ratio on {prob} is out of the float range")
     if not any_solved:
         raise ValueError("no variant solved any problem")
     breakpoints = sorted({1.0} | {r for rs in ratios.values() for r in rs})
@@ -188,15 +183,27 @@ def matrix_to_csv(matrix: CostMatrix) -> str:
 
 
 def read_matrix_csv(path) -> CostMatrix:
-    text = Path(path).read_text().strip().splitlines()
+    """Read a ``matrix_to_csv`` file; ValueError for a missing or repeated
+    cell, or a solved one with costs no solve has."""
+    text = Path(path).read_text().rstrip().splitlines()
     if not text or text[0] != _MATRIX_HEADER:
         raise ValueError(f"{path}: not a cost-matrix CSV")
     cells: dict[tuple[str, str], CellResult] = {}
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         prob, variant, status, cf, cg, tms, iters = line.split(",")
-        cells[(prob, variant)] = CellResult(status, int(cf), int(cg), float(tms), int(iters))
+        cell = CellResult(status, int(cf), int(cg), float(tms), int(iters))
+        costs_ok = min(cell.cost_f, cell.cost_g) >= 1 and 0 < cell.time_ms < math.inf
+        if cell.solved and not costs_ok:
+            raise ValueError(f"{path}, line {lineno}: a first_order cell needs cost_f and "
+                             "cost_g at least 1 and a finite, positive time_ms")
+        if (prob, variant) in cells:
+            raise ValueError(f"{path}, line {lineno}: a second cell for {prob}, {variant}")
+        cells[(prob, variant)] = cell
     problems = sorted({k[0] for k in cells})
     variants = sorted({k[1] for k in cells})
+    for key in itertools.product(problems, variants):
+        if key not in cells:
+            raise ValueError(f"{path}: no cell for problem {key[0]}, variant {key[1]}")
     return CostMatrix(problems, variants, cells)
 
 

@@ -229,6 +229,15 @@ def _next_delta(delta: float, status: str, params: TrParams) -> float:
     return params.gamma2 * delta
 
 
+def check_budgets(max_iter: int, eval_budget: int | None) -> None:
+    """Raise ValueError for a negative ``max_iter`` or an ``eval_budget``
+    (None is none) below 2, the f and g at x0."""
+    if not max_iter >= 0:
+        raise ValueError("max_iter must be nonnegative")
+    if eval_budget is not None and not eval_budget >= 2:
+        raise ValueError("eval_budget must be at least 2")
+
+
 def solve(
     problem: Problem,
     params: TrParams,
@@ -242,22 +251,21 @@ def solve(
     The returned iteration count is the index of the first iterate whose
     gradient norm passes the test; the stopping iterate itself consumes no
     step. ``eval_budget`` caps the combined objective and gradient
-    evaluation count. A 1-d problem takes the exact 1-d step
-    (``newton_step_1d``), which the worst-case verifier relies on; any
-    other dimension takes the truncated CG step (``solve_tcg``). While x
-    and the model stay as they are, as after a rejected step, every CG
-    step walks one ``SteihaugPath``; an accepted step, or an update that
-    changes the model, drops it. An eps that is not positive and finite,
-    and negative budgets, raise ValueError.
+    evaluation count; an iteration starts only when its trial f and that
+    f's g fit, so every evaluation after x0's belongs to a logged
+    iteration. A 1-d problem takes the exact 1-d step (``newton_step_1d``),
+    which the worst-case verifier relies on; any other dimension takes the
+    truncated CG step (``solve_tcg``). While x and the model stay as they
+    are, as after a rejected step, every CG step walks one
+    ``SteihaugPath``; an accepted step, or an update that changes the
+    model, drops it. An eps that is not positive and finite raises
+    ValueError, as ``check_budgets`` does.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
-    if not max_iter >= 0:
-        raise ValueError("max_iter must be nonnegative")
-    if eval_budget is not None and not eval_budget >= 0:
-        raise ValueError("eval_budget must be nonnegative")
+    check_budgets(max_iter, eval_budget)
 
     evals = EvalCounter()
     budget = math.inf if eval_budget is None else eval_budget
@@ -265,8 +273,6 @@ def solve(
     x = np.array(problem.x0, dtype=float)
     one_d = x.size == 1
     path = None  # the CG path of the current g and model
-    if evals.n_f + evals.n_g + 2 > budget:
-        return SolveReport("eval_budget", 0, 0, 0, math.nan, math.nan, evals, x=x)
     f = float(problem.eval_f(x))
     evals.n_f += 1
     g = np.asarray(problem.eval_grad(x), dtype=float)
@@ -291,7 +297,7 @@ def solve(
         if k >= max_iter:
             status = "max_iter"
             break
-        if evals.n_f + evals.n_g + 1 > budget:
+        if evals.n_f + evals.n_g + 2 > budget:  # the trial f and its g
             status = "eval_budget"
             break
 
@@ -347,9 +353,6 @@ def solve(
         accepted = iter_status != UNSUCCESSFUL
         if accepted:
             path = None  # x moves on
-            if evals.n_f + evals.n_g + 1 > budget:
-                status = "eval_budget"
-                break
             g_new = np.asarray(problem.eval_grad(x_trial), dtype=float)
             evals.n_g += 1
             y = g_new - g
@@ -363,9 +366,6 @@ def solve(
             n_succ += 1
         elif params.update_on_unsuccessful and isinstance(model, (LbfgsModel, Lsr1Model)):
             # Assumption-2 regime: pay one extra gradient for the rejected pair
-            if evals.n_f + evals.n_g + 1 > budget:
-                status = "eval_budget"
-                break
             g_trial = np.asarray(problem.eval_grad(x_trial), dtype=float)
             evals.n_g += 1
             if np.all(np.isfinite(g_trial)) and model.update(step.s, g_trial - g):
@@ -375,20 +375,8 @@ def solve(
             ak = a_k(delta, hist_max_b, hist_min_g, params.alpha, params.beta)
         except ArithmeticError as exc:
             raise SolveError(f"{problem.name}: a_k out of the float range at k={k}") from exc
-        log.append(
-            f_at_k,
-            gnorm,
-            delta,
-            radius,
-            rho,
-            iter_status,
-            bnorm,
-            n_succ,
-            ak,
-            step.cg_iters,
-            decrease,
-            snorm,
-        )
+        log.append(f_at_k, gnorm, delta, radius, rho, iter_status, bnorm, n_succ, ak,
+                   step.cg_iters, decrease, snorm)
         delta = _next_delta(delta, iter_status, params)
         k += 1
 

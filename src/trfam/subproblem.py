@@ -188,30 +188,28 @@ def solve_tcg(
     B: HessianModel,
     radius: float,
     path: SteihaugPath | None = None,
-    *,
-    cg_tol: float | None = None,
-    max_cg: int | None = None,
 ) -> StepResult:
     """Steihaug truncated CG on the ball of the given radius.
 
     Starts from s = 0 and stops on (i) residual <= cg_tol |g|, (ii) negative
     curvature (step to the boundary along the current direction), (iii) a
     trial iterate leaving the ball (step to the boundary), or (iv) max_cg
-    iterations. A trial landing exactly on the boundary counts as a
-    boundary hit. The first iterate is the Cauchy point and the model
-    decrease is monotone along CG, so the returned decrease is at least the
-    Cauchy decrease. The decrease comes from the CG recurrences, not from a
-    final product s'Bs: each interior step adds alpha_i r_i'r_i / 2 to it,
-    and the boundary step sigma d_i from s_i adds
-    -(sigma r_i'd_i + sigma^2 d_i'Bd_i / 2). ``max_cg`` must be at least 1.
+    iterations, with the path's ``cg_tol`` and ``max_cg``. A trial landing
+    exactly on the boundary counts as a boundary hit. The first iterate is
+    the Cauchy point and the model decrease is monotone along CG, so the
+    returned decrease is at least the Cauchy decrease. The decrease comes
+    from the CG recurrences, not from a final product s'Bs: each interior
+    step adds alpha_i r_i'r_i / 2 to it, and the boundary step sigma d_i
+    from s_i adds -(sigma r_i'd_i + sigma^2 d_i'Bd_i / 2).
 
     ``path`` is a ``SteihaugPath`` of this g and B that earlier calls may
     have walked; it is walked again and extended only where this radius
-    needs it. Without one, a fresh path is built with ``cg_tol`` and
-    ``max_cg``. A non-finite decrease raises FloatingPointError.
+    needs it. Without one, a fresh path is built with the default
+    ``cg_tol`` and ``max_cg``. A non-finite decrease raises
+    FloatingPointError.
     """
     if path is None:
-        path = SteihaugPath(g, B, cg_tol, max_cg)
+        path = SteihaugPath(g, B)
     return path.walk(radius)
 
 

@@ -9,6 +9,8 @@ from trfam import cli
 from trfam.cli import main
 from trfam.driver import SolveError, TrParams
 
+from test_driver import BUDGET_RULES
+
 
 def run_cli(capsys, *argv):
     """Exit code, stdout and stderr of one in-process run. Under pytest a
@@ -56,7 +58,7 @@ class TestSolve:
                                            ("--eval-budget", "eval_budget")])
     def test_negative_budget_is_usage_error(self, capsys, flag, name):
         code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", flag, "-1", "--json")
-        assert (code, out, err) == (2, "", f"usage error: {name} must be nonnegative\n")
+        assert (code, out, err) == (2, "", f"usage error: {BUDGET_RULES[name]}\n")
 
     @pytest.mark.parametrize("flags,name", [
         (("--gamma3=inf", "--gamma4=inf"), "gamma3"),
@@ -257,7 +259,7 @@ class TestBenchProfile:
         code, out, err = run_cli(
             capsys, "bench", flag, "-1", "--problems", "sphere", "--out", str(out_dir)
         )
-        assert (code, out, err) == (2, "", f"usage error: {name} must be nonnegative\n")
+        assert (code, out, err) == (2, "", f"usage error: {BUDGET_RULES[name]}\n")
         assert not out_dir.exists()
 
     # each pair is outside the family: TrParams rejects it before any cell runs
@@ -297,6 +299,29 @@ class TestBenchProfile:
         code, out, err = run_cli(capsys, "bench", "--problems", "sphere,beale", "--max-iter=30",
                                  "--variants=0,-1e300", "--out", str(tmp_path / "bench"))
         assert (code, out, err) == (1, "", "error: no variant solved any problem\n")
+
+    # each matrix.csv holds a cell no bench run writes; rows are problem,
+    # variant, status, cost_f, cost_g, time_ms
+    @pytest.mark.parametrize("metric,rows,message", [
+        ("fevals", ["p,0_0,first_order,0,3,1.5", "p,1_1,first_order,4,3,1.5"], "line 2: a first"),
+        ("gevals", ["p,0_0,first_order,4,3,1.5", "p,1_1,first_order,4,-2,1.5"], "line 3: a first"),
+        ("time", ["p,0_0,first_order,4,3,nan", "p,1_1,first_order,4,3,1.5",
+                  "q,0_0,first_order,4,3,1.5", "q,1_1,first_order,4,3,1.5"], "line 2: a first"),
+        ("time", ["p,0_0,first_order,4,3,inf", "p,1_1,max_iter,0,0,0"], "line 2: a first"),
+        ("time", ["p,0_0,first_order,4,3,1e300", "p,1_1,first_order,4,3,1e-300"],
+         "a time ratio on p is out of the float range"),
+        ("fevals", ["p,0_0,first_order,4,3,1.5", "q,1_1,first_order,4,3,1.5"],
+         "no cell for problem p, variant 1_1"),
+        ("fevals", ["p,0_0,first_order,4,3,1.5", "p,0_0,max_iter,1,1,1.5"],
+         "line 3: a second cell for p, 0_0"),
+    ])
+    def test_profile_rejects_an_impossible_matrix(self, capsys, tmp_path, metric, rows, message):
+        lines = ["problem,variant,status,cost_f,cost_g,time_ms,iters"] + [f"{r},2" for r in rows]
+        (tmp_path / "matrix.csv").write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "profile", "--in", str(tmp_path), "--metric", metric)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: ") and message in err, err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["matrix.csv"]
 
     def test_missing_matrix_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "profile", "--in", str(tmp_path), "--metric", "fevals")

@@ -1,30 +1,32 @@
 """The README's CLI contract, fuzzed: argv for solve, adversarial, bounds
 and bench, each flag passed as ``--flag=value``, with a typical value or,
-for up to three flags of a run, one of the EDGE values. Every run ends in
-one of
+for up to three flags of a run, one of the EDGE values, and profile over a
+matrix.csv whose costs and times are typical or EDGE values. Every run ends
+in one of
 
 - exit 0 with empty stderr and no nan, inf or null on stdout, with the
-  README's three exceptions: ``solve --json`` prints a null
+  README's two exceptions: ``solve --json`` prints a null
   ``a_min_theoretical`` and ``lipschitz_estimate`` when no step succeeded,
-  ``solve`` prints ``final_f`` and ``final_gnorm`` as nan (null) when the
-  eval budget stopped the run before its first evaluation, and a bounds
-  row whose bound is <= 0 prints ``ln = -inf``;
+  and a bounds row whose bound is <= 0 prints ``ln = -inf``;
 - exit 1 with one ``error:`` line on stderr;
 - exit 2 with one ``usage error:`` line or argparse's usage message.
 
 Runs are in process, with --max-iter <= 50, --cap <= 2000 and at most two
 bench problems. A warning counts as a line of stderr, as it would be one
-outside pytest. Flags that only name files (--log-csv, --emit-function) and
-the profile subcommand are left out.
+outside pytest. A passing ``solve --log-csv`` writes one row per iteration.
+A passing profile writes no non-finite number to its profile CSV.
+``--emit-function``, which only names a file, is left out.
 """
 
 import json
 import re
 import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from trfam.bench import _MATRIX_HEADER, METRICS
 from trfam.cli import _PARAM_FLAGS
 from trfam.driver import RADIUS_MODES, TrParams
 from trfam.hessians import MODEL_KINDS
@@ -64,7 +66,8 @@ RUN_FLAGS = {"mem": None, "eps": "1e-6", "max_iter": "50", "eval_budget": None}
 CONSTANTS = dict.fromkeys(_PARAM_FLAGS)  # each TrParams default
 
 
-def check_contract(capsys, argv: list[str], out_text=lambda out: out) -> None:
+def check_contract(capsys, argv: list[str], out_text=lambda out: out) -> tuple[int, str]:
+    """Assert the contract for one run; its exit code and stdout."""
     try:
         code, out, err = run_cli(capsys, *argv)
     except SystemExit as exc:  # argparse
@@ -80,25 +83,23 @@ def check_contract(capsys, argv: list[str], out_text=lambda out: out) -> None:
         assert code == 2, (argv, code, err)
         usage = lines[0].startswith("usage: trfam") and ": error: " in lines[-1]
         assert usage or (len(lines) == 1 and lines[0].startswith("usage error: ")), (argv, err)
+    return code, out
+
+
+def solve_payload(out: str) -> dict:
+    if out.startswith("{"):
+        return json.loads(out)
+    return dict(line.split(": ", 1) for line in out.splitlines())
 
 
 def solve_text(out: str) -> str:
-    """stdout less the fields a run leaves undefined, where it prints them
-    non-finite: a_min_theoretical and lipschitz_estimate (JSON only) when no
-    step succeeded, final_f and final_gnorm when the eval budget stopped the
-    run before its first evaluation."""
-    if out.startswith("{"):
-        payload = json.loads(out)
-    else:
-        payload = dict(line.split(": ", 1) for line in out.splitlines())
-    undefined = []
+    """stdout less a_min_theoretical and lipschitz_estimate (JSON only),
+    which a run leaves undefined (null) when no step succeeded."""
+    payload = solve_payload(out)
     if str(payload["n_succ"]) == "0":
-        undefined += ["a_min_theoretical", "lipschitz_estimate"]
-    if str(payload["n_f"]) == "0":
-        undefined += ["final_f", "final_gnorm"]
-    for key in undefined:
-        if payload.get(key) in (None, "nan"):
-            payload.pop(key, None)
+        for key in ("a_min_theoretical", "lipschitz_estimate"):
+            if payload.get(key, 0) is None:
+                del payload[key]
     return json.dumps(payload)
 
 
@@ -122,10 +123,17 @@ def bounds_text(out: str) -> str:
     drawn=flags({**RUN_FLAGS, **CONSTANTS}),
     update=switch("--update-on-unsuccessful"),
     as_json=switch("--json"),
+    log_csv=st.booleans(),
 )
-def test_solve(capsys, problem, hessian, mode, drawn, update, as_json):
+def test_solve(capsys, problem, hessian, mode, drawn, update, as_json, log_csv):
     argv = ["solve", f"--problem={problem}", f"--hessian={hessian}", f"--radius-mode={mode}"]
-    check_contract(capsys, argv + drawn + update + as_json, solve_text)
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp, "log.csv")
+        code, out = check_contract(capsys, argv + drawn + update + as_json
+                                   + [f"--log-csv={log}"] * log_csv, solve_text)
+        if code == 0 and log_csv:
+            rows = log.read_text().splitlines()[1:]
+            assert len(rows) == int(solve_payload(out)["iterations"]), argv
 
 
 @fuzz
@@ -161,3 +169,28 @@ def test_bench(capsys, problems, variants, hessian, drawn):
         argv = ["bench", f"--problems={','.join(problems)}", f"--hessian={hessian}",
                 f"--variants={';'.join(f'{a},{b}' for a, b in variants)}", f"--out={out_dir}"]
         check_contract(capsys, argv + drawn, lambda out: out.replace(out_dir, ""))
+
+
+@settings(fuzz, max_examples=60)
+@given(
+    solved=st.lists(st.booleans(), min_size=1, max_size=4),
+    edits=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from(EDGE)),
+                   max_size=2),
+    metric=st.sampled_from(METRICS),
+)
+def test_profile(capsys, solved, edits, metric):
+    # row i is problem p<i // 2>, variant <i % 2>_0, with distinct costs
+    cells = [[str(i + 1), str(i + 2), f"{i + 1.5}"] for i in range(len(solved))]
+    for row, column, edge in edits:
+        if row < len(cells):
+            cells[row][column] = edge
+    lines = [_MATRIX_HEADER] + [
+        f"p{i // 2},{i % 2}_0,{'first_order' if ok else 'max_iter'},{','.join(costs)},3"
+        for i, (ok, costs) in enumerate(zip(solved, cells))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "matrix.csv").write_text("\n".join(lines) + "\n")
+        code, _ = check_contract(capsys, ["profile", f"--in={tmp}", f"--metric={metric}"],
+                                 lambda out: out.replace(tmp, ""))
+        if code == 0:
+            assert not NON_FINITE.findall(Path(tmp, f"profile_{metric}.csv").read_text())

@@ -25,6 +25,10 @@ from trfam import driver
 from trfam.driver import CSV_HEADER, SolveError
 from trfam.problems import Problem
 
+# check_budgets' message for each budget it rejects
+BUDGET_RULES = {"max_iter": "max_iter must be nonnegative",
+                "eval_budget": "eval_budget must be at least 2"}
+
 
 def liar_problem():
     """Deterministic objective whose trial points never decrease: every
@@ -165,14 +169,17 @@ class TestSolve:
 
     def test_eval_budget_stop(self):
         p = get_problem("rosenbrock")
-        r = solve(p, TrParams(), build_model("exact", p), eps=1e-6, eval_budget=1)
+        r = solve(p, TrParams(), build_model("exact", p), eps=1e-6, eval_budget=2)
         assert r.status == "eval_budget"
         assert r.iterations == 0
+        assert (r.evals.n_f, r.evals.n_g) == (1, 1)
 
-    @pytest.mark.parametrize("budget", [{"max_iter": -1}, {"eval_budget": -1}])
+    # a budget must pay for the f and g at x0
+    @pytest.mark.parametrize("budget", [{"max_iter": -1}, {"eval_budget": -1},
+                                        {"eval_budget": 0}, {"eval_budget": 1}])
     def test_negative_budget_rejected(self, budget):
         p = get_problem("rosenbrock")
-        with pytest.raises(ValueError, match=f"{next(iter(budget))} must be nonnegative"):
+        with pytest.raises(ValueError, match=BUDGET_RULES[next(iter(budget))]):
             solve(p, TrParams(), build_model("exact", p), eps=1e-6, **budget)
 
     @pytest.mark.parametrize("eps,message", [
@@ -194,6 +201,22 @@ class TestSolve:
         short = solve(p, TrParams(), build_model("lbfgs", p), eps=1e-6, eval_budget=used - 1)
         assert short.status == "eval_budget"
         assert short.evals.n_f + short.evals.n_g <= used - 1
+
+    @pytest.mark.parametrize("hessian,update", [("exact", False), ("lbfgs", False),
+                                                ("lbfgs", True)])
+    def test_every_evaluation_is_in_the_log(self, hessian, update):
+        # an iteration starts only when its trial f and that f's g fit, so
+        # no trial f is spent on a step the log then lacks
+        p = get_problem("rosenbrock")
+        params = TrParams(update_on_unsuccessful=update)
+        for budget in range(2, 41):
+            r = solve(p, params, build_model(hessian, p), eps=1e-6, eval_budget=budget)
+            used = r.evals.n_f + r.evals.n_g
+            assert used <= budget
+            assert r.evals.n_f == 1 + np.count_nonzero(~np.isnan(r.log.column("rho")))
+            if r.status == "eval_budget":
+                assert used >= budget - 1
+            assert math.isfinite(r.final_f) and math.isfinite(r.final_gnorm)
 
     def test_history_radius_mode(self):
         p = get_problem("rosenbrock")

@@ -137,7 +137,8 @@ class TestTcg:
     def test_matches_newton_system(self):
         g = np.array([1.0, 1.0])
         B = np.diag([1.0, 100.0])
-        res = solve_tcg(g, matrix_model(B), 1e6, cg_tol=1e-12)
+        m = matrix_model(B)
+        res = solve_tcg(g, m, 1e6, SteihaugPath(g, m, cg_tol=1e-12))
         assert np.allclose(res.s, [-1.0, -0.01], atol=1e-10)
 
     def test_matches_dense_solve_on_spd(self):
@@ -146,7 +147,8 @@ class TestTcg:
         A = rng.standard_normal((n, n))
         A = A @ A.T + 0.5 * np.eye(n)
         g = rng.standard_normal(n)
-        res = solve_tcg(g, matrix_model(A), 1e9, cg_tol=1e-12, max_cg=200)
+        m = matrix_model(A)
+        res = solve_tcg(g, m, 1e9, SteihaugPath(g, m, cg_tol=1e-12, max_cg=200))
         assert np.allclose(res.s, -np.linalg.solve(A, g), atol=1e-8)
 
     def test_zero_gradient_rejected(self):
@@ -205,7 +207,8 @@ class TestCauchyDecreaseFromFirstCgStep:
 
     def test_max_cg_must_allow_one_iteration(self):
         with pytest.raises(ValueError):
-            solve_tcg(np.ones(2), matrix_model(np.eye(2)), 1.0, max_cg=0)
+            g, m = np.ones(2), matrix_model(np.eye(2))
+            solve_tcg(g, m, 1.0, SteihaugPath(g, m, max_cg=0))
 
 
 # The path's decrease comes from the CG recurrences, the reference's from a
