@@ -313,7 +313,7 @@ class SharpnessReport:
 
 
 def verify_sharpness(
-    spec: AdversarialSpec, cap: int = K_EPS_CAP
+    spec: AdversarialSpec, cap: int = K_EPS_CAP, emit_function=None
 ) -> tuple[SharpnessReport, SolveReport]:
     """Run the driver on the generated instance and check the worst-case
     facts it was built to force: exactly k_eps iterations, agreement ratio
@@ -331,17 +331,24 @@ def verify_sharpness(
     rounding, past 1e-9 from k ~ 2e6 at p = 1; the factor 2 is a 2x margin
     over the largest ratio seen up to k_eps = 8.9e6, and RHO_TOL covers the
     few-ulp errors of g_k s_k and m_k.
+
+    With ``emit_function``, a path, ``emit_function_csv`` writes the
+    instance's interpolant there before the replay, so a caller that wants
+    both builds the instance once.
     """
     inst = generate(spec, cap)
     k_eps, f0, delta0 = inst.k_eps, float(inst.f_vals[0]), inst.delta0
-    problem = build_interpolant(inst).as_problem()
+    interp = build_interpolant(inst)
+    if emit_function is not None:
+        emit_function_csv(interp, emit_function)
+    problem = interp.as_problem()
     params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=delta0)
     model = ScriptedModel(inst.B_vals)
     del inst  # through the solve: the script, three scalars, the interpolant's knots
     report = solve(problem, params, model, eps=spec.eps, max_iter=k_eps + 10)
     # the checks read only the log: free the interpolant's data before
     # they allocate their per-iteration temporaries
-    del problem, model
+    del problem, model, interp
 
     mism: list[dict] = []
     if report.iterations != k_eps:

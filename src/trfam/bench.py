@@ -170,6 +170,7 @@ def performance_profile(matrix: CostMatrix, metric: str = "fevals") -> list[Prof
 # ---------------------------------------------------------------------------
 
 _MATRIX_HEADER = "problem,variant,status,cost_f,cost_g,time_ms,iters"
+_MATRIX_FIELDS = _MATRIX_HEADER.split(",")
 
 
 def matrix_to_csv(matrix: CostMatrix) -> str:
@@ -183,15 +184,28 @@ def matrix_to_csv(matrix: CostMatrix) -> str:
 
 
 def read_matrix_csv(path) -> CostMatrix:
-    """Read a ``matrix_to_csv`` file; ValueError for a missing or repeated
-    cell, or a solved one with costs no solve has."""
+    """Read a ``matrix_to_csv`` file; ValueError, naming the file and line,
+    for a row without 7 fields or with a count that is not an integer or a
+    time that is not a number, for a missing or repeated cell, or for a
+    solved one with costs no solve has."""
     text = Path(path).read_text().rstrip().splitlines()
     if not text or text[0] != _MATRIX_HEADER:
         raise ValueError(f"{path}: not a cost-matrix CSV")
     cells: dict[tuple[str, str], CellResult] = {}
     for lineno, line in enumerate(text[1:], start=2):
-        prob, variant, status, cf, cg, tms, iters = line.split(",")
-        cell = CellResult(status, int(cf), int(cg), float(tms), int(iters))
+        row = line.split(",")
+        if len(row) != len(_MATRIX_FIELDS):
+            raise ValueError(f"{path}, line {lineno}: {len(row)} fields, "
+                             f"not {len(_MATRIX_FIELDS)}")
+        prob, variant, status, *numbers = row
+        values = []
+        for name, kind, value in zip(_MATRIX_FIELDS[3:], (int, int, float, int), numbers):
+            try:
+                values.append(kind(value))
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: {name} {value!r} is not "
+                                 f"{'a number' if kind is float else 'an integer'}") from None
+        cell = CellResult(status, *values)
         costs_ok = min(cell.cost_f, cell.cost_g) >= 1 and 0 < cell.time_ms < math.inf
         if cell.solved and not costs_ok:
             raise ValueError(f"{path}, line {lineno}: a first_order cell needs cost_f and "
@@ -281,15 +295,26 @@ def emit(
     out_dir,
 ) -> list[Path]:
     """Write matrix.csv plus profile_<metric>.csv/.svg into out_dir."""
+    return _write(out_dir, profiles, matrix)
+
+
+def emit_profiles(profiles: dict[str, list[ProfileCurve]], out_dir) -> list[Path]:
+    """Write profile_<metric>.csv/.svg into out_dir, as ``emit`` does, and
+    no matrix.csv."""
+    return _write(out_dir, profiles)
+
+
+def _write(out_dir, profiles, matrix: CostMatrix | None = None) -> list[Path]:
     if not profiles or any(not curves for curves in profiles.values()):
         raise ValueError("no profiles to emit")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        path = out / "matrix.csv"
-        path.write_text(matrix_to_csv(matrix))
-        written.append(path)
+        if matrix is not None:
+            path = out / "matrix.csv"
+            path.write_text(matrix_to_csv(matrix))
+            written.append(path)
         for metric, curves in sorted(profiles.items()):
             pcsv = out / f"profile_{metric}.csv"
             pcsv.write_text(profile_to_csv(curves))

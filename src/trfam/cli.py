@@ -124,11 +124,9 @@ def _cmd_adversarial(args) -> int:
     spec = adv.AdversarialSpec(eps=args.eps, p=args.p, c=args.c, alpha=args.alpha, beta=args.beta)
     try:
         if args.verify:
-            sharp, _ = adv.verify_sharpness(spec, cap=args.cap)
+            sharp, _ = adv.verify_sharpness(spec, cap=args.cap,
+                                            emit_function=args.emit_function or None)
             payload = sharp.to_dict()
-            if args.emit_function:
-                interp = adv.build_interpolant(adv.generate(spec, cap=args.cap))
-                adv.emit_function_csv(interp, args.emit_function)
             if args.json:
                 _emit_json(payload)
             else:
@@ -156,7 +154,7 @@ def _cmd_adversarial(args) -> int:
             else:
                 for k, v in payload.items():
                     print(f"{k}: {v}")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: --emit-function cannot be written
         raise DomainError(str(exc)) from exc
     return 0
 
@@ -270,7 +268,7 @@ def _cmd_profile(args) -> int:
     try:
         matrix = bench_mod.read_matrix_csv(os.path.join(args.in_dir, "matrix.csv"))
         curves = bench_mod.performance_profile(matrix, args.metric)
-        out = bench_mod.emit(matrix, {args.metric: curves}, args.in_dir)
+        out = bench_mod.emit_profiles({args.metric: curves}, args.in_dir)
     except (FileNotFoundError, ValueError, OSError) as exc:
         raise DomainError(str(exc)) from exc
     for path in out:

@@ -221,14 +221,6 @@ def theoretical_a_min(a0: float, params: TrParams, L: float) -> float:
     return min(a0, params.gamma1, params.gamma1 * params.kappa_mdc * (1.0 - params.eta2) / kappa)
 
 
-def _next_delta(delta: float, status: str, params: TrParams) -> float:
-    if status == VERY_SUCCESSFUL:
-        return min(params.gamma3 * delta, _DELTA_MAX)
-    if status == SUCCESSFUL:
-        return delta
-    return params.gamma2 * delta
-
-
 def check_budgets(max_iter: int, eval_budget: int | None) -> None:
     """Raise ValueError for a negative ``max_iter`` or an ``eval_budget``
     (None is none) below 2, the f and g at x0."""
@@ -258,25 +250,40 @@ def solve(
     truncated CG step (``solve_tcg``). While x and the model stay as they
     are, as after a rejected step, every CG step walks one
     ``SteihaugPath``; an accepted step, or an update that changes the
-    model, drops it. An eps that is not positive and finite raises
-    ValueError, as ``check_budgets`` does.
+    model, drops it. The run stops with ``delta_underflow`` when the
+    effective radius falls below 1e-15 max(1, |x|). An eps that is not
+    positive and finite raises ValueError, as ``check_budgets`` does.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
     check_budgets(max_iter, eval_budget)
-
-    evals = EvalCounter()
     budget = math.inf if eval_budget is None else eval_budget
+
+    # What the loop reads but never changes, read once. The step solvers
+    # are this module's names as they are when the run starts.
+    eval_f, eval_grad = problem.eval_f, problem.eval_grad
+    begin_iteration, operator_norm, update = (
+        model.begin_iteration, model.operator_norm, model.update
+    )
+    eta1, eta2, gamma2, gamma3 = params.eta1, params.eta2, params.gamma2, params.gamma3
+    alpha, beta = params.alpha, params.beta
+    history = params.radius_mode == "history"
+    update_rejected = params.update_on_unsuccessful and isinstance(
+        model, (LbfgsModel, Lsr1Model)
+    )
+    step_1d, step_tcg = newton_step_1d, solve_tcg
+    isfinite = math.isfinite
+    log = IterationLog()
+    log_append = log.append
 
     x = np.array(problem.x0, dtype=float)
     one_d = x.size == 1
     path = None  # the CG path of the current g and model
-    f = float(problem.eval_f(x))
-    evals.n_f += 1
-    g = np.asarray(problem.eval_grad(x), dtype=float)
-    evals.n_g += 1
+    f = float(eval_f(x))
+    g = np.asarray(eval_grad(x), dtype=float)
+    n_f = n_g = 1
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise SolveError(f"{problem.name}: non-finite f or gradient at start")
 
@@ -285,7 +292,11 @@ def solve(
     hist_max_b = 0.0
     n_succ = 0
     lip = 0.0
-    log = IterationLog()
+    # |x| at its last exact reading plus every accepted |s| since: at least
+    # |x| by the triangle inequality. Its relative rounding error grows by
+    # about (n + 2) u per accepted step (u = 2^-53), so twice it stays above
+    # the computed |x| for far more steps than a run takes.
+    xbound = _norm(x)
     status = "max_iter"
 
     k = 0
@@ -297,33 +308,38 @@ def solve(
         if k >= max_iter:
             status = "max_iter"
             break
-        if evals.n_f + evals.n_g + 2 > budget:  # the trial f and its g
+        if n_f + n_g + 2 > budget:  # the trial f and its g
             status = "eval_budget"
             break
 
-        model.begin_iteration(k)
-        bnorm = float(model.operator_norm())
-        hist_min_g = min(hist_min_g, gnorm)
-        hist_max_b = max(hist_max_b, bnorm)
+        begin_iteration(k)
+        bnorm = float(operator_norm())
+        if gnorm < hist_min_g:
+            hist_min_g = gnorm
+        if bnorm > hist_max_b:
+            hist_max_b = bnorm
 
-        if params.radius_mode == "history":
-            gterm, bterm = hist_min_g, hist_max_b
+        if history:
+            radius = effective_radius(alpha, beta, delta, hist_min_g, hist_max_b)
         else:
-            gterm, bterm = gnorm, bnorm
-        radius = effective_radius(params.alpha, params.beta, delta, gterm, bterm)
+            radius = effective_radius(alpha, beta, delta, gnorm, bnorm)
         if radius > _DELTA_MAX:
             radius = _DELTA_MAX
-        if radius < _RADIUS_UNDERFLOW * max(1.0, _norm(x)):
-            status = "delta_underflow"
-            break
+        # The run stops when radius < 1e-15 max(1, |x|), which can hold only
+        # where radius < 1e-15 max(2 xbound, 1): |x| is computed only then,
+        # and for a NaN bound.
+        if not radius >= _RADIUS_UNDERFLOW * max(2.0 * xbound, 1.0):
+            xbound = _norm(x)
+            if radius < _RADIUS_UNDERFLOW * max(1.0, xbound):
+                status = "delta_underflow"
+                break
 
         if one_d:
-            step = newton_step_1d(g, model, radius)
+            step = step_1d(g, model, radius)
         else:
             if path is None:
                 path = SteihaugPath(g, model)
-            step = solve_tcg(g, model, radius, path)
-        snorm = _norm(step.s)
+            step = step_tcg(g, model, radius, path)
         x_trial = x + step.s
 
         f_at_k = f
@@ -340,44 +356,48 @@ def solve(
             iter_status = UNSUCCESSFUL
             f_trial = f_at_k
         else:
-            f_trial = float(problem.eval_f(x_trial))
-            evals.n_f += 1
+            f_trial = float(eval_f(x_trial))
+            n_f += 1
             rho = (f_at_k - f_trial) / decrease
-            if rho >= params.eta2:
+            if rho >= eta2:
                 iter_status = VERY_SUCCESSFUL
-            elif rho >= params.eta1:
+            elif rho >= eta1:
                 iter_status = SUCCESSFUL
             else:
                 iter_status = UNSUCCESSFUL
 
-        accepted = iter_status != UNSUCCESSFUL
-        if accepted:
+        if iter_status != UNSUCCESSFUL:
             path = None  # x moves on
-            g_new = np.asarray(problem.eval_grad(x_trial), dtype=float)
-            evals.n_g += 1
+            g_new = np.asarray(eval_grad(x_trial), dtype=float)
+            n_g += 1
             y = g_new - g
             ynorm = _norm(y)  # finite only if g_new is, g being finite
-            if not (math.isfinite(f_trial) and (math.isfinite(ynorm) or np.isfinite(g_new).all())):
+            if not (isfinite(f_trial) and (isfinite(ynorm) or np.isfinite(g_new).all())):
                 raise SolveError(f"{problem.name}: non-finite f or gradient at k={k}")
+            snorm = step.snorm
             if snorm > 0:
                 lip = max(lip, ynorm / snorm)
-            model.update(step.s, y)
+            update(step.s, y)
             x, f, g = x_trial, f_trial, g_new
+            xbound += snorm
             n_succ += 1
-        elif params.update_on_unsuccessful and isinstance(model, (LbfgsModel, Lsr1Model)):
+        elif update_rejected:
             # Assumption-2 regime: pay one extra gradient for the rejected pair
-            g_trial = np.asarray(problem.eval_grad(x_trial), dtype=float)
-            evals.n_g += 1
-            if np.all(np.isfinite(g_trial)) and model.update(step.s, g_trial - g):
+            g_trial = np.asarray(eval_grad(x_trial), dtype=float)
+            n_g += 1
+            if np.all(np.isfinite(g_trial)) and update(step.s, g_trial - g):
                 path = None
 
         try:
-            ak = a_k(delta, hist_max_b, hist_min_g, params.alpha, params.beta)
+            ak = a_k(delta, hist_max_b, hist_min_g, alpha, beta)
         except ArithmeticError as exc:
             raise SolveError(f"{problem.name}: a_k out of the float range at k={k}") from exc
-        log.append(f_at_k, gnorm, delta, radius, rho, iter_status, bnorm, n_succ, ak,
-                   step.cg_iters, decrease, snorm)
-        delta = _next_delta(delta, iter_status, params)
+        log_append(f_at_k, gnorm, delta, radius, rho, iter_status, bnorm, n_succ, ak,
+                   step.cg_iters, decrease, step.snorm)
+        if iter_status == VERY_SUCCESSFUL:
+            delta = min(gamma3 * delta, _DELTA_MAX)
+        elif iter_status == UNSUCCESSFUL:
+            delta = gamma2 * delta
         k += 1
 
     report = SolveReport(
@@ -387,7 +407,7 @@ def solve(
         n_unsucc_total=k - n_succ,
         final_f=f,
         final_gnorm=_norm(g),
-        evals=evals,
+        evals=EvalCounter(n_f, n_g),
         log=log,
         x=x,
     )

@@ -64,12 +64,18 @@ def _norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
+    """A step ``s`` with its model decrease m(0) - m(s), whether it ends on
+    the boundary, the CG iterations it took (1 for the 1-d step) and its
+    norm ``snorm`` = ``_norm(s)``, bit for bit, which each solver already
+    holds."""
+
     s: Array
     model_decrease: float
     boundary_hit: bool
     cg_iters: int
+    snorm: float
 
 
 def _to_boundary(s: Array, d: Array, radius: float) -> float:
@@ -172,12 +178,13 @@ class SteihaugPath:
                 s, d = self._s[i], self._d[i]
                 sigma = _to_boundary(s, d, radius)
                 decrease = self._dec[i] - (sigma * self._rd[i] + sigma * sigma * self._dBd[i] / 2)
-                step = StepResult(s + sigma * d, decrease, True, i + 1)
+                s = s + sigma * d
+                step = StepResult(s, decrease, True, i + 1, _norm(s))
                 break
             else:
                 i += 1
-        else:
-            step = StepResult(self._s[i], self._dec[i], False, i)
+        else:  # the path ends inside at s_i, i >= 1, whose norm is stored
+            step = StepResult(self._s[i], self._dec[i], False, i, trial_norm[i - 1])
         if not math.isfinite(step.model_decrease):
             raise FloatingPointError("non-finite model decrease: ill-posed model")
         return step
@@ -242,6 +249,6 @@ def newton_step_1d(g: Array, B: HessianModel, radius: float) -> StepResult:
     else:
         step = math.copysign(radius, -g0)
     decrease = -(g0 * step + 0.5 * b * step * step)
-    return StepResult(
-        s=np.array([step]), model_decrease=decrease, boundary_hit=boundary, cg_iters=1
-    )
+    # sqrt(step * step), not abs(step): it is _norm of the step, bit for bit,
+    # where step * step rounds to a subnormal
+    return StepResult(np.array([step]), decrease, boundary, 1, math.sqrt(step * step))

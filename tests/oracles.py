@@ -37,11 +37,13 @@ def cauchy_point(g, B, radius: float) -> StepResult:
     else:
         t = t_boundary
     decrease = t * gnorm**2 - 0.5 * t * t * gBg
+    s = -t * g
     return StepResult(
-        s=-t * g,
+        s=s,
         model_decrease=decrease,
         boundary_hit=(t == t_boundary),
         cg_iters=0,
+        snorm=float(np.linalg.norm(s)),
     )
 
 
@@ -96,7 +98,8 @@ def solve_tcg_reference(g, B, radius: float, cg_tol=None, max_cg=None) -> StepRe
         d = -r + (rr_new / rr) * d
         rr = rr_new
     decrease = -(float(g @ s) + 0.5 * float(s @ B.apply(s)))
-    return StepResult(s=s, model_decrease=decrease, boundary_hit=boundary, cg_iters=iters)
+    return StepResult(s=s, model_decrease=decrease, boundary_hit=boundary, cg_iters=iters,
+                      snorm=float(np.linalg.norm(s)))
 
 
 def beats_cauchy(step: StepResult, g, B, radius: float) -> bool:

@@ -1,11 +1,12 @@
 """Tests for the command-line interface: exit codes, JSON contract, files."""
 
+import hashlib
 import json
 import warnings
 
 import pytest
 
-from trfam import cli
+from trfam import adversarial, cli
 from trfam.cli import main
 from trfam.driver import SolveError, TrParams
 
@@ -134,6 +135,32 @@ class TestAdversarial:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,f,fprime"
         assert len(lines) == 2002
+
+    # sha256 of the CSV of --p 1 --eps 0.5, with or without --verify, as
+    # written when the verified command generated the instance twice
+    FUNCTION_SHA256 = "b56f8cbfc49fa0f7420d2268ef53a9b953fd08f6130b18ec3f12d6c4a9691d3b"
+
+    def test_verify_and_emit_function_generate_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        generate = adversarial.generate
+        monkeypatch.setattr(adversarial, "generate",
+                            lambda *a, **k: calls.append(a) or generate(*a, **k))
+        paths = {flags: tmp_path / f"fn{len(flags)}.csv" for flags in ((), ("--verify",))}
+        for flags, path in paths.items():
+            calls.clear()
+            code, _, err = run_cli(capsys, "adversarial", "--p=1", "--eps=0.5", *flags,
+                                   f"--emit-function={path}")
+            assert (code, err, len(calls)) == (0, "", 1)
+        texts = {path.read_bytes() for path in paths.values()}
+        assert [hashlib.sha256(t).hexdigest() for t in texts] == [self.FUNCTION_SHA256]
+
+    def test_unwritable_emit_function_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "no_such_dir" / "fn.csv"
+        for flags in ((), ("--verify",)):
+            code, out, err = run_cli(capsys, "adversarial", "--p=0", "--eps=0.5", *flags,
+                                     f"--emit-function={path}")
+            assert (code, out) == (1, "")
+            assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_cap_exceeded_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "adversarial", "--p", "1", "--eps", "0.05")
@@ -314,6 +341,12 @@ class TestBenchProfile:
          "no cell for problem p, variant 1_1"),
         ("fevals", ["p,0_0,first_order,4,3,1.5", "p,0_0,max_iter,1,1,1.5"],
          "line 3: a second cell for p, 0_0"),
+        ("fevals", ["p,0_0,first_order,4,3,1.5", "p,1_1,first_order,4"],
+         "matrix.csv, line 3: 5 fields, not 7"),
+        ("fevals", ["p,0_0,first_order,inf,3,1.5", "p,1_1,first_order,4,3,1.5"],
+         "matrix.csv, line 2: cost_f 'inf' is not an integer"),
+        ("time", ["p,0_0,first_order,4,3,1.5", "p,1_1,first_order,4,3,fast"],
+         "matrix.csv, line 3: time_ms 'fast' is not a number"),
     ])
     def test_profile_rejects_an_impossible_matrix(self, capsys, tmp_path, metric, rows, message):
         lines = ["problem,variant,status,cost_f,cost_g,time_ms,iters"] + [f"{r},2" for r in rows]
@@ -322,6 +355,18 @@ class TestBenchProfile:
         assert (code, out, err.count("\n")) == (1, "", 1)
         assert err.startswith("error: ") and message in err, err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["matrix.csv"]
+
+    def test_profile_leaves_its_input_alone(self, capsys, tmp_path):
+        # unsorted, and a time emit would write as 1.5
+        text = ("problem,variant,status,cost_f,cost_g,time_ms,iters\n"
+                "p2,0_0,first_order,4,3,1.50,2\np1,0_0,first_order,5,4,2.25,3\n")
+        (tmp_path / "matrix.csv").write_text(text)
+        code, out, err = run_cli(capsys, "profile", "--in", str(tmp_path), "--metric", "time")
+        assert (code, err) == (0, "")
+        assert out.split() == [str(tmp_path / f"profile_time.{ext}") for ext in ("csv", "svg")]
+        assert (tmp_path / "matrix.csv").read_bytes() == text.encode()
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "matrix.csv", "profile_time.csv", "profile_time.svg"]
 
     def test_missing_matrix_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "profile", "--in", str(tmp_path), "--metric", "fevals")

@@ -14,11 +14,13 @@ in one of
 Runs are in process, with --max-iter <= 50, --cap <= 2000 and at most two
 bench problems. A warning counts as a line of stderr, as it would be one
 outside pytest. A passing ``solve --log-csv`` writes one row per iteration.
-A passing profile writes no non-finite number to its profile CSV.
-``--emit-function``, which only names a file, is left out.
+A passing ``adversarial --emit-function`` writes the header and 2001
+finite rows. A profile run leaves its matrix.csv as it was, and a passing
+one writes no non-finite number to its profile CSV.
 """
 
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -142,9 +144,17 @@ def test_solve(capsys, problem, hessian, mode, drawn, update, as_json, log_csv):
     drawn=flags({"eps": "0.5", "c": None, "alpha": None, "beta": None, "cap": "2000"}),
     verify=switch("--verify"),
     as_json=switch("--json"),
+    emit=st.booleans(),
 )
-def test_adversarial(capsys, p, drawn, verify, as_json):
-    check_contract(capsys, ["adversarial", f"--p={p}"] + drawn + verify + as_json)
+def test_adversarial(capsys, p, drawn, verify, as_json, emit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "function.csv")
+        code, _ = check_contract(capsys, ["adversarial", f"--p={p}"] + drawn + verify + as_json
+                                 + [f"--emit-function={path}"] * emit)
+        if code == 0 and emit:
+            header, *rows = path.read_text().splitlines()
+            assert header == "x,f,fprime" and len(rows) == 2001, drawn
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), drawn
 
 
 @fuzz
@@ -189,8 +199,11 @@ def test_profile(capsys, solved, edits, metric):
         for i, (ok, costs) in enumerate(zip(solved, cells))
     ]
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "matrix.csv").write_text("\n".join(lines) + "\n")
+        matrix = Path(tmp, "matrix.csv")
+        matrix.write_text("\n".join(lines) + "\n")
+        before = matrix.read_bytes()
         code, _ = check_contract(capsys, ["profile", f"--in={tmp}", f"--metric={metric}"],
                                  lambda out: out.replace(tmp, ""))
+        assert matrix.read_bytes() == before
         if code == 0:
             assert not NON_FINITE.findall(Path(tmp, f"profile_{metric}.csv").read_text())

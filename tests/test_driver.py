@@ -161,6 +161,47 @@ class TestSolve:
         assert r.status == "delta_underflow"
         assert r.n_succ_total == 0
 
+    # From x0 = (1e20, 0) very successful steps along -g reach a wall at
+    # x = (wall, 0), and every later step crosses it and is rejected.
+    # Moving in, |x0| and the accepted |s| add up to five times the final
+    # |x|, so the stop must rest on the exact |x_k|; moving out, they add
+    # up to it, eight times |x0|, so a guard looser than that sum stops late.
+    @pytest.mark.parametrize("slope,wall,delta0,n_succ,bound", [
+        (1.0, -5e19, 2e19, 4, 2.5e20),
+        (-1.0, 8e20, 1e20, 3, 8e20),
+    ], ids=["inward", "outward"])
+    def test_delta_underflow_far_from_the_origin(self, slope, wall, delta0, n_succ, bound):
+        iterates = []  # x0 and each accepted point, where the driver asks for g
+
+        def grad(x):
+            iterates.append(x.copy())
+            return np.array([slope, 0.0])
+
+        p = Problem("wall", 2, lambda x: slope * float(x[0]) if slope * x[0] >= slope * wall
+                    else 1e300, grad, np.array([1e20, 0.0]))
+        params = TrParams(delta0=delta0)
+        r = solve(p, params, ZeroModel(2), eps=1e-6)
+        assert (r.status, r.n_succ_total, r.x.tolist()) == ("delta_underflow", n_succ, [wall, 0])
+        assert 1e20 + sum(rec.snorm for rec in r.log if rec.status != "unsuccessful") == bound
+        # |x_k| recomputed from the iterates; the radius at the stop is the
+        # next Delta after a rejected step, as alpha = beta = 0
+        before = [0, *r.log.n_succ]  # accepted steps before iteration k
+        threshold = [1e-15 * max(1.0, float(np.linalg.norm(iterates[n]))) for n in before]
+        radius = [*r.log.eff_radius, params.gamma2 * r.log.eff_radius[-1]]
+        below = [k for k in range(len(radius)) if radius[k] < threshold[k]]
+        assert below[0] == r.iterations == len(r.log)
+
+    def test_no_norm_is_thrown_away(self, monkeypatch):
+        # per iteration: |g| at the top and |y| after an accepted step;
+        # then |x0| and the final |g|. |x| is read again only near the
+        # underflow test's threshold, which this run stays far from.
+        calls = []
+        norm = driver._norm
+        monkeypatch.setattr(driver, "_norm", lambda v: calls.append(v) or norm(v))
+        p = get_problem("rosenbrock")
+        r = solve(p, TrParams(), build_model("exact", p), eps=1e-6)
+        assert len(calls) == (r.iterations + 1) + r.n_succ_total + 2
+
     def test_max_iter_stop(self):
         p = get_problem("rosenbrock")
         r = solve(p, TrParams(), build_model("exact", p), eps=1e-6, max_iter=3)

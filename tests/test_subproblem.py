@@ -165,6 +165,7 @@ class TestTcg:
             res = solve_tcg(g, B, radius)
             assert beats_cauchy(res, g, B, radius)
             assert np.linalg.norm(res.s) <= radius * (1 + 1e-12)
+            assert res.snorm == _norm(res.s)
             oracle = grid_cauchy_oracle(g, A, radius, n_grid=10**4)
             cauchy = cauchy_point(g, B, radius).model_decrease
             assert cauchy >= oracle - 1e-6 * max(1.0, abs(oracle))
@@ -221,6 +222,7 @@ DECREASE_RTOL = 1e-10
 def assert_matches_reference(step, g, B, radius):
     ref = solve_tcg_reference(g, B, radius)
     assert np.array_equal(step.s, ref.s)
+    assert step.snorm == _norm(step.s)
     assert (step.cg_iters, step.boundary_hit) == (ref.cg_iters, ref.boundary_hit)
     assert step.model_decrease == pytest.approx(ref.model_decrease, rel=DECREASE_RTOL)
 
@@ -326,22 +328,37 @@ class TestNewton1d:
                 res = newton_step_1d(g, B, radius)
                 cp = cauchy_point(g, B, radius)
                 assert beats_cauchy(res, g, B, radius)
+                assert res.snorm == _norm(res.s)
                 assert res.model_decrease == pytest.approx(cp.model_decrease, rel=1e-15)
 
     def test_interior(self):
         res = newton_step_1d(np.array([-1.0]), matrix_model(np.array([[2.0]])), 10.0)
-        assert res.s[0] == 0.5
+        assert res.s[0] == res.snorm == 0.5
         assert res.model_decrease == pytest.approx(0.25)
 
     def test_boundary_on_negative_curvature(self):
         res = newton_step_1d(np.array([1.0]), matrix_model(np.array([[-1.0]])), 2.0)
         assert res.s[0] == -2.0
+        assert res.snorm == 2.0
         assert res.boundary_hit
 
     def test_newton_past_radius_clips(self):
         res = newton_step_1d(np.array([-4.0]), matrix_model(np.array([[1.0]])), 1.0)
-        assert res.s[0] == 1.0
+        assert res.s[0] == res.snorm == 1.0
         assert res.boundary_hit
+
+    @pytest.mark.parametrize("g0,b,radius,is_abs", [
+        (-1e-160, 1.0, 1.0, False),  # step * step = 1e-320 is subnormal
+        (-3e-162, 1.0, 1.0, False),
+        (-1e150, 1.0, math.inf, True),  # a Newton step of 1e150
+        (1.0, 0.0, 1e150, True),  # a boundary step at the radius clip
+    ])
+    def test_snorm_is_the_norm_of_the_step_at_the_ends_of_the_range(self, g0, b, radius,
+                                                                    is_abs):
+        res = newton_step_1d(np.array([g0]), ScriptedModel([b]), radius)
+        assert res.snorm == _norm(res.s)
+        # a subnormal square loses bits, so |s| itself would differ
+        assert (res.snorm == abs(res.s[0])) == is_abs
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
