@@ -88,7 +88,10 @@ def _cmd_solve(args) -> int:
         eval_budget=args.eval_budget,
     )
     if args.log_csv:
-        write_log_csv(report, args.log_csv)
+        try:
+            write_log_csv(report, args.log_csv)
+        except OSError as exc:
+            raise DomainError(str(exc)) from exc
     payload = {  # the text output, in order
         "problem": problem.name,
         "status": report.status,

@@ -23,11 +23,11 @@ VERY_SUCCESSFUL = "very_successful"
 SUCCESSFUL = "successful"
 UNSUCCESSFUL = "unsuccessful"
 
-# The status column stores indices into STATUSES.
+# The status column stores indices into STATUSES, the loop's codes _VS, _S, _U.
 STATUSES = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
+_VS, _S, _U = range(len(STATUSES))
 # The effective radius reads the current |g| and |B| or their history.
 RADIUS_MODES = ("current", "history")
-_STATUS_CODE = {name: code for code, name in enumerate(STATUSES)}
 _STATUS_LETTERS = ("VS", "S", "U")
 
 CSV_HEADER = "k,f,gnorm,delta,eff_radius,rho,status,bnorm,n_succ,a_k,cg_iters"
@@ -137,13 +137,13 @@ class IterationLog:
         self, f, gnorm, delta, eff_radius, rho, status, bnorm, n_succ, a_k, cg_iters,
         model_decrease=math.nan, snorm=math.nan,
     ) -> None:
-        """Add one iteration; the arguments are IterationRecord's fields after k."""
+        """Add one iteration: IterationRecord's fields after k, status as a STATUSES index."""
         self.f.append(f)
         self.gnorm.append(gnorm)
         self.delta.append(delta)
         self.eff_radius.append(eff_radius)
         self.rho.append(rho)
-        self.status.append(_STATUS_CODE[status])
+        self.status.append(status)
         self.bnorm.append(bnorm)
         self.n_succ.append(n_succ)
         self.a_k.append(a_k)
@@ -353,20 +353,20 @@ def solve(
         if abs(decrease) < decrease_floor:
             # no meaningful model decrease: count as unsuccessful, do not divide
             rho = math.nan
-            iter_status = UNSUCCESSFUL
+            iter_status = _U
             f_trial = f_at_k
         else:
             f_trial = float(eval_f(x_trial))
             n_f += 1
             rho = (f_at_k - f_trial) / decrease
             if rho >= eta2:
-                iter_status = VERY_SUCCESSFUL
+                iter_status = _VS
             elif rho >= eta1:
-                iter_status = SUCCESSFUL
+                iter_status = _S
             else:
-                iter_status = UNSUCCESSFUL
+                iter_status = _U
 
-        if iter_status != UNSUCCESSFUL:
+        if iter_status != _U:
             path = None  # x moves on
             g_new = np.asarray(eval_grad(x_trial), dtype=float)
             n_g += 1
@@ -394,9 +394,9 @@ def solve(
             raise SolveError(f"{problem.name}: a_k out of the float range at k={k}") from exc
         log_append(f_at_k, gnorm, delta, radius, rho, iter_status, bnorm, n_succ, ak,
                    step.cg_iters, decrease, step.snorm)
-        if iter_status == VERY_SUCCESSFUL:
+        if iter_status == _VS:
             delta = min(gamma3 * delta, _DELTA_MAX)
-        elif iter_status == UNSUCCESSFUL:
+        elif iter_status == _U:
             delta = gamma2 * delta
         k += 1
 
@@ -475,9 +475,9 @@ def check_run_invariants(report: SolveReport, params: TrParams, L: float) -> lis
         low_a = log.column("a_k") < a_min * (1.0 - 1e-10)
         low_decrease = log.column("model_decrease") < decrease_bound * (1.0 - 1e-10)
         in_interval = (lo * prev * (1 - 1e-12) <= nxt) & (nxt <= hi * prev * (1 + 1e-12))
-    clipped = (status == _STATUS_CODE[VERY_SUCCESSFUL]) & (nxt == _DELTA_MAX)
+    clipped = (status == _VS) & (nxt == _DELTA_MAX)
     bad_update = ~(in_interval | clipped)
-    moved = (status == _STATUS_CODE[UNSUCCESSFUL]) & (f[1:] != f[:-1])
+    moved = (status == _U) & (f[1:] != f[:-1])
 
     issues: list[str] = []
     for k in np.flatnonzero(low_a | low_decrease).tolist():

@@ -40,8 +40,8 @@ def _doubles(v) -> array:
 
 
 class HessianModel:
-    """Base class; concrete models override the private hooks, and models
-    that learn from steps override ``update``.
+    """Base class; concrete models override ``_apply`` and
+    ``operator_norm``, and models that learn from steps override ``update``.
 
     A model instance is mutable and owned by a single solver run; distinct
     runs must not share one.
@@ -49,7 +49,6 @@ class HessianModel:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._norm_cache: float | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -65,9 +64,8 @@ class HessianModel:
         return False
 
     def operator_norm(self) -> float:
-        if self._norm_cache is None:
-            self._norm_cache = self._compute_norm()
-        return self._norm_cache
+        """|B|, the spectral norm."""
+        raise NotImplementedError
 
     def begin_iteration(self, k: int) -> None:
         """Hook called by the driver at the top of iteration k.
@@ -76,12 +74,7 @@ class HessianModel:
         driver keeps its truncated-CG path until ``update`` returns True.
         """
 
-    # hooks -----------------------------------------------------------------
-
     def _apply(self, v):
-        raise NotImplementedError
-
-    def _compute_norm(self) -> float:
         raise NotImplementedError
 
 
@@ -89,7 +82,7 @@ class ZeroModel(HessianModel):
     def _apply(self, v):
         return np.zeros_like(v)
 
-    def _compute_norm(self):
+    def operator_norm(self):
         return 0.0
 
 
@@ -110,10 +103,12 @@ class ScriptedModel(HessianModel):
 
     def begin_iteration(self, k: int) -> None:
         self.scalar = self.values[min(k, len(self.values) - 1)]
-        self._norm_cache = abs(self.scalar)
 
     def _apply(self, v):
         return self.scalar * v
+
+    def operator_norm(self):
+        return abs(self.scalar)
 
 
 class ExactHessian(HessianModel):
@@ -125,6 +120,7 @@ class ExactHessian(HessianModel):
         self._eval_hess = eval_hess
         self._x = x0.copy()
         self._mat = np.asarray(eval_hess(self._x), dtype=float)
+        self._norm: float | None = None  # of _mat, computed on first use
 
     def _apply(self, v):
         return self._mat @ v
@@ -132,11 +128,13 @@ class ExactHessian(HessianModel):
     def update(self, s, y):
         self._x = self._x + np.asarray(s, dtype=float)
         self._mat = np.asarray(self._eval_hess(self._x), dtype=float)
-        self._norm_cache = None
+        self._norm = None
         return True
 
-    def _compute_norm(self):
-        return float(np.max(np.abs(np.linalg.eigvalsh(self._mat))))
+    def operator_norm(self):
+        if self._norm is None:
+            self._norm = float(np.max(np.abs(np.linalg.eigvalsh(self._mat))))
+        return self._norm
 
 
 class _PairModel(HessianModel):
@@ -175,7 +173,6 @@ class _PairModel(HessianModel):
         self._S = np.concatenate((self._S[:, drop:], s[:, None]), axis=1)
         self._Y = np.concatenate((self._Y[:, drop:], y[:, None]), axis=1)
         self._factors = None
-        self._norm_cache = None
         return True
 
     def _compact(self) -> tuple:
@@ -207,7 +204,7 @@ class _PairModel(HessianModel):
         P, LPt, _ = factors
         return self._combine(v, P @ (LPt @ v))
 
-    def _compute_norm(self):
+    def operator_norm(self):
         factors = self._compact()
         return factors[2] if factors else 1.0
 

@@ -442,11 +442,15 @@ class TestVerifySharpness:
             # Delta reaches the clip at _DELTA_MAX from k = 497 on
             (AdversarialSpec(0.03, 0.0),
              "fbcfa4b1baab0c4a6dc804750be3af53ab27c59c705cb2fdfedbab20b7b29562"),
+            # k_eps = 1000
+            (AdversarialSpec(10**-1.5, 0.0),
+             "3066b9c45d920e5de252e0a727ad172effa9d3a60836778c9be24a6c44a41025"),
         ],
     )
     def test_log_digest_pinned(self, spec, digest):
         sharp, report = verify_sharpness(spec)
         assert sharp.passed
+        assert sharp.iterations == len(report.log) == sharp.k_eps
         assert hashlib.sha256(log_to_csv(report).encode()).hexdigest() == digest
 
     @staticmethod

@@ -28,6 +28,7 @@ from trfam import (
     xi_beta,
 )
 from trfam.bounds import classical_reference_rows, kappa2, kappa3
+from trfam.driver import STATUSES
 from trfam.hessians import build_model
 
 
@@ -46,7 +47,8 @@ def envelope_log(bnorms, n_succs):
     log = IterationLog()
     for bnorm, n_succ in zip(bnorms, n_succs):
         log.append(f=0.0, gnorm=1.0, delta=1.0, eff_radius=1.0, rho=2.0,
-                   status="very_successful", bnorm=bnorm, n_succ=n_succ, a_k=1.0, cg_iters=1)
+                   status=STATUSES.index("very_successful"), bnorm=bnorm, n_succ=n_succ,
+                   a_k=1.0, cg_iters=1)
     return log
 
 

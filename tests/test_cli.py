@@ -109,6 +109,15 @@ class TestSolve:
         header = path.read_text().splitlines()[0]
         assert header == "k,f,gnorm,delta,eff_radius,rho,status,bnorm,n_succ,a_k,cg_iters"
 
+    def test_unwritable_log_csv_is_domain_error(self, capsys, tmp_path):
+        missing = tmp_path / "no_such_dir" / "log.csv"
+        for path, reason in ((missing, "[Errno 2] No such file or directory"),
+                             (tmp_path, "[Errno 21] Is a directory")):
+            code, out, err = run_cli(capsys, "solve", "--problem", "sphere",
+                                     f"--log-csv={path}")
+            assert (code, out) == (1, "")
+            assert err == f"error: {reason}: '{path}'\n"
+
 
 class TestAdversarial:
     def test_verify_p0(self, capsys):

@@ -267,7 +267,7 @@ class TestSteihaugPath:
                 assert_matches_reference(solve_tcg(g, B, r), g, B, r)
 
     def test_descending_radii_on_one_path_then_an_extension(self):
-        extended = 0
+        extended = rewalked_to_boundary = 0
         for g, B, radius in path_cases():
             B.products = 0
             path = SteihaugPath(g, B)
@@ -279,18 +279,35 @@ class TestSteihaugPath:
                 # final one; the later ones stay inside what it stored
                 assert B.products == (step.cg_iters if i == 0 else 0)
                 assert_matches_reference(step, g, B, r)
+                # a path that reached the boundary at 2r reaches it at r
+                if i and boundary_hit:
+                    assert step.boundary_hit
+                    rewalked_to_boundary += 1
+                boundary_hit = step.boundary_hit
             B.products = 0
             r = 1e6 * radius
             step = solve_tcg(g, B, r, path)
             extended += B.products > 0
             assert_matches_reference(step, g, B, r)
         assert extended > 50  # 84 of the 180 larger radii go further along the path
+        assert rewalked_to_boundary > 500  # 772 of the 900 halved radii
 
     def test_interior_stop_needs_no_final_product(self):
         m = counting(matrix_model(np.diag([1.0, 4.0])))
         step = solve_tcg(np.array([1.0, 1.0]), m, 1e6)
         assert not step.boundary_hit
         assert m.products == step.cg_iters == 2
+        # SPD matrices with eigenvalues over [0.1, 10] and a full L-BFGS window
+        for mode, n in (("exact", 8), ("exact", 100), ("lbfgs", 100)):
+            rng = np.random.default_rng(n)
+            if mode == "exact":
+                Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                m = counting(matrix_model((Q * np.geomspace(0.1, 10.0, n)) @ Q.T))
+            else:
+                m = counting(full_window_model(mode, n, rng))
+            step = solve_tcg(rng.standard_normal(n), m, 1e6)
+            assert not step.boundary_hit, (mode, n)
+            assert m.products == step.cg_iters
 
     @pytest.mark.parametrize("matrix", [
         np.full((3, 3), math.nan),
@@ -332,9 +349,11 @@ class TestNewton1d:
                 assert res.model_decrease == pytest.approx(cp.model_decrease, rel=1e-15)
 
     def test_interior(self):
-        res = newton_step_1d(np.array([-1.0]), matrix_model(np.array([[2.0]])), 10.0)
-        assert res.s[0] == res.snorm == 0.5
-        assert res.model_decrease == pytest.approx(0.25)
+        for B in (matrix_model(np.array([[2.0]])), ScriptedModel([2.0])):
+            for radius in (10.0, 1e6):
+                res = newton_step_1d(np.array([-1.0]), B, radius)
+                assert res.s[0] == res.snorm == 0.5
+                assert res.model_decrease == pytest.approx(0.25)
 
     def test_boundary_on_negative_curvature(self):
         res = newton_step_1d(np.array([1.0]), matrix_model(np.array([[-1.0]])), 2.0)

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -15,13 +13,6 @@ def run(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=120)
-
-
-def test_layer_microbenchmarks_run():
-    pytest.importorskip("pytest_benchmark")
-    benches = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "benchmarks").glob("bench_*.py"))
-    done = run("-m", "pytest", "-q", "-p", "no:cacheprovider", *benches, "--benchmark-disable")
-    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_paper_scale_replay_passes():
