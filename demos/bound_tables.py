@@ -59,7 +59,7 @@ inst = generate(spec)
 interp = build_interpolant(inst)
 L = interp.second_derivative_bound()
 params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
-a_min = theoretical_a_min(report.log[0].a_k, params, L)
+a_min = theoretical_a_min(report.log.a_k[0], params, L)
 inputs = BoundInputs.from_params(
     params, f0=float(inst.f_vals[0]), f_low=interp.lower_bound(),
     a_min=a_min, mu=1.0, p=spec.p, eps=spec.eps, L=L,

@@ -41,5 +41,5 @@ for line in log_to_csv(report).splitlines()[:6]:
 
 # The monitor records a_k, the composite the complexity analysis bounds from
 # below; on a healthy run it stays above the theoretical floor.
-print(f"\nmin a_k over the run: {min(r.a_k for r in report.log):.4g}")
+print(f"\nmin a_k over the run: {min(report.log.a_k):.4g}")
 print(f"theoretical floor (estimated L): {report.a_min_theoretical:.4g}")

@@ -1,8 +1,9 @@
 """Model Hessians: exact, limited-memory BFGS/SR1, scripted, and zero.
 
 Every model is a symmetric linear operator exposing ``apply`` (B v
-products), ``update`` (pair ingestion with the usual safeguards) and
-``operator_norm``. The limited-memory models start from B0 = I.
+products), ``update`` (pair ingestion with the usual safeguards),
+``operator_norm`` and, in one dimension, ``curvature_1d`` (B as a float).
+The limited-memory models start from B0 = I.
 Limited-memory products use the direct compact representation (Byrd,
 Nocedal and Schnabel 1994), not the inverse form, because both the
 subproblem and the agreement ratio consume B v. It is kept in spectral
@@ -30,6 +31,9 @@ SR1_DENOM_TOL = 1e-8
 
 DEFAULT_MEMORY = 5  # pairs a limited-memory model keeps unless told otherwise
 MODEL_KINDS = ("exact", "lbfgs", "lsr1", "zero")  # what build_model builds
+
+_E1 = np.ones(1)  # the unit vector of the base curvature_1d; read-only
+_E1.flags.writeable = False
 
 
 def _doubles(v) -> array:
@@ -67,6 +71,10 @@ class HessianModel:
         """|B|, the spectral norm."""
         raise NotImplementedError
 
+    def curvature_1d(self) -> float:
+        """B of a 1-d model as a float; ``apply`` rejects any other dim."""
+        return float(self.apply(_E1)[0])
+
     def begin_iteration(self, k: int) -> None:
         """Hook called by the driver at the top of iteration k.
 
@@ -92,6 +100,7 @@ class ScriptedModel(HessianModel):
 
     Iterations beyond the script hold the last value; the worst-case
     verifier detects any overrun through its own iteration-count check.
+    ``curvature_1d`` returns ``scalar``, which equals ``scalar * 1.0`` bitwise.
     """
 
     def __init__(self, values):
@@ -109,6 +118,9 @@ class ScriptedModel(HessianModel):
 
     def operator_norm(self):
         return abs(self.scalar)
+
+    def curvature_1d(self):
+        return self.scalar
 
 
 class ExactHessian(HessianModel):

@@ -5,8 +5,9 @@ the ball |s| <= R with the scaled radius R = |g|^alpha (1+|B|)^-beta Delta.
 Steps come from a Steihaug-type truncated conjugate gradient whose first
 iterate is the Cauchy point, so the fraction-of-Cauchy-decrease contract
 holds by construction (Steihaug 1983; Conn, Gould and Toint 2000, 7.5.1).
-Both step solvers take a ``HessianModel`` and form every product with its
-``apply``.
+Both step solvers take a ``HessianModel``: the CG path forms every product
+with its ``apply``, and the 1-d step reads the curvature off its
+``curvature_1d``.
 
 The CG iterates do not depend on the radius: the radius only picks where
 the walk along them stops. ``SteihaugPath`` keeps that path for one (g, B)
@@ -28,11 +29,6 @@ if TYPE_CHECKING:
     from .hessians import HessianModel
 
 Array = np.ndarray
-
-# The unit vector newton_step_1d reads the 1-d curvature from; read-only,
-# so no caller can change it.
-_E1 = np.ones(1)
-_E1.flags.writeable = False
 
 
 def effective_radius(
@@ -227,7 +223,8 @@ def newton_step_1d(g: Array, B: HessianModel, radius: float) -> StepResult:
     linear models, and Newton steps past the radius, end on the boundary.
     The single division keeps the step bit-reproducible, which the
     worst-case verifier relies on. In one dimension the Cauchy point
-    minimizes the model over the whole ball, as this step does. A
+    minimizes the model over the whole ball, as this step does. b is
+    ``B.curvature_1d()``, which forms no product for a scripted model. A
     non-finite gradient raises ValueError: the boundary branch would
     otherwise turn it into a finite step. ``g`` is a float array.
     """
@@ -238,7 +235,7 @@ def newton_step_1d(g: Array, B: HessianModel, radius: float) -> StepResult:
         raise ValueError("zero gradient")
     if not math.isfinite(g0):
         raise ValueError(f"non-finite gradient {g0!r}")
-    b = float(B.apply(_E1)[0])
+    b = B.curvature_1d()
     boundary = True
     if b > 0.0:
         step = -(g0 / b)

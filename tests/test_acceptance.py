@@ -57,6 +57,27 @@ def report(num, name, ok, detail=""):
     assert ok, line
 
 
+def grid_max_decrease(gnorm, gBg, stop, num=10**6):
+    """The largest t |g|^2 - t^2 g'Bg / 2 over ``np.linspace(0.0, stop, num)``.
+
+    The maximum of this quadratic in t lies at an end of the grid or, for
+    g'Bg > 0, next to its vertex |g|^2 / g'Bg, so only the two ends and the
+    grid points within 3 indices of the vertex are evaluated. They are the
+    points linspace forms, i * step with ``stop`` as the last, so the value
+    is the full grid's maximum bit for bit.
+    """
+    step = stop / (num - 1)
+    idx = {0, num - 1}
+    if gBg > 0:
+        vertex = gnorm**2 / gBg / step
+        if vertex < num + 3:
+            mid = round(vertex)
+            idx.update(i for i in range(mid - 3, mid + 4) if 0 <= i < num)
+    ts = np.array(sorted(idx)) * step
+    ts[-1] = stop
+    return float(np.max(ts * gnorm**2 - 0.5 * ts**2 * gBg))
+
+
 def run_cli_json(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -211,8 +232,7 @@ def test_criterion_07_subproblem_oracles():
         cp = cauchy_point(g, B, radius)
         gnorm = np.linalg.norm(g)
         gBg = float(g @ (A @ g))
-        ts = np.linspace(0.0, radius / gnorm, 10**6)
-        oracle = float(np.max(ts * gnorm**2 - 0.5 * ts**2 * gBg))
+        oracle = grid_max_decrease(gnorm, gBg, radius / gnorm)
         ok = ok and abs(cp.model_decrease - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
         res = solve_tcg(g, B, radius)

@@ -1,6 +1,8 @@
 """Tests for the model-Hessian implementations."""
 
 import hashlib
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from trfam import (
     log_to_csv,
 )
 from trfam.bench import RunSpec, run_matrix
-from trfam.hessians import ExactHessian
+from trfam.hessians import ExactHessian, HessianModel
 
 from oracles import dense_matrix
 
@@ -407,6 +409,53 @@ class TestModelsThatDoNotLearn:
         assert np.array_equal(m.apply(v), H @ v)
         assert m.operator_norm() == np.max(np.abs(np.linalg.eigvalsh(H)))
         assert (np.array_equal(m.apply(v), before[0]) and m.operator_norm() == before[1]) is same
+
+
+def bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+def fed_lbfgs_1d() -> LbfgsModel:
+    m = LbfgsModel(1)
+    assert m.update(np.array([0.5]), np.array([1.5]))
+    return m
+
+
+class TestCurvature1d:
+    """``curvature_1d`` is B of a 1-d model as a float, bit for bit the
+    product with the unit vector that it replaces."""
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, -1e308, 4.0, math.inf, math.nan])
+    def test_scripted_model_returns_its_scalar(self, v):
+        m = ScriptedModel([v])
+        b = m.curvature_1d()
+        assert type(b) is float
+        assert bits(b) == bits(float(m.apply(np.ones(1))[0]))
+
+    @pytest.mark.parametrize("make,expected", [
+        (lambda: ZeroModel(1), 0.0),
+        (lambda: ExactHessian(lambda x: np.array([[2.0 + x[0]]]), np.array([1.5])), 3.5),
+        (lambda: LbfgsModel(1), 1.0),  # B0 = I
+        (fed_lbfgs_1d, 3.0),  # one pair with y = 3 s
+    ], ids=["zero", "exact", "lbfgs-no-pairs", "lbfgs-one-pair"])
+    def test_other_models_form_one_product_with_the_unit_vector(self, make, expected):
+        m = make()
+        assert type(m).curvature_1d is HessianModel.curvature_1d
+        calls = []
+        apply = m.apply
+        m.apply = lambda v: calls.append(v.copy()) or apply(v)
+        b = m.curvature_1d()
+        assert [c.tolist() for c in calls] == [[1.0]]
+        assert type(b) is float
+        assert b == pytest.approx(expected, rel=1e-15)
+        assert bits(b) == bits(float(apply(np.ones(1))[0]))
+
+    @pytest.mark.parametrize("m", [
+        ZeroModel(2), LbfgsModel(2), Lsr1Model(2), ExactHessian(lambda _: np.eye(2), np.zeros(2)),
+    ], ids=["zero", "lbfgs", "lsr1", "exact"])
+    def test_dimension_other_than_one_rejected(self, m):
+        with pytest.raises(ValueError, match="model dim 2"):
+            m.curvature_1d()
 
 
 class TestCompactPathDigests:

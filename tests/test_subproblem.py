@@ -397,10 +397,13 @@ class TestNewton1d:
         assert res.model_decrease == 2.25
 
     def test_one_product_with_the_unit_vector(self):
-        calls = []
-        model = ScriptedModel([4.0])
-        apply = model.apply
-        model.apply = lambda v: calls.append(v.copy()) or apply(v)
-        newton_step_1d(np.array([1.0]), model, 1.0)
-        newton_step_1d(np.array([-1.0]), model, 1.0)
-        assert [c.tolist() for c in calls] == [[1.0], [1.0]]
+        # a scripted model gives its curvature with no product; a model
+        # without that override forms one product with e1 per step
+        for model, products in [(ScriptedModel([4.0]), []),
+                                (matrix_model(np.array([[4.0]])), [[1.0], [1.0]])]:
+            calls = []
+            apply = model.apply
+            model.apply = lambda v, apply=apply: calls.append(v.copy()) or apply(v)
+            steps = [newton_step_1d(np.array([g0]), model, 1.0) for g0 in (1.0, -1.0)]
+            assert [c.tolist() for c in calls] == products
+            assert [step.s[0] for step in steps] == [-0.25, 0.25]
