@@ -290,21 +290,10 @@ def profile_to_svg(curves: list[ProfileCurve], metric: str) -> str:
 
 
 def emit(
-    matrix: CostMatrix,
-    profiles: dict[str, list[ProfileCurve]],
-    out_dir,
+    matrix: CostMatrix | None, profiles: dict[str, list[ProfileCurve]], out_dir
 ) -> list[Path]:
-    """Write matrix.csv plus profile_<metric>.csv/.svg into out_dir."""
-    return _write(out_dir, profiles, matrix)
-
-
-def emit_profiles(profiles: dict[str, list[ProfileCurve]], out_dir) -> list[Path]:
-    """Write profile_<metric>.csv/.svg into out_dir, as ``emit`` does, and
-    no matrix.csv."""
-    return _write(out_dir, profiles)
-
-
-def _write(out_dir, profiles, matrix: CostMatrix | None = None) -> list[Path]:
+    """Write matrix.csv, unless ``matrix`` is None, then profile_<metric>.csv
+    and .svg per metric into out_dir; return the paths in that order."""
     if not profiles or any(not curves for curves in profiles.values()):
         raise ValueError("no profiles to emit")
     out = Path(out_dir)

@@ -271,7 +271,7 @@ def _cmd_profile(args) -> int:
     try:
         matrix = bench_mod.read_matrix_csv(os.path.join(args.in_dir, "matrix.csv"))
         curves = bench_mod.performance_profile(matrix, args.metric)
-        out = bench_mod.emit_profiles({args.metric: curves}, args.in_dir)
+        out = bench_mod.emit(None, {args.metric: curves}, args.in_dir)
     except (FileNotFoundError, ValueError, OSError) as exc:
         raise DomainError(str(exc)) from exc
     for path in out:

@@ -118,26 +118,25 @@ _FLOAT_COLUMNS = (
 class IterationLog:
     """Iteration log with one typed ``array`` per record field.
 
-    ``k`` is not stored: it is the index. ``len``, indexing and iteration
-    give ``IterationRecord`` views, and a slice gives a list of them.
+    ``k`` is not stored: it is the index. ``n_succ`` is not stored either:
+    it is read off ``status`` as the running count of accepted steps.
+    ``len``, indexing and iteration give ``IterationRecord`` views.
     Readers that scan the whole log read the columns instead;
     ``column(name)`` views one as a numpy array without copying it.
     """
 
-    __slots__ = (*_FLOAT_COLUMNS, "status", "n_succ", "cg_iters")
+    __slots__ = (*_FLOAT_COLUMNS, "status", "cg_iters")
 
     def __init__(self):
         for name in _FLOAT_COLUMNS:
             setattr(self, name, array("d"))
         self.status = array("b")  # indices into STATUSES
-        self.n_succ = array("q")
         self.cg_iters = array("i")
 
     def append(
-        self, f, gnorm, delta, eff_radius, rho, status, bnorm, n_succ, a_k, cg_iters,
-        model_decrease=math.nan, snorm=math.nan,
+        self, f, gnorm, delta, eff_radius, rho, status, bnorm, a_k, cg_iters, model_decrease, snorm
     ) -> None:
-        """Add one iteration: IterationRecord's fields after k, status as a STATUSES index."""
+        """Add one iteration: IterationRecord's fields but k and n_succ, status as a code."""
         self.f.append(f)
         self.gnorm.append(gnorm)
         self.delta.append(delta)
@@ -145,11 +144,17 @@ class IterationLog:
         self.rho.append(rho)
         self.status.append(status)
         self.bnorm.append(bnorm)
-        self.n_succ.append(n_succ)
         self.a_k.append(a_k)
         self.cg_iters.append(cg_iters)
         self.model_decrease.append(model_decrease)
         self.snorm.append(snorm)
+
+    @property
+    def n_succ(self) -> array:
+        """|S_k|, the accepted steps up to and including k: a new ``'q'`` array."""
+        counts = array("q")
+        counts.frombytes(np.cumsum(self.column("status") != _U, dtype=np.int64).tobytes())
+        return counts
 
     def column(self, name: str) -> np.ndarray:
         """Read-only numpy view of one column."""
@@ -161,9 +166,7 @@ class IterationLog:
     def __len__(self) -> int:
         return len(self.f)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> IterationRecord:
         n = len(self)
         if i < 0:
             i += n
@@ -171,16 +174,23 @@ class IterationLog:
             raise IndexError("iteration log index out of range")
         return IterationRecord(
             i, self.f[i], self.gnorm[i], self.delta[i], self.eff_radius[i], self.rho[i],
-            STATUSES[self.status[i]], self.bnorm[i], self.n_succ[i], self.a_k[i],
-            self.cg_iters[i], self.model_decrease[i], self.snorm[i],
+            STATUSES[self.status[i]], self.bnorm[i], i + 1 - self.status[: i + 1].count(_U),
+            self.a_k[i], self.cg_iters[i], self.model_decrease[i], self.snorm[i],
         )
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return map(
+            IterationRecord, range(len(self)), self.f, self.gnorm, self.delta,
+            self.eff_radius, self.rho, map(STATUSES.__getitem__, self.status), self.bnorm,
+            self.n_succ, self.a_k, self.cg_iters, self.model_decrease, self.snorm,
+        )
 
 
 @dataclass
 class SolveReport:
+    """Outcome of ``solve``. ``n_succ_total`` and ``n_unsucc_total`` count
+    the accepted and rejected iterations, read off ``log.status``."""
+
     status: str
     iterations: int
     n_succ_total: int
@@ -290,7 +300,6 @@ def solve(
     delta = params.delta0
     hist_min_g = math.inf
     hist_max_b = 0.0
-    n_succ = 0
     lip = 0.0
     # |x| at its last exact reading plus every accepted |s| since: at least
     # |x| by the triangle inequality. Its relative rounding error grows by
@@ -380,7 +389,6 @@ def solve(
             update(step.s, y)
             x, f, g = x_trial, f_trial, g_new
             xbound += snorm
-            n_succ += 1
         elif update_rejected:
             # Assumption-2 regime: pay one extra gradient for the rejected pair
             g_trial = np.asarray(eval_grad(x_trial), dtype=float)
@@ -392,7 +400,7 @@ def solve(
             ak = a_k(delta, hist_max_b, hist_min_g, alpha, beta)
         except ArithmeticError as exc:
             raise SolveError(f"{problem.name}: a_k out of the float range at k={k}") from exc
-        log_append(f_at_k, gnorm, delta, radius, rho, iter_status, bnorm, n_succ, ak,
+        log_append(f_at_k, gnorm, delta, radius, rho, iter_status, bnorm, ak,
                    step.cg_iters, decrease, step.snorm)
         if iter_status == _VS:
             delta = min(gamma3 * delta, _DELTA_MAX)
@@ -400,11 +408,12 @@ def solve(
             delta = gamma2 * delta
         k += 1
 
+    n_unsucc = log.status.count(_U)
     report = SolveReport(
         status=status,
         iterations=k,
-        n_succ_total=n_succ,
-        n_unsucc_total=k - n_succ,
+        n_succ_total=k - n_unsucc,
+        n_unsucc_total=n_unsucc,
         final_f=f,
         final_gnorm=_norm(g),
         evals=EvalCounter(n_f, n_g),

@@ -43,12 +43,13 @@ def inputs(**kw):
     return BoundInputs(TrParams(**family), **base)
 
 
-def envelope_log(bnorms, n_succs):
+def envelope_log(bnorms):
+    """A log of very successful iterations, so n_succ is 1, 2, ..."""
     log = IterationLog()
-    for bnorm, n_succ in zip(bnorms, n_succs):
+    for bnorm in bnorms:
         log.append(f=0.0, gnorm=1.0, delta=1.0, eff_radius=1.0, rho=2.0,
-                   status=STATUSES.index("very_successful"), bnorm=bnorm, n_succ=n_succ,
-                   a_k=1.0, cg_iters=1)
+                   status=STATUSES.index("very_successful"), bnorm=bnorm, a_k=1.0,
+                   cg_iters=1, model_decrease=math.nan, snorm=math.nan)
     return log
 
 
@@ -286,12 +287,14 @@ class TestBoundTotal:
 class TestMeasureEnvelope:
     def test_constant_norms_all_successful(self):
         # |B_k| = 1, |S_0| = 1: mu_hat = 1 / (1 + 1^p) = 0.5
-        log = envelope_log([1.0] * 5, range(1, 6))
+        log = envelope_log([1.0] * 5)
+        assert list(log.n_succ) == [1, 2, 3, 4, 5]
         assert measure_envelope(log, 0.5, "successful") == pytest.approx(0.5)
 
     def test_scripted_linear_growth(self):
         # B_k = k with every iteration successful: mu_hat <= 1 for p = 1
-        log = envelope_log(map(float, range(50)), range(1, 51))
+        log = envelope_log(map(float, range(50)))
+        assert list(log.n_succ) == list(range(1, 51))
         mu = measure_envelope(log, 1.0, "successful")
         assert 0 < mu <= 1.0
         # exhaustive-max oracle
@@ -301,7 +304,7 @@ class TestMeasureEnvelope:
         assert mu == pytest.approx(expected)
 
     def test_iteration_counter(self):
-        log = envelope_log([2.0] * 3, [0] * 3)
+        log = envelope_log([2.0] * 3)
         mu = measure_envelope(log, 1.0, "iteration")
         # max over k of 2 / (1 + k): attained at k = 0
         assert mu == pytest.approx(2.0)
