@@ -58,9 +58,12 @@ class AdversarialSpec:
 
 
 def check_cap(cap: int) -> None:
-    """A k_eps cap must admit at least one iteration."""
+    """A k_eps cap must admit at least one iteration and be at most ``K_EPS_CAP``:
+    a larger one would let ``generate`` ask for more memory than any host has."""
     if not cap >= 1:
         raise ValueError(f"the k_eps cap must be at least 1, not {cap}")
+    if cap > K_EPS_CAP:
+        raise ValueError(f"the k_eps cap must be at most {K_EPS_CAP:g}")
 
 
 def k_epsilon(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> int:

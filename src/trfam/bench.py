@@ -90,9 +90,9 @@ class CostMatrix:
 def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], SolveReport]]:
     """Execute every spec; cells are keyed (problem, variant), sorted.
 
-    A solve that breaks down (``SolveError`` or ``FloatingPointError``)
-    does not stop the matrix: its cell gets status "error" with zero
-    costs, which profiles count as unsolved, and no report.
+    A solve that breaks down, raising ``SolveError``, does not stop the
+    matrix: its cell gets status "error" with zero costs, which profiles
+    count as unsolved, and no report.
     """
     if not specs:
         raise ValueError("empty spec list")
@@ -109,7 +109,7 @@ def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], 
         try:
             report = solve(prob, params, model, eps=spec.eps, max_iter=spec.max_iter,
                            eval_budget=spec.eval_budget)
-        except (SolveError, FloatingPointError):
+        except SolveError:
             matrix.cells[key] = CellResult("error", 0, 0, 0.0, 0)
             continue
         elapsed_ms = (time.perf_counter() - t0) * 1e3

@@ -17,7 +17,9 @@ import numpy as np
 
 from .hessians import LbfgsModel, Lsr1Model
 from .problems import EvalCounter, Problem
-from .subproblem import SteihaugPath, _norm, effective_radius, newton_step_1d, solve_tcg
+from .subproblem import (
+    SolveError, SteihaugPath, _norm, effective_radius, newton_step_1d, solve_tcg,
+)
 
 VERY_SUCCESSFUL = "very_successful"
 SUCCESSFUL = "successful"
@@ -40,10 +42,6 @@ _RADIUS_UNDERFLOW = 1e-15
 _DELTA_MAX = 1e150
 _DECREASE_FLOOR = 1e-15
 _LIPSCHITZ_SAFETY = 10.0
-
-
-class SolveError(RuntimeError):
-    """Subproblem contract violation or non-finite data at an iterate."""
 
 
 @dataclass
@@ -415,7 +413,7 @@ def solve(
         n_succ_total=k - n_unsucc,
         n_unsucc_total=n_unsucc,
         final_f=f,
-        final_gnorm=_norm(g),
+        final_gnorm=gnorm,
         evals=EvalCounter(n_f, n_g),
         log=log,
         x=x,

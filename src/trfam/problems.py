@@ -24,6 +24,7 @@ class Problem:
     Evaluations must be deterministic: the same point always yields
     bit-identical results. ``f_low_hint`` is a known lower bound on f,
     ``eval_hess`` returns the dense Hessian and backs the exact model mode.
+    Past the float range the built-in objectives give inf or NaN; they never raise.
     """
 
     name: str
@@ -266,51 +267,67 @@ def _dixon_price(n=10):
     return Problem("dixon_price", n, f, g, _start(np.full(n, 1.0)), 0.0, h)
 
 
+def _least_squares(name, res, jac, curv, x0):
+    """f = |r|^2 for the residual r = res(x), with g = 2 J'r, J = jac(x), and
+    h = 2 J'J + 2 diag(curv(x, r)), where diag(curv(x, r)) = sum_i r_i Hess r_i."""
+
+    def f(x):
+        return float(np.sum(res(x) ** 2))
+
+    def g(x):
+        return 2 * jac(x).T @ res(x)
+
+    def h(x):
+        jac_x = jac(x)
+        m = 2 * jac_x.T @ jac_x
+        m[np.diag_indices(len(x))] += 2 * curv(x, res(x))
+        return m
+
+    return Problem(name, len(x0), f, g, _start(x0), 0.0, h)
+
+
+def _quartic_ridge(name, v, c, x0):
+    """f = |x - c|^2 + w^2 + w^4 with w = v'(x - c); its minimum 0 is at c."""
+    n = len(v)
+
+    def f(x):
+        y = x - c
+        w = v @ y
+        return float(np.sum(y * y) + w**2 + w**4)
+
+    def g(x):
+        y = x - c
+        w = v @ y
+        return 2 * y + (2 * w + 4 * w**3) * v
+
+    def h(x):
+        w = v @ (x - c)
+        return 2 * np.eye(n) + (2 + 12 * w**2) * np.outer(v, v)
+
+    return Problem(name, n, f, g, _start(x0), 0.0, h)
+
+
 def _trigonometric(n=10):
     w = np.arange(1.0, n + 1)
 
     def _res(x):
         return n - np.sum(np.cos(x)) + w * (1 - np.cos(x)) - np.sin(x)
 
-    def f(x):
-        return float(np.sum(_res(x) ** 2))
-
-    def g(x):
-        r = _res(x)
+    def _jac(x):
         # J_ij = sin(x_j) + delta_ij * (i sin(x_i) - cos(x_i))
         jac = np.tile(np.sin(x), (n, 1))
         jac[np.diag_indices(n)] += w * np.sin(x) - np.cos(x)
-        return 2 * jac.T @ r
+        return jac
 
-    def h(x):
-        r = _res(x)
-        jac = np.tile(np.sin(x), (n, 1))
-        jac[np.diag_indices(n)] += w * np.sin(x) - np.cos(x)
-        m = 2 * jac.T @ jac
+    def _curv(x, r):
         # residual curvature: d2 r_i = diag(cos x) + delta_ii (i cos x_i + sin x_i)
-        diag = np.sum(r) * np.cos(x) + r * (w * np.cos(x) + np.sin(x))
-        m[np.diag_indices(n)] += 2 * diag
-        return m
+        return np.sum(r) * np.cos(x) + r * (w * np.cos(x) + np.sin(x))
 
-    return Problem("trigonometric", n, f, g, _start(np.full(n, 1.0 / n)), 0.0, h)
+    return _least_squares("trigonometric", _res, _jac, _curv, np.full(n, 1.0 / n))
 
 
 def _zakharov(n=10):
-    v = 0.5 * np.arange(1.0, n + 1)
-
-    def f(x):
-        w = float(v @ x)
-        return float(np.sum(x * x) + w**2 + w**4)
-
-    def g(x):
-        w = float(v @ x)
-        return 2 * x + (2 * w + 4 * w**3) * v
-
-    def h(x):
-        w = float(v @ x)
-        return 2 * np.eye(n) + (2 + 12 * w**2) * np.outer(v, v)
-
-    return Problem("zakharov", n, f, g, _start(np.full(n, 1.0)), 0.0, h)
+    return _quartic_ridge("zakharov", 0.5 * np.arange(1.0, n + 1), 0.0, np.full(n, 1.0))
 
 
 def _styblinski_tang(n=5):
@@ -478,9 +495,6 @@ def _broyden_tridiagonal(n=12):
         xp = np.concatenate(([0.0], x, [0.0]))
         return (3 - 2 * xp[1:-1]) * xp[1:-1] - xp[:-2] - 2 * xp[2:] + 1
 
-    def f(x):
-        return float(np.sum(_res(x) ** 2))
-
     def _jac(x):
         jac = np.zeros((n, n))
         for i in range(n):
@@ -491,17 +505,8 @@ def _broyden_tridiagonal(n=12):
                 jac[i, i + 1] = -2.0
         return jac
 
-    def g(x):
-        return 2 * _jac(x).T @ _res(x)
-
-    def h(x):
-        r = _res(x)
-        jac = _jac(x)
-        m = 2 * jac.T @ jac
-        m[np.diag_indices(n)] += 2 * r * (-4.0)
-        return m
-
-    return Problem("broyden_tridiagonal", n, f, g, _start(np.full(n, -1.0)), 0.0, h)
+    return _least_squares("broyden_tridiagonal", _res, _jac, lambda x, r: -4.0 * r,
+                          np.full(n, -1.0))
 
 
 def _arwhead(n=100):
@@ -554,15 +559,15 @@ def _engval1(n=50):
 
 def _penalty1(n=10, a=1e-5):
     def f(x):
-        w = float(np.sum(x * x) - 0.25)
+        w = np.sum(x * x) - 0.25
         return float(a * np.sum((x - 1) ** 2) + w**2)
 
     def g(x):
-        w = float(np.sum(x * x) - 0.25)
+        w = np.sum(x * x) - 0.25
         return 2 * a * (x - 1) + 4 * w * x
 
     def h(x):
-        w = float(np.sum(x * x) - 0.25)
+        w = np.sum(x * x) - 0.25
         return (2 * a + 4 * w) * np.eye(n) + 8 * np.outer(x, x)
 
     return Problem("penalty1", n, f, g, _start(np.arange(1.0, n + 1)), 0.0, h)
@@ -570,20 +575,7 @@ def _penalty1(n=10, a=1e-5):
 
 def _variably_dimensioned(n=10):
     v = np.arange(1.0, n + 1)
-
-    def f(x):
-        w = float(v @ (x - 1))
-        return float(np.sum((x - 1) ** 2) + w**2 + w**4)
-
-    def g(x):
-        w = float(v @ (x - 1))
-        return 2 * (x - 1) + (2 * w + 4 * w**3) * v
-
-    def h(x):
-        w = float(v @ (x - 1))
-        return 2 * np.eye(n) + (2 + 12 * w**2) * np.outer(v, v)
-
-    return Problem("variably_dimensioned", n, f, g, _start(1.0 - v / n), 0.0, h)
+    return _quartic_ridge("variably_dimensioned", v, 1.0, 1.0 - v / n)
 
 
 def _rastrigin(n=6):

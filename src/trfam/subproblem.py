@@ -31,6 +31,10 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 
+class SolveError(RuntimeError):
+    """A solve that cannot go on: a broken contract, an ill-posed model or non-finite data."""
+
+
 def effective_radius(
     alpha: float, beta: float, delta: float, gnorm_term: float, bnorm_term: float
 ) -> float:
@@ -75,11 +79,18 @@ class StepResult:
 
 
 def _to_boundary(s: Array, d: Array, radius: float) -> float:
-    """Positive sigma with |s + sigma d| = radius."""
+    """Positive sigma with |s + sigma d| = radius.
+
+    The discriminant overflows once |d| radius passes about 1e154, though
+    sigma, about radius / |d|, need not; s / radius, d / radius and the
+    unit ball then give the same sigma (scaling by a radius of 1 cannot).
+    """
     dd = float(d @ d)
     sd = float(s @ d)
     ss = float(s @ s)
     disc = sd * sd + dd * (radius * radius - ss)
+    if disc == math.inf and radius != 1.0:
+        return _to_boundary(s / radius, d / radius, 1.0)
     return (-sd + math.sqrt(max(disc, 0.0))) / dd
 
 
@@ -182,7 +193,7 @@ class SteihaugPath:
         else:  # the path ends inside at s_i, i >= 1, whose norm is stored
             step = StepResult(self._s[i], self._dec[i], False, i, trial_norm[i - 1])
         if not math.isfinite(step.model_decrease):
-            raise FloatingPointError("non-finite model decrease: ill-posed model")
+            raise SolveError("non-finite model decrease: ill-posed model")
         return step
 
 
@@ -208,8 +219,7 @@ def solve_tcg(
     ``path`` is a ``SteihaugPath`` of this g and B that earlier calls may
     have walked; it is walked again and extended only where this radius
     needs it. Without one, a fresh path is built with the default
-    ``cg_tol`` and ``max_cg``. A non-finite decrease raises
-    FloatingPointError.
+    ``cg_tol`` and ``max_cg``. A non-finite decrease raises SolveError.
     """
     if path is None:
         path = SteihaugPath(g, B)

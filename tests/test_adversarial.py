@@ -129,8 +129,8 @@ class TestKEpsilon:
     def test_log_domain_check_keeps_every_accepted_value(self):
         # values at and just past the cap: the log-domain margin leaves the
         # decision to the exact test, and an accepted k_eps is the floor of
-        # the power as before
-        for eps, p in ((0.5, 0.5), (0.1, 0.0), (0.01, 0.5), (0.3, 0.9)):
+        # the power as before; every cap is within K_EPS_CAP
+        for eps, p in ((0.5, 0.5), (0.1, 0.0), (0.01, 0.5), (0.4, 0.9)):
             value = eps ** (-2.0 / (1.0 - p))
             cap = math.ceil(value)
             assert k_epsilon(AdversarialSpec(eps, p), cap) == math.floor(value)
@@ -143,6 +143,10 @@ class TestKEpsilon:
     def test_cap_below_one_rejected(self, cap, p):
         with pytest.raises(ValueError, match="cap must be at least 1"):
             k_epsilon(AdversarialSpec(0.5, p), cap)
+
+    def test_cap_above_the_largest_rejected(self):
+        with pytest.raises(ValueError, match=r"cap must be at most 1e\+08"):
+            k_epsilon(AdversarialSpec(0.5, 0.5), cap=adversarial.K_EPS_CAP + 1)
 
     def test_p1_eps_whose_inverse_square_overflows_is_over_the_cap(self):
         with pytest.raises(ValueError, match=r"k_eps = exp\(inf\) exceeds the cap"):

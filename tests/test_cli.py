@@ -86,10 +86,7 @@ class TestSolve:
         assert (code, err) == (0, "")
         assert json.loads(out)["status"] == "first_order"
 
-    @pytest.mark.parametrize("exc", [
-        SolveError("rosenbrock: non-finite f or gradient at k=3"),
-        FloatingPointError("non-finite model decrease: ill-posed model"),
-    ])
+    @pytest.mark.parametrize("exc", [SolveError("rosenbrock: non-finite f or gradient at k=3")])
     def test_solver_breakdown_is_domain_error(self, capsys, monkeypatch, exc):
         def breaks(*args, **kwargs):
             raise exc
@@ -99,6 +96,19 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err == f"error: {exc}\n"
+
+    # f overflowed Python's ** in the first three; in the last two the
+    # boundary step's discriminant overflowed, and the walk stopped the run
+    @pytest.mark.parametrize("problem,delta0", [
+        ("penalty1", "1e100"), ("zakharov", "1e80"), ("variably_dimensioned", "1e100"),
+        ("cliff", "1e300"), ("wood", "1e150"),
+    ])
+    def test_huge_radius_rejects_the_steps(self, capsys, problem, delta0):
+        code, out, err = run_cli(capsys, "solve", "--problem", problem, "--hessian", "zero",
+                                 "--delta0", delta0, "--max-iter", "5", "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["status"], report["n_unsucc"]) == ("max_iter", 5)
 
     def test_log_csv(self, capsys, tmp_path):
         path = tmp_path / "log.csv"

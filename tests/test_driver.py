@@ -193,14 +193,15 @@ class TestSolve:
 
     def test_no_norm_is_thrown_away(self, monkeypatch):
         # per iteration: |g| at the top and |y| after an accepted step;
-        # then |x0| and the final |g|. |x| is read again only near the
-        # underflow test's threshold, which this run stays far from.
+        # then |x0|. The report's final |g| is the loop's last. |x| is read
+        # again only near the underflow test's threshold, which this run
+        # stays far from.
         calls = []
         norm = driver._norm
         monkeypatch.setattr(driver, "_norm", lambda v: calls.append(v) or norm(v))
         p = get_problem("rosenbrock")
         r = solve(p, TrParams(), build_model("exact", p), eps=1e-6)
-        assert len(calls) == (r.iterations + 1) + r.n_succ_total + 2
+        assert len(calls) == (r.iterations + 1) + r.n_succ_total + 1
 
     def test_max_iter_stop(self):
         p = get_problem("rosenbrock")

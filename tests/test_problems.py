@@ -111,6 +111,18 @@ def test_hessians_match_gradient_differences(prob):
             assert np.max(np.abs(col - H[:, i]) / denom) <= 1e-4
 
 
+@pytest.mark.parametrize("prob", builtin_collection(), ids=lambda p: p.name)
+def test_evaluations_past_the_float_range_do_not_raise(prob):
+    # numpy gives inf or NaN there; Python's float ** raised OverflowError
+    ramp = np.linspace(1.0, 2.0, prob.dim)
+    with np.errstate(all="ignore"):
+        for t in (1e20, 1e50, 1e100, 1e154, 1e200, 1e300):
+            for x in (prob.x0 + t * ramp, prob.x0 - t * ramp):
+                prob.eval_f(x)
+                prob.eval_grad(x)
+                prob.eval_hess(x)
+
+
 def test_probe_points_reproducible():
     p = get_problem("zakharov")
     a = probe_points(p, count=3, seed=0)

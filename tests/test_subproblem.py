@@ -7,8 +7,10 @@ import struct
 import numpy as np
 import pytest
 
-from trfam import ScriptedModel, build_model, effective_radius, newton_step_1d, solve_tcg
-from trfam.subproblem import SteihaugPath, _norm
+from trfam import (
+    ScriptedModel, ZeroModel, build_model, effective_radius, newton_step_1d, solve_tcg,
+)
+from trfam.subproblem import SolveError, SteihaugPath, _norm, _to_boundary
 
 from oracles import beats_cauchy, cauchy_point, matrix_model, solve_tcg_reference
 
@@ -318,12 +320,20 @@ class TestSteihaugPath:
     def test_non_finite_decrease_raises_on_fresh_and_rewalked_paths(self, matrix):
         g = np.array([1.0, 2.0, 3.0])
         B = matrix_model(matrix)
-        with pytest.raises(FloatingPointError, match="non-finite model decrease"):
+        with pytest.raises(SolveError, match="non-finite model decrease"):
             solve_tcg(g, B, 1.0)
         path = SteihaugPath(g, B)
         for r in (1.0, 0.5):
-            with pytest.raises(FloatingPointError, match="non-finite model decrease"):
+            with pytest.raises(SolveError, match="non-finite model decrease"):
                 solve_tcg(g, B, r, path)
+
+    def test_boundary_past_where_the_discriminant_overflows(self):
+        # |d| radius = 1e160: the discriminant is inf, sigma = 1e140 is not
+        assert _to_boundary(np.zeros(2), np.array([1e10, 0.0]), 1e150) == 1e140
+        step = solve_tcg(np.array([1e10, 0.0]), ZeroModel(2), 1e150)
+        assert step.boundary_hit
+        assert step.snorm == 1e150
+        assert step.model_decrease == 1e160
 
     def test_radius_must_be_positive(self):
         path = SteihaugPath(np.ones(2), matrix_model(np.eye(2)))
