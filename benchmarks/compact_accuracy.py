@@ -1,0 +1,96 @@
+"""Accuracy of the quasi-Newton products: every ``B v`` of the matrix-qn
+cells against the compact form rebuilt from the window's pairs.
+
+    python3 benchmarks/compact_accuracy.py --seed 0
+
+Run from the repository root; trfam is imported from ``src/``, the cells
+from ``perfbench/workloads.py`` and the reference from ``tests/oracles.py``.
+Each matrix-qn cell of the given seed is solved as the benchmark solves it,
+with two wrappers on the model instance, so the program itself is
+unchanged: ``update`` records the pairs it admits, and ``apply`` compares
+each product with ``compact_apply_reference`` over the last ``memory`` of
+them, which solves with M on every call. A product is off when
+|Bv - ref| > 1e-9 |ref|. Prints one line per product that is off,
+
+    off label error cond(M)
+
+with cond(M) the 2-norm condition number of the whole window's M, then the
+number of products and of those off. ``--cell`` keeps only the cells whose
+label contains one of the given substrings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+import workloads  # noqa: E402
+from oracles import compact_apply_reference, compact_windows  # noqa: E402
+from trfam import driver  # noqa: E402
+from trfam.hessians import build_model  # noqa: E402
+
+RTOL = 1e-9
+
+
+def check_cell(cell) -> tuple[int, list[tuple[float, float]]]:
+    """(products, [(error, cond(M)) of each product that is off]) of one cell."""
+    model = build_model(cell.hessian, cell.problem, memory=workloads.MEMORY)
+    admitted = []
+    off = []
+    count = 0
+    update, apply = model.update, model.apply
+
+    def update_recorded(s, y):
+        accepted = update(s, y)
+        if accepted:
+            admitted.append((np.array(s, dtype=float), np.array(y, dtype=float)))
+        return accepted
+
+    def apply_checked(v):
+        nonlocal count
+        out = apply(v)
+        window = admitted[-model.memory:]
+        ref = compact_apply_reference(cell.hessian, window, 1.0, np.asarray(v, dtype=float))
+        count += 1
+        error = np.linalg.norm(out - ref)
+        if error > RTOL * np.linalg.norm(ref):
+            _, M, _ = next(compact_windows(cell.hessian, window, 1.0))
+            off.append((error / np.linalg.norm(ref), np.linalg.cond(M)))
+        return out
+
+    model.update, model.apply = update_recorded, apply_checked
+    params = driver.TrParams(alpha=cell.alpha, beta=cell.beta)
+    driver.solve(cell.problem, params, model, eps=workloads.EPS, max_iter=cell.max_iter,
+                 eval_budget=workloads.EVAL_BUDGET)
+    return count, off
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0, help="workload seed (start points)")
+    ap.add_argument("--cell", action="append", default=[],
+                    help="keep cells whose label contains this (repeatable)")
+    args = ap.parse_args(argv)
+    cells = [cell for cell in workloads.matrix_qn(args.seed).cells
+             if not args.cell or any(pat in cell.label for pat in args.cell)]
+    if not cells:
+        ap.error("no cell matches --cell")
+    products = off = 0
+    for cell in cells:
+        count, errors = check_cell(cell)
+        products += count
+        off += len(errors)
+        for error, cond in errors:
+            print(f"off {cell.label} {error:.3g} {cond:.3g}", flush=True)
+    print(f"products: {products}, off by more than {RTOL:g} relative: {off}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,14 +11,15 @@ form (Erway and Marcia 2015; Brust, Erway and Marcia 2017): an
 orthonormal basis Q of the range of the n x k factor W, with W = QR,
 reduces B = I -/+ W M^{-1} W^T to the small eigenproblem
 R M^{-1} R^T = U Lambda U^T, k <= 2 * memory, so B = I -/+ P Lambda P^T
-with P = QU. The factors are built once per accepted pair; a product is
-two thin matvecs, and ``operator_norm`` reads the exact |B| off the end
-eigenvalues.
+with P = QU. W and M are kept and bordered once per admitted pair (Byrd,
+Nocedal and Schnabel 1994, section 4), and the spectral factors built from
+them once; a product is two thin matvecs, and ``operator_norm`` reads the
+exact |B| off the end eigenvalues.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 from array import array
 
 import numpy as np
@@ -150,40 +151,46 @@ class ExactHessian(HessianModel):
 
 
 class _PairModel(HessianModel):
-    """Shared storage for limited-memory models: a window of (s, y) pairs.
+    """Shared storage for limited-memory models: the compact factors W and
+    M of B = I -/+ W M^{-1} W^T over a window of (s, y) pairs, oldest first.
 
-    The window is kept as C-contiguous n x k arrays S and Y, oldest pair
-    first, and B = I -/+ W M^{-1} W^T = I -/+ P Lambda P^T. The spectral
-    factors P, Lambda P^T and |B| are built on first use after an accepted
-    pair and reused until the next one. A pair enters the window when
-    ``_admits`` passes it.
-    """
+    A pair that ``_admits`` passes borders both once: its ``_width`` columns
+    go on the end of W, and one product s^T W gives its rows of M; eviction
+    drops the leading columns and block. P, Lambda P^T and |B| are built
+    from W and M on first use after an admitted pair, and reused until the
+    next one."""
 
-    _combine: np.ufunc  # np.subtract for BFGS, np.add for SR1
+    _combine = operator.sub  # the sign of the compact term: sub for BFGS, add for SR1
+    _width: int  # columns of W per pair
 
     def __init__(self, dim, memory=DEFAULT_MEMORY):
         super().__init__(dim)
         if memory < 1:
             raise ValueError("memory must be positive")
         self.memory = memory
-        self._S = self._Y = np.empty((dim, 0))
+        self._W = np.empty((dim, 0))
+        self._M = np.empty((0, 0))
         self._factors: tuple | None = None
-
-    @property
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The window's (s, y) pairs, oldest first, as views of S and Y."""
-        return list(zip(self._S.T, self._Y.T))
 
     def update(self, s, y):
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
-        if _norm(s) == 0.0:
+        snorm = _norm(s)
+        if snorm == 0.0:
             raise ValueError("update with zero step")
-        if not self._admits(s, y):
+        if not self._admits(s, y, snorm):
             return False
-        drop = int(self._S.shape[1] == self.memory)  # evict the oldest pair
-        self._S = np.concatenate((self._S[:, drop:], s[:, None]), axis=1)
-        self._Y = np.concatenate((self._Y[:, drop:], y[:, None]), axis=1)
+        # evict the oldest pair from a full window
+        drop = self._width if self._W.shape[1] == self._width * self.memory else 0
+        W = np.concatenate((self._W[:, drop:], *self._columns(s, y)), axis=1)
+        k = self._M.shape[0] - drop  # the kept pairs' rows; s's row is next
+        row = s @ W
+        M = np.zeros((W.shape[1], W.shape[1]))
+        M[:k, :k] = self._M[drop:, drop:]
+        M[k, :k + 1] = M[:k + 1, k] = row[:k + 1]
+        # an L-BFGS pair's y row is -D's new entry, -s'y; L-SR1 has no y row
+        M[k + 1:, k + 1:] = -row[k + 1:]
+        self._W, self._M = W, M
         self._factors = None
         return True
 
@@ -191,7 +198,7 @@ class _PairModel(HessianModel):
         """(P, Lambda P^T, |B|) from the subclass's ``_factorize``; empty
         when B = I."""
         if self._factors is None:
-            self._factors = self._factorize() if self._S.shape[1] else ()
+            self._factors = self._factorize() if self._W.shape[1] else ()
         return self._factors
 
     def _spectral(self, W, M) -> tuple:
@@ -204,7 +211,8 @@ class _PairModel(HessianModel):
         lam, U = np.linalg.eigh(R @ np.linalg.solve(M, R.T), UPLO="L")
         P = U if Q is None else Q @ U
         # |1 -/+ lambda| is largest at an end of the ascending spectrum
-        norm = max(map(abs, self._combine(1.0, lam[[0, -1]]).tolist()))
+        combine = self._combine
+        norm = max(abs(combine(1.0, float(lam[0]))), abs(combine(1.0, float(lam[-1]))))
         if n > width:
             norm = max(norm, 1.0)  # B = I on the complement of range(P)
         return P, lam[:, None] * P.T, norm
@@ -221,38 +229,30 @@ class _PairModel(HessianModel):
         return factors[2] if factors else 1.0
 
 
-@functools.cache
-def _strict_lower(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict lower triangle of a k x k matrix."""
-    return np.tril_indices(k, -1)
-
-
 class LbfgsModel(_PairModel):
     """Limited-memory BFGS in the compact form
     B = I - [S, Y] M^{-1} [S, Y]^T,
     M = [[S^T S, L], [L^T, -D]],
     with L the strict lower triangle of S^T Y and D its diagonal.
+
+    W interleaves S and Y as [s_1, y_1, s_2, ...], and M's rows and columns
+    follow, which leaves B unchanged. A new pair's s row of M is s^T W with
+    a zero against its own y; its y row is zero but for -s^T y on the diagonal.
     """
 
-    _combine = np.subtract
+    _width = 2
 
     def _factorize(self):
-        S, Y = self._S, self._Y
-        k = S.shape[1]
-        SY = S.T @ Y
-        rows, cols = _strict_lower(k)
-        M = np.zeros((2 * k, 2 * k))
-        M[:k, :k] = S.T @ S
-        M[rows, cols + k] = M[cols + k, rows] = SY[rows, cols]  # L and L^T
-        M[k:, k:] = -0.0  # -D, whose off-diagonal zeros are -0.0
-        np.fill_diagonal(M[k:, k:], -SY.diagonal())
-        return self._spectral(np.concatenate((S, Y), axis=1), M)
+        return self._spectral(self._W, self._M)
 
-    def _admits(self, s, y):
+    def _columns(self, s, y):
+        return s[:, None], y[:, None]
+
+    def _admits(self, s, y, snorm):
         # curvature safeguard: s'y >= tol * |s| * |y|, and strictly positive;
         # written as a negated rejection test, which admits a NaN s'y
         sy = float(s @ y)
-        return not (sy <= 0.0 or sy < BFGS_CURVATURE_TOL * _norm(s) * _norm(y))
+        return not (sy <= 0.0 or sy < BFGS_CURVATURE_TOL * snorm * _norm(y))
 
 
 class Lsr1Model(_PairModel):
@@ -260,30 +260,32 @@ class Lsr1Model(_PairModel):
     B = I + (Y - S) M^{-1} (Y - S)^T,
     M = D + L + L^T - S^T S.
 
-    The factors use the longest suffix of the window whose M is nonsingular
-    to ``np.linalg.solve``; ``pairs`` itself keeps every accepted pair.
+    W = Y - S and M_ij = s_i^T (y_j - s_j), so a new pair's row of M is
+    s^T W. The factors use the longest suffix of the window whose M is
+    nonsingular to ``np.linalg.solve``, a trailing block of W and M; W and M
+    themselves keep every admitted pair.
     """
 
-    _combine = np.add
+    _combine = operator.add
+    _width = 1
 
     def _factorize(self):
-        for start in range(self._S.shape[1]):
-            S, Y = self._S[:, start:], self._Y[:, start:]
-            SY = S.T @ Y
-            rows, cols = _strict_lower(S.shape[1])
-            SY[cols, rows] = SY[rows, cols]  # D + L + L^T
-            M = SY - S.T @ S
+        W, M = self._W, self._M
+        for start in range(W.shape[1]):
             try:
-                return self._spectral(Y - S, M)
+                return self._spectral(W[:, start:], M[start:, start:])
             except np.linalg.LinAlgError:
                 continue  # window made M singular; shed its oldest pair
         return ()
 
-    def _admits(self, s, y):
+    def _columns(self, s, y):
+        return ((y - s)[:, None],)
+
+    def _admits(self, s, y, snorm):
         z = y - self.apply(s)
         nz = _norm(z)
         # both-zero case counts as rejected: the update is a no-op anyway
-        return not (nz == 0.0 or abs(float(s @ z)) < SR1_DENOM_TOL * _norm(s) * nz)
+        return not (nz == 0.0 or abs(float(s @ z)) < SR1_DENOM_TOL * snorm * nz)
 
 
 def build_model(

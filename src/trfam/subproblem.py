@@ -184,7 +184,8 @@ class SteihaugPath:
             elif trial_norm[i] >= radius:
                 s, d = self._s[i], self._d[i]
                 sigma = _to_boundary(s, d, radius)
-                decrease = self._dec[i] - (sigma * self._rd[i] + sigma * sigma * self._dBd[i] / 2)
+                q = self._dBd[i]  # on zero curvature the term is q, even if sigma^2 is inf
+                decrease = self._dec[i] - (sigma * self._rd[i] + (sigma * sigma * q / 2 if q else q))
                 s = s + sigma * d
                 step = StepResult(s, decrease, True, i + 1, _norm(s))
                 break

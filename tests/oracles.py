@@ -2,8 +2,11 @@
 
 None of these is on a solver's code path: ``trfam``'s step solvers meet
 the fraction-of-Cauchy-decrease contract by construction, its models are
-never materialised as dense matrices, and its truncated CG walks a stored
-path instead of running the one-shot loop below.
+never materialised as dense matrices, its truncated CG walks a stored
+path instead of running the one-shot loop below, and its limited-memory
+models border their compact factors once per pair instead of rebuilding
+them from the pairs. ``benchmarks/compact_accuracy.py`` reads the compact
+oracles too.
 """
 
 import numpy as np
@@ -113,3 +116,48 @@ def dense_matrix(model) -> np.ndarray:
     """B as a dense matrix, one product per column."""
     cols = [model.apply(col) for col in np.eye(model.dim)]
     return np.column_stack(cols)
+
+
+def compact_windows(mode, pairs, sig):
+    """Oracle: the compact form B = sig I + sign * W M^{-1} W^T rebuilt from
+    the pairs by the np.block route, as (W, M, sign) for the whole window
+    and then for each shorter suffix of it."""
+    for start in range(len(pairs)):
+        S = np.column_stack([p[0] for p in pairs[start:]])
+        Y = np.column_stack([p[1] for p in pairs[start:]])
+        SY = S.T @ Y
+        L = np.tril(SY, -1)
+        D = np.diag(np.diag(SY))
+        if mode == "lbfgs":
+            yield np.hstack([sig * S, Y]), np.block([[sig * (S.T @ S), L], [L.T, -D]]), -1.0
+        else:
+            yield Y - sig * S, D + L + L.T - sig * (S.T @ S), 1.0
+
+
+def compact_apply_reference(mode, pairs, sig, v):
+    """Oracle: the compact-form product rebuilt from the pairs on every call,
+    with L-SR1 shedding its oldest pair while M is singular."""
+    for W, M, sign in compact_windows(mode, list(pairs), sig):
+        try:
+            return sig * v + sign * (W @ np.linalg.solve(M, W.T @ v))
+        except np.linalg.LinAlgError:
+            if mode == "lbfgs":
+                raise
+    return sig * v
+
+
+def compact_norm_reference(mode, pairs, n):
+    """Oracle: |B| with sigma = 1 by the thin-QR and k x k eigvalsh route,
+    with L-SR1 shedding its oldest pair while M is singular."""
+    for W, M, sign in compact_windows(mode, list(pairs), 1.0):
+        try:
+            K = np.linalg.solve(M, W.T)
+        except np.linalg.LinAlgError:
+            if mode == "lbfgs":
+                raise
+            continue
+        Q, R = np.linalg.qr(W)
+        C = R @ K @ Q
+        norm = float(np.max(np.abs(1.0 + sign * np.linalg.eigvalsh(0.5 * (C + C.T)))))
+        return max(norm, 1.0) if n > Q.shape[1] else norm
+    return 1.0

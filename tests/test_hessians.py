@@ -19,7 +19,12 @@ from trfam import (
 from trfam.bench import RunSpec, run_matrix
 from trfam.hessians import ExactHessian, HessianModel
 
-from oracles import dense_matrix
+from oracles import (
+    compact_apply_reference,
+    compact_norm_reference,
+    compact_windows,
+    dense_matrix,
+)
 
 
 def bfgs_dense_recursion(pairs, n, sigma=1.0):
@@ -54,51 +59,6 @@ def close_to(actual, expected) -> bool:
     return np.linalg.norm(actual - expected) <= COMPACT_RTOL * np.linalg.norm(expected)
 
 
-def compact_windows(mode, pairs, sig):
-    """Oracle: the compact form B = sig I + sign * W M^{-1} W^T rebuilt from
-    the pairs by the np.block route, as (W, M, sign) for the whole window
-    and then for each shorter suffix of it."""
-    for start in range(len(pairs)):
-        S = np.column_stack([p[0] for p in pairs[start:]])
-        Y = np.column_stack([p[1] for p in pairs[start:]])
-        SY = S.T @ Y
-        L = np.tril(SY, -1)
-        D = np.diag(np.diag(SY))
-        if mode == "lbfgs":
-            yield np.hstack([sig * S, Y]), np.block([[sig * (S.T @ S), L], [L.T, -D]]), -1.0
-        else:
-            yield Y - sig * S, D + L + L.T - sig * (S.T @ S), 1.0
-
-
-def compact_apply_reference(mode, pairs, sig, v):
-    """Oracle: the compact-form product rebuilt from the pairs on every call,
-    with L-SR1 shedding its oldest pair while M is singular."""
-    for W, M, sign in compact_windows(mode, list(pairs), sig):
-        try:
-            return sig * v + sign * (W @ np.linalg.solve(M, W.T @ v))
-        except np.linalg.LinAlgError:
-            if mode == "lbfgs":
-                raise
-    return sig * v
-
-
-def compact_norm_reference(mode, pairs, n):
-    """Oracle: |B| with sigma = 1 by the thin-QR and k x k eigvalsh route,
-    with L-SR1 shedding its oldest pair while M is singular."""
-    for W, M, sign in compact_windows(mode, list(pairs), 1.0):
-        try:
-            K = np.linalg.solve(M, W.T)
-        except np.linalg.LinAlgError:
-            if mode == "lbfgs":
-                raise
-            continue
-        Q, R = np.linalg.qr(W)
-        C = R @ K @ Q
-        norm = float(np.max(np.abs(1.0 + sign * np.linalg.eigvalsh(0.5 * (C + C.T)))))
-        return max(norm, 1.0) if n > Q.shape[1] else norm
-    return 1.0
-
-
 def curved_pairs(rng, n, count, collinear=False):
     """Pairs (s, y) from a curved map; collinear steps share one direction,
     which leaves W with rank at most 3."""
@@ -110,9 +70,9 @@ def curved_pairs(rng, n, count, collinear=False):
 
 
 def feed_pairs(m, rng, count, collinear=False):
-    """Update m with ``count`` pairs from ``curved_pairs``."""
-    for s, y in curved_pairs(rng, m.dim, count, collinear):
-        m.update(s, y)
+    """Update m with ``count`` pairs from ``curved_pairs``; the pairs that
+    ``update`` admitted, oldest first. The window is the last ``m.memory``."""
+    return [(s, y) for s, y in curved_pairs(rng, m.dim, count, collinear) if m.update(s, y)]
 
 
 class TestApply:
@@ -146,9 +106,10 @@ class TestCompactFactors:
         rng = np.random.default_rng(13)
         m = build_model(mode, dim=n, memory=3)
         v = rng.standard_normal(n)
+        admitted = []
         for _ in range(6):  # past the memory, so pairs are evicted too
-            feed_pairs(m, rng, 1)
-            assert close_to(m.apply(v), compact_apply_reference(mode, m.pairs, 1.0, v))
+            admitted += feed_pairs(m, rng, 1)
+            assert close_to(m.apply(v), compact_apply_reference(mode, admitted[-3:], 1.0, v))
 
     @pytest.mark.parametrize("collinear", [False, True], ids=["random", "collinear"])
     @pytest.mark.parametrize("memory", [1, 3, 5])
@@ -159,11 +120,13 @@ class TestCompactFactors:
         # the norm matches the block route to COMPACT_RTOL, not to the bit
         rng = np.random.default_rng(17)
         m = build_model(mode, dim=n, memory=memory)
-        assert m.operator_norm() == compact_norm_reference(mode, m.pairs, n)
+        assert m.operator_norm() == compact_norm_reference(mode, [], n)
+        admitted = []
         # past the memory, so pairs are evicted too
         for s, y in curved_pairs(rng, n, memory + 3, collinear):
-            m.update(s, y)
-            assert close_to(m.operator_norm(), compact_norm_reference(mode, m.pairs, n))
+            if m.update(s, y):
+                admitted.append((s, y))
+            assert close_to(m.operator_norm(), compact_norm_reference(mode, admitted[-memory:], n))
 
     def test_lsr1_sheds_oldest_pair_of_singular_window(self):
         # y2 = s2 passes the SR1 test against B built from the first pair; once
@@ -174,12 +137,26 @@ class TestCompactFactors:
                  ([-2.0, 2.0], [2.0, -2.0])]
         for s, y in steps:
             assert m.update(np.array(s), np.array(y))
-        pairs = [(s.copy(), y.copy()) for s, y in m.pairs]
+        pairs = [(np.array(s), np.array(y)) for s, y in steps[1:]]
         v = np.array([0.3, -1.7])
         assert close_to(m.apply(v), compact_apply_reference("lsr1", pairs[1:], 1.0, v))
         assert close_to(m.operator_norm(), compact_norm_reference("lsr1", pairs, 2))
-        assert len(m.pairs) == 2
-        assert all(np.array_equal(a, b) for p, q in zip(m.pairs, pairs) for a, b in zip(p, q))
+        # a shed leaves the window whole. With memory 3, the fourth pair is
+        # orthogonal to every column of Psi = Y - S: its row of M is zero,
+        # every suffix of the window is singular and B = I. After a fifth
+        # pair the window is the last three; had the shed dropped pairs, it
+        # would be the fifth alone
+        m = Lsr1Model(2, memory=3)
+        steps = [([2.0, 1.0], [0.0, -1.0]), ([-1.0, -2.0], [-2.0, -2.0]),
+                 ([-2.0, 2.0], [1.0, 2.0]), ([0.0, 1.0], [2.0, 1.0]), ([1.0, 0.0], [0.0, 2.0])]
+        pairs = [(np.array(s), np.array(y)) for s, y in steps]
+        v = np.array([0.3, -1.7])
+        for s, y in pairs[:4]:
+            assert m.update(s, y)
+        assert np.array_equal(m.apply(v), v)
+        assert m.update(*pairs[4])
+        assert close_to(m.apply(v), compact_apply_reference("lsr1", pairs[2:], 1.0, v))
+        assert not close_to(m.apply(v), compact_apply_reference("lsr1", pairs[4:], 1.0, v))
 
     @pytest.mark.parametrize("n,qr_calls", [(4, 0), (9, 1)], ids=["identity", "qr"])
     @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
@@ -189,19 +166,20 @@ class TestCompactFactors:
         # one thin QR per accepted pair
         rng = np.random.default_rng(19)
         m = build_model(mode, dim=n, memory=4)
-        feed_pairs(m, rng, 4)
-        assert len(m.pairs) == 4
+        admitted = feed_pairs(m, rng, 4)
+        assert len(admitted) == 4
         m.operator_norm()  # build this window's factors: each QR counted below is a new pair's
         calls = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda W: calls.append(W.shape) or qr(W))
         for s, y in curved_pairs(rng, n, 3):
             assert m.update(s, y)
+            admitted.append((s, y))
             v = rng.standard_normal(n)
             Bv, norm = m.apply(v), m.operator_norm()
             assert len(calls) == qr_calls  # counted before the oracles take their own
-            assert close_to(Bv, compact_apply_reference(mode, m.pairs, 1.0, v))
-            assert close_to(norm, compact_norm_reference(mode, m.pairs, n))
+            assert close_to(Bv, compact_apply_reference(mode, admitted[-4:], 1.0, v))
+            assert close_to(norm, compact_norm_reference(mode, admitted[-4:], n))
             calls.clear()
         dense = float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(m)))))
         assert abs(m.operator_norm() - dense) <= 1e-12 * dense
@@ -215,7 +193,8 @@ class TestCompactFactors:
                  ([-2.0, 2.0], [2.0, -2.0])]
         for s, y in steps:
             assert m.update(np.array(s), np.array(y))
-        _, M, _ = next(compact_windows("lsr1", m.pairs, 1.0))  # the full window
+        window = [(np.array(s), np.array(y)) for s, y in steps[1:]]
+        _, M, _ = next(compact_windows("lsr1", window, 1.0))  # the full window
         assert 3e14 < np.linalg.cond(M) < 3e15
         B = dense_matrix(m)
         rng = np.random.default_rng(23)
@@ -227,11 +206,42 @@ class TestCompactFactors:
         assert abs(m.operator_norm() - dense) <= 1e-14 * dense
 
 
+class TestBorderedWindows:
+    """Each model keeps W and M and borders them once per admitted pair:
+    they equal the compact form rebuilt from the window's pairs."""
+
+    @pytest.mark.parametrize("collinear", [False, True], ids=["random", "collinear"])
+    @pytest.mark.parametrize("memory", [1, 3, 5])
+    @pytest.mark.parametrize("n", [2, 9, 100])
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    def test_stored_factors_match_the_rebuilt_window(self, mode, n, memory, collinear):
+        rng = np.random.default_rng(29)
+        m = build_model(mode, dim=n, memory=memory)
+        admitted = []
+        # past the memory, so pairs are evicted too
+        for s, y in curved_pairs(rng, n, memory + 3, collinear):
+            if m.update(s, y):
+                admitted.append((s, y))
+            window = admitted[-memory:]
+            k = len(window)
+            assert m._W.shape == (n, m._width * k) and m._M.shape == (m._width * k,) * 2
+            for start, (W, M, _) in enumerate(compact_windows(mode, window, 1.0)):
+                if mode == "lbfgs":  # [S, Y] interleaved as [s_1, y_1, s_2, y_2, ...]
+                    order = np.arange(2 * k).reshape(2, k).T.ravel()
+                    assert np.array_equal(m._W, W[:, order])
+                    assert close_to(m._M, M[np.ix_(order, order)])
+                    break
+                # each suffix that an L-SR1 shed would use is the trailing block
+                assert np.array_equal(m._W[:, start:], W)
+                assert close_to(m._M[start:, start:], M)
+
+
 class TestUpdates:
     def test_bfgs_rejects_negative_curvature(self):
         m = LbfgsModel(2)
         assert not m.update(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-        assert not m.pairs
+        v = np.array([0.5, -3.0])
+        assert np.array_equal(m.apply(v), v)  # the window is empty: B = I
 
     def test_bfgs_accepts_positive_curvature(self):
         m = LbfgsModel(2)
@@ -267,7 +277,7 @@ class TestUpdates:
             y = A @ s
             if m.update(s, y):
                 pairs.append((s, y))
-        assert len(m.pairs) == 2
+        assert len(pairs) >= 2  # a full window
         expected = bfgs_dense_recursion(pairs[-2:], 3)
         assert np.allclose(dense_matrix(m), expected, atol=1e-10)
 
@@ -342,8 +352,7 @@ class TestOperatorNorm:
         # W rank-deficient
         rng = np.random.default_rng(11)
         m = build_model(mode, dim=n, memory=5)
-        feed_pairs(m, rng, 7, collinear)
-        assert m.pairs
+        assert feed_pairs(m, rng, 7, collinear)
         dense = float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(m)))))
         assert abs(m.operator_norm() - dense) <= 1e-9 * dense
 
@@ -472,36 +481,36 @@ class TestCompactPathDigests:
     # label: (digest of the log, digest of the log without its rho column)
     DIGESTS = {
         "rosenbrock/lbfgs": (
-            "6c0f1e78561e790e21bd8dd8b59d841e6018043ab4818cdadba915ba156e86c3",
-            "cfab53bcc19dc789eddb239f1a6627f8d42bd54581994c16d6e31a499fd479c0",
+            "f51a64625e68e40af874c9c86cafdd06bdf9616a76c3a0c17bdc2461e071845d",
+            "fd82d6758685359781239c2aa32159b7ca664fcbefcbc2fc60c794681fc7a6dc",
         ),
         "rosenbrock/lsr1": (
-            "5e0da147fbc2698b977a9c722d03d721f7de32a4cc5de1fef0a48fca93ca97fb",
-            "8c5cc158a8de7c0b37ebef262398c0abbe0127dc0a9167bb59ea952dcf53997e",
+            "93d36e6264ff616331c9df314a82f0656446590dc87477dd45db3050401b0141",
+            "13e8efe11674de191949b5a48d901260cfb9984f6364f81aa977465b51610491",
         ),
         "trigonometric/lbfgs": (
-            "9ad4eefa11542f3ccfe22d81e28ce7c0c665bf5cc86a2492d84bc02a110071e8",
-            "072c4d94b42eecab813d75968496e303a1dfda8623fe1d8581b8e1701e4391bb",
+            "88a6b4f0d944dd9cb81289c32a2dc488377be5e862e21cc9dac7a48897fd6526",
+            "c342dc98a74885744b9f6b4b85fbe3e918640939e58256ffa4dd5ecf002860ec",
         ),
         "trigonometric/lsr1": (
-            "c09cd5ac7cb7215aaf3876efce2c095fccd7da4ceeaf6f7c45ee36ef33a7d55d",
-            "ee0e45dd0093f8772169c4742bde225e903cef7f1e5a8ec2f694f4904ba3e899",
+            "98761e4e980ac9a894f03a4d8d627bf11e7817b1b66abdcff14ece98e9c0d309",
+            "5bdb19df706b1f8144418ad26cf43e414a8cb94940b90ca86eba9ce0d826608d",
         ),
         "arwhead/lbfgs": (
-            "1f2b3ea2f30bfb9f9e547e790009d1141b924c4d069a060d4e4aaec8efe9a690",
-            "89051929a2f5ae528faacd832b38817221040807d904a9d9479a5ed4ed2f01ee",
+            "0361d8df0425acbb95a5fc88f6998f03220a9ad31dad99ab2a73afba85688e7e",
+            "2d1ada5235b48f355db34cb5a469489c60a7960613cb2e3b07a72dd49e7c371a",
         ),
         "arwhead/lsr1": (
-            "fa02bc3db101be1934e2189514c9108182075c94d70cee0a3c87eb7ad50d72e8",
-            "43e9cf3bf5cb06a8a0533e37d005637ca943c78d67fe232a9b1fc9cc7ea3a1d0",
+            "cfb245c95aa641d9f17597cfb5abda615b4a88104a228ff7f59e3678ac1080f2",
+            "80f3f4030f89d0a3914f39108c8ddc7c131943d443298c33c7ad03441c139586",
         ),
         "cliff/lbfgs": (
-            "f82fc195dd21cfc8da2aa3c5e29ad61b199167e0d805e5fa5228293f30cb0627",
-            "4da240b0360cd5cef4091e29e70eec441ae74cf3975fab3f1c0e6dd35a804890",
+            "e115f281dfb4f5535c6b1ac2317fd2e19022c9078b8f4892f1e23ac46aa4666f",
+            "d13884c3ada8c945e7da33b2474313ce2165af8001b47cf1058845a4ae394418",
         ),
         "cliff/lsr1": (
-            "46e3f1503fb9fe0452bd13d28ec1ffeb5657dacecc7cf867377aa1dd295a6a66",
-            "f5d7ee49a9a147447cb6e556a49d561dfbe3f16217ef43ad3d98208b0747d9cd",
+            "97bfec2629c6e652fc872c3cbc2be1d7977b5d0979d356daf8bbc59901c03361",
+            "9c2ac89f6fe6284be3be575115eab52d7f12c10b90030822aeef328bdf1e9c97",
         ),
     }
 

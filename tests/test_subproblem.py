@@ -178,9 +178,10 @@ def full_window_model(mode, n, rng, memory=5):
     m = build_model(mode, dim=n, memory=memory)
     A = np.diag(np.geomspace(0.1, 10.0, n))
     u = rng.standard_normal(n)
-    while len(m.pairs) < memory:
+    admitted = 0
+    while admitted < memory:
         s = rng.standard_normal(n)
-        m.update(s, A @ s + 0.1 * (s @ s) * u)
+        admitted += m.update(s, A @ s + 0.1 * (s @ s) * u)
     return m
 
 
@@ -334,6 +335,13 @@ class TestSteihaugPath:
         assert step.boundary_hit
         assert step.snorm == 1e150
         assert step.model_decrease == 1e160
+
+    def test_zero_curvature_boundary_past_where_sigma_squared_overflows(self):
+        # sigma = 1e155: sigma^2 d'Bd would be inf * 0 = NaN, not a decrease
+        step = solve_tcg(np.array([1e-5, 0.0]), ZeroModel(2), 1e150)
+        assert step.boundary_hit
+        assert step.model_decrease == 1e145
+        assert step.snorm == pytest.approx(1e150, rel=1e-15)
 
     def test_radius_must_be_positive(self):
         path = SteihaugPath(np.ones(2), matrix_model(np.eye(2)))

@@ -34,3 +34,14 @@ def test_sensitivity_smoke():
     assert lines[2].startswith("fragile cells: ") and lines[2].endswith(" of 2")
     assert lines[-2].startswith("solved: unperturbed ")
     assert lines[-1].startswith("total iterations: unperturbed ")
+
+
+def test_compact_accuracy_smoke():
+    done = run("benchmarks/compact_accuracy.py", "--seed", "0", "--cell", "beale/lsr1/1_1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert all(ln.startswith("off beale/lsr1/1_1 ") for ln in lines[:-1])
+    products, off = lines[-1].split(", ")
+    assert products.startswith("products: ") and int(products.split()[-1]) > 0
+    assert off.startswith("off by more than 1e-09 relative: ")
+    assert int(off.split()[-1]) == len(lines) - 1
