@@ -23,6 +23,14 @@ assumption,
 where the digest covers the repr of every ``BoundCheck`` field,
 ``mu_hat_successful``, ``a_min`` and ``a_min_margin``. The audit inputs are
 the benchmark's: the case's f0, f_low and L, and mu = 1.
+
+    python3 benchmarks/digests.py --seed 0 --against before.txt
+
+compares with ``before.txt``, a saved output of the same seed, instead: it
+prints one line per cell whose line differs, with status and iterations
+before -> after ("-" for a cell on one side only, "(rho only)" where just
+the rho column differs), one line per audit that differs, or the single
+line ``no changed cells``.
 """
 
 from __future__ import annotations
@@ -97,14 +105,53 @@ def worst_case_lines(seed: int) -> tuple[list[str], list[str]]:
     return out, audits
 
 
+def parse(lines) -> tuple[dict, dict]:
+    """The cells and audits of an output: {(workload, label): [digest,
+    digest without rho, status, iterations, n_f, n_g]} and
+    {(label, assumption): digest}."""
+    cells, audits = {}, {}
+    for ln in lines:
+        head, *rest = ln.split()
+        if head == "audit":
+            audits[tuple(rest[:2])] = rest[2]
+        elif head != "all":
+            cells[(head, rest[0])] = rest[1:]
+    return cells, audits
+
+
+def changes(before, after) -> list[str]:
+    """What differs from output ``before`` to output ``after``, one line per
+    cell or audit, or ``["no changed cells"]``."""
+    old_cells, old_audits = parse(before)
+    new_cells, new_audits = parse(after)
+    out = []
+    for key in {**old_cells, **new_cells}:
+        old, new = old_cells.get(key), new_cells.get(key)
+        if old != new:
+            state = [f"{c[2]} {c[3]}" if c else "-" for c in (old, new)]
+            rho_only = old and new and old[1:] == new[1:]
+            out.append(f"{key[0]} {key[1]} {state[0]} -> {state[1]}"
+                       + (" (rho only)" if rho_only else ""))
+    for key in {**old_audits, **new_audits}:
+        if old_audits.get(key) != new_audits.get(key):
+            out.append(f"audit {key[0]} {key[1]} changed")
+    return out or ["no changed cells"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--against", type=Path, metavar="FILE",
+                    help="a saved output of the same seed; print only what differs from it")
     args = ap.parse_args(argv)
     lines = (matrix_lines("matrix-exact", workloads.matrix_exact(args.seed, None))
              + matrix_lines("matrix-qn", workloads.matrix_qn(args.seed)))
     worst, audits = worst_case_lines(args.seed)
     lines += worst
+    if args.against is not None:
+        for ln in changes(args.against.read_text().splitlines(), lines + audits):
+            print(ln)
+        return 0
     for ln in lines:
         print(ln)
     print("all", sha256("\n".join(lines)))

@@ -257,10 +257,11 @@ def solve(
     which the worst-case verifier relies on; any other dimension takes the
     truncated CG step (``solve_tcg``). While x and the model stay as they
     are, as after a rejected step, every CG step walks one
-    ``SteihaugPath``; an accepted step, or an update that changes the
-    model, drops it. The run stops with ``delta_underflow`` when the
-    effective radius falls below 1e-15 max(1, |x|). An eps that is not
-    positive and finite raises ValueError, as ``check_budgets`` does.
+    ``SteihaugPath``, built with the |g| of the stopping test; an accepted
+    step, or an update that changes the model, drops it. The run stops
+    with ``delta_underflow`` when the effective radius falls below 1e-15
+    max(1, |x|). An eps that is not positive and finite raises ValueError,
+    as ``check_budgets`` does.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -345,7 +346,7 @@ def solve(
             step = step_1d(g, model, radius)
         else:
             if path is None:
-                path = SteihaugPath(g, model)
+                path = SteihaugPath(g, model, gnorm=gnorm)
             step = step_tcg(g, model, radius, path)
         x_trial = x + step.s
 

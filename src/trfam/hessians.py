@@ -146,7 +146,10 @@ class ExactHessian(HessianModel):
 
     def operator_norm(self):
         if self._norm is None:
-            self._norm = float(np.max(np.abs(np.linalg.eigvalsh(self._mat))))
+            # eigvalsh's output is ascending, so |B| is at one of its ends;
+            # both abs keep a zero matrix's norm +0.0, not -0.0
+            lam = np.linalg.eigvalsh(self._mat)
+            self._norm = max(abs(float(lam[0])), abs(float(lam[-1])))
         return self._norm
 
 

@@ -24,7 +24,9 @@ class Problem:
     Evaluations must be deterministic: the same point always yields
     bit-identical results. ``f_low_hint`` is a known lower bound on f,
     ``eval_hess`` returns the dense Hessian and backs the exact model mode.
-    Past the float range the built-in objectives give inf or NaN; they never raise.
+    ``eval_f``, ``eval_grad`` and ``eval_hess`` receive x as a 1-d float
+    ndarray, never a list: the built-in objectives call ``.sum()`` on
+    arrays made from it. Past the float range the built-in objectives give inf or NaN; they never raise.
     """
 
     name: str
@@ -83,7 +85,7 @@ def probe_points(p: Problem, count: int = 10, seed: int = 0):
 
 def _sphere():
     def f(x):
-        return float(np.sum(x * x))
+        return float((x * x).sum())
 
     def g(x):
         return 2.0 * x
@@ -121,7 +123,7 @@ def _ext_rosenbrock(n=20):
     # n/2 independent 2-d Rosenbrock blocks.
     def f(x):
         a, b = x[0::2], x[1::2]
-        return float(np.sum((1 - a) ** 2 + 100 * (b - a**2) ** 2))
+        return float(((1 - a) ** 2 + 100 * (b - a**2) ** 2).sum())
 
     def g(x):
         a, b = x[0::2], x[1::2]
@@ -242,7 +244,7 @@ def _dixon_price(n=10):
 
     def f(x):
         u = 2 * x[1:] ** 2 - x[:-1]
-        return float((x[0] - 1) ** 2 + np.sum(idx * u**2))
+        return float((x[0] - 1) ** 2 + (idx * u**2).sum())
 
     def g(x):
         u = 2 * x[1:] ** 2 - x[:-1]
@@ -272,7 +274,7 @@ def _least_squares(name, res, jac, curv, x0):
     h = 2 J'J + 2 diag(curv(x, r)), where diag(curv(x, r)) = sum_i r_i Hess r_i."""
 
     def f(x):
-        return float(np.sum(res(x) ** 2))
+        return float((res(x) ** 2).sum())
 
     def g(x):
         return 2 * jac(x).T @ res(x)
@@ -293,7 +295,7 @@ def _quartic_ridge(name, v, c, x0):
     def f(x):
         y = x - c
         w = v @ y
-        return float(np.sum(y * y) + w**2 + w**4)
+        return float((y * y).sum() + w**2 + w**4)
 
     def g(x):
         y = x - c
@@ -311,7 +313,7 @@ def _trigonometric(n=10):
     w = np.arange(1.0, n + 1)
 
     def _res(x):
-        return n - np.sum(np.cos(x)) + w * (1 - np.cos(x)) - np.sin(x)
+        return n - np.cos(x).sum() + w * (1 - np.cos(x)) - np.sin(x)
 
     def _jac(x):
         # J_ij = sin(x_j) + delta_ij * (i sin(x_i) - cos(x_i))
@@ -321,7 +323,7 @@ def _trigonometric(n=10):
 
     def _curv(x, r):
         # residual curvature: d2 r_i = diag(cos x) + delta_ii (i cos x_i + sin x_i)
-        return np.sum(r) * np.cos(x) + r * (w * np.cos(x) + np.sin(x))
+        return r.sum() * np.cos(x) + r * (w * np.cos(x) + np.sin(x))
 
     return _least_squares("trigonometric", _res, _jac, _curv, np.full(n, 1.0 / n))
 
@@ -333,7 +335,7 @@ def _zakharov(n=10):
 def _styblinski_tang(n=5):
     # Nonconvex quartic; per-coordinate minimum is about -39.16617.
     def f(x):
-        return float(0.5 * np.sum(x**4 - 16 * x**2 + 5 * x))
+        return float(0.5 * (x**4 - 16 * x**2 + 5 * x).sum())
 
     def g(x):
         return 0.5 * (4 * x**3 - 32 * x + 5)
@@ -461,7 +463,7 @@ def _illcond_quad(n=30, cond=1e4):
     d = cond ** (np.arange(n) / (n - 1))
 
     def f(x):
-        return float(0.5 * np.sum(d * x * x))
+        return float(0.5 * (d * x * x).sum())
 
     def g(x):
         return d * x
@@ -474,7 +476,7 @@ def _illcond_quad(n=30, cond=1e4):
 
 def _trid(n=10):
     def f(x):
-        return float(np.sum((x - 1) ** 2) - np.sum(x[1:] * x[:-1]))
+        return float(((x - 1) ** 2).sum() - (x[1:] * x[:-1]).sum())
 
     def g(x):
         out = 2 * (x - 1)
@@ -512,13 +514,13 @@ def _broyden_tridiagonal(n=12):
 def _arwhead(n=100):
     def f(x):
         q = x[:-1] ** 2 + x[-1] ** 2
-        return float(np.sum(q**2 - 4 * x[:-1] + 3))
+        return float((q**2 - 4 * x[:-1] + 3).sum())
 
     def g(x):
         q = x[:-1] ** 2 + x[-1] ** 2
         out = np.zeros(n)
         out[:-1] = 4 * x[:-1] * q - 4
-        out[-1] = 4 * x[-1] * np.sum(q)
+        out[-1] = 4 * x[-1] * q.sum()
         return out
 
     def h(x):
@@ -526,7 +528,7 @@ def _arwhead(n=100):
         m = np.zeros((n, n))
         m[np.arange(n - 1), np.arange(n - 1)] = 4 * q + 8 * x[:-1] ** 2
         m[:-1, -1] = m[-1, :-1] = 8 * x[:-1] * x[-1]
-        m[-1, -1] = np.sum(4 * q + 8 * x[-1] ** 2)
+        m[-1, -1] = (4 * q + 8 * x[-1] ** 2).sum()
         return m
 
     return Problem("arwhead", n, f, g, _start(np.full(n, 1.0)), 0.0, h)
@@ -535,7 +537,7 @@ def _arwhead(n=100):
 def _engval1(n=50):
     def f(x):
         q = x[:-1] ** 2 + x[1:] ** 2
-        return float(np.sum(q**2 - 4 * x[:-1] + 3))
+        return float((q**2 - 4 * x[:-1] + 3).sum())
 
     def g(x):
         q = x[:-1] ** 2 + x[1:] ** 2
@@ -559,15 +561,15 @@ def _engval1(n=50):
 
 def _penalty1(n=10, a=1e-5):
     def f(x):
-        w = np.sum(x * x) - 0.25
-        return float(a * np.sum((x - 1) ** 2) + w**2)
+        w = (x * x).sum() - 0.25
+        return float(a * ((x - 1) ** 2).sum() + w**2)
 
     def g(x):
-        w = np.sum(x * x) - 0.25
+        w = (x * x).sum() - 0.25
         return 2 * a * (x - 1) + 4 * w * x
 
     def h(x):
-        w = np.sum(x * x) - 0.25
+        w = (x * x).sum() - 0.25
         return (2 * a + 4 * w) * np.eye(n) + 8 * np.outer(x, x)
 
     return Problem("penalty1", n, f, g, _start(np.arange(1.0, n + 1)), 0.0, h)
@@ -580,7 +582,7 @@ def _variably_dimensioned(n=10):
 
 def _rastrigin(n=6):
     def f(x):
-        return float(10 * n + np.sum(x * x - 10 * np.cos(2 * np.pi * x)))
+        return float(10 * n + (x * x - 10 * np.cos(2 * np.pi * x)).sum())
 
     def g(x):
         return 2 * x + 20 * np.pi * np.sin(2 * np.pi * x)

@@ -109,14 +109,19 @@ class SteihaugPath:
     model gradient at s_i) and the model decrease at s_i, which the
     recurrence dec_{i+1} = dec_i + alpha_i r_i'r_i / 2 carries. ``max_cg``
     must be at least 1. B must not change while the path is in use.
+
+    ``gnorm`` is |g| as ``_norm`` gives it. The driver passes the value it
+    has already computed for its stopping test; without one the path
+    computes it.
     """
 
     def __init__(
         self, g: Array, B: HessianModel, cg_tol: float | None = None,
-        max_cg: int | None = None,
+        max_cg: int | None = None, gnorm: float | None = None,
     ):
         g = np.asarray(g, dtype=float)
-        gnorm = _norm(g)
+        if gnorm is None:
+            gnorm = _norm(g)
         if gnorm == 0.0:
             raise ValueError("zero gradient")
         if cg_tol is None:

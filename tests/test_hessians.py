@@ -17,6 +17,7 @@ from trfam import (
     log_to_csv,
 )
 from trfam.bench import RunSpec, run_matrix
+from trfam.driver import _fmt
 from trfam.hessians import ExactHessian, HessianModel
 
 from oracles import (
@@ -369,6 +370,33 @@ class TestOperatorNorm:
         assert m.operator_norm() == 1.0
         m.update(np.array([1.0, 0.0]), np.array([5.0, 0.0]))
         assert m.operator_norm() == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("n,sign", [
+        (n, sign) for n in range(1, 13) for sign in ("positive", "negative", "indefinite")
+        if n > 1 or sign != "indefinite"  # a 1 x 1 matrix is definite or zero
+    ])
+    def test_exact_end_read_is_the_full_reduction(self, n, sign):
+        # |B| read off the two ends of eigvalsh's ascending output equals
+        # max |lambda| over the whole spectrum, bit for bit
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n) + 1e-3
+            if sign == "negative":
+                lam = -lam
+            elif sign == "indefinite":
+                lam[: rng.integers(1, n)] *= -1.0
+            h = (q * lam) @ q.T
+            h = (h + h.T) / 2
+            expected = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+            norm = ExactHessian(lambda x, h=h: h, np.zeros(n)).operator_norm()
+            assert norm.hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_exact_zero_matrix_norm_is_plus_zero(self, n):
+        norm = ExactHessian(lambda x: np.zeros((n, n)), np.zeros(n)).operator_norm()
+        assert norm.hex() == (0.0).hex()
+        assert _fmt(norm) == "0"
 
     def test_exact_model_tracks_iterate(self):
         p = get_problem("sphere")
