@@ -5,11 +5,11 @@ cells against the compact form rebuilt from the window's pairs.
 
 Run from the repository root; trfam is imported from ``src/``, the cells
 from ``perfbench/workloads.py`` and the reference from ``tests/oracles.py``.
-Each matrix-qn cell of the given seed is solved as the benchmark solves it,
-with two wrappers on the model instance, so the program itself is
-unchanged: ``update`` records the pairs it admits, and ``apply`` compares
-each product with ``compact_apply_reference`` over the last ``memory`` of
-them, which solves with M on every call. A product is off when
+Each matrix-qn cell of the given seed is solved by ``trfam.bench.solve_cell``
+with two wrappers on the model instance, so the program itself is unchanged:
+``update`` records the pairs it admits, and ``apply`` compares each product
+with ``compact_apply_reference`` over the last ``memory`` of them, which
+solves with M on every call. A product is off when
 |Bv - ref| > 1e-9 |ref|. Prints one line per product that is off,
 
     off label error cond(M)
@@ -32,7 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
 from oracles import compact_apply_reference, compact_windows  # noqa: E402
-from trfam import driver  # noqa: E402
+from trfam import bench  # noqa: E402
 from trfam.hessians import build_model  # noqa: E402
 
 RTOL = 1e-9
@@ -40,7 +40,9 @@ RTOL = 1e-9
 
 def check_cell(cell) -> tuple[int, list[tuple[float, float]]]:
     """(products, [(error, cond(M)) of each product that is off]) of one cell."""
-    model = build_model(cell.hessian, cell.problem, memory=workloads.MEMORY)
+    spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
+                         max_iter=cell.max_iter)
+    model = build_model(spec.hessian, cell.problem, memory=spec.memory)
     admitted = []
     off = []
     count = 0
@@ -65,9 +67,7 @@ def check_cell(cell) -> tuple[int, list[tuple[float, float]]]:
         return out
 
     model.update, model.apply = update_recorded, apply_checked
-    params = driver.TrParams(alpha=cell.alpha, beta=cell.beta)
-    driver.solve(cell.problem, params, model, eps=workloads.EPS, max_iter=cell.max_iter,
-                 eval_budget=workloads.EVAL_BUDGET)
+    bench.solve_cell(spec, cell.problem, model)
     return count, off
 
 

@@ -4,8 +4,8 @@
 
 Run from the repository root; trfam is imported from ``src/`` and the cells
 from ``perfbench/workloads.py``: the matrix-exact and matrix-qn cells and the
-worst-case specs of the given seed, solved as the benchmark solves them.
-Prints one line per cell,
+worst-case specs of the given seed, each matrix cell solved by
+``trfam.bench.solve_cell``. Prints one line per cell,
 
     workload label sha256(log_to_csv) sha256(log_to_csv without rho) status iterations n_f n_g
 
@@ -22,7 +22,7 @@ assumption,
 
 where the digest covers the repr of every ``BoundCheck`` field,
 ``mu_hat_successful``, ``a_min`` and ``a_min_margin``. The audit inputs are
-the benchmark's: the case's f0, f_low and L, and mu = 1.
+``trfam.adversarial.bound_inputs`` of the case's spec and run.
 
     python3 benchmarks/digests.py --seed 0 --against before.txt
 
@@ -45,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from trfam import adversarial, bounds, driver  # noqa: E402
+from trfam import adversarial, bench, bounds, driver  # noqa: E402
 from trfam.hessians import build_model  # noqa: E402
 
 
@@ -70,21 +70,15 @@ def line(workload: str, label: str, report: driver.SolveReport) -> str:
 def matrix_lines(name: str, wl) -> list[str]:
     out = []
     for cell in wl.cells:
-        model = build_model(cell.hessian, cell.problem, memory=workloads.MEMORY)
-        params = driver.TrParams(alpha=cell.alpha, beta=cell.beta)
-        report = driver.solve(cell.problem, params, model, eps=workloads.EPS,
-                              max_iter=cell.max_iter, eval_budget=workloads.EVAL_BUDGET)
-        out.append(line(name, cell.label, report))
+        spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
+                             max_iter=cell.max_iter)
+        model = build_model(spec.hessian, cell.problem, memory=spec.memory)
+        out.append(line(name, cell.label, bench.solve_cell(spec, cell.problem, model)))
     return out
 
 
-def audit_lines(case, delta0: float, report: driver.SolveReport) -> list[str]:
-    spec = case.spec
-    params = driver.TrParams(alpha=spec.alpha, beta=spec.beta, delta0=delta0)
-    a_min = driver.theoretical_a_min(report.log.a_k[0], params, case.L)
-    inputs = bounds.BoundInputs.from_params(
-        params, f0=case.f0, f_low=case.f_low, a_min=a_min, mu=1.0, p=spec.p, eps=spec.eps,
-        L=case.L)
+def audit_lines(case, report: driver.SolveReport) -> list[str]:
+    inputs = adversarial.bound_inputs(case.spec, report)
     out = []
     for assumption in ("successful_counter", "iteration_counter"):
         audit = bounds.audit_run(report, inputs, assumption)
@@ -99,9 +93,9 @@ def worst_case_lines(seed: int) -> tuple[list[str], list[str]]:
     """The trajectory line and the audit lines of every worst-case case."""
     out, audits = [], []
     for case in workloads.worst_case(seed).cases:
-        sharp, report = adversarial.verify_sharpness(case.spec)
+        _, report = adversarial.verify_sharpness(case.spec)
         out.append(line("worst-case", case.label, report))
-        audits += audit_lines(case, sharp.delta0, report)
+        audits += audit_lines(case, report)
     return out, audits
 
 

@@ -5,12 +5,12 @@ benchmark cell.
 
 Run from the repository root; trfam is imported from ``src/`` and the cells
 from ``perfbench/workloads.py``: the matrix-exact and matrix-qn cells of the
-given seed, solved as the benchmark solves them. Each cell is solved once as
-it is, then once per perturbation seed 0 .. N-1. In a perturbed run every
-entry of every ``B v`` product moves by -1, 0 or +1 ulp (``np.nextafter``),
-drawn from a generator seeded with the perturbation seed. The wrapper sits
-on the model instance, so the program itself is unchanged. Prints one line
-per cell,
+given seed, each solved by ``trfam.bench.solve_cell``. Each cell is solved
+once as it is, then once per perturbation seed 0 .. N-1. In a perturbed run
+every entry of every ``B v`` product, and every |B| (``operator_norm``),
+moves by -1, 0 or +1 ulp (``np.nextafter``), drawn from a generator seeded
+with the perturbation seed. The wrappers sit on the model instance, so the
+program itself is unchanged. Prints one line per cell,
 
     workload label status iterations | statuses seen | min median max iterations
 
@@ -36,31 +36,32 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from trfam import driver  # noqa: E402
+from trfam import bench  # noqa: E402
 from trfam.hessians import build_model  # noqa: E402
 
 
 def perturb(model, seed: int) -> None:
-    """Move each entry of every product of ``model`` by -1, 0 or +1 ulp."""
+    """Move each entry of every product of ``model``, and every |B| it
+    reports, by -1, 0 or +1 ulp."""
     rng = np.random.default_rng(seed)
-    apply = model.apply
+    apply, operator_norm = model.apply, model.operator_norm
 
-    def apply_perturbed(v):
-        out = apply(v)
-        step = rng.integers(-1, 2, size=out.shape)
+    def nudged(out):
+        step = rng.integers(-1, 2, size=np.shape(out))
         return np.where(step == 0, out, np.nextafter(out, np.copysign(np.inf, step)))
 
-    model.apply = apply_perturbed
+    model.apply = lambda v: nudged(apply(v))
+    model.operator_norm = lambda: float(nudged(operator_norm()))
 
 
 def run_cell(cell, seed: int | None) -> tuple[str, int]:
     """(status, iterations) of one cell, perturbed with ``seed`` unless None."""
-    model = build_model(cell.hessian, cell.problem, memory=workloads.MEMORY)
+    spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
+                         max_iter=cell.max_iter)
+    model = build_model(spec.hessian, cell.problem, memory=spec.memory)
     if seed is not None:
         perturb(model, seed)
-    params = driver.TrParams(alpha=cell.alpha, beta=cell.beta)
-    report = driver.solve(cell.problem, params, model, eps=workloads.EPS,
-                          max_iter=cell.max_iter, eval_budget=workloads.EVAL_BUDGET)
+    report = bench.solve_cell(spec, cell.problem, model)
     return report.status, report.iterations
 
 

@@ -13,14 +13,12 @@ from trfam import (
     bound_successful,
     bound_total_k,
     bound_unsuccessful,
-    build_interpolant,
     choose_tau,
-    generate,
     kappa1,
-    theoretical_a_min,
     verify_sharpness,
     xi_beta,
 )
+from trfam.adversarial import bound_inputs
 
 # --- the calculators ------------------------------------------------------
 # With the envelope counted in successful iterations, the bound on their
@@ -51,20 +49,14 @@ print(f"tau = {tau}, xi_beta = {xi:.6g}, total-iteration bound ln = {tb.bound.lo
 # --- auditing a real run --------------------------------------------------
 # On the worst-case instances the Lipschitz constant is known exactly (the
 # interpolant's second derivative is piecewise linear), so the audit is a
-# guarantee check: a failure would be an implementation bug.
+# guarantee check: a failure would be an implementation bug. bound_inputs
+# derives the exact f0, infimum, L and a_min of the replay.
 print("\nAudit of the p = 0.5, eps = 0.5 worst-case run:")
 spec = AdversarialSpec(0.5, 0.5)
-sharp, report = verify_sharpness(spec)
-inst = generate(spec)
-interp = build_interpolant(inst)
-L = interp.second_derivative_bound()
-params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
-a_min = theoretical_a_min(report.log.a_k[0], params, L)
-inputs = BoundInputs.from_params(
-    params, f0=float(inst.f_vals[0]), f_low=interp.lower_bound(),
-    a_min=a_min, mu=1.0, p=spec.p, eps=spec.eps, L=L,
-)
-print(f"  exact L = {L:.4g}, a_min = {a_min:.4g}, kappa1 = {kappa1(inputs):.4g}")
+_, report = verify_sharpness(spec)
+inputs = bound_inputs(spec, report)
+print(f"  exact L = {inputs.L:.4g}, a_min = {inputs.a_min:.4g}, "
+      f"kappa1 = {kappa1(inputs):.4g}")
 audit = audit_run(report, inputs, "successful_counter")
 print(f"  measured growth constant mu_hat = {audit.mu_hat_successful:.4g}")
 for check in audit.checks:

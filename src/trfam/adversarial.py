@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .driver import STATUSES, SolveReport, TrParams, VERY_SUCCESSFUL, solve
+from .bounds import BoundInputs
+from .driver import STATUSES, SolveReport, TrParams, VERY_SUCCESSFUL, solve, theoretical_a_min
 from .hessians import ScriptedModel, _doubles
 from .problems import Problem
 
@@ -400,6 +401,21 @@ def verify_sharpness(
         mismatches=mism,
     )
     return sharp, report
+
+
+def bound_inputs(spec: AdversarialSpec, report: SolveReport) -> BoundInputs:
+    """The audit inputs of ``report``, a replay of ``spec`` as
+    ``verify_sharpness`` returns it, from the regenerated instance: its f0
+    and delta0, the interpolant's exact infimum as f_low and exact sup |f''|
+    as L, and a_min = ``theoretical_a_min`` of the run's first a_k. mu is 1:
+    ``bounds.audit_run`` measures the run's own."""
+    inst = generate(spec)
+    interp = build_interpolant(inst)
+    L = interp.second_derivative_bound()
+    params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
+    return BoundInputs(params, f0=float(inst.f_vals[0]), f_low=interp.lower_bound(),
+                       a_min=theoretical_a_min(report.log.a_k[0], params, L), mu=1.0,
+                       p=spec.p, eps=spec.eps, L=L)
 
 
 def emit_function_csv(interp: Interpolant1D, path) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .driver import SolveError, SolveReport, TrParams, check_budgets, solve
 from .hessians import DEFAULT_MEMORY, build_model
-from .problems import builtin_collection, get_problem
+from .problems import Problem, builtin_collection, get_problem
 
 METRICS = ("fevals", "gevals", "time")
 
@@ -87,6 +87,16 @@ class CostMatrix:
         raise ValueError(f"unknown metric {metric!r}")
 
 
+def solve_cell(spec: RunSpec, problem: Problem, model) -> SolveReport:
+    """Solve one cell as ``trfam bench`` does: the family's default
+    constants with ``spec``'s alpha and beta, and ``spec``'s eps, max_iter
+    and eval_budget. The caller builds ``problem`` and ``model``, so a tool
+    can move the start or wrap the model instance."""
+    params = TrParams(alpha=spec.alpha, beta=spec.beta)
+    return solve(problem, params, model, eps=spec.eps, max_iter=spec.max_iter,
+                 eval_budget=spec.eval_budget)
+
+
 def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], SolveReport]]:
     """Execute every spec; cells are keyed (problem, variant), sorted.
 
@@ -102,13 +112,11 @@ def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], 
     reports: dict[tuple[str, str], SolveReport] = {}
     for spec in sorted(specs, key=lambda s: (s.problem, s.variant)):
         prob = get_problem(spec.problem)
-        params = TrParams(alpha=spec.alpha, beta=spec.beta)
         model = build_model(spec.hessian, prob, memory=spec.memory)
         key = (spec.problem, spec.variant)
         t0 = time.perf_counter()
         try:
-            report = solve(prob, params, model, eps=spec.eps, max_iter=spec.max_iter,
-                           eval_budget=spec.eval_budget)
+            report = solve_cell(spec, prob, model)
         except SolveError:
             matrix.cells[key] = CellResult("error", 0, 0, 0.0, 0)
             continue

@@ -162,17 +162,8 @@ def _cmd_bounds(args) -> int:
     params = _params_from(args)
     try:
         a_min = theoretical_a_min(args.a0, params, args.L)
-        inputs = bounds_mod.BoundInputs.from_params(
-            params,
-            f0=args.f0,
-            f_low=args.flow,
-            a_min=a_min,
-            mu=args.mu,
-            p=args.p,
-            eps=args.eps,
-            k0=args.k0,
-            L=args.L,
-        )
+        inputs = bounds_mod.BoundInputs(params, f0=args.f0, f_low=args.flow, a_min=a_min,
+                                        mu=args.mu, p=args.p, eps=args.eps, k0=args.k0, L=args.L)
         k1 = bounds_mod.kappa1(inputs)
         tau = bounds_mod.choose_tau(params.gamma2, params.gamma4)
         xi = bounds_mod.xi_beta(params.gamma2, params.gamma4, tau, args.mu, args.p, args.beta)

@@ -24,7 +24,7 @@ from array import array
 
 import numpy as np
 
-from .subproblem import _norm
+from .subproblem import SolveError, _norm
 
 # Pair-acceptance safeguards; standard choices.
 BFGS_CURVATURE_TOL = 1e-8
@@ -145,7 +145,11 @@ class ExactHessian(HessianModel):
         return True
 
     def operator_norm(self):
+        """|B|; a Hessian with a non-finite entry raises SolveError, where
+        eigvalsh would read it as a finite spectrum."""
         if self._norm is None:
+            if not np.isfinite(self._mat).all():
+                raise SolveError("the exact Hessian has a non-finite entry")
             # eigvalsh's output is ascending, so |B| is at one of its ends;
             # both abs keep a zero matrix's norm +0.0, not -0.0
             lam = np.linalg.eigvalsh(self._mat)

@@ -99,40 +99,31 @@ class SteihaugPath:
 
     Starting from s_0 = 0, CG iteration i forms one product B d_i and the
     trial point s_{i+1} = s_i + alpha_i d_i. The path stops inside on (i) a
-    residual <= cg_tol |g| at s_{i+1} or (ii) ``max_cg`` iterations; a
-    direction of non-positive curvature (iii) ends it too, on the boundary
-    of any ball. None of this reads the radius, so one path serves every
-    radius: ``walk`` stops at the first trial point that leaves the ball,
-    or at the end of the path. The path is extended lazily, one CG
+    residual <= min(0.1, sqrt|g|) |g| at s_{i+1} or (ii) n iterations, n the
+    dimension of g; a direction of non-positive curvature (iii) ends it too,
+    on the boundary of any ball. None of this reads the radius, so one path
+    serves every radius: ``walk`` stops at the first trial point that leaves
+    the ball, or at the end of the path. The path is extended lazily, one CG
     iteration at a time, and keeps per iteration the iterate s_i, the
     direction d_i, the trial norm |s_{i+1}|, d_i'Bd_i, r_i'd_i (r_i the
     model gradient at s_i) and the model decrease at s_i, which the
-    recurrence dec_{i+1} = dec_i + alpha_i r_i'r_i / 2 carries. ``max_cg``
-    must be at least 1. B must not change while the path is in use.
+    recurrence dec_{i+1} = dec_i + alpha_i r_i'r_i / 2 carries. B must not
+    change while the path is in use.
 
     ``gnorm`` is |g| as ``_norm`` gives it. The driver passes the value it
     has already computed for its stopping test; without one the path
     computes it.
     """
 
-    def __init__(
-        self, g: Array, B: HessianModel, cg_tol: float | None = None,
-        max_cg: int | None = None, gnorm: float | None = None,
-    ):
+    def __init__(self, g: Array, B: HessianModel, gnorm: float | None = None):
         g = np.asarray(g, dtype=float)
         if gnorm is None:
             gnorm = _norm(g)
         if gnorm == 0.0:
             raise ValueError("zero gradient")
-        if cg_tol is None:
-            cg_tol = min(0.1, math.sqrt(gnorm))
-        if max_cg is None:
-            max_cg = g.size
-        elif max_cg < 1:
-            raise ValueError("max_cg must be at least 1")
         self._B = B
-        self._stop = cg_tol * gnorm  # the residual norm that ends the path
-        self._max_cg = max_cg
+        self._stop = min(0.1, math.sqrt(gnorm)) * gnorm  # the residual that ends the path
+        self._max_cg = g.size
         self._s = [np.zeros(g.size)]
         self._d: list[Array] = []
         self._trial_norm: list[float] = []  # inf where d_i'Bd_i <= 0
@@ -211,10 +202,10 @@ def solve_tcg(
 ) -> StepResult:
     """Steihaug truncated CG on the ball of the given radius.
 
-    Starts from s = 0 and stops on (i) residual <= cg_tol |g|, (ii) negative
-    curvature (step to the boundary along the current direction), (iii) a
-    trial iterate leaving the ball (step to the boundary), or (iv) max_cg
-    iterations, with the path's ``cg_tol`` and ``max_cg``. A trial landing
+    Starts from s = 0 and stops on (i) residual <= min(0.1, sqrt|g|) |g|,
+    (ii) negative curvature (step to the boundary along the current
+    direction), (iii) a trial iterate leaving the ball (step to the
+    boundary), or (iv) n iterations, n the dimension of g. A trial landing
     exactly on the boundary counts as a boundary hit. The first iterate is
     the Cauchy point and the model decrease is monotone along CG, so the
     returned decrease is at least the Cauchy decrease. The decrease comes
@@ -224,8 +215,8 @@ def solve_tcg(
 
     ``path`` is a ``SteihaugPath`` of this g and B that earlier calls may
     have walked; it is walked again and extended only where this radius
-    needs it. Without one, a fresh path is built with the default
-    ``cg_tol`` and ``max_cg``. A non-finite decrease raises SolveError.
+    needs it. Without one, a fresh path is built. A non-finite decrease
+    raises SolveError.
     """
     if path is None:
         path = SteihaugPath(g, B)

@@ -19,7 +19,6 @@ from trfam import (
     TrParams,
     audit_run,
     bound_successful,
-    build_interpolant,
     build_model,
     builtin_collection,
     check_gradient,
@@ -29,10 +28,10 @@ from trfam import (
     k_epsilon,
     solve,
     solve_tcg,
-    theoretical_a_min,
     verify_sharpness,
     xi_beta,
 )
+from trfam.adversarial import bound_inputs
 from trfam.bench import (
     default_matrix_specs,
     matrix_to_csv,
@@ -153,15 +152,14 @@ def sweep_runs():
                 spec = AdversarialSpec(eps, p, 1.0, a, b)
                 sharp, rep = verify_sharpness(spec)
                 inst = generate(spec)
-                interp = build_interpolant(inst)
-                runs.append((spec, sharp, rep, inst, interp))
+                runs.append((spec, sharp, rep, inst, bound_inputs(spec, rep)))
     return runs, time.perf_counter() - t0
 
 
 def test_criterion_04_sharpness_sweep(sweep_runs):
     runs, elapsed = sweep_runs
     ok = len(runs) == 40 and elapsed < 30.0
-    for spec, sharp, rep, inst, interp in runs:
+    for spec, sharp, rep, inst, _ in runs:
         expected = math.floor(spec.eps ** (-2.0 / (1.0 - spec.p)))
         ok = ok and sharp.iterations == expected == inst.k_eps
         ok = ok and bool(np.all(np.diff(inst.f_vals) < 0))
@@ -170,27 +168,10 @@ def test_criterion_04_sharpness_sweep(sweep_runs):
            f"{len(runs)} runs, {elapsed:.1f}s")
 
 
-def _audit_inputs(spec, rep, inst, interp):
-    L = interp.second_derivative_bound()
-    params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
-    a_min = theoretical_a_min(rep.log[0].a_k, params, L)
-    return a_min, BoundInputs.from_params(
-        params,
-        f0=float(inst.f_vals[0]),
-        f_low=interp.lower_bound(),
-        a_min=a_min,
-        mu=1.0,
-        p=spec.p,
-        eps=spec.eps,
-        L=L,
-    )
-
-
 def test_criterion_05_bound_audits(sweep_runs):
     runs, _ = sweep_runs
     violations = 0
-    for spec, sharp, rep, inst, interp in runs:
-        _, inputs = _audit_inputs(spec, rep, inst, interp)
+    for spec, sharp, rep, inst, inputs in runs:
         audit = audit_run(rep, inputs, "successful_counter")
         if not audit.passed:
             violations += 1
@@ -202,11 +183,10 @@ def test_criterion_06_a_k_lower_bound(sweep_runs):
     runs, _ = sweep_runs
     ok = True
     worst = math.inf
-    for spec, sharp, rep, inst, interp in runs:
-        a_min, _ = _audit_inputs(spec, rep, inst, interp)
+    for spec, sharp, rep, inst, inputs in runs:
         min_a = min(r.a_k for r in rep.log)
-        worst = min(worst, min_a / a_min)
-        ok = ok and min_a >= a_min * (1.0 - 1e-10)
+        worst = min(worst, min_a / inputs.a_min)
+        ok = ok and min_a >= inputs.a_min * (1.0 - 1e-10)
     report(6, "a_k never falls below the theoretical a_min", ok, f"min margin {worst:.3f}")
 
 

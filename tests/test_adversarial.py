@@ -10,7 +10,6 @@ from scipy.interpolate import CubicHermiteSpline
 
 from trfam import (
     AdversarialSpec,
-    TrParams,
     adversarial,
     build_interpolant,
     check_run_invariants,
@@ -20,7 +19,7 @@ from trfam import (
     log_to_csv,
     verify_sharpness,
 )
-from trfam.adversarial import AdversarialInstance, Interpolant1D, emit_function_csv
+from trfam.adversarial import AdversarialInstance, Interpolant1D, bound_inputs, emit_function_csv
 
 SWEEP_EPS = (0.9, 0.5, 0.25)
 SWEEP_P = (0.0, 0.3, 0.5, 0.9, 1.0)
@@ -494,21 +493,17 @@ class TestVerifySharpness:
         for name in driver._FLOAT_COLUMNS:
             assert np.isfinite(report.log.column(name)).all(), name
         assert max(report.log.delta) == max(report.log.eff_radius) == driver._DELTA_MAX
-        inst = generate(spec)
-        params = TrParams(delta0=inst.delta0)
-        L = build_interpolant(inst).second_derivative_bound()
-        assert check_run_invariants(report, params, L) == []
+        inputs = bound_inputs(spec, report)
+        assert check_run_invariants(report, inputs.params, inputs.L) == []
 
 
 def test_decrease_monitors_hold_with_exact_lipschitz():
     # on generated instances L is exact, so the per-iteration decrease and
     # a_k floors are assertions, not diagnostics
     for spec in (AdversarialSpec(0.5, 0.0), AdversarialSpec(0.5, 1.0, 1.0, 1.0, 1.0)):
-        sharp, report = verify_sharpness(spec)
-        inst = generate(spec)
-        interp = build_interpolant(inst)
-        params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
-        assert check_run_invariants(report, params, interp.second_derivative_bound()) == []
+        _, report = verify_sharpness(spec)
+        inputs = bound_inputs(spec, report)
+        assert check_run_invariants(report, inputs.params, inputs.L) == []
 
 
 def test_emit_function_csv(tmp_path):

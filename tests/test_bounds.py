@@ -16,17 +16,15 @@ from trfam import (
     bound_total_k,
     bound_unsuccessful,
     bounds,
-    build_interpolant,
     choose_tau,
-    generate,
     get_problem,
     kappa1,
     measure_envelope,
     solve,
-    theoretical_a_min,
     verify_sharpness,
     xi_beta,
 )
+from trfam.adversarial import bound_inputs
 from trfam.bounds import classical_reference_rows, kappa2, kappa3
 from trfam.driver import STATUSES
 from trfam.hessians import build_model
@@ -318,22 +316,7 @@ class TestAudit:
     def adversarial_audit(self, spec, assumption="successful_counter"):
         sharp, report = verify_sharpness(spec)
         assert sharp.passed
-        inst = generate(spec)
-        interp = build_interpolant(inst)
-        L = interp.second_derivative_bound()
-        params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
-        a_min = theoretical_a_min(report.log[0].a_k, params, L)
-        inp = BoundInputs.from_params(
-            params,
-            f0=float(inst.f_vals[0]),
-            f_low=interp.lower_bound(),
-            a_min=a_min,
-            mu=1.0,
-            p=spec.p,
-            eps=spec.eps,
-            L=L,
-        )
-        return audit_run(report, inp, assumption), report
+        return audit_run(report, bound_inputs(spec, report), assumption), report
 
     def test_adversarial_p0(self):
         audit, report = self.adversarial_audit(AdversarialSpec(0.5, 0.0))

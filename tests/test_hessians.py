@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from trfam import (
     LbfgsModel,
     Lsr1Model,
     ScriptedModel,
+    TrParams,
     ZeroModel,
     build_model,
     get_problem,
     log_to_csv,
+    solve,
 )
 from trfam.bench import RunSpec, run_matrix
-from trfam.driver import _fmt
+from trfam.driver import SolveError, _fmt
 from trfam.hessians import ExactHessian, HessianModel
 
 from oracles import (
@@ -404,6 +407,13 @@ class TestOperatorNorm:
         assert m.operator_norm() == pytest.approx(2.0)
         v = np.array([1.0, 1.0])
         assert np.allclose(m.apply(v), 2 * v)
+
+    def test_exact_non_finite_hessian_fails_at_its_source(self):
+        # eigvalsh reads [[nan, 0], [0, 1]] as the spectrum [0, -0]
+        sphere = replace(get_problem("sphere"),
+                         eval_hess=lambda x: np.array([[math.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(SolveError, match="exact Hessian has a non-finite entry"):
+            solve(sphere, TrParams(), build_model("exact", sphere), eps=1e-6)
 
 
 class TestModelsThatDoNotLearn:

@@ -1,4 +1,5 @@
-"""Smoke test: the scripts under benchmarks/ still run against the package."""
+"""The scripts under benchmarks/ still run against the package, and the
+package's benchmark recipes agree with perfbench, which restates them."""
 
 import hashlib
 import importlib.util
@@ -7,6 +8,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from trfam import adversarial, bench
+from trfam.hessians import build_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,3 +108,33 @@ class TestDigestsAgainst:
             "matrix-qn c/lsr1/0_0 - -> first_order 7",
             "audit p=0,c=1,eps=0.1 successful_counter changed",
         ]
+
+
+class TestRecipesAgreeWithPerfbench:
+    def test_solve_cell_matches_a_matrix_pass(self, monkeypatch):
+        workloads = load_digests(monkeypatch).workloads
+        spec = bench.RunSpec("sphere", 0.0, 0.0)
+        assert (spec.memory, spec.eps, spec.eval_budget) == (
+            workloads.MEMORY, workloads.EPS, workloads.EVAL_BUDGET)
+        # seed 7 moves every start; three of these cells end delta_underflow
+        cells = [cell for wl in (workloads.matrix_exact(7, None), workloads.matrix_qn(7))
+                 for cell in wl.cells
+                 if cell.problem.name in ("beale", "rastrigin", "styblinski_tang")]
+        reports = []
+        for cell in cells:
+            spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
+                                 max_iter=cell.max_iter)
+            model = build_model(spec.hessian, cell.problem, memory=spec.memory)
+            reports.append(bench.solve_cell(spec, cell.problem, model))
+        res = workloads.MatrixWorkload(cells, []).run_pass()
+        assert res.failed == 0 and res.solved < len(cells)
+        assert [res.iterations, res.fevals, res.gevals, res.solved] == [
+            sum(r.iterations for r in reports), sum(r.evals.n_f for r in reports),
+            sum(r.evals.n_g for r in reports), sum(r.status == "first_order" for r in reports)]
+
+    def test_bound_inputs_match_the_worst_case_case(self, monkeypatch):
+        workloads = load_digests(monkeypatch).workloads
+        _, report = adversarial.verify_sharpness(workloads.WARM_SPEC)
+        inputs = adversarial.bound_inputs(workloads.WARM_SPEC, report)
+        case = workloads.Case.build(workloads.WARM_SPEC)
+        assert (inputs.f0, inputs.f_low, inputs.L) == (case.f0, case.f_low, case.L)
