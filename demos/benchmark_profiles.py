@@ -15,7 +15,7 @@ specs = default_matrix_specs(
     eps=1e-6,
 )
 print(f"Running {len(specs)} solves (4 variants x full collection)...")
-matrix, reports = run_matrix(specs)
+matrix = run_matrix(specs)
 
 for variant in matrix.variants:
     solved = sum(matrix.cells[(p, variant)].solved for p in matrix.problems)

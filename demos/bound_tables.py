@@ -13,10 +13,8 @@ from trfam import (
     bound_successful,
     bound_total_k,
     bound_unsuccessful,
-    choose_tau,
     kappa1,
     verify_sharpness,
-    xi_beta,
 )
 from trfam.adversarial import bound_inputs
 
@@ -40,11 +38,11 @@ print(f"\nWith S = 100: |U| <= {bound_unsuccessful(inp, 100.0):.4g} "
       f"(alpha = beta = 1 collapses the log terms)")
 
 # Under the iteration-counter envelope the bound needs the series xi_beta
-# and the smallest tau with gamma4 gamma2^(tau-1) < 1.
-tau = choose_tau(0.5, 2.0)
-xi = xi_beta(0.5, 2.0, tau, mu=1.0, p=0.5, beta=1.0)
-tb = bound_total_k(inp, tau, xi)
-print(f"tau = {tau}, xi_beta = {xi:.6g}, total-iteration bound ln = {tb.bound.log_value:.4g}")
+# and the smallest tau with gamma4 gamma2^(tau-1) < 1; bound_total_k finds
+# both from its inputs.
+tb = bound_total_k(inp)
+print(f"tau = {tb.tau}, xi_beta = {tb.xi:.6g}, "
+      f"total-iteration bound ln = {tb.bound.log_value:.4g}")
 
 # --- auditing a real run --------------------------------------------------
 # On the worst-case instances the Lipschitz constant is known exactly (the

@@ -97,19 +97,18 @@ def solve_cell(spec: RunSpec, problem: Problem, model) -> SolveReport:
                  eval_budget=spec.eval_budget)
 
 
-def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], SolveReport]]:
+def run_matrix(specs: list[RunSpec]) -> CostMatrix:
     """Execute every spec; cells are keyed (problem, variant), sorted.
 
     A solve that breaks down, raising ``SolveError``, does not stop the
     matrix: its cell gets status "error" with zero costs, which profiles
-    count as unsolved, and no report.
+    count as unsolved.
     """
     if not specs:
         raise ValueError("empty spec list")
     problems = sorted({s.problem for s in specs})
     variants = sorted({s.variant for s in specs})
     matrix = CostMatrix(problems, variants)
-    reports: dict[tuple[str, str], SolveReport] = {}
     for spec in sorted(specs, key=lambda s: (s.problem, s.variant)):
         prob = get_problem(spec.problem)
         model = build_model(spec.hessian, prob, memory=spec.memory)
@@ -128,8 +127,7 @@ def run_matrix(specs: list[RunSpec]) -> tuple[CostMatrix, dict[tuple[str, str], 
             time_ms=elapsed_ms,
             iters=report.iterations,
         )
-        reports[key] = report
-    return matrix, reports
+    return matrix
 
 
 @dataclass

@@ -131,16 +131,10 @@ def choose_tau(gamma2: float, gamma4: float) -> int:
     return tau
 
 
-def xi_beta(
-    gamma2: float,
-    gamma4: float,
-    tau: int,
-    mu: float,
-    p: float,
-    beta: float,
-) -> float:
+def xi_beta(gamma2: float, gamma4: float, mu: float, p: float, beta: float) -> float:
     """Upper estimate of sum_{k>=0} q^(k/tau) / (1 + mu(1 + k^p))^beta with
-    q = gamma4 gamma2^(tau-1) < 1, truncated with a geometric tail bound.
+    tau = choose_tau(gamma2, gamma4) and q = gamma4 gamma2^(tau-1) < 1,
+    truncated with a geometric tail bound.
 
     The k = 0 term is included: iterations are indexed from 0 and including
     it only enlarges the estimate, keeping it a valid bound ingredient.
@@ -151,9 +145,8 @@ def xi_beta(
                         ("beta", beta)):
         if not math.isfinite(value):
             raise ValueError(f"xi_beta needs a finite {name}, got {value!r}")
+    tau = choose_tau(gamma2, gamma4)
     q = gamma4 * gamma2 ** (tau - 1)
-    if not q < 1.0:
-        raise ValueError("series diverges: need gamma4 * gamma2^(tau-1) < 1")
     ratio_geo = q ** (1.0 / tau)
 
     def r(k: int) -> float:
@@ -176,36 +169,32 @@ def xi_beta(
             raise ValueError("xi_beta failed to converge within 1e7 terms")
 
 
-def kappa2(inputs: BoundInputs, tau: int) -> float:
-    """tau (f(x0) - f_low) / (eta1 kappa_mdc a_min)."""
-    prm = inputs.params
-    return tau * (inputs.f0 - inputs.f_low) / (prm.eta1 * prm.kappa_mdc * inputs.a_min)
-
-
-def kappa3(inputs: BoundInputs, xi: float) -> float:
-    """Delta0 xi_beta / a_min."""
-    return inputs.params.delta0 * xi / inputs.a_min
-
-
 @dataclass(frozen=True)
 class TotalBound:
     bound: LogBound
     eps2_contribution: float  # kappa2 * eps^-2
     eps_alpha_contribution: float  # kappa3 * eps^(alpha-1)
+    tau: int  # smallest tau with gamma4 gamma2^(tau-1) < 1
+    xi: float  # xi_beta of the inputs
+    kappa2: float  # tau (f(x0) - f_low) / (eta1 kappa_mdc a_min)
+    kappa3: float  # Delta0 xi_beta / a_min
 
 
-def bound_total_k(inputs: BoundInputs, tau: int, xi: float) -> TotalBound:
+def bound_total_k(inputs: BoundInputs) -> TotalBound:
     """Total-iteration bound under the iteration-counter growth envelope.
 
     p < 1: [(1-p) A (k2 eps^-2 + k3 eps^(alpha-1)) + (k0+1)^(1-p)]^(1/(1-p)) - 1
     with A = (1 + mu(1 + (1+k0)^p)) / (1+k0)^p;
     p = 1: (k0+1) exp[(1 + mu(2+k0))/(1+k0) (k2 eps^-2 + k3 eps^(alpha-1))] - 1.
+    tau and xi_beta come from the inputs' gamma2, gamma4, mu, p and beta.
     """
-    k0 = inputs.k0
-    k2 = kappa2(inputs, tau)
-    k3 = kappa3(inputs, xi)
+    prm, k0 = inputs.params, inputs.k0
+    tau = choose_tau(prm.gamma2, prm.gamma4)
+    xi = xi_beta(prm.gamma2, prm.gamma4, inputs.mu, inputs.p, prm.beta)
+    k2 = tau * (inputs.f0 - inputs.f_low) / (prm.eta1 * prm.kappa_mdc * inputs.a_min)
+    k3 = prm.delta0 * xi / inputs.a_min
     t_eps2 = k2 * inputs.eps**-2
-    t_alpha = k3 * inputs.eps ** (inputs.params.alpha - 1.0)
+    t_alpha = k3 * inputs.eps ** (prm.alpha - 1.0)
     if inputs.p == 1.0:
         X = (1.0 + inputs.mu * (2.0 + k0)) / (1.0 + k0) * (t_eps2 + t_alpha)
         lb = _logbound_minus_one(X + math.log(k0 + 1.0))
@@ -213,7 +202,7 @@ def bound_total_k(inputs: BoundInputs, tau: int, xi: float) -> TotalBound:
         A = (1.0 + inputs.mu * (1.0 + (1.0 + k0) ** inputs.p)) / (1.0 + k0) ** inputs.p
         inner = (1.0 - inputs.p) * A * (t_eps2 + t_alpha) + (k0 + 1.0) ** (1.0 - inputs.p)
         lb = _logbound_minus_one(math.log(inner) / (1.0 - inputs.p))
-    return TotalBound(lb, t_eps2, t_alpha)
+    return TotalBound(lb, t_eps2, t_alpha, tau, xi, k2, k3)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +294,7 @@ def audit_run(
     )
     if assumption == "iteration_counter":
         mu_k = measure_envelope(report.log, inputs.p, "iteration") if report.log else 0.0
-        in_k = replace(inputs, mu=max(mu_k, 1e-300))
-        prm = inputs.params
-        tau = choose_tau(prm.gamma2, prm.gamma4)
-        xi = xi_beta(prm.gamma2, prm.gamma4, tau, in_k.mu, inputs.p, prm.beta)
-        tb = bound_total_k(in_k, tau, xi)
+        tb = bound_total_k(replace(inputs, mu=max(mu_k, 1e-300)))
         checks.append(
             BoundCheck(
                 "total_iterations",

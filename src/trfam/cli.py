@@ -165,14 +165,12 @@ def _cmd_bounds(args) -> int:
         inputs = bounds_mod.BoundInputs(params, f0=args.f0, f_low=args.flow, a_min=a_min,
                                         mu=args.mu, p=args.p, eps=args.eps, k0=args.k0, L=args.L)
         k1 = bounds_mod.kappa1(inputs)
-        tau = bounds_mod.choose_tau(params.gamma2, params.gamma4)
-        xi = bounds_mod.xi_beta(params.gamma2, params.gamma4, tau, args.mu, args.p, args.beta)
-        k2 = bounds_mod.kappa2(inputs, tau)
-        k3 = bounds_mod.kappa3(inputs, xi)
+        # the total bound goes first, so an xi_beta error (a huge |beta|) is
+        # the one reported when the other bounds overflow too
+        tb = bounds_mod.bound_total_k(inputs)
         sb = bounds_mod.bound_successful(inputs)
         s_for_u = args.s_eps if args.s_eps is not None else sb.representable
         ub = bounds_mod.bound_unsuccessful(inputs, s_for_u) if s_for_u is not None else None
-        tb = bounds_mod.bound_total_k(inputs, tau, xi)
         refs = bounds_mod.classical_reference_rows(inputs)
     except OverflowError as exc:  # float ** says only "(34, 'Numerical result out of range')"
         raise DomainError("a bound is out of the float range") from exc
@@ -187,10 +185,10 @@ def _cmd_bounds(args) -> int:
     row("kappa (max{L,1}/2)", max(args.L, 1.0) / 2.0)
     row("a_min", a_min)
     row("kappa1", k1)
-    row("kappa2", k2)
-    row("kappa3", k3)
-    row("tau", tau)
-    row("xi_beta", xi)
+    row("kappa2", tb.kappa2)
+    row("kappa3", tb.kappa3)
+    row("tau", tb.tau)
+    row("xi_beta", tb.xi)
     row("bound successful", sb.representable, sb.log_value)
     if ub is not None:
         row("bound unsuccessful", ub, math.log(ub) if ub > 0 else -math.inf)
@@ -241,7 +239,7 @@ def _cmd_bench(args) -> int:
         problems=problems,
     )
     try:
-        matrix, _ = bench_mod.run_matrix(specs)
+        matrix = bench_mod.run_matrix(specs)
     except KeyError as exc:  # an unknown problem
         raise DomainError(exc.args[0]) from exc
     try:

@@ -56,7 +56,8 @@ class TrParams:
     points gamma3*Delta, Delta and gamma2*Delta of those intervals, except
     that it clips Delta and the effective radius at Delta_max = 1e150
     (Nocedal and Wright 2006, Alg. 4.1): it leaves the family only where
-    gamma3*Delta would pass that.
+    gamma3*Delta would pass that. Delta0 is clipped the same way, so a run
+    with delta0 above 1e150 starts from Delta = 1e150.
     """
 
     eta1: float = 0.1
@@ -296,7 +297,7 @@ def solve(
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise SolveError(f"{problem.name}: non-finite f or gradient at start")
 
-    delta = params.delta0
+    delta = min(params.delta0, _DELTA_MAX)
     hist_min_g = math.inf
     hist_max_b = 0.0
     lip = 0.0

@@ -245,12 +245,12 @@ def test_criterion_08_exponential_calculator():
 
 
 def test_criterion_09_xi_beta_oracles():
-    geometric = xi_beta(0.5, 2.0, 3, mu=1.0, p=0.5, beta=0.0)
+    geometric = xi_beta(0.5, 2.0, mu=1.0, p=0.5, beta=0.0)
     closed = 1.0 / (1.0 - 0.5 ** (1.0 / 3.0))
     ok = abs(geometric - closed) <= 1e-10 * closed
     ks = np.arange(10**6, dtype=float)
     for mu, p in ((1.0, 1.0), (0.5, 0.5), (2.0, 1.0)):
-        got = xi_beta(0.5, 2.0, 3, mu=mu, p=p, beta=1.0)
+        got = xi_beta(0.5, 2.0, mu=mu, p=p, beta=1.0)
         brute = float(np.sum(0.5 ** (ks / 3.0) / (1.0 + mu * (1.0 + ks**p))))
         ok = ok and abs(got - brute) <= 1e-9 * brute
     report(9, "xi_beta matches geometric and brute-force oracles", ok)
@@ -276,7 +276,7 @@ def test_criterion_11_solver_sanity():
     rosen = get_problem("rosenbrock")
     r2 = solve(rosen, TrParams(), build_model("exact", rosen), eps=1e-6)
     ok = ok and r2.status == "first_order" and r2.iterations <= 200
-    matrix, _ = run_matrix(default_matrix_specs())
+    matrix = run_matrix(default_matrix_specs())
     solved = sum(
         any(matrix.cells[(p, v)].solved for v in matrix.variants)
         for p in matrix.problems
@@ -299,7 +299,7 @@ def test_criterion_12_gradient_validation():
 
 def test_criterion_13_profile_properties(tmp_path):
     specs = default_matrix_specs()
-    m1, _ = run_matrix(specs)
+    m1 = run_matrix(specs)
     ok = True
     for metric in ("fevals", "gevals", "time"):
         for curve in performance_profile(m1, metric):
@@ -312,7 +312,7 @@ def test_criterion_13_profile_properties(tmp_path):
     back = read_matrix_csv(path)
     ok = ok and back.cells == m1.cells
 
-    m2, _ = run_matrix(specs)
+    m2 = run_matrix(specs)
 
     def strip_time(text):
         return "\n".join(

@@ -44,16 +44,15 @@ def toy_matrix(costs_by_variant):
 
 class TestRunMatrix:
     def test_shape_and_solved(self):
-        matrix, reports = run_matrix(small_specs())
+        matrix = run_matrix(small_specs())
         assert len(matrix.problems) == 5
         assert len(matrix.variants) == 4
         assert len(matrix.cells) == 20
-        assert len(reports) == 20
         assert matrix.cells[("sphere", "0_0")].solved
 
     def test_budget_exhaustion_marks_failure(self):
         specs = [RunSpec("rosenbrock", 0.0, 0.0, eval_budget=2)]
-        matrix, _ = run_matrix(specs)
+        matrix = run_matrix(specs)
         cell = matrix.cells[("rosenbrock", "0_0")]
         assert not cell.solved
         assert cell.status == "eval_budget"
@@ -80,12 +79,10 @@ class TestRunMatrix:
             return solve(problem, *args, **kwargs)
 
         monkeypatch.setattr(bench, "solve", breaks_on_beale)
-        matrix, reports = run_matrix(small_specs())
+        matrix = run_matrix(small_specs())
         assert len(matrix.cells) == 20
-        assert len(reports) == 16
         for variant in matrix.variants:
             assert matrix.cells[("beale", variant)] == CellResult("error", 0, 0, 0.0, 0)
-            assert ("beale", variant) not in reports
             assert matrix.cells[("sphere", variant)].solved
         for metric in ("fevals", "gevals", "time"):
             for curve in performance_profile(matrix, metric):
@@ -95,7 +92,7 @@ class TestRunMatrix:
         assert back.cells == matrix.cells
 
     def test_costs_positive(self):
-        matrix, _ = run_matrix(small_specs())
+        matrix = run_matrix(small_specs())
         for cell in matrix.cells.values():
             assert cell.cost_f > 0 and cell.cost_g > 0
 
@@ -134,7 +131,7 @@ class TestPerformanceProfile:
             performance_profile(m)
 
     def test_step_properties_on_real_matrix(self):
-        matrix, _ = run_matrix(small_specs())
+        matrix = run_matrix(small_specs())
         for metric in ("fevals", "gevals", "time"):
             for curve in performance_profile(matrix, metric):
                 assert np.all(np.diff(curve.values) >= 0)
@@ -147,7 +144,7 @@ class TestPerformanceProfile:
 
 class TestSerialization:
     def test_matrix_roundtrip(self, tmp_path):
-        matrix, _ = run_matrix(small_specs())
+        matrix = run_matrix(small_specs())
         path = tmp_path / "matrix.csv"
         path.write_text(matrix_to_csv(matrix))
         back = read_matrix_csv(path)
@@ -157,8 +154,8 @@ class TestSerialization:
 
     def test_determinism_excluding_time(self):
         specs = small_specs()
-        m1, _ = run_matrix(specs)
-        m2, _ = run_matrix(specs)
+        m1 = run_matrix(specs)
+        m2 = run_matrix(specs)
 
         def strip_time(text):
             return "\n".join(
@@ -177,7 +174,7 @@ class TestSerialization:
         assert [float(v) for v in lines[1].split(",")] == [1.0, 0.5, 0.5]
 
     def test_emit_files_and_svg(self, tmp_path):
-        matrix, _ = run_matrix(small_specs(variants=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))))
+        matrix = run_matrix(small_specs(variants=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))))
         profiles = {m: performance_profile(matrix, m) for m in ("fevals", "gevals", "time")}
         written = emit(matrix, profiles, tmp_path / "out")
         names = sorted(p.name for p in written)
@@ -197,7 +194,7 @@ class TestSerialization:
         assert "xmlns" in svg and "href" not in svg  # self-contained
 
     def test_emit_rejects_empty_profiles(self, tmp_path):
-        matrix, _ = run_matrix(small_specs())
+        matrix = run_matrix(small_specs())
         with pytest.raises(ValueError):
             emit(matrix, {}, tmp_path)
 

@@ -25,7 +25,7 @@ from trfam import (
     xi_beta,
 )
 from trfam.adversarial import bound_inputs
-from trfam.bounds import classical_reference_rows, kappa2, kappa3
+from trfam.bounds import classical_reference_rows
 from trfam.driver import STATUSES
 from trfam.hessians import build_model
 
@@ -74,7 +74,9 @@ class TestFamilyConstants:
         inp = inputs(eta1=0.2, kappa_mdc=0.25, delta0=2.0, alpha=1.0)
         assert inp.params == TrParams(eta1=0.2, kappa_mdc=0.25, delta0=2.0, alpha=1.0)
         assert kappa1(inp) == pytest.approx(1.0 / (0.2 * 0.25 * 0.03125))
-        assert kappa3(inp, 3.0) == pytest.approx(2.0 * 3.0 / 0.03125)
+        tb = bound_total_k(inp)
+        assert tb.kappa2 == pytest.approx(3.0 / (0.2 * 0.25 * 0.03125))
+        assert tb.kappa3 == pytest.approx(2.0 * tb.xi / 0.03125)
 
 
 class TestKappa1:
@@ -213,30 +215,31 @@ class TestChooseTau:
 class TestXiBeta:
     def test_geometric_closed_form(self):
         # beta = 0: sum q^(k/3) = 1/(1 - 0.5^(1/3))
-        got = xi_beta(0.5, 2.0, 3, mu=1.0, p=0.5, beta=0.0)
+        got = xi_beta(0.5, 2.0, mu=1.0, p=0.5, beta=0.0)
         expected = 1.0 / (1.0 - 0.5 ** (1.0 / 3.0))
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_brute_force_oracle(self):
-        got = xi_beta(0.5, 2.0, 3, mu=1.0, p=1.0, beta=1.0)
+        got = xi_beta(0.5, 2.0, mu=1.0, p=1.0, beta=1.0)
         ks = np.arange(10**6, dtype=float)
         brute = float(np.sum(0.5 ** (ks / 3.0) / (1.0 + 1.0 * (1.0 + ks))))
         assert got == pytest.approx(brute, rel=1e-9)
         assert 0.0 < got < 1.0 / (1.0 - 0.5 ** (1.0 / 3.0))
 
     def test_upper_estimate_dominates_truncations(self):
-        got = xi_beta(0.5, 2.0, 3, mu=2.0, p=0.5, beta=1.0)
+        got = xi_beta(0.5, 2.0, mu=2.0, p=0.5, beta=1.0)
         partial = 0.0
         for k in range(200):
             partial += 0.5 ** (k / 3.0) / (1.0 + 2.0 * (1.0 + k**0.5))
             assert got >= partial
 
     def test_huge_mu_vanishes(self):
-        assert xi_beta(0.5, 2.0, 3, mu=1e12, p=1.0, beta=1.0) <= 1e-11
+        assert xi_beta(0.5, 2.0, mu=1e12, p=1.0, beta=1.0) <= 1e-11
 
-    def test_divergence_guard(self):
-        with pytest.raises(ValueError):
-            xi_beta(0.5, 2.0, 1, mu=1.0, p=0.0, beta=0.0)  # q = 2 >= 1
+    def test_tau_is_chosen_from_the_gammas(self):
+        # gamma4 = 1: tau = 2 and q = 0.5, so beta = 0 gives 1/(1 - 0.5^(1/2))
+        got = xi_beta(0.5, 1.0, mu=1.0, p=0.5, beta=0.0)
+        assert got == pytest.approx(1.0 / (1.0 - 0.5**0.5), rel=1e-10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["gamma2", "gamma4", "mu", "p", "beta"])
@@ -244,11 +247,10 @@ class TestXiBeta:
         # a NaN beta used to run all 1e7 terms before "failed to converge"
         args = {"gamma2": 0.5, "gamma4": 2.0, "mu": 1.0, "p": 0.5, "beta": 1.0, name: bad}
         with pytest.raises(ValueError, match=f"finite {name}"):
-            xi_beta(args["gamma2"], args["gamma4"], 3, mu=args["mu"], p=args["p"],
-                    beta=args["beta"])
+            xi_beta(args["gamma2"], args["gamma4"], mu=args["mu"], p=args["p"], beta=args["beta"])
 
     def test_negative_beta_still_converges(self):
-        got = xi_beta(0.5, 2.0, 3, mu=1.0, p=1.0, beta=-0.5)
+        got = xi_beta(0.5, 2.0, mu=1.0, p=1.0, beta=-0.5)
         ks = np.arange(10**5, dtype=float)
         brute = float(np.sum(0.5 ** (ks / 3.0) * (1.0 + (1.0 + ks)) ** 0.5))
         # summation order differs, so allow last-ulp slack on the dominance
@@ -256,30 +258,42 @@ class TestXiBeta:
         assert got == pytest.approx(brute, rel=1e-6)
 
 
+# At the default gammas tau = 3, and beta = 0 makes xi_beta geometric.
+GEOMETRIC_XI = 1.0 / (1.0 - 0.5 ** (1.0 / 3.0))
+
+
+def unit_kappas(**kw):
+    """Inputs at the default constants but Delta0 whose kappa2 and kappa3
+    come out 1: f0 = eta1 kappa_mdc a_min / tau and Delta0 = a_min / xi."""
+    return inputs(f0=0.1 * 0.5 * 0.03125 / 3.0, delta0=0.03125 / GEOMETRIC_XI, **kw)
+
+
 class TestBoundTotal:
+    def test_finds_tau_and_xi_from_the_inputs(self):
+        inp = inputs(mu=2.0, p=0.5, beta=0.5, gamma2=0.25, gamma4=3.0)
+        tb = bound_total_k(inp)
+        assert tb.tau == choose_tau(0.25, 3.0) == 2
+        assert tb.xi == xi_beta(0.25, 3.0, mu=2.0, p=0.5, beta=0.5)
+
     def test_p0_hand_value(self):
-        # prefactor 3; kappa2 = kappa3 = 1, eps = 0.5, alpha = 1 -> 15
-        inp = inputs(mu=1.0, p=0.0, eps=0.5, alpha=1.0, k0=0)
-        tau = 1  # engineered so kappa2 comes out 1
-        f0 = inp.params.eta1 * inp.params.kappa_mdc * inp.a_min  # kappa2 = tau * 1
-        inp = inputs(mu=1.0, p=0.0, eps=0.5, alpha=1.0, k0=0, f0=f0)
-        xi = inp.a_min / inp.params.delta0  # kappa3 = 1
-        tb = bound_total_k(inp, tau, xi)
-        assert kappa2(inp, tau) == pytest.approx(1.0)
-        assert kappa3(inp, xi) == pytest.approx(1.0)
+        # prefactor 3; kappa2 = kappa3 = 1, eps = 0.5, alpha = 1 -> 3 (4 + 1) = 15
+        tb = bound_total_k(unit_kappas(mu=1.0, p=0.0, eps=0.5, alpha=1.0, k0=0))
+        assert (tb.tau, tb.xi) == (3, pytest.approx(GEOMETRIC_XI, rel=1e-10))
+        assert tb.kappa2 == pytest.approx(1.0)
+        assert tb.kappa3 == pytest.approx(1.0)
         assert tb.bound.representable == pytest.approx(15.0)
 
     def test_alpha_one_contribution_constant(self):
         inp = inputs(alpha=1.0, eps=0.01, p=0.5)
-        tb = bound_total_k(inp, 3, 2.0)
-        assert tb.eps_alpha_contribution == pytest.approx(kappa3(inp, 2.0))
+        tb = bound_total_k(inp)
+        assert tb.eps_alpha_contribution == tb.kappa3
+        assert tb.kappa3 == pytest.approx(inp.params.delta0 * GEOMETRIC_XI / inp.a_min)
 
     def test_p1_hand_value(self):
         # (k0+1) exp[(1 + mu(2+k0))/(1+k0) * (k2 eps^-2 + k3 eps^(alpha-1))] - 1
-        f0 = 0.1 * 0.5 * 0.03125  # kappa2 = tau * 1 with tau = 1
-        inp = inputs(mu=1.0, p=1.0, eps=1.0, alpha=1.0, k0=0, f0=f0)
-        tb = bound_total_k(inp, 1, 0.0)
-        assert tb.bound.representable == pytest.approx(math.exp(3.0) - 1.0, rel=1e-12)
+        # = exp(3 * 2) - 1 with kappa2 = kappa3 = 1, mu = 1 and eps = 1
+        tb = bound_total_k(unit_kappas(mu=1.0, p=1.0, eps=1.0, alpha=1.0, k0=0))
+        assert tb.bound.representable == pytest.approx(math.exp(6.0) - 1.0, rel=1e-12)
 
 
 class TestMeasureEnvelope:

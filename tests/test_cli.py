@@ -86,6 +86,16 @@ class TestSolve:
         assert (code, err) == (0, "")
         assert json.loads(out)["status"] == "first_order"
 
+    def test_delta0_near_the_float_maximum_starts_at_the_clip(self, capsys, tmp_path):
+        # Delta0 is clipped at Delta_max = 1e150 like every later Delta;
+        # a_k used to leave the float range at k = 0 here
+        path = tmp_path / "log.csv"
+        code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", "--delta0", "1e308",
+                                 "--max-iter", "5", "--log-csv", str(path))
+        assert (code, err) == (0, "")
+        rows = [row.split(",") for row in path.read_text().splitlines()]
+        assert float(rows[1][rows[0].index("delta")]) == 1e150
+
     @pytest.mark.parametrize("exc", [SolveError("rosenbrock: non-finite f or gradient at k=3")])
     def test_solver_breakdown_is_domain_error(self, capsys, monkeypatch, exc):
         def breaks(*args, **kwargs):
@@ -244,6 +254,48 @@ class TestBounds:
             "ref bounded-case",
         ):
             assert label in out
+
+    # the whole table, byte for byte; the trailing spaces pad the value column
+    TABLES = {
+        "p1_alpha1_beta1": (
+            ("--p", "1", "--mu", "0.5", "--eps", "0.1", "--alpha", "1", "--beta", "1"),
+            "kappa (max{L,1}/2)           0.5                     \n"
+            "a_min                        0.0625                  \n"
+            "kappa1                       320                     \n"
+            "kappa2                       960                     \n"
+            "kappa3                       30.06371968             \n"
+            "tau                          3                       \n"
+            "xi_beta                      1.87898248              \n"
+            "bound successful             (not representable)      ln = 64000\n"
+            "bound total (iter counter)   (not representable)      ln = 192060.1274\n"
+            "  eps^-2 contribution        96000                   \n"
+            "  eps^(alpha-1) contribution 30.06371968             \n"
+            "ref bounded-case (scaled)    256005                  \n"
+            "ref bounded-case (classic)   256009.3219             \n"
+        ),
+        "p_half_k0_3": (
+            ("--p", "0.5", "--mu", "1", "--eps", "0.1", "--k0", "3"),
+            "kappa (max{L,1}/2)           0.5                     \n"
+            "a_min                        0.0625                  \n"
+            "kappa1                       320                     \n"
+            "kappa2                       960                     \n"
+            "kappa3                       77.55715363             \n"
+            "tau                          3                       \n"
+            "xi_beta                      4.847322102             \n"
+            "bound successful             2304096000               ln = 21.55795425\n"
+            "bound unsuccessful           2304096023               ln = 21.55795426\n"
+            "bound total (succ+unsucc)    4608192023               ln = 22.25110143\n"
+            "bound total (iter counter)   9365898351               ln = 22.96034109\n"
+            "  eps^-2 contribution        96000                   \n"
+            "  eps^(alpha-1) contribution 775.5715363             \n"
+            "ref bounded-case (scaled)    384005                  \n"
+            "ref bounded-case (classic)   384009.9069             \n"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv,table", TABLES.values(), ids=list(TABLES))
+    def test_table_pinned(self, capsys, argv, table):
+        assert run_cli(capsys, "bounds", *argv) == (0, table, "")
 
     @pytest.mark.parametrize("flag,code,message", [
         ("--beta=nan", 2, "usage error: need alpha <= 1 and beta <= 1"),

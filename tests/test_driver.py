@@ -22,6 +22,7 @@ from trfam import (
     verify_sharpness,
 )
 from trfam import driver
+from trfam.bench import RunSpec, solve_cell
 from trfam.driver import CSV_HEADER, SolveError
 from trfam.problems import Problem
 
@@ -608,3 +609,27 @@ class TestRadiusClip:
     def test_a_k_raises_past_the_float_range(self, args, error):
         with pytest.raises(error):
             a_k(*args)
+
+
+class TestFloorStreak:
+    """An iteration whose model decrease falls below the driver's floor
+    logs rho NaN, evaluates no f and halves Delta. x, g and B stay as they
+    are, so once such a streak starts it lasts to the end of the run. With
+    the run's own Lipschitz estimate as L, the a_k and decrease checks
+    break only inside it."""
+
+    @pytest.mark.parametrize("spec", [
+        RunSpec("arwhead", 1.0, 1.0, "exact"),
+        RunSpec("rastrigin", 1.0, 1.0, "lbfgs", max_iter=500),
+    ], ids=["arwhead/exact/1_1", "rastrigin/lbfgs/1_1"])
+    def test_invariant_breaks_lie_in_the_trailing_streak(self, spec):
+        problem = get_problem(spec.problem)
+        r = solve_cell(spec, problem, build_model(spec.hessian, problem, memory=spec.memory))
+        assert r.status == "delta_underflow"
+        floor = np.isnan(r.log.column("rho"))
+        streak = int(np.flatnonzero(~floor)[-1]) + 1  # its first iteration
+        assert streak < len(floor)
+        issues = check_run_invariants(r, TrParams(alpha=spec.alpha, beta=spec.beta),
+                                      r.lipschitz_estimate)
+        breaks = [int(m.split(":")[0].removeprefix("k=")) for m in issues]
+        assert breaks and min(breaks) >= streak

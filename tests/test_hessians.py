@@ -19,7 +19,7 @@ from trfam import (
     log_to_csv,
     solve,
 )
-from trfam.bench import RunSpec, run_matrix
+from trfam.bench import RunSpec, solve_cell
 from trfam.driver import SolveError, _fmt
 from trfam.hessians import ExactHessian, HessianModel
 
@@ -555,8 +555,10 @@ class TestCompactPathDigests:
     @pytest.mark.parametrize("label,digests", DIGESTS.items(), ids=list(DIGESTS))
     def test_log_digest_pinned(self, label, digests):
         name, hessian = label.split("/")
-        _, reports = run_matrix([RunSpec(name, 1.0, 1.0, hessian, max_iter=500)])
-        rows = [row.split(",") for row in log_to_csv(reports[(name, "1_1")]).splitlines()]
+        spec = RunSpec(name, 1.0, 1.0, hessian, max_iter=500)
+        problem = get_problem(name)
+        report = solve_cell(spec, problem, build_model(hessian, problem, memory=spec.memory))
+        rows = [row.split(",") for row in log_to_csv(report).splitlines()]
         rho = rows[0].index("rho")
         without_rho = [row[:rho] + row[rho + 1:] for row in rows]
         assert tuple(
