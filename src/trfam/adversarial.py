@@ -172,9 +172,10 @@ class Interpolant1D:
 
     Evaluation at a knot returns the stored value/slope exactly: the local
     Horner forms are anchored at the left endpoint of each segment and at
-    the junction points of the tails. Knot and segment data are kept once,
-    as array('d'): a point evaluation reads Python floats from them, and
-    the whole-instance bounds read numpy views of the same memory.
+    the junction points of the tails. Knot and segment data, x, f, g and
+    the cubic coefficients c2, c3, are kept once as array('d'): a point
+    evaluation reads Python floats from them, and the whole-instance bounds
+    read numpy views of the same memory. Widths are formed as needed.
     """
 
     TAIL_CURVATURE = 1.0  # positive, so the tails keep f bounded below
@@ -184,7 +185,7 @@ class Interpolant1D:
         h = np.diff(x)
         d = np.diff(f)
         # cubic f(x0 + t h) = f0 + t (h g0 + t (c2 + t c3)) on each segment
-        self._x, self._f, self._g, self._h = _doubles(x), _doubles(f), _doubles(g), _doubles(h)
+        self._x, self._f, self._g = _doubles(x), _doubles(f), _doubles(g)
         self._c2 = _doubles(3.0 * d - h * (2.0 * g[:-1] + g[1:]))
         self._c3 = _doubles(-2.0 * d + h * (g[:-1] + g[1:]))
 
@@ -193,20 +194,12 @@ class Interpolant1D:
         x = float(xq)
         knots = self._x
         tc = self.TAIL_CURVATURE
-        if x < knots[0]:
-            dx = x - knots[0]
-            return (
-                self._f[0] + self._g[0] * dx + 0.5 * tc * dx * dx,
-                self._g[0] + tc * dx,
-            )
-        if x >= knots[-1]:
-            dx = x - knots[-1]
-            return (
-                self._f[-1] + self._g[-1] * dx + 0.5 * tc * dx * dx,
-                self._g[-1] + tc * dx,
-            )
+        if x < knots[0] or x >= knots[-1]:  # a tail, from its end knot j
+            j = 0 if x < knots[0] else -1
+            dx = x - knots[j]
+            return self._f[j] + self._g[j] * dx + 0.5 * tc * dx * dx, self._g[j] + tc * dx
         i = bisect_right(knots, x) - 1
-        h = self._h[i]
+        h = knots[i + 1] - knots[i]
         t = (x - knots[i]) / h
         c2, c3 = self._c2[i], self._c3[i]
         val = self._f[i] + t * (h * self._g[i] + t * (c2 + t * c3))
@@ -217,7 +210,7 @@ class Interpolant1D:
         """Exact sup of |f''|: per segment f'' is linear in x, so the
         maximum sits at an endpoint; the tails contribute the curvature."""
         c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
-        h2 = np.frombuffer(self._h) ** 2
+        h2 = np.diff(np.frombuffer(self._x)) ** 2
         at0 = np.abs(2.0 * c2) / h2
         at1 = np.abs(2.0 * c2 + 6.0 * c3) / h2
         return float(max(self.TAIL_CURVATURE, at0.max(), at1.max()))
@@ -237,7 +230,7 @@ class Interpolant1D:
         left = f[0] if g[0] <= 0 else f[0] - g[0] ** 2 / (2 * tc)
         right = f[-1] if g[-1] >= 0 else f[-1] - g[-1] ** 2 / (2 * tc)
         c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
-        hg = np.frombuffer(self._h) * g[:-1]
+        hg = np.diff(np.frombuffer(self._x)) * g[:-1]
         a, b = 3.0 * c3, 2.0 * c2
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * hg), b))
@@ -276,12 +269,6 @@ class Interpolant1D:
             eval_grad=g,
             x0=np.array([self._x[0]]),
         )
-
-    def sample(self):
-        """(x, f, f') arrays at 2001 uniform points over [x_0 - 1, x_last + 1]."""
-        xs = np.linspace(self._x[0] - 1.0, self._x[-1] + 1.0, 2001)
-        vals = np.array([self(x) for x in xs])
-        return xs, vals[:, 0], vals[:, 1]
 
 
 def build_interpolant(inst: AdversarialInstance) -> Interpolant1D:
@@ -419,9 +406,9 @@ def bound_inputs(spec: AdversarialSpec, report: SolveReport) -> BoundInputs:
 
 
 def emit_function_csv(interp: Interpolant1D, path) -> None:
-    """Figure-style dump: x, f, fprime on ``Interpolant1D.sample``'s grid."""
-    xs, fs, gs = interp.sample()
+    """Figure-style dump: x, f, fprime at 2001 points over [x_0 - 1, x_last + 1]."""
+    knots = interp._x
     with open(path, "w") as fh:
         fh.write("x,f,fprime\n")
-        for row in zip(xs, fs, gs):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for x in np.linspace(knots[0] - 1.0, knots[-1] + 1.0, 2001):
+            fh.write(",".join(f"{v:.17g}" for v in (x, *interp(x))) + "\n")

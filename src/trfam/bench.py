@@ -102,14 +102,18 @@ def run_matrix(specs: list[RunSpec]) -> CostMatrix:
 
     A solve that breaks down, raising ``SolveError``, does not stop the
     matrix: its cell gets status "error" with zero costs, which profiles
-    count as unsolved.
+    count as unsolved. Two specs of one cell raise ValueError before any solve.
     """
     if not specs:
         raise ValueError("empty spec list")
+    specs = sorted(specs, key=lambda s: (s.problem, s.variant))
+    for a, b in zip(specs, specs[1:]):
+        if (a.problem, a.variant) == (b.problem, b.variant):
+            raise ValueError(f"a second cell for {b.problem}, {b.variant}")
     problems = sorted({s.problem for s in specs})
     variants = sorted({s.variant for s in specs})
     matrix = CostMatrix(problems, variants)
-    for spec in sorted(specs, key=lambda s: (s.problem, s.variant)):
+    for spec in specs:
         prob = get_problem(spec.problem)
         model = build_model(spec.hessian, prob, memory=spec.memory)
         key = (spec.problem, spec.variant)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .hessians import LbfgsModel, Lsr1Model
+from .hessians import _PairModel
 from .problems import EvalCounter, Problem
 from .subproblem import (
     SolveError, SteihaugPath, _norm, effective_radius, newton_step_1d, solve_tcg,
@@ -280,9 +280,7 @@ def solve(
     eta1, eta2, gamma2, gamma3 = params.eta1, params.eta2, params.gamma2, params.gamma3
     alpha, beta = params.alpha, params.beta
     history = params.radius_mode == "history"
-    update_rejected = params.update_on_unsuccessful and isinstance(
-        model, (LbfgsModel, Lsr1Model)
-    )
+    update_rejected = params.update_on_unsuccessful and isinstance(model, _PairModel)
     step_1d, step_tcg = newton_step_1d, solve_tcg
     isfinite = math.isfinite
     log = IterationLog()
@@ -306,7 +304,6 @@ def solve(
     # about (n + 2) u per accepted step (u = 2^-53), so twice it stays above
     # the computed |x| for far more steps than a run takes.
     xbound = _norm(x)
-    status = "max_iter"
 
     k = 0
     while True:

@@ -37,6 +37,12 @@ _E1 = np.ones(1)  # the unit vector of the base curvature_1d; read-only
 _E1.flags.writeable = False
 
 
+def _check_memory(memory: int) -> None:
+    """A limited-memory window holds at least one pair."""
+    if memory < 1:
+        raise ValueError("memory must be positive")
+
+
 def _doubles(v) -> array:
     """An array('d') copy of a float vector, filled in one block."""
     out = array("d")
@@ -172,8 +178,7 @@ class _PairModel(HessianModel):
 
     def __init__(self, dim, memory=DEFAULT_MEMORY):
         super().__init__(dim)
-        if memory < 1:
-            raise ValueError("memory must be positive")
+        _check_memory(memory)
         self.memory = memory
         self._W = np.empty((dim, 0))
         self._M = np.empty((0, 0))
@@ -202,11 +207,13 @@ class _PairModel(HessianModel):
         return True
 
     def _compact(self) -> tuple:
-        """(P, Lambda P^T, |B|) from the subclass's ``_factorize``; empty
-        when B = I."""
+        """(P, Lambda P^T, |B|) from ``_factorize``; empty when B = I."""
         if self._factors is None:
             self._factors = self._factorize() if self._W.shape[1] else ()
         return self._factors
+
+    def _factorize(self) -> tuple:
+        return self._spectral(self._W, self._M)  # of the whole window
 
     def _spectral(self, W, M) -> tuple:
         """(P, Lambda P^T, |B|) of B = I -/+ W M^{-1} W^T. The solve raises
@@ -248,9 +255,6 @@ class LbfgsModel(_PairModel):
     """
 
     _width = 2
-
-    def _factorize(self):
-        return self._spectral(self._W, self._M)
 
     def _columns(self, s, y):
         return s[:, None], y[:, None]
@@ -302,6 +306,7 @@ def build_model(
     dim: int | None = None,
 ) -> HessianModel:
     """Construct the model named by ``mode`` for a problem (or raw dim)."""
+    _check_memory(memory)
     if dim is None:
         if problem is None:
             raise ValueError("need a problem or an explicit dim")

@@ -50,10 +50,11 @@ def cauchy_point(g, B, radius: float) -> StepResult:
     )
 
 
-def solve_tcg_reference(g, B, radius: float, cg_tol=None, max_cg=None) -> StepResult:
+def solve_tcg_reference(g, B, radius: float) -> StepResult:
     """One-shot Steihaug truncated CG: the loop ``trfam.solve_tcg`` ran
     before it kept a path, with the model decrease read off a final
-    product s'Bs."""
+    product s'Bs. It stops inside on a residual <= min(0.1, sqrt|g|) |g|
+    or after n iterations, as ``SteihaugPath`` does."""
     g = np.asarray(g, dtype=float)
     n = g.size
     gnorm = np.linalg.norm(g)
@@ -61,10 +62,7 @@ def solve_tcg_reference(g, B, radius: float, cg_tol=None, max_cg=None) -> StepRe
         raise ValueError("zero gradient")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if cg_tol is None:
-        cg_tol = min(0.1, np.sqrt(gnorm))
-    if max_cg is None:
-        max_cg = n
+    cg_tol = min(0.1, np.sqrt(gnorm))
 
     def to_boundary(s, d):
         dd = float(d @ d)
@@ -79,7 +77,7 @@ def solve_tcg_reference(g, B, radius: float, cg_tol=None, max_cg=None) -> StepRe
     rr = gnorm**2
     iters = 0
     boundary = False
-    for _ in range(max_cg):
+    for _ in range(n):
         Bd = B.apply(d)
         dBd = float(d @ Bd)
         iters += 1

@@ -29,7 +29,8 @@ SWEEP_C = (0.5, 1.0)
 def lower_bound_reference(interp):
     """The per-segment np.roots loop that lower_bound replaced."""
     tc = interp.TAIL_CURVATURE
-    f, g, h, c2, c3 = interp._f, interp._g, interp._h, interp._c2, interp._c3
+    f, g, c2, c3 = interp._f, interp._g, interp._c2, interp._c3
+    h = np.diff(interp._x)
     best = float(f[0]) if g[0] <= 0 else float(f[0] - g[0] ** 2 / (2 * tc))
     right = float(f[-1]) if g[-1] >= 0 else float(f[-1] - g[-1] ** 2 / (2 * tc))
     best = min(best, right)
@@ -457,16 +458,24 @@ class TestVerifySharpness:
         assert hashlib.sha256(log_to_csv(report).encode()).hexdigest() == digest
 
     @staticmethod
-    def move_stored_f(monkeypatch, j, by):
-        """Make verify_sharpness replay instances whose f_j is moved."""
+    def edit_instances(monkeypatch, edit):
+        """Make verify_sharpness replay instances that ``edit`` changes in place."""
         original = adversarial.generate
 
-        def moved(spec, cap=adversarial.K_EPS_CAP):
+        def edited(spec, cap=adversarial.K_EPS_CAP):
             inst = original(spec, cap)
-            inst.f_vals[j] += by
+            edit(inst)
             return inst
 
-        monkeypatch.setattr(adversarial, "generate", moved)
+        monkeypatch.setattr(adversarial, "generate", edited)
+
+    def move_stored_f(self, monkeypatch, j, by):
+        """Make verify_sharpness replay instances whose f_j is moved."""
+
+        def move(inst):
+            inst.f_vals[j] += by
+
+        self.edit_instances(monkeypatch, move)
 
     def test_moved_f_value_is_a_rho_mismatch(self, monkeypatch):
         # f_50 enters rho at k = 49 (as f_k+1) and at k = 50 (as f_k), which
@@ -482,6 +491,43 @@ class TestVerifySharpness:
         self.move_stored_f(monkeypatch, 50, 1e-7)
         monkeypatch.setattr(adversarial, "ROUNDING_U", 1e-7)
         assert verify_sharpness(AdversarialSpec(0.1, 0.0))[0].passed
+
+    def test_miscounted_instance_is_an_iteration_count_mismatch(self, monkeypatch):
+        def miscount(inst):
+            inst.k_eps += 1
+
+        self.edit_instances(monkeypatch, miscount)
+        sharp, _ = verify_sharpness(AdversarialSpec(0.1, 0.0))
+        assert sharp.mismatches == [{"check": "iteration_count", "expected": 100, "observed": 99}]
+
+    def test_step_past_the_radius_is_a_step_inside_mismatch(self, monkeypatch):
+        # from delta0 = 1/32 the radius 2^(k-5) is below the Newton steps,
+        # about 0.2, at k = 0, 1, 2; a step solver that ignores the radius
+        # still walks the knots, with rho = 2
+        def shrink(inst):
+            inst.delta0 = 2.0**-5
+
+        self.edit_instances(monkeypatch, shrink)
+        newton = driver.newton_step_1d
+        monkeypatch.setattr(driver, "newton_step_1d", lambda g, B, radius: newton(g, B, math.inf))
+        sharp, report = verify_sharpness(AdversarialSpec(0.1, 0.0))
+        assert [(m["check"], m["k"]) for m in sharp.mismatches] == [
+            ("step_inside", 0), ("step_inside", 1), ("step_inside", 2)]
+        assert sharp.mismatches[0] == {"check": "step_inside", "k": 0, "snorm": 0.2,
+                                       "radius": 2.0**-5}
+        assert sharp.iterations == sharp.k_eps and not sharp.steps_inside
+
+    def test_final_gradient_off_eps_is_a_final_gradient_mismatch(self, monkeypatch):
+        # |g| at the last knot just below eps: the run still stops there
+        def shrink_last_slope(inst):
+            inst.g_vals[-1] *= 1.0 - 1e-6
+
+        self.edit_instances(monkeypatch, shrink_last_slope)
+        sharp, report = verify_sharpness(AdversarialSpec(0.1, 0.0))
+        assert sharp.mismatches == [
+            {"check": "final_gradient", "expected": 0.1, "observed": report.final_gnorm}]
+        assert report.final_gnorm == 0.1 * (1.0 - 1e-6)
+        assert sharp.iterations == sharp.k_eps
 
     @pytest.mark.parametrize("eps", [0.03, 0.01])
     def test_long_very_successful_streak_keeps_the_log_finite(self, eps):

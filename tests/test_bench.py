@@ -69,6 +69,16 @@ class TestRunMatrix:
         with pytest.raises(KeyError):
             run_matrix([RunSpec("nope", 0.0, 0.0)])
 
+    def test_repeated_cell_rejected_before_any_solve(self, monkeypatch):
+        # (1.0, 0) and (1, 0) are one variant, 1_0: four specs, one cell
+        solved = []
+        monkeypatch.setattr(bench, "solve_cell", lambda *args: solved.append(args))
+        specs = default_matrix_specs(variants=((1.0, 0.0), (1, 0)), problems=["sphere", "sphere"])
+        assert len(specs) == 4
+        with pytest.raises(ValueError, match="^a second cell for sphere, 1_0$"):
+            run_matrix(specs)
+        assert solved == []
+
     @pytest.mark.parametrize("exc", [bench.SolveError])
     def test_breakdown_is_an_error_cell(self, monkeypatch, tmp_path, exc):
         solve = bench.solve

@@ -71,6 +71,13 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", *flags, "--json")
         assert (code, out, err) == (2, "", f"usage error: {name} must be finite\n")
 
+    # build_model rejects a memory below 1 whatever the model, not only
+    # the limited-memory ones that keep a window
+    @pytest.mark.parametrize("flags", [("--mem=0",), ("--hessian", "zero", "--mem=-5")])
+    def test_memory_below_one_is_usage_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "solve", "--problem", "sphere", *flags)
+        assert (code, out, err) == (2, "", "usage error: memory must be positive\n")
+
     def test_unknown_problem_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--problem", "nessie")
         assert (code, out, err) == (1, "", "error: unknown problem name: 'nessie'\n")
@@ -182,6 +189,21 @@ class TestAdversarial:
             assert (code, err, len(calls)) == (0, "", 1)
         texts = {path.read_bytes() for path in paths.values()}
         assert [hashlib.sha256(t).hexdigest() for t in texts] == [self.FUNCTION_SHA256]
+
+    def test_failed_verification_is_domain_error(self, capsys, monkeypatch):
+        generate = adversarial.generate
+
+        def miscounted(*args, **kwargs):
+            inst = generate(*args, **kwargs)
+            inst.k_eps += 1
+            return inst
+
+        monkeypatch.setattr(adversarial, "generate", miscounted)
+        code, out, err = run_cli(capsys, "adversarial", "--p=0", "--eps=0.1", "--verify")
+        assert code == 1
+        assert "passed: False" in out.splitlines()
+        assert err == ("error: sharpness verification failed: "
+                       "[{'check': 'iteration_count', 'expected': 100, 'observed': 99}]\n")
 
     def test_unwritable_emit_function_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "no_such_dir" / "fn.csv"
@@ -384,12 +406,27 @@ class TestBenchProfile:
         (("--eps=0",), "eps must be positive"),
         (("--eps=inf",), "eps must be finite"),
         (("--hessian", "lbfgs", "--mem=0"), "memory must be positive"),
+        (("--mem=0",), "memory must be positive"),
+        (("--hessian", "zero", "--mem=-5"), "memory must be positive"),
     ])
     def test_rejected_run_setting_is_usage_error(self, capsys, tmp_path, flags, message):
         out_dir = tmp_path / "bench"
         code, out, err = run_cli(capsys, "bench", *flags, "--problems", "sphere",
                                  "--out", str(out_dir))
         assert (code, out, err) == (2, "", f"usage error: {message}\n")
+        assert not out_dir.exists()
+
+    # two variants or problems that name one cell, found before any cell runs
+    @pytest.mark.parametrize("flags,cell", [
+        (("--variants=0,0;0,0",), "sphere, 0_0"),
+        (("--variants=1,0;1.0,0",), "sphere, 1_0"),
+        (("--variants=0,1", "--problems=beale,sphere,beale"), "beale, 0_1"),
+    ])
+    def test_repeated_cell_is_usage_error(self, capsys, tmp_path, flags, cell):
+        out_dir = tmp_path / "bench"
+        code, out, err = run_cli(capsys, "bench", "--problems=sphere", *flags,
+                                 "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"usage error: a second cell for {cell}\n")
         assert not out_dir.exists()
 
     def test_overflowing_variant_fails_in_one_line(self, capsys, tmp_path):

@@ -21,7 +21,7 @@ from trfam import (
 )
 from trfam.bench import RunSpec, solve_cell
 from trfam.driver import SolveError, _fmt
-from trfam.hessians import ExactHessian, HessianModel
+from trfam.hessians import MODEL_KINDS, ExactHessian, HessianModel
 
 from oracles import (
     compact_apply_reference,
@@ -256,6 +256,12 @@ class TestUpdates:
         m = Lsr1Model(2)
         s = np.array([1.0, 2.0])
         assert not m.update(s, m.apply(s))
+
+    @pytest.mark.parametrize("mode", MODEL_KINDS)
+    @pytest.mark.parametrize("memory", [0, -5])
+    def test_memory_below_one_rejected_for_every_mode(self, mode, memory):
+        with pytest.raises(ValueError, match="^memory must be positive$"):
+            build_model(mode, get_problem("sphere"), memory=memory)
 
     def test_zero_step_rejected_loudly(self):
         for mode in ("lbfgs", "lsr1"):

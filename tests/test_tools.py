@@ -63,6 +63,17 @@ def load_digests(monkeypatch):
     return module
 
 
+def matrix_digest(monkeypatch, name: str) -> str:
+    """SHA-256 of the 96 seed-0 digest lines of matrix workload ``name``,
+    joined by newlines, as ``benchmarks/digests.py --seed 0`` prints them."""
+    digests = load_digests(monkeypatch)
+    workloads = digests.workloads
+    wl = workloads.matrix_exact(0, None) if name == "matrix-exact" else workloads.matrix_qn(0)
+    lines = digests.matrix_lines(name, wl)
+    assert len(lines) == 96
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 class TestMatrixExactDigest:
     """All 96 seed-0 matrix-exact cells pinned byte for byte, solved by
     ``benchmarks/digests.py`` as the benchmark solves them. The pin is the
@@ -75,10 +86,20 @@ class TestMatrixExactDigest:
     DIGEST = "f907a26ad6241dce997b9da483b658ef4deaa6095c6f39839f5dbaa0e55e1f5d"
 
     def test_seed0_digest_pinned(self, monkeypatch):
-        digests = load_digests(monkeypatch)
-        lines = digests.matrix_lines("matrix-exact", digests.workloads.matrix_exact(0, None))
-        assert len(lines) == 96
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+        assert matrix_digest(monkeypatch, "matrix-exact") == self.DIGEST
+
+
+class TestMatrixQnDigest:
+    """All 96 seed-0 matrix-qn cells (L-BFGS and L-SR1) pinned as
+    ``TestMatrixExactDigest`` pins matrix-exact: lines 97-192 of
+    ``digests.py --seed 0``. The compact factors go through LAPACK (QR,
+    ``eigh`` and ``solve``), so the pin holds for the numpy and LAPACK
+    build it was taken with."""
+
+    DIGEST = "1b6a0ffa56af34d170043434f86ea64d3c3412453fa7f347632cad3ceb703033"
+
+    def test_seed0_digest_pinned(self, monkeypatch):
+        assert matrix_digest(monkeypatch, "matrix-qn") == self.DIGEST
 
 
 class TestDigestsAgainst:
