@@ -176,6 +176,12 @@ class Interpolant1D:
     the cubic coefficients c2, c3, are kept once as array('d'): a point
     evaluation reads Python floats from them, and the whole-instance bounds
     read numpy views of the same memory. Widths are formed as needed.
+
+    A replay evaluates the knots in order, so a point evaluation first tries
+    the segment after the last one it used and bisects only on a miss. For
+    knots in non-decreasing order, as ``generate`` makes them, the segment
+    i with knots[i] <= x < knots[i + 1] is the one bisection finds, so the
+    values do not depend on the order of the calls.
     """
 
     TAIL_CURVATURE = 1.0  # positive, so the tails keep f bounded below
@@ -188,9 +194,10 @@ class Interpolant1D:
         self._x, self._f, self._g = _doubles(x), _doubles(f), _doubles(g)
         self._c2 = _doubles(3.0 * d - h * (2.0 * g[:-1] + g[1:]))
         self._c3 = _doubles(-2.0 * d + h * (g[:-1] + g[1:]))
+        self._next = 0  # the segment a point evaluation tries first
 
     def __call__(self, xq: float) -> tuple[float, float]:
-        """Return (f(x), f'(x))."""
+        """Return (f(x), f'(x)), and (nan, nan) at a NaN point."""
         x = float(xq)
         knots = self._x
         tc = self.TAIL_CURVATURE
@@ -198,7 +205,14 @@ class Interpolant1D:
             j = 0 if x < knots[0] else -1
             dx = x - knots[j]
             return self._f[j] + self._g[j] * dx + 0.5 * tc * dx * dx, self._g[j] + tc * dx
-        i = bisect_right(knots, x) - 1
+        # x is NaN or knots[0] <= x < knots[-1] here, so a segment i stays
+        # below the last knot; a cursor at the last knot fails knots[i] <= x
+        i = self._next
+        if not knots[i] <= x < knots[i + 1]:
+            if x != x:  # NaN fails every comparison: bisection would run off the end
+                return math.nan, math.nan
+            i = bisect_right(knots, x) - 1
+        self._next = i + 1
         h = knots[i + 1] - knots[i]
         t = (x - knots[i]) / h
         c2, c3 = self._c2[i], self._c3[i]

@@ -60,7 +60,12 @@ def _norm(v: Array) -> float:
 
     ``np.linalg.norm`` computes exactly ``sqrt(v.dot(v))`` for such a
     vector, so this is bit-identical to it, without the wrapper's checks.
+    For one element that dot is the single rounded product v0 * v0, which
+    Python floats form without numpy's per-call cost.
     """
+    if len(v) == 1:
+        x = float(v[0])
+        return math.sqrt(x * x)
     return math.sqrt(v.dot(v))
 
 

@@ -277,6 +277,28 @@ class TestInterpolant:
         ours = np.array([interp(x)[0] for x in xs])
         assert np.allclose(ours, oracle(xs), atol=1e-10)
 
+    def test_call_order_does_not_change_a_bit(self):
+        # one interpolant evaluated in shuffled order against a fresh one per
+        # point: every knot, segment interiors, both tails and repeats
+        inst = generate(AdversarialSpec(0.3, 0.5))
+        x = inst.knots_x
+        mid = x[:-1] + np.diff(x) * np.random.default_rng(2).uniform(0.0, 1.0, len(x) - 1)
+        tails = [x[0] - 1.0, x[0] - 1e-9, x[-1] + 1e-9, x[-1] + 2.0]
+        points = [*x, *mid, *tails, *x[::7], *mid[::5]]
+        np.random.default_rng(3).shuffle(points)
+        interp = build_interpolant(inst)
+        for p in points:
+            got, want = interp(p), build_interpolant(inst)(p)
+            assert [bits(v) for v in got] == [bits(v) for v in want], p
+
+    def test_nan_point_gives_nan(self):
+        # as the first call, and after a call has moved the segment cursor
+        inst = generate(AdversarialSpec(0.5, 0.5))
+        interp = build_interpolant(inst)
+        for xq in (math.nan, inst.knots_x[2], math.nan):
+            val, slope = interp(xq)
+            assert math.isnan(val) == math.isnan(slope) == math.isnan(xq)
+
     def test_tail_curvature_is_one(self):
         inst = generate(AdversarialSpec(0.5, 0.0))
         interp = build_interpolant(inst)
@@ -516,6 +538,19 @@ class TestVerifySharpness:
         assert sharp.mismatches[0] == {"check": "step_inside", "k": 0, "snorm": 0.2,
                                        "radius": 2.0**-5}
         assert sharp.iterations == sharp.k_eps and not sharp.steps_inside
+
+    def test_nan_curvature_is_a_report_with_mismatches(self, monkeypatch):
+        # with beta != 0 a NaN B_3 makes the radius and the step at k = 3
+        # NaN; the interpolant gives NaN there, so the step is rejected and
+        # the replay goes on one iteration late instead of raising
+        def spoil_curvature(inst):
+            inst.B_vals[3] = math.nan
+
+        self.edit_instances(monkeypatch, spoil_curvature)
+        sharp, report = verify_sharpness(AdversarialSpec(0.1, 0.0, beta=1.0))
+        assert report.status == "first_order" and sharp.iterations == 100
+        assert [(m["check"], m.get("k")) for m in sharp.mismatches] == [
+            ("iteration_count", None), ("rho", 3), ("step_inside", 3)]
 
     def test_final_gradient_off_eps_is_a_final_gradient_mismatch(self, monkeypatch):
         # |g| at the last knot just below eps: the run still stops there

@@ -80,6 +80,21 @@ class TestNorm:
             v = np.array(v)
             assert bits(_norm(v)) == bits(np.linalg.norm(v)), v
 
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
+    def test_one_element_is_the_dot_product(self):
+        # _norm forms v0 * v0 in Python floats for one element: the same
+        # single rounded product as v.dot(v), also where the square
+        # underflows (near 1e-154 and below) or overflows (near 1e154)
+        rng = np.random.default_rng(5)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                    1.4916681462400413e-154, 1.5e-154, 1e-162, 1.3407807929942596e154,
+                    1.35e154, -1e160, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+        near = [c * (1.0 + d) for c in (1e-154, 1.34e154) for d in rng.uniform(-0.02, 0.02, 500)]
+        spread = rng.standard_normal(5000) * 10.0 ** rng.uniform(-320, 308, 5000)
+        for x in [*specials, *near, *spread]:
+            v = np.array([x])
+            assert bits(_norm(v)) == bits(math.sqrt(v.dot(v))), x
+
 
 class TestCauchyPoint:
     def test_interior_spd(self):

@@ -102,6 +102,21 @@ class TestMatrixQnDigest:
         assert matrix_digest(monkeypatch, "matrix-qn") == self.DIGEST
 
 
+class TestWorstCaseDigest:
+    """The seed-0 worst-case workload pinned as the matrix workloads are:
+    the SHA-256 of its three replay lines and six audit lines from
+    ``digests.worst_case_lines(0)``, joined by newlines. The replays use
+    scalar IEEE arithmetic, but the audits go through numpy reductions and
+    the C math library, so the pin holds for the builds it was taken with."""
+
+    DIGEST = "3687ff45bd33a05790066b19a4b4891f4b3ee26a717e95d35acd5cf12cb21806"
+
+    def test_seed0_digest_pinned(self, monkeypatch):
+        out, audits = load_digests(monkeypatch).worst_case_lines(0)
+        assert (len(out), len(audits)) == (3, 6)
+        assert hashlib.sha256("\n".join(out + audits).encode()).hexdigest() == self.DIGEST
+
+
 class TestDigestsAgainst:
     BEFORE = [
         "matrix-exact a/exact/0_0 d1 e1 first_order 5 6 6",
