@@ -10,13 +10,22 @@ with two wrappers on the model instance, so the program itself is unchanged:
 ``update`` records the pairs it admits, and ``apply`` compares each product
 with ``compact_apply_reference`` over the last ``memory`` of them, which
 solves with M on every call. A product is off when
-|Bv - ref| > 1e-9 |ref|. Prints one line per product that is off,
+|Bv - ref| > 1e-9 |ref|. That reference is a float64 solve with its own
+rounding, so each product it flags is checked again against
+``compact_apply_exact``, the product in exact rational arithmetic. Prints
+one line per flagged product,
 
-    off label error cond(M)
+    off label error cond(M) exact-error
 
-with cond(M) the 2-norm condition number of the whole window's M, then the
-number of products and of those off. ``--cell`` keeps only the cells whose
-label contains one of the given substrings.
+with cond(M) the 2-norm condition number of the whole window's M and
+exact-error the relative error against the exact product, then the number
+of products, and of those off against the exact product and against the
+float reference,
+
+    products: N, off by more than 1e-09 relative: E against the exact product of the float check's F
+
+``--cell`` keeps only the cells whose label contains one of the given
+substrings.
 """
 
 from __future__ import annotations
@@ -31,15 +40,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
-from oracles import compact_apply_reference, compact_windows  # noqa: E402
+from oracles import (  # noqa: E402
+    compact_apply_exact,
+    compact_apply_reference,
+    compact_windows,
+)
 from trfam import bench  # noqa: E402
 from trfam.hessians import build_model  # noqa: E402
 
 RTOL = 1e-9
 
 
-def check_cell(cell) -> tuple[int, list[tuple[float, float]]]:
-    """(products, [(error, cond(M)) of each product that is off]) of one cell."""
+def relative_error(actual, ref) -> float:
+    return float(np.linalg.norm(actual - ref) / np.linalg.norm(ref))
+
+
+def check_cell(cell) -> tuple[int, list[tuple[float, float, float]]]:
+    """(products, [(error, cond(M), exact error) of each flagged product])
+    of one cell."""
     spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
                          max_iter=cell.max_iter)
     model = build_model(spec.hessian, cell.problem, memory=spec.memory)
@@ -58,12 +76,14 @@ def check_cell(cell) -> tuple[int, list[tuple[float, float]]]:
         nonlocal count
         out = apply(v)
         window = admitted[-model.memory:]
-        ref = compact_apply_reference(cell.hessian, window, 1.0, np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        ref = compact_apply_reference(cell.hessian, window, 1.0, v)
         count += 1
-        error = np.linalg.norm(out - ref)
-        if error > RTOL * np.linalg.norm(ref):
+        error = relative_error(out, ref)
+        if error > RTOL:
             _, M, _ = next(compact_windows(cell.hessian, window, 1.0))
-            off.append((error / np.linalg.norm(ref), np.linalg.cond(M)))
+            exact = np.array(compact_apply_exact(cell.hessian, window, v))
+            off.append((error, np.linalg.cond(M), relative_error(out, exact)))
         return out
 
     model.update, model.apply = update_recorded, apply_checked
@@ -81,14 +101,16 @@ def main(argv=None) -> int:
              if not args.cell or any(pat in cell.label for pat in args.cell)]
     if not cells:
         ap.error("no cell matches --cell")
-    products = off = 0
+    products = off = exact_off = 0
     for cell in cells:
         count, errors = check_cell(cell)
         products += count
         off += len(errors)
-        for error, cond in errors:
-            print(f"off {cell.label} {error:.3g} {cond:.3g}", flush=True)
-    print(f"products: {products}, off by more than {RTOL:g} relative: {off}")
+        for error, cond, exact_error in errors:
+            exact_off += exact_error > RTOL
+            print(f"off {cell.label} {error:.3g} {cond:.3g} {exact_error:.3g}", flush=True)
+    print(f"products: {products}, off by more than {RTOL:g} relative: {exact_off} against "
+          f"the exact product of the float check's {off}")
     return 0
 
 

@@ -31,6 +31,14 @@ prints one line per cell whose line differs, with status and iterations
 before -> after ("-" for a cell on one side only, "(rho only)" where just
 the rho column differs), one line per audit that differs, or the single
 line ``no changed cells``.
+
+    python3 benchmarks/digests.py --seed 0 --against before.txt --floor floor.txt
+
+also ends each changed cell's line with its verdict from ``floor.txt``, a
+saved ``benchmarks/sensitivity.py`` output of the commit ``before.txt``
+came from: ``fragile`` when some perturbed run of the cell ended with
+another status, ``stable`` when none did, and ``no floor`` for a cell that
+output does not list.
 """
 
 from __future__ import annotations
@@ -113,19 +121,38 @@ def parse(lines) -> tuple[dict, dict]:
     return cells, audits
 
 
-def changes(before, after) -> list[str]:
+def fragile(floor) -> dict:
+    """{(workload, label): whether the cell is fragile} of a
+    ``sensitivity.py`` output: its cell lines read
+    ``workload label status iterations | status:count ... | spread``, and a
+    cell is fragile when a status other than its own was seen."""
+    out = {}
+    for ln in floor:
+        head, *parts = ln.split(" | ")
+        if len(parts) == 2:
+            workload, label, status, _ = head.split()
+            seen = {item.rpartition(":")[0] for item in parts[0].split()}
+            out[(workload, label)] = seen != {status}
+    return out
+
+
+def changes(before, after, floor=None) -> list[str]:
     """What differs from output ``before`` to output ``after``, one line per
-    cell or audit, or ``["no changed cells"]``."""
+    cell or audit, or ``["no changed cells"]``. With ``floor``, the lines of
+    a ``sensitivity.py`` output, each cell line ends with its verdict."""
     old_cells, old_audits = parse(before)
     new_cells, new_audits = parse(after)
+    verdicts = None if floor is None else fragile(floor)
     out = []
     for key in {**old_cells, **new_cells}:
         old, new = old_cells.get(key), new_cells.get(key)
         if old != new:
             state = [f"{c[2]} {c[3]}" if c else "-" for c in (old, new)]
             rho_only = old and new and old[1:] == new[1:]
+            verdict = "" if verdicts is None else " " + {
+                True: "fragile", False: "stable", None: "no floor"}[verdicts.get(key)]
             out.append(f"{key[0]} {key[1]} {state[0]} -> {state[1]}"
-                       + (" (rho only)" if rho_only else ""))
+                       + (" (rho only)" if rho_only else "") + verdict)
     for key in {**old_audits, **new_audits}:
         if old_audits.get(key) != new_audits.get(key):
             out.append(f"audit {key[0]} {key[1]} changed")
@@ -137,13 +164,19 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--against", type=Path, metavar="FILE",
                     help="a saved output of the same seed; print only what differs from it")
+    ap.add_argument("--floor", type=Path, metavar="FILE",
+                    help="with --against: a saved sensitivity.py output of the same seed; "
+                         "end each changed cell's line with fragile or stable")
     args = ap.parse_args(argv)
+    if args.floor is not None and args.against is None:
+        ap.error("--floor needs --against")
     lines = (matrix_lines("matrix-exact", workloads.matrix_exact(args.seed, None))
              + matrix_lines("matrix-qn", workloads.matrix_qn(args.seed)))
     worst, audits = worst_case_lines(args.seed)
     lines += worst
     if args.against is not None:
-        for ln in changes(args.against.read_text().splitlines(), lines + audits):
+        floor = None if args.floor is None else args.floor.read_text().splitlines()
+        for ln in changes(args.against.read_text().splitlines(), lines + audits, floor):
             print(ln)
         return 0
     for ln in lines:

@@ -6,15 +6,16 @@ products), ``update`` (pair ingestion with the usual safeguards),
 The limited-memory models start from B0 = I.
 Limited-memory products use the direct compact representation (Byrd,
 Nocedal and Schnabel 1994), not the inverse form, because both the
-subproblem and the agreement ratio consume B v. It is kept in spectral
-form (Erway and Marcia 2015; Brust, Erway and Marcia 2017): an
-orthonormal basis Q of the range of the n x k factor W, with W = QR,
-reduces B = I -/+ W M^{-1} W^T to the small eigenproblem
-R M^{-1} R^T = U Lambda U^T, k <= 2 * memory, so B = I -/+ P Lambda P^T
-with P = QU. W and M are kept and bordered once per admitted pair (Byrd,
-Nocedal and Schnabel 1994, section 4), and the spectral factors built from
-them once; a product is two thin matvecs, and ``operator_norm`` reads the
-exact |B| off the end eigenvalues.
+subproblem and the agreement ratio consume B v. W and M of
+B = I -/+ W M^{-1} W^T are kept and bordered once per admitted pair
+(Byrd, Nocedal and Schnabel 1994, section 4), and from them two factors
+are built once: K = M^{-1} W^T, so a product v -/+ W (K v) is two thin
+matvecs, and |B|. The norm needs only eigenvalues: with R the triangular
+factor of W = QR (Q orthonormal, never formed; R = W when W has no more
+rows than columns), the nonzero spectrum of W M^{-1} W^T is that of the
+small matrix R M^{-1} R^T, at most 2 * memory square (Erway and Marcia
+2015; Brust, Erway and Marcia 2017), and ``operator_norm`` reads the exact
+|B| off its end eigenvalues. One solve with M gives both K and M^{-1} R^T.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class _PairModel(HessianModel):
 
     A pair that ``_admits`` passes borders both once: its ``_width`` columns
     go on the end of W, and one product s^T W gives its rows of M; eviction
-    drops the leading columns and block. P, Lambda P^T and |B| are built
+    drops the leading columns and block. K = M^{-1} W^T and |B| are built
     from W and M on first use after an admitted pair, and reused until the
     next one."""
 
@@ -207,36 +208,41 @@ class _PairModel(HessianModel):
         return True
 
     def _compact(self) -> tuple:
-        """(P, Lambda P^T, |B|) from ``_factorize``; empty when B = I."""
+        """(W, K, |B|) from ``_factorize``; empty when B = I."""
         if self._factors is None:
             self._factors = self._factorize() if self._W.shape[1] else ()
         return self._factors
 
     def _factorize(self) -> tuple:
-        return self._spectral(self._W, self._M)  # of the whole window
+        return self._product_factors(self._W, self._M)  # of the whole window
 
-    def _spectral(self, W, M) -> tuple:
-        """(P, Lambda P^T, |B|) of B = I -/+ W M^{-1} W^T. The solve raises
-        ``LinAlgError`` when M is singular."""
+    def _product_factors(self, W, M) -> tuple:
+        """(W, K = M^{-1} W^T, |B|) of B = I -/+ W M^{-1} W^T. The solve
+        raises ``LinAlgError`` when M is singular."""
         n, width = W.shape
-        # Q is orthonormal even when W is rank-deficient; for n <= width the
-        # identity already is an orthonormal basis of range(W), with R = W
-        Q, R = np.linalg.qr(W) if n > width else (None, W)
-        lam, U = np.linalg.eigh(R @ np.linalg.solve(M, R.T), UPLO="L")
-        P = U if Q is None else Q @ U
+        if n > width:
+            # R of W = QR, with Q orthonormal even when W is rank-deficient;
+            # for n <= width the identity already is such a Q, with R = W
+            R = np.linalg.qr(W, mode="r")
+            KR = np.linalg.solve(M, np.concatenate((W.T, R.T), axis=1))
+            K, RMR = KR[:, :n], R @ KR[:, n:]
+        else:
+            K = np.linalg.solve(M, W.T)
+            RMR = W @ K
+        lam = np.linalg.eigvalsh(RMR, UPLO="L")
         # |1 -/+ lambda| is largest at an end of the ascending spectrum
         combine = self._combine
         norm = max(abs(combine(1.0, float(lam[0]))), abs(combine(1.0, float(lam[-1]))))
         if n > width:
-            norm = max(norm, 1.0)  # B = I on the complement of range(P)
-        return P, lam[:, None] * P.T, norm
+            norm = max(norm, 1.0)  # B = I on the complement of range(W)
+        return W, K, norm
 
     def _apply(self, v):
         factors = self._compact()
         if not factors:
             return v.copy()
-        P, LPt, _ = factors
-        return self._combine(v, P @ (LPt @ v))
+        W, K, _ = factors
+        return self._combine(v, W @ (K @ v))
 
     def operator_norm(self):
         factors = self._compact()
@@ -284,7 +290,7 @@ class Lsr1Model(_PairModel):
         W, M = self._W, self._M
         for start in range(W.shape[1]):
             try:
-                return self._spectral(W[:, start:], M[start:, start:])
+                return self._product_factors(W[:, start:], M[start:, start:])
             except np.linalg.LinAlgError:
                 continue  # window made M singular; shed its oldest pair
         return ()

@@ -195,6 +195,13 @@ class SteihaugPath:
         else:  # the path ends inside at s_i, i >= 1, whose norm is stored
             step = StepResult(self._s[i], self._dec[i], False, i, trial_norm[i - 1])
         if not math.isfinite(step.model_decrease):
+            if step.model_decrease == math.inf:
+                # an overflow, not the NaN of an ill-posed model: as where the
+                # radius sits at the driver's 1e150 clip and the curvature
+                # term along a direction of negative curvature leaves the
+                # float range
+                raise SolveError(f"non-finite model decrease: it overflows at radius "
+                                 f"{radius:g}; the objective may be unbounded below")
             raise SolveError("non-finite model decrease: ill-posed model")
         return step
 
@@ -221,7 +228,8 @@ def solve_tcg(
     ``path`` is a ``SteihaugPath`` of this g and B that earlier calls may
     have walked; it is walked again and extended only where this radius
     needs it. Without one, a fresh path is built. A non-finite decrease
-    raises SolveError.
+    raises SolveError; one that overflows to +inf names the radius, since
+    the objective may be unbounded below.
     """
     if path is None:
         path = SteihaugPath(g, B)

@@ -9,6 +9,8 @@ them from the pairs. ``benchmarks/compact_accuracy.py`` reads the compact
 oracles too.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from trfam import ExactHessian, StepResult
@@ -159,3 +161,62 @@ def compact_norm_reference(mode, pairs, n):
         norm = float(np.max(np.abs(1.0 + sign * np.linalg.eigvalsh(0.5 * (C + C.T)))))
         return max(norm, 1.0) if n > Q.shape[1] else norm
     return 1.0
+
+
+def _solve_exact(M, b):
+    """x with M x = b, by Gaussian elimination in rational arithmetic; None
+    when M is singular."""
+    k = len(b)
+    A = [list(row) + [bi] for row, bi in zip(M, b)]
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if A[r][c]), None)
+        if pivot is None:
+            return None
+        A[c], A[pivot] = A[pivot], A[c]
+        for r in range(c + 1, k):
+            f = A[r][c] / A[c][c]
+            if f:
+                A[r] = [a - f * p for a, p in zip(A[r], A[c])]
+    x = [Fraction(0)] * k
+    for c in reversed(range(k)):
+        x[c] = (A[c][k] - sum(A[c][j] * x[j] for j in range(c + 1, k))) / A[c][c]
+    return x
+
+
+def compact_apply_exact(mode, pairs, v) -> list[float]:
+    """Oracle: the compact-form product B v with sigma = 1 in exact rational
+    arithmetic (``fractions.Fraction``, standard library only), each entry
+    rounded once to the nearest float. The pairs and v are read as the
+    exact values of their floats, and W and M are built from them as
+    ``compact_windows`` builds them, with no rounding. L-SR1 sheds its
+    oldest pair while M is exactly singular; a singular L-BFGS M raises
+    ZeroDivisionError."""
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+    v = [Fraction(x) for x in v]
+    pairs = [([Fraction(x) for x in s], [Fraction(x) for x in y]) for s, y in pairs]
+    for start in range(len(pairs)):
+        S = [s for s, _ in pairs[start:]]
+        Y = [y for _, y in pairs[start:]]
+        k = len(S)
+        SS = [[dot(a, b) for b in S] for a in S]
+        SY = [[dot(a, b) for b in Y] for a in S]
+        if mode == "lbfgs":
+            # [[S'S, L], [L', -D]]: L strictly lower of S'Y, D its diagonal
+            W, sign = S + Y, -1
+            M = [SS[i] + [SY[i][j] if i > j else 0 for j in range(k)] for i in range(k)]
+            M += [[SY[j][i] if j > i else 0 for j in range(k)]
+                  + [-SY[i][i] if i == j else 0 for j in range(k)] for i in range(k)]
+        else:
+            # D + L + L' - S'S, over the columns of Y - S
+            W, sign = [[b - a for a, b in zip(s, y)] for s, y in zip(S, Y)], 1
+            M = [[SY[max(i, j)][min(i, j)] - SS[i][j] for j in range(k)] for i in range(k)]
+        z = _solve_exact(M, [dot(w, v) for w in W])
+        if z is None:
+            if mode == "lbfgs":
+                raise ZeroDivisionError("singular L-BFGS M")
+            continue
+        return [float(vi + sign * sum((zj * w[i] for zj, w in zip(z, W)), Fraction(0)))
+                for i, vi in enumerate(v)]
+    return [float(vi) for vi in v]

@@ -11,6 +11,7 @@ from trfam.cli import main
 from trfam.driver import SolveError, TrParams
 
 from test_driver import BUDGET_RULES
+from test_properties import quadratic
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +86,15 @@ class TestSolve:
     def test_infinite_eps_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock", "--eps=inf", "--json")
         assert (code, out, err) == (2, "", "usage error: eps must be finite\n")
+
+    def test_unbounded_objective_is_one_error_line(self, capsys, monkeypatch):
+        problem, _ = quadratic(0, 2, True)  # indefinite: unbounded below
+        monkeypatch.setattr(cli, "get_problem", lambda name: problem)
+        code, out, err = run_cli(capsys, "solve", "--problem", "quadratic", "--hessian", "exact",
+                                 "--eps", "1e-6", "--max-iter", "3000")
+        assert (code, out) == (1, "")
+        assert err == ("error: non-finite model decrease: it overflows at radius 1e+150; "
+                       "the objective may be unbounded below\n")
 
     def test_overflowing_trial_step_leaves_stderr_empty(self, capsys):
         # the driver rejects the overflowing trial f; numpy warned of it

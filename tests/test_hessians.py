@@ -24,6 +24,7 @@ from trfam.driver import SolveError, _fmt
 from trfam.hessians import MODEL_KINDS, ExactHessian, HessianModel
 
 from oracles import (
+    compact_apply_exact,
     compact_apply_reference,
     compact_norm_reference,
     compact_windows,
@@ -48,13 +49,14 @@ def sr1_dense_recursion(pairs, n, sigma=1.0):
     return B
 
 
-# The models keep the compact form in spectral form, B = I -/+ P Lambda P^T,
-# while the oracles below solve with M on every call, so the two agree to
-# rounding only. The tolerance is about 900 float64 unit roundoffs
-# (u = 2^-53), for sums of at most 10 terms on these well-conditioned
-# windows; the largest relative deviation seen over the TestCompactFactors
-# cases is 3.5e-15 for a product (as |Bv - ref| / |ref|) and 1.2e-15 for
-# a norm. Any error in the formula is far larger.
+# The models keep K = M^{-1} W^T from one solve per window and read |B| off
+# the eigenvalues of R M^{-1} R^T, R the triangular factor of W, while the
+# oracles below solve with M on every call and take the thin QR's Q too, so
+# the two agree to rounding only. The tolerance is about 900 float64 unit
+# roundoffs (u = 2^-53), for sums of at most 10 terms on these
+# well-conditioned windows; the largest relative deviation seen over the
+# TestCompactFactors cases is 6.2e-15 for a product (as |Bv - ref| / |ref|)
+# and 1.5e-14 for a norm. Any error in the formula is far larger.
 COMPACT_RTOL = 1e-13
 
 
@@ -175,7 +177,8 @@ class TestCompactFactors:
         m.operator_norm()  # build this window's factors: each QR counted below is a new pair's
         calls = []
         qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda W: calls.append(W.shape) or qr(W))
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda W, mode="reduced": calls.append(W.shape) or qr(W, mode=mode))
         for s, y in curved_pairs(rng, n, 3):
             assert m.update(s, y)
             admitted.append((s, y))
@@ -187,6 +190,28 @@ class TestCompactFactors:
             calls.clear()
         dense = float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(m)))))
         assert abs(m.operator_norm() - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("n", [4, 9])
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    def test_factors_need_no_eigenvectors(self, monkeypatch, mode, n):
+        # |B| comes from eigvalsh and products from K = M^{-1} W^T: no eigh,
+        # and a QR that forms no Q
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        modes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "qr", lambda W, mode="reduced": modes.append(mode)
+                            or qr(W, mode=mode))
+        rng = np.random.default_rng(19)
+        m = build_model(mode, dim=n, memory=4)
+        v = rng.standard_normal(n)
+        for _ in range(6):
+            assert feed_pairs(m, rng, 1)
+            m.apply(v)
+            m.operator_norm()
+        assert set(modes) == {"r"}  # early windows take a QR at n = 4 too
 
     def test_lsr1_window_with_cond_m_near_1e15(self):
         # the pattern of the singular-window test, with y2 = s2 + (delta, 0):
@@ -208,6 +233,25 @@ class TestCompactFactors:
             assert np.linalg.norm(m.apply(v) - B @ v) <= bound
         dense = float(np.max(np.abs(np.linalg.eigvalsh(B))))
         assert abs(m.operator_norm() - dense) <= 1e-14 * dense
+
+    def test_exact_oracle_on_the_cond_m_near_1e15_window(self):
+        # the window above: the model's products are within 1e-14 |B| |v| of
+        # the dense B's, and the rational-arithmetic product agrees with them
+        delta = 8e-15
+        m = Lsr1Model(2, memory=2)
+        steps = [([1.0, 2.0], [-1.0, 1.0]), ([-2.0, 0.0], [-2.0 + delta, 0.0]),
+                 ([-2.0, 2.0], [2.0, -2.0])]
+        for s, y in steps:
+            assert m.update(np.array(s), np.array(y))
+        window = [(np.array(s), np.array(y)) for s, y in steps[1:]]
+        B = dense_matrix(m)
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            v = rng.standard_normal(2)
+            bound = 1e-14 * np.linalg.norm(B) * np.linalg.norm(v)
+            Bv = m.apply(v)
+            assert np.linalg.norm(Bv - B @ v) <= bound
+            assert np.linalg.norm(np.array(compact_apply_exact("lsr1", window, v)) - Bv) <= bound
 
 
 class TestBorderedWindows:
@@ -525,36 +569,36 @@ class TestCompactPathDigests:
     # label: (digest of the log, digest of the log without its rho column)
     DIGESTS = {
         "rosenbrock/lbfgs": (
-            "f51a64625e68e40af874c9c86cafdd06bdf9616a76c3a0c17bdc2461e071845d",
-            "fd82d6758685359781239c2aa32159b7ca664fcbefcbc2fc60c794681fc7a6dc",
+            "c1851050c73ab18827c5bc518ff9159c5bb253c945ddcb121b88d4abb3469386",
+            "9ded727358bd30e1db068163d8c94de5c923396ff79b9417e85300ab3a92120a",
         ),
         "rosenbrock/lsr1": (
-            "93d36e6264ff616331c9df314a82f0656446590dc87477dd45db3050401b0141",
-            "13e8efe11674de191949b5a48d901260cfb9984f6364f81aa977465b51610491",
+            "d7a952df5884908ff1dc145134b3283f91aa8c1e8d11f9a9d3801e083fb357d4",
+            "4f2a4241bad8037a025190d8f9ad0da8a1bbf4aa28142e7c3deead6c5800553a",
         ),
         "trigonometric/lbfgs": (
-            "88a6b4f0d944dd9cb81289c32a2dc488377be5e862e21cc9dac7a48897fd6526",
-            "c342dc98a74885744b9f6b4b85fbe3e918640939e58256ffa4dd5ecf002860ec",
+            "1418f1a9cfdd96cc144fb21369a9523c1907808ce25052dd50bc9f5ce5dd86b4",
+            "7e4a639ef76e6b10a0a7b1010e3d4a82048bda49f69e394787900e37f77f3f62",
         ),
         "trigonometric/lsr1": (
-            "98761e4e980ac9a894f03a4d8d627bf11e7817b1b66abdcff14ece98e9c0d309",
-            "5bdb19df706b1f8144418ad26cf43e414a8cb94940b90ca86eba9ce0d826608d",
+            "dc7f1231d170afe10cb24d34d70d5c1f2bfca1f6121b8bf52f202de4a9d35a91",
+            "e6f8cd07f7565e7532cb93cd45adbb9cae57261d56904ef6246c0c876be4e6ca",
         ),
         "arwhead/lbfgs": (
-            "0361d8df0425acbb95a5fc88f6998f03220a9ad31dad99ab2a73afba85688e7e",
-            "2d1ada5235b48f355db34cb5a469489c60a7960613cb2e3b07a72dd49e7c371a",
+            "d5f28e3abc21bde3970aec1ecf4a8c55e8d5e3d829ff6aabb3492f5c329b4a2e",
+            "0d31d3cba359523d2c878499b4ad01f46b97a0d2ad4ea437a529148d1acc8456",
         ),
         "arwhead/lsr1": (
-            "cfb245c95aa641d9f17597cfb5abda615b4a88104a228ff7f59e3678ac1080f2",
-            "80f3f4030f89d0a3914f39108c8ddc7c131943d443298c33c7ad03441c139586",
+            "b76615ae7af15d66e036721fed977de3eabfb4f0cc3fab975b29a80fa2542813",
+            "e5d6c0308bb38813cab5e0511fc1d58ac375841599ac19a8b15f9dbcfe4fdbe1",
         ),
         "cliff/lbfgs": (
-            "e115f281dfb4f5535c6b1ac2317fd2e19022c9078b8f4892f1e23ac46aa4666f",
-            "d13884c3ada8c945e7da33b2474313ce2165af8001b47cf1058845a4ae394418",
+            "35a861f8f0590e5d2a663b2b3238426c80e90ebc32428e94758f92df8476f1bd",
+            "7cc54ec74429131f5b8c10e577936bf7e35e1c1605a6f4ceb9f7a263d5579016",
         ),
         "cliff/lsr1": (
-            "97bfec2629c6e652fc872c3cbc2be1d7977b5d0979d356daf8bbc59901c03361",
-            "9c2ac89f6fe6284be3be575115eab52d7f12c10b90030822aeef328bdf1e9c97",
+            "4c05b118b872a5602ee6a54bdf00551f0e5250533bc90b73ea9b3ee7210e254d",
+            "48f805f45a33ba7a103be6a9e462f24c7f56271e8e45bba734c48f46551267ef",
         ),
     }
 

@@ -6,15 +6,25 @@ The one NaN a passing run logs is rho's on a step whose model decrease is
 below the driver's floor: it divides by nothing there. On the built-in
 problems the a_k and model-decrease checks of ``check_run_invariants`` are
 left out: with an estimated Lipschitz constant they are diagnostics, not
-guarantees. On quadratics L = |A|_2 is exact, and both are checked.
+guarantees. On quadratics L = |A|_2 is exact, and both are checked; on
+positive definite ones f_low is exact too, and the iteration bounds that
+``audit_run`` checks hold.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trfam import Problem, TrParams, build_model, builtin_collection, check_run_invariants, solve
-from trfam.driver import _DECREASE_FLOOR, _FLOAT_COLUMNS, RADIUS_MODES, SolveError
+from trfam.bounds import BoundInputs, audit_run
+from trfam.driver import (
+    _DECREASE_FLOOR,
+    _FLOAT_COLUMNS,
+    RADIUS_MODES,
+    SolveError,
+    theoretical_a_min,
+)
 
 PROBLEMS = builtin_collection()
 MAX_ITER = 60
@@ -104,3 +114,49 @@ def test_lemmas_hold_on_quadratics_before_the_floor(seed, n, indefinite, mode, a
     for issue in check_run_invariants(report, params, L):
         assert "delta update" not in issue and "moved the iterate" not in issue, issue
         assert int(issue.split(":")[0].removeprefix("k=")) >= streak, issue
+
+
+@derandomized
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    mode=st.sampled_from(["exact", "lbfgs", "lsr1"]),
+    alpha=unit,
+    beta=unit,
+    radius_mode=st.sampled_from(RADIUS_MODES),
+)
+def test_bounds_hold_on_convex_quadratics(seed, n, mode, alpha, beta, radius_mode):
+    """The paper's iteration bounds, audited where their inputs are exact:
+    on a positive definite quadratic f_low is the minimum less 1e-9
+    (1 + |f*|) and L = |A|_2. Every first_order run passes ``audit_run``
+    for p in {0, 0.5, 1} and both counters."""
+    problem, L = quadratic(seed, n, False)
+    params = TrParams(alpha=alpha, beta=beta, radius_mode=radius_mode)
+    try:
+        # max_iter sized with the example count to run in about 2 s
+        report = solve(problem, params, build_model(mode, problem), eps=1e-6, max_iter=500)
+    except SolveError:
+        return
+    if report.status != "first_order":
+        return
+    A, b = problem.eval_hess(problem.x0), problem.eval_grad(np.zeros(n))
+    f_star = -0.5 * float(b @ np.linalg.solve(A, b))
+    a_min = theoretical_a_min(report.log.a_k[0], params, L)
+    for p in (0.0, 0.5, 1.0):
+        inputs = BoundInputs(params, f0=problem.eval_f(problem.x0),
+                             f_low=f_star - 1e-9 * (1 + abs(f_star)), a_min=a_min, mu=1.0,
+                             p=p, eps=1e-6, L=L)
+        for assumption in ("successful_counter", "iteration_counter"):
+            audit = audit_run(report, inputs, assumption)
+            assert audit.passed, (p, assumption, audit.checks)
+
+
+def test_unbounded_quadratic_names_the_overflow_at_the_clip():
+    """An indefinite quadratic is unbounded below: the radius grows to the
+    1e150 clip, where the boundary decrease along negative curvature
+    overflows. The error names the radius and the objective, not the model."""
+    problem, _ = quadratic(0, 2, True)
+    with np.errstate(all="ignore"), pytest.raises(
+            SolveError, match=r"^non-finite model decrease: it overflows at radius 1e\+150; "
+                              r"the objective may be unbounded below$"):
+        solve(problem, TrParams(), build_model("exact", problem), eps=1e-6, max_iter=3000)

@@ -93,10 +93,10 @@ class TestMatrixQnDigest:
     """All 96 seed-0 matrix-qn cells (L-BFGS and L-SR1) pinned as
     ``TestMatrixExactDigest`` pins matrix-exact: lines 97-192 of
     ``digests.py --seed 0``. The compact factors go through LAPACK (QR,
-    ``eigh`` and ``solve``), so the pin holds for the numpy and LAPACK
+    ``solve`` and ``eigvalsh``), so the pin holds for the numpy and LAPACK
     build it was taken with."""
 
-    DIGEST = "1b6a0ffa56af34d170043434f86ea64d3c3412453fa7f347632cad3ceb703033"
+    DIGEST = "05b9a1460f60f261b5d015065d18a676eb3b4bdc958747b70ffba55eac9da5a3"
 
     def test_seed0_digest_pinned(self, monkeypatch):
         assert matrix_digest(monkeypatch, "matrix-qn") == self.DIGEST
@@ -144,6 +144,37 @@ class TestDigestsAgainst:
             "matrix-qn c/lsr1/0_0 - -> first_order 7",
             "audit p=0,c=1,eps=0.1 successful_counter changed",
         ]
+
+    def test_verdicts_from_a_floor_file(self, monkeypatch, tmp_path):
+        digests = load_digests(monkeypatch)
+        (tmp_path / "before.txt").write_text("\n".join([
+            "matrix-qn b/lbfgs/1_1 d2 e2 first_order 40 41 35",
+            "matrix-qn c/lsr1/0_0 d3 e3 first_order 7 8 8",
+            "matrix-qn d/lsr1/1_1 d4 e4 max_iter 500 501 480",
+            "all x",
+        ]) + "\n")
+        (tmp_path / "floor.txt").write_text("\n".join([
+            "matrix-qn b/lbfgs/1_1 first_order 40 | first_order:58 max_iter:2 | 38 40 500",
+            "matrix-qn c/lsr1/0_0 first_order 7 | first_order:60 | 7 7 9",
+            "fragile cells: 1 of 2",
+            "  matrix-qn b/lbfgs/1_1 first_order -> max_iter 2/60",
+            "solved: unperturbed 2, perturbed min median max 1 2 2",
+            "total iterations: unperturbed 47, perturbed min median max 45 47 509",
+        ]) + "\n")
+        after = [
+            "matrix-qn b/lbfgs/1_1 d8 e8 max_iter 500 501 480",
+            "matrix-qn c/lsr1/0_0 d5 e3 first_order 7 8 8",
+            "matrix-qn d/lsr1/1_1 d6 e6 max_iter 500 501 480",
+            "all y",
+        ]
+        before, floor = ((tmp_path / name).read_text().splitlines()
+                         for name in ("before.txt", "floor.txt"))
+        assert digests.changes(before, after, floor) == [
+            "matrix-qn b/lbfgs/1_1 first_order 40 -> max_iter 500 fragile",
+            "matrix-qn c/lsr1/0_0 first_order 7 -> first_order 7 (rho only) stable",
+            "matrix-qn d/lsr1/1_1 max_iter 500 -> max_iter 500 no floor",
+        ]
+        assert digests.changes(before, before, floor) == ["no changed cells"]
 
 
 class TestRecipesAgreeWithPerfbench:
