@@ -1,0 +1,98 @@
+"""Cost of each LAPACK call of ``trfam.hessians``: numpy.linalg's public
+wrapper against the kernel trfam calls in its place.
+
+    python3 benchmarks/kernels.py
+
+Run from the repository root; trfam is imported from ``src/``. For each
+window shape a matrix-qn cell builds (n in {4, 10, 30, 100}, widths 5 and
+10: memory 5 for L-SR1 and L-BFGS), it draws a random W (n x width) and a
+random symmetric M, and times the calls one factorization makes:
+
+    qr        np.linalg.qr(W, mode="r")           _qr_r(W)           n > width only
+    solve     np.linalg.solve(M, [W^T | R^T])     _solve             [W^T] when n <= width
+    eigvalsh  np.linalg.eigvalsh(R M^-1 R^T)      _eigvalsh
+
+and ``eigvalsh`` of a symmetric n x n matrix, the exact model's norm. Each
+kernel's output is asserted bitwise equal to numpy's before it is timed.
+Prints the Python and numpy versions, then one line per call and shape,
+
+    call n width numpy_us trfam_us
+
+with the best of ``--repeat`` timings of ``--number`` calls each, in
+microseconds per call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import platform
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
+
+from trfam.hessians import _eigvalsh, _qr_r, _solve  # noqa: E402
+
+DIMS = (4, 10, 30, 100)
+WIDTHS = (5, 10)
+
+
+def calls(rng, n: int, width: int):
+    """(name, n, width, numpy call, trfam call) of one window's factorization."""
+    W = rng.standard_normal((n, width))
+    M = rng.standard_normal((width, width))
+    M = M + M.T
+    out = []
+    if n > width:
+        R = np.linalg.qr(W, mode="r")
+        out.append(("qr", lambda: np.linalg.qr(W, mode="r"), lambda: _qr_r(W)))
+        rhs = np.concatenate((W.T, R.T), axis=1)
+    else:
+        R, rhs = W, W.T
+    out.append(("solve", lambda: np.linalg.solve(M, rhs), lambda: _solve(M, rhs)))
+    RMR = R @ np.linalg.solve(M, R.T)
+    out.append(("eigvalsh", lambda: np.linalg.eigvalsh(RMR), lambda: _eigvalsh(RMR)))
+    return [(name, n, width, ref, fast) for name, ref, fast in out]
+
+
+def exact_norm(rng, n: int):
+    """eigvalsh of a symmetric n x n matrix, as ``ExactHessian`` takes it."""
+    H = rng.standard_normal((n, n))
+    H = H + H.T
+    return ("eigvalsh", n, n, lambda: np.linalg.eigvalsh(H), lambda: _eigvalsh(H))
+
+
+def per_call_us(fn, number: int, repeat: int) -> float:
+    return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0, help="seed of the random matrices")
+    ap.add_argument("--number", type=int, default=2000, help="calls per timing")
+    ap.add_argument("--repeat", type=int, default=5, help="timings per call; the best is kept")
+    args = ap.parse_args(argv)
+    if args.number < 1 or args.repeat < 1:
+        ap.error("--number and --repeat must be positive")
+    rng = np.random.default_rng(args.seed)
+    cases = [case for n in DIMS for width in WIDTHS for case in calls(rng, n, width)]
+    cases += [exact_norm(rng, n) for n in DIMS]
+    print(f"python {platform.python_version()}, numpy {np.__version__}; "
+          f"best of {args.repeat} x {args.number} calls")
+    print("call n width numpy_us trfam_us")
+    for name, n, width, ref, fast in cases:
+        expected, actual = ref(), fast()
+        if not (expected.shape == actual.shape
+                and expected.tobytes() == actual.tobytes()):
+            raise AssertionError(f"{name} at n={n}, width={width}: outputs differ")
+        print(f"{name} {n} {width} {per_call_us(ref, args.number, args.repeat):.2f} "
+              f"{per_call_us(fast, args.number, args.repeat):.2f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,14 +16,28 @@ rows than columns), the nonzero spectrum of W M^{-1} W^T is that of the
 small matrix R M^{-1} R^T, at most 2 * memory square (Erway and Marcia
 2015; Brust, Erway and Marcia 2017), and ``operator_norm`` reads the exact
 |B| off its end eigenvalues. One solve with M gives both K and M^{-1} R^T.
+
+This module is the only one that factorizes, and it calls numpy's LAPACK
+gufuncs (``numpy.linalg._umath_linalg``) through ``_qr_r``, ``_solve`` and
+``_eigvalsh``: the same calls, error handling and results as
+``np.linalg.qr(mode="r")``, ``np.linalg.solve`` and
+``np.linalg.eigvalsh(UPLO="L")``, bit for bit, without their per-call
+coercion, which is most of a small factorization's cost. Every input is a
+float64 array of the right shape by construction; an exact Hessian of the
+wrong shape fails with the gufunc's ValueError, not LinAlgError.
+``tests/test_hessians.py::TestKernels`` holds the kernels to numpy's
+results and errors, so a numpy release that changes the private module
+fails there.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
+from functools import cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .subproblem import SolveError, _norm
 
@@ -36,6 +50,53 @@ MODEL_KINDS = ("exact", "lbfgs", "lsr1", "zero")  # what build_model builds
 
 _E1 = np.ones(1)  # the unit vector of the base curvature_1d; read-only
 _E1.flags.writeable = False
+
+
+def _raiser(message):
+    """An errstate ``call`` handler that raises numpy.linalg's error."""
+    def raise_linalgerror(err, flag):
+        raise LinAlgError(message)
+    return raise_linalgerror
+
+
+# numpy.linalg's messages; a failed gufunc sets the invalid flag
+_QR_FAILED = _raiser("Incorrect argument found while performing QR factorization")
+_SINGULAR = _raiser("Singular matrix")
+_EIG_FAILED = _raiser("Eigenvalues did not converge")
+
+
+@cache
+def _upper(width: int) -> np.ndarray:
+    """The read-only mask of a square upper triangle, diagonal included."""
+    mask = ~np.tri(width, width, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _qr_r(W: np.ndarray) -> np.ndarray:
+    """R of W = QR for an n x width W with n > width, forming no Q:
+    ``np.linalg.qr(W, mode="r")``."""
+    a = W.copy()  # the gufunc overwrites its input with R and reflectors
+    with np.errstate(call=_QR_FAILED, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        _umath_linalg.qr_r_raw(a, signature="d->d")
+    width = a.shape[1]
+    return np.where(_upper(width), a[:width], 0.0)
+
+
+def _solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """M^{-1} B for a 2-d B: ``np.linalg.solve(M, B)``."""
+    with np.errstate(call=_SINGULAR, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.solve(M, B, signature="dd->d")
+
+
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of symmetric A from its lower triangle:
+    ``np.linalg.eigvalsh(A, UPLO="L")``."""
+    with np.errstate(call=_EIG_FAILED, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.eigvalsh_lo(A, signature="d->d")
 
 
 def _check_memory(memory: int) -> None:
@@ -159,7 +220,7 @@ class ExactHessian(HessianModel):
                 raise SolveError("the exact Hessian has a non-finite entry")
             # eigvalsh's output is ascending, so |B| is at one of its ends;
             # both abs keep a zero matrix's norm +0.0, not -0.0
-            lam = np.linalg.eigvalsh(self._mat)
+            lam = _eigvalsh(self._mat)
             self._norm = max(abs(float(lam[0])), abs(float(lam[-1])))
         return self._norm
 
@@ -223,13 +284,13 @@ class _PairModel(HessianModel):
         if n > width:
             # R of W = QR, with Q orthonormal even when W is rank-deficient;
             # for n <= width the identity already is such a Q, with R = W
-            R = np.linalg.qr(W, mode="r")
-            KR = np.linalg.solve(M, np.concatenate((W.T, R.T), axis=1))
+            R = _qr_r(W)
+            KR = _solve(M, np.concatenate((W.T, R.T), axis=1))
             K, RMR = KR[:, :n], R @ KR[:, n:]
         else:
-            K = np.linalg.solve(M, W.T)
+            K = _solve(M, W.T)
             RMR = W @ K
-        lam = np.linalg.eigvalsh(RMR, UPLO="L")
+        lam = _eigvalsh(RMR)
         # |1 -/+ lambda| is largest at an end of the ascending spectrum
         combine = self._combine
         norm = max(abs(combine(1.0, float(lam[0]))), abs(combine(1.0, float(lam[-1]))))
@@ -279,7 +340,7 @@ class Lsr1Model(_PairModel):
 
     W = Y - S and M_ij = s_i^T (y_j - s_j), so a new pair's row of M is
     s^T W. The factors use the longest suffix of the window whose M is
-    nonsingular to ``np.linalg.solve``, a trailing block of W and M; W and M
+    nonsingular to ``_solve``, a trailing block of W and M; W and M
     themselves keep every admitted pair.
     """
 
@@ -291,7 +352,7 @@ class Lsr1Model(_PairModel):
         for start in range(W.shape[1]):
             try:
                 return self._product_factors(W[:, start:], M[start:, start:])
-            except np.linalg.LinAlgError:
+            except LinAlgError:
                 continue  # window made M singular; shed its oldest pair
         return ()
 

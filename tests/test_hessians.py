@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from trfam import (
     LbfgsModel,
@@ -19,6 +20,7 @@ from trfam import (
     log_to_csv,
     solve,
 )
+from trfam import hessians
 from trfam.bench import RunSpec, solve_cell
 from trfam.driver import SolveError, _fmt
 from trfam.hessians import MODEL_KINDS, ExactHessian, HessianModel
@@ -176,9 +178,8 @@ class TestCompactFactors:
         assert len(admitted) == 4
         m.operator_norm()  # build this window's factors: each QR counted below is a new pair's
         calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr",
-                            lambda W, mode="reduced": calls.append(W.shape) or qr(W, mode=mode))
+        qr_r = hessians._qr_r
+        monkeypatch.setattr(hessians, "_qr_r", lambda W: calls.append(W.shape) or qr_r(W))
         for s, y in curved_pairs(rng, n, 3):
             assert m.update(s, y)
             admitted.append((s, y))
@@ -194,16 +195,27 @@ class TestCompactFactors:
     @pytest.mark.parametrize("n", [4, 9])
     @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
     def test_factors_need_no_eigenvectors(self, monkeypatch, mode, n):
-        # |B| comes from eigvalsh and products from K = M^{-1} W^T: no eigh,
-        # and a QR that forms no Q
-        def eigh(*args, **kwargs):
-            raise AssertionError("eigh called")
+        # |B| comes from eigvalsh and products from K = M^{-1} W^T: no
+        # eigenvector routine, and a QR that returns R and forms no Q
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
 
-        modes = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(np.linalg, "qr", lambda W, mode="reduced": modes.append(mode)
-                            or qr(W, mode=mode))
+        for name in ("eigh_lo", "eigh_up", "eig", "svd", "qr_reduced", "qr_complete"):
+            monkeypatch.setattr(_umath_linalg, name, forbidden(name))
+        for name in ("eigh", "eig", "svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, forbidden(name))
+        shapes = []
+        qr_r = hessians._qr_r
+
+        def qr_r_checked(W):
+            R = qr_r(W)
+            assert np.array_equal(R, np.triu(R))
+            shapes.append((W.shape, R.shape))
+            return R
+
+        monkeypatch.setattr(hessians, "_qr_r", qr_r_checked)
         rng = np.random.default_rng(19)
         m = build_model(mode, dim=n, memory=4)
         v = rng.standard_normal(n)
@@ -211,7 +223,8 @@ class TestCompactFactors:
             assert feed_pairs(m, rng, 1)
             m.apply(v)
             m.operator_norm()
-        assert set(modes) == {"r"}  # early windows take a QR at n = 4 too
+        assert shapes  # early windows take a QR at n = 4 too
+        assert all(R == (W[1], W[1]) for W, R in shapes)  # R alone, width x width
 
     def test_lsr1_window_with_cond_m_near_1e15(self):
         # the pattern of the singular-window test, with y2 = s2 + (delta, 0):
@@ -252,6 +265,83 @@ class TestCompactFactors:
             Bv = m.apply(v)
             assert np.linalg.norm(Bv - B @ v) <= bound
             assert np.linalg.norm(np.array(compact_apply_exact("lsr1", window, v)) - Bv) <= bound
+
+
+def outcome(fn, *args):
+    """(shape, bytes) of fn's result, or ("LinAlgError", its message)."""
+    try:
+        out = fn(*args)
+    except np.linalg.LinAlgError as err:
+        return "LinAlgError", str(err)
+    return out.shape, out.tobytes()
+
+
+def qr_r_numpy(W):
+    return np.linalg.qr(W, mode="r")
+
+
+def eigvalsh_numpy(A):
+    return np.linalg.eigvalsh(A, UPLO="L")
+
+
+def random_windows(rng, width):
+    """(W, M) pairs of the given width with n <= width and n > width: a
+    trailing block of a wider window, as L-SR1 sheds pairs, and its copy."""
+    for n in (max(1, width // 2), width, width + 1, 3 * width + 4):
+        W = rng.standard_normal((n, width + 2))
+        M = rng.standard_normal((width + 2, width + 2))
+        M = M + M.T
+        yield W[:, 2:], M[2:, 2:]
+        yield W[:, 2:].copy(), M[2:, 2:].copy()
+
+
+class TestKernels:
+    """``hessians._qr_r``, ``_solve`` and ``_eigvalsh`` call numpy's private
+    LAPACK gufuncs directly; they must give np.linalg's results bit for bit
+    and raise LinAlgError on exactly the inputs where np.linalg does."""
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_bitwise_equal_to_numpy_linalg(self, width):
+        rng = np.random.default_rng(width)
+        for W, M in random_windows(rng, width):
+            if W.shape[0] > width:
+                R = outcome(hessians._qr_r, W)
+                assert R == outcome(qr_r_numpy, W) and R[0] == (width, width)
+                R = qr_r_numpy(W)
+                rhs = np.concatenate((W.T, R.T), axis=1)
+            else:
+                R, rhs = W, W.T
+            KR = outcome(hessians._solve, M, rhs)
+            assert KR == outcome(np.linalg.solve, M, rhs) and KR[0] == rhs.shape
+            RMR = R @ np.linalg.solve(M, R.T)
+            lam = outcome(hessians._eigvalsh, RMR)
+            assert lam == outcome(eigvalsh_numpy, RMR) and lam[0] == (R.shape[0],)
+
+    def test_singular_m_raises_in_solve(self):
+        rhs = np.ones((2, 3))
+        for M in (np.zeros((2, 2)), np.array([[0.0, 0.0], [0.0, -16.0]])):
+            expected = ("LinAlgError", "Singular matrix")
+            assert outcome(hessians._solve, M, rhs) == outcome(np.linalg.solve, M, rhs) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_fail_as_numpy_does(self, bad):
+        rng = np.random.default_rng(23)
+        W = rng.standard_normal((9, 4))
+        M = rng.standard_normal((4, 4))
+        M = M + M.T
+        W_bad, M_bad = W.copy(), M.copy()
+        W_bad[2, 1] = bad
+        M_bad[1, 2] = M_bad[2, 1] = bad
+        # a non-finite W: its QR and a solve with it return, eigvalsh of its
+        # Gram matrix raises
+        assert outcome(hessians._qr_r, W_bad) == outcome(qr_r_numpy, W_bad)
+        assert outcome(hessians._qr_r, W_bad)[0] == (4, 4)
+        gram = W_bad.T @ W_bad
+        assert (outcome(hessians._eigvalsh, gram) == outcome(eigvalsh_numpy, gram)
+                == ("LinAlgError", "Eigenvalues did not converge"))
+        for A, B in ((M, W_bad.T), (M_bad, W.T)):  # a non-finite M raises neither
+            assert outcome(hessians._solve, A, B) == outcome(np.linalg.solve, A, B)
+            assert outcome(hessians._solve, A, B)[0] == (4, 9)
 
 
 class TestBorderedWindows:
