@@ -15,7 +15,7 @@ digest leaves out the rho column, the one column that reads the model
 decrease: two commits that round the decrease differently but take the
 same iterates match on it.
 
-Last come the audits of the worst-case runs, one line per case and
+Next come the audits of the worst-case runs, one line per case and
 assumption,
 
     audit label assumption sha256(audit)
@@ -24,30 +24,47 @@ where the digest covers the repr of every ``BoundCheck`` field,
 ``mu_hat_successful``, ``a_min`` and ``a_min_margin``. The audit inputs are
 ``trfam.adversarial.bound_inputs`` of the case's spec and run.
 
+    python3 benchmarks/digests.py --seed 0 --perturb 60
+
+also records the noise floor: how far 1-ulp rounding moves each matrix
+cell. Each cell is solved once as it is, then once per perturbation seed
+0 .. N-1. In a perturbed run every entry of every ``B v`` product, and
+every |B| (``operator_norm``), moves by -1, 0 or +1 ulp (``np.nextafter``),
+drawn from a generator seeded with the perturbation seed. The wrappers sit
+on the model instance, so the program itself is unchanged. After the audits
+come one line per matrix cell,
+
+    floor workload label status iterations | statuses seen | min median max iterations
+
+then the fragile cells (those whose status moved in some perturbed run),
+and the spread of ``solved`` (first_order cells) and of total iterations
+over the perturbed runs, each line starting with ``floor``.
+
     python3 benchmarks/digests.py --seed 0 --against before.txt
 
 compares with ``before.txt``, a saved output of the same seed, instead: it
 prints one line per cell whose line differs, with status and iterations
 before -> after ("-" for a cell on one side only, "(rho only)" where just
 the rho column differs), one line per audit that differs, or the single
-line ``no changed cells``.
-
-    python3 benchmarks/digests.py --seed 0 --against before.txt --floor floor.txt
-
-also ends each changed cell's line with its verdict from ``floor.txt``, a
-saved ``benchmarks/sensitivity.py`` output of the commit ``before.txt``
-came from: ``fragile`` when some perturbed run of the cell ended with
-another status, ``stable`` when none did, and ``no floor`` for a cell that
-output does not list.
+line ``no changed cells``. When ``before.txt`` carries floor lines, each
+changed cell's line ends with its verdict: ``fragile`` when some perturbed
+run of the cell ended with another status, ``stable`` when none did, and
+``no floor`` for a cell the floor does not list. A change of trajectories
+that flips a fragile cell's status is within the noise; a flip in a
+stable cell needs a reason.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import statistics
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -75,14 +92,73 @@ def line(workload: str, label: str, report: driver.SolveReport) -> str:
             f"{report.iterations} {report.evals.n_f} {report.evals.n_g}")
 
 
-def matrix_lines(name: str, wl) -> list[str]:
-    out = []
-    for cell in wl.cells:
-        spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
-                             max_iter=cell.max_iter)
-        model = build_model(spec.hessian, cell.problem, memory=spec.memory)
-        out.append(line(name, cell.label, bench.solve_cell(spec, cell.problem, model)))
-    return out
+def perturb(model, seed: int) -> None:
+    """Move each entry of every product of ``model``, and every |B| it
+    reports, by -1, 0 or +1 ulp."""
+    rng = np.random.default_rng(seed)
+    apply, operator_norm = model.apply, model.operator_norm
+
+    def nudged(out):
+        step = rng.integers(-1, 2, size=np.shape(out))
+        return np.where(step == 0, out, np.nextafter(out, np.copysign(np.inf, step)))
+
+    model.apply = lambda v: nudged(apply(v))
+    model.operator_norm = lambda: float(nudged(operator_norm()))
+
+
+def run_cell(cell, perturb_seed: int | None = None) -> driver.SolveReport:
+    """One matrix cell solved as the benchmark solves it, perturbed with
+    ``perturb_seed`` unless None."""
+    spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
+                         max_iter=cell.max_iter)
+    model = build_model(spec.hessian, cell.problem, memory=spec.memory)
+    if perturb_seed is not None:
+        perturb(model, perturb_seed)
+    return bench.solve_cell(spec, cell.problem, model)
+
+
+def spread(values) -> str:
+    return f"{min(values)} {statistics.median(values):g} {max(values)}"
+
+
+def matrix_runs(seed: int) -> list[tuple]:
+    """(workload, cell, report) of every matrix cell of the seed, unperturbed."""
+    return [(name, cell, run_cell(cell)) for name, wl in (
+        ("matrix-exact", workloads.matrix_exact(seed, None)),
+        ("matrix-qn", workloads.matrix_qn(seed))) for cell in wl.cells]
+
+
+def floor_lines(runs, perturbations: int):
+    """The floor lines of ``runs``, (workload, cell, unperturbed report)
+    triples, over perturbation seeds 0 .. perturbations-1, one cell line at
+    a time."""
+    seeds = range(perturbations)
+    fragile = []
+    solved = Counter()  # first_order cells per perturbation seed
+    total = Counter()  # iterations per perturbation seed
+    base_solved = base_total = 0
+    for name, cell, base in runs:
+        base_solved += base.status == "first_order"
+        base_total += base.iterations
+        perturbed = [run_cell(cell, seed) for seed in seeds]
+        for seed, run in zip(seeds, perturbed):
+            solved[seed] += run.status == "first_order"
+            total[seed] += run.iterations
+        seen = Counter(run.status for run in perturbed)
+        yield (f"floor {name} {cell.label} {base.status} {base.iterations} | "
+               + " ".join(f"{st}:{n}" for st, n in sorted(seen.items()))
+               + f" | {spread([run.iterations for run in perturbed])}")
+        if set(seen) != {base.status}:
+            fragile.append(f"{name} {cell.label} {base.status} -> " + ", ".join(
+                f"{st} {n}/{perturbations}" for st, n in sorted(seen.items())
+                if st != base.status))
+    yield f"floor fragile cells: {len(fragile)} of {len(runs)}"
+    for ln in fragile:
+        yield "floor   " + ln
+    yield (f"floor solved: unperturbed {base_solved}, perturbed min median max "
+           f"{spread([solved[s] for s in seeds])}")
+    yield (f"floor total iterations: unperturbed {base_total}, perturbed min median max "
+           f"{spread([total[s] for s in seeds])}")
 
 
 def audit_lines(case, report: driver.SolveReport) -> list[str]:
@@ -107,50 +183,40 @@ def worst_case_lines(seed: int) -> tuple[list[str], list[str]]:
     return out, audits
 
 
-def parse(lines) -> tuple[dict, dict]:
-    """The cells and audits of an output: {(workload, label): [digest,
-    digest without rho, status, iterations, n_f, n_g]} and
-    {(label, assumption): digest}."""
-    cells, audits = {}, {}
+def parse(lines) -> tuple[dict, dict, dict]:
+    """The cells, audits and floor of an output: {(workload, label): [digest,
+    digest without rho, status, iterations, n_f, n_g]}, {(label, assumption):
+    digest} and {(workload, label): whether the floor finds the cell
+    fragile}, read off its floor cell lines
+    ``floor workload label status iterations | status:count ... | spread``."""
+    cells, audits, floor = {}, {}, {}
     for ln in lines:
         head, *rest = ln.split()
         if head == "audit":
             audits[tuple(rest[:2])] = rest[2]
+        elif head == "floor":
+            if " | " in ln:
+                seen = {item.rpartition(":")[0] for item in ln.split(" | ")[1].split()}
+                floor[tuple(rest[:2])] = seen != {rest[2]}
         elif head != "all":
             cells[(head, rest[0])] = rest[1:]
-    return cells, audits
+    return cells, audits, floor
 
 
-def fragile(floor) -> dict:
-    """{(workload, label): whether the cell is fragile} of a
-    ``sensitivity.py`` output: its cell lines read
-    ``workload label status iterations | status:count ... | spread``, and a
-    cell is fragile when a status other than its own was seen."""
-    out = {}
-    for ln in floor:
-        head, *parts = ln.split(" | ")
-        if len(parts) == 2:
-            workload, label, status, _ = head.split()
-            seen = {item.rpartition(":")[0] for item in parts[0].split()}
-            out[(workload, label)] = seen != {status}
-    return out
-
-
-def changes(before, after, floor=None) -> list[str]:
+def changes(before, after) -> list[str]:
     """What differs from output ``before`` to output ``after``, one line per
-    cell or audit, or ``["no changed cells"]``. With ``floor``, the lines of
-    a ``sensitivity.py`` output, each cell line ends with its verdict."""
-    old_cells, old_audits = parse(before)
-    new_cells, new_audits = parse(after)
-    verdicts = None if floor is None else fragile(floor)
+    cell or audit, or ``["no changed cells"]``. When ``before`` carries floor
+    lines, each cell line ends with its verdict."""
+    old_cells, old_audits, floor = parse(before)
+    new_cells, new_audits, _ = parse(after)
     out = []
     for key in {**old_cells, **new_cells}:
         old, new = old_cells.get(key), new_cells.get(key)
         if old != new:
             state = [f"{c[2]} {c[3]}" if c else "-" for c in (old, new)]
             rho_only = old and new and old[1:] == new[1:]
-            verdict = "" if verdicts is None else " " + {
-                True: "fragile", False: "stable", None: "no floor"}[verdicts.get(key)]
+            verdict = "" if not floor else " " + {
+                True: "fragile", False: "stable", None: "no floor"}[floor.get(key)]
             out.append(f"{key[0]} {key[1]} {state[0]} -> {state[1]}"
                        + (" (rho only)" if rho_only else "") + verdict)
     for key in {**old_audits, **new_audits}:
@@ -163,20 +229,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--against", type=Path, metavar="FILE",
-                    help="a saved output of the same seed; print only what differs from it")
-    ap.add_argument("--floor", type=Path, metavar="FILE",
-                    help="with --against: a saved sensitivity.py output of the same seed; "
-                         "end each changed cell's line with fragile or stable")
+                    help="a saved output of the same seed; print only what differs from it, "
+                         "with a verdict from the floor lines it carries")
+    ap.add_argument("--perturb", type=int, default=0, metavar="N",
+                    help="append the noise floor: every matrix cell solved again with "
+                         "perturbation seeds 0 .. N-1")
     args = ap.parse_args(argv)
-    if args.floor is not None and args.against is None:
-        ap.error("--floor needs --against")
-    lines = (matrix_lines("matrix-exact", workloads.matrix_exact(args.seed, None))
-             + matrix_lines("matrix-qn", workloads.matrix_qn(args.seed)))
+    if args.perturb < 0:
+        ap.error("--perturb must be at least 0")
+    if args.perturb and args.against is not None:
+        ap.error("--perturb records a floor for a later --against; it takes no --against")
+    runs = matrix_runs(args.seed)
+    lines = [line(name, cell.label, report) for name, cell, report in runs]
     worst, audits = worst_case_lines(args.seed)
     lines += worst
     if args.against is not None:
-        floor = None if args.floor is None else args.floor.read_text().splitlines()
-        for ln in changes(args.against.read_text().splitlines(), lines + audits, floor):
+        for ln in changes(args.against.read_text().splitlines(), lines + audits):
             print(ln)
         return 0
     for ln in lines:
@@ -184,6 +252,9 @@ def main(argv=None) -> int:
     print("all", sha256("\n".join(lines)))
     for ln in audits:
         print(ln)
+    if args.perturb:
+        for ln in floor_lines(runs, args.perturb):
+            print(ln, flush=True)
     return 0
 
 

@@ -23,8 +23,8 @@ gufuncs (``numpy.linalg._umath_linalg``) through ``_qr_r``, ``_solve`` and
 ``np.linalg.qr(mode="r")``, ``np.linalg.solve`` and
 ``np.linalg.eigvalsh(UPLO="L")``, bit for bit, without their per-call
 coercion, which is most of a small factorization's cost. Every input is a
-float64 array of the right shape by construction; an exact Hessian of the
-wrong shape fails with the gufunc's ValueError, not LinAlgError.
+float64 array of the right shape by construction; ``ExactHessian`` checks
+the shape of each Hessian it is given before its norm is taken.
 ``tests/test_hessians.py::TestKernels`` holds the kernels to numpy's
 results and errors, so a numpy release that changes the private module
 fails there.
@@ -213,9 +213,13 @@ class ExactHessian(HessianModel):
         return True
 
     def operator_norm(self):
-        """|B|; a Hessian with a non-finite entry raises SolveError, where
-        eigvalsh would read it as a finite spectrum."""
+        """|B|; a Hessian that is not n x n or has a non-finite entry raises
+        SolveError, where eigvalsh would fail with a bare ValueError or read
+        it as a finite spectrum."""
         if self._norm is None:
+            if self._mat.shape != (self.dim, self.dim):
+                raise SolveError(f"the exact Hessian has shape {self._mat.shape}, "
+                                 f"not ({self.dim}, {self.dim})")
             if not np.isfinite(self._mat).all():
                 raise SolveError("the exact Hessian has a non-finite entry")
             # eigvalsh's output is ascending, so |B| is at one of its ends;

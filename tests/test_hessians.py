@@ -1,6 +1,5 @@
 """Tests for the model-Hessian implementations."""
 
-import hashlib
 import math
 import struct
 from dataclasses import replace
@@ -17,11 +16,9 @@ from trfam import (
     ZeroModel,
     build_model,
     get_problem,
-    log_to_csv,
     solve,
 )
 from trfam import hessians
-from trfam.bench import RunSpec, solve_cell
 from trfam.driver import SolveError, _fmt
 from trfam.hessians import MODEL_KINDS, ExactHessian, HessianModel
 
@@ -555,6 +552,13 @@ class TestOperatorNorm:
         with pytest.raises(SolveError, match="exact Hessian has a non-finite entry"):
             solve(sphere, TrParams(), build_model("exact", sphere), eps=1e-6)
 
+    @pytest.mark.parametrize("hess,shape", [
+        (np.ones((3, 2)), r"\(3, 2\)"), (np.ones(2), r"\(2,\)")], ids=["3x2", "1-d"])
+    def test_exact_hessian_of_the_wrong_shape_fails_at_its_source(self, hess, shape):
+        sphere = replace(get_problem("sphere"), eval_hess=lambda x: hess)
+        with pytest.raises(SolveError, match=rf"exact Hessian has shape {shape}, not \(2, 2\)"):
+            solve(sphere, TrParams(), build_model("exact", sphere), eps=1e-6)
+
 
 class TestModelsThatDoNotLearn:
     """Models without pairs ignore update; the exact model re-evaluates."""
@@ -643,65 +647,3 @@ class TestCurvature1d:
     def test_dimension_other_than_one_rejected(self, m):
         with pytest.raises(ValueError, match="model dim 2"):
             m.curvature_1d()
-
-
-class TestCompactPathDigests:
-    """Quasi-Newton runs pinned byte for byte: cells of the matrix-qn
-    benchmark at variant 1_1, solved as ``benchmarks/digests.py`` solves
-    them. n = 2 leaves W rank-deficient, arwhead (n = 100) is past
-    2 * memory, and cliff's L-SR1 window has cond(M) up to 2e30. Unlike
-    the scalar worst-case replays, these logs go through BLAS and LAPACK,
-    so the digests hold for the numpy build they were taken with. The
-    second digest leaves out rho, the one column that reads the model
-    decrease: a change that only rounds the decrease differently keeps
-    it."""
-
-    # label: (digest of the log, digest of the log without its rho column)
-    DIGESTS = {
-        "rosenbrock/lbfgs": (
-            "c1851050c73ab18827c5bc518ff9159c5bb253c945ddcb121b88d4abb3469386",
-            "9ded727358bd30e1db068163d8c94de5c923396ff79b9417e85300ab3a92120a",
-        ),
-        "rosenbrock/lsr1": (
-            "d7a952df5884908ff1dc145134b3283f91aa8c1e8d11f9a9d3801e083fb357d4",
-            "4f2a4241bad8037a025190d8f9ad0da8a1bbf4aa28142e7c3deead6c5800553a",
-        ),
-        "trigonometric/lbfgs": (
-            "1418f1a9cfdd96cc144fb21369a9523c1907808ce25052dd50bc9f5ce5dd86b4",
-            "7e4a639ef76e6b10a0a7b1010e3d4a82048bda49f69e394787900e37f77f3f62",
-        ),
-        "trigonometric/lsr1": (
-            "dc7f1231d170afe10cb24d34d70d5c1f2bfca1f6121b8bf52f202de4a9d35a91",
-            "e6f8cd07f7565e7532cb93cd45adbb9cae57261d56904ef6246c0c876be4e6ca",
-        ),
-        "arwhead/lbfgs": (
-            "d5f28e3abc21bde3970aec1ecf4a8c55e8d5e3d829ff6aabb3492f5c329b4a2e",
-            "0d31d3cba359523d2c878499b4ad01f46b97a0d2ad4ea437a529148d1acc8456",
-        ),
-        "arwhead/lsr1": (
-            "b76615ae7af15d66e036721fed977de3eabfb4f0cc3fab975b29a80fa2542813",
-            "e5d6c0308bb38813cab5e0511fc1d58ac375841599ac19a8b15f9dbcfe4fdbe1",
-        ),
-        "cliff/lbfgs": (
-            "35a861f8f0590e5d2a663b2b3238426c80e90ebc32428e94758f92df8476f1bd",
-            "7cc54ec74429131f5b8c10e577936bf7e35e1c1605a6f4ceb9f7a263d5579016",
-        ),
-        "cliff/lsr1": (
-            "4c05b118b872a5602ee6a54bdf00551f0e5250533bc90b73ea9b3ee7210e254d",
-            "48f805f45a33ba7a103be6a9e462f24c7f56271e8e45bba734c48f46551267ef",
-        ),
-    }
-
-    @pytest.mark.parametrize("label,digests", DIGESTS.items(), ids=list(DIGESTS))
-    def test_log_digest_pinned(self, label, digests):
-        name, hessian = label.split("/")
-        spec = RunSpec(name, 1.0, 1.0, hessian, max_iter=500)
-        problem = get_problem(name)
-        report = solve_cell(spec, problem, build_model(hessian, problem, memory=spec.memory))
-        rows = [row.split(",") for row in log_to_csv(report).splitlines()]
-        rho = rows[0].index("rho")
-        without_rho = [row[:rho] + row[rho + 1:] for row in rows]
-        assert tuple(
-            hashlib.sha256("".join(",".join(row) + "\n" for row in table).encode()).hexdigest()
-            for table in (rows, without_rho)
-        ) == digests
