@@ -4,8 +4,9 @@ cells against the compact form rebuilt from the window's pairs.
     python3 benchmarks/compact_accuracy.py --seed 0
 
 Run from the repository root; trfam is imported from ``src/``, the cells
-from ``perfbench/workloads.py`` and the reference from ``tests/oracles.py``.
-Each matrix-qn cell of the given seed is solved by ``trfam.bench.solve_cell``
+from ``perfbench/workloads.py``, the cell recipe from ``benchmarks/digests.py``
+and the reference from ``tests/oracles.py``. Each matrix-qn cell of the
+given seed is solved by ``digests.run_cell``, as the benchmark solves it,
 with two wrappers on the model instance, so the program itself is unchanged:
 ``update`` records the pairs it admits, and ``apply`` compares each product
 with ``compact_apply_reference`` over the last ``memory`` of them, which
@@ -39,16 +40,16 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests"),
+                str(ROOT / "benchmarks")]
 
+import digests  # noqa: E402
 import workloads  # noqa: E402
 from oracles import (  # noqa: E402
     compact_apply_exact,
     compact_apply_reference,
     compact_windows,
 )
-from trfam import bench  # noqa: E402
-from trfam.hessians import build_model  # noqa: E402
 
 RTOL = 1e-9
 COND_SCREEN = 1e6  # every product of a window with cond(M) above this is checked exactly
@@ -60,40 +61,40 @@ def relative_error(actual, ref) -> float:
 
 def check_cell(cell) -> tuple[int, list[tuple[float, float, float]]]:
     """(products, [(error, cond(M), exact error) of each product checked
-    exactly]) of one cell."""
-    spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
-                         max_iter=cell.max_iter)
-    model = build_model(spec.hessian, cell.problem, memory=spec.memory)
+    exactly]) of one cell, solved by ``digests.run_cell``."""
     admitted = []
     checked = []
     count = 0
     cond = 1.0  # of the current window's M; B = I before the first pair
-    update, apply = model.update, model.apply
 
-    def update_recorded(s, y):
-        nonlocal cond
-        accepted = update(s, y)
-        if accepted:
-            admitted.append((np.array(s, dtype=float), np.array(y, dtype=float)))
-            _, M, _ = next(compact_windows(cell.hessian, admitted[-model.memory:], 1.0))
-            cond = np.linalg.cond(M)
-        return accepted
+    def record(model):
+        update, apply = model.update, model.apply
 
-    def apply_checked(v):
-        nonlocal count
-        out = apply(v)
-        window = admitted[-model.memory:]
-        v = np.asarray(v, dtype=float)
-        ref = compact_apply_reference(cell.hessian, window, 1.0, v)
-        count += 1
-        error = relative_error(out, ref)
-        if error > RTOL or cond > COND_SCREEN:
-            exact = np.array(compact_apply_exact(cell.hessian, window, v))
-            checked.append((error, cond, relative_error(out, exact)))
-        return out
+        def update_recorded(s, y):
+            nonlocal cond
+            accepted = update(s, y)
+            if accepted:
+                admitted.append((np.array(s, dtype=float), np.array(y, dtype=float)))
+                _, M, _ = next(compact_windows(cell.hessian, admitted[-model.memory:], 1.0))
+                cond = np.linalg.cond(M)
+            return accepted
 
-    model.update, model.apply = update_recorded, apply_checked
-    bench.solve_cell(spec, cell.problem, model)
+        def apply_checked(v):
+            nonlocal count
+            out = apply(v)
+            window = admitted[-model.memory:]
+            v = np.asarray(v, dtype=float)
+            ref = compact_apply_reference(cell.hessian, window, 1.0, v)
+            count += 1
+            error = relative_error(out, ref)
+            if error > RTOL or cond > COND_SCREEN:
+                exact = np.array(compact_apply_exact(cell.hessian, window, v))
+                checked.append((error, cond, relative_error(out, exact)))
+            return out
+
+        model.update, model.apply = update_recorded, apply_checked
+
+    digests.run_cell(cell, record)
     return count, checked
 
 

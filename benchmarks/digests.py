@@ -62,6 +62,7 @@ import statistics
 import sys
 from collections import Counter
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -106,14 +107,15 @@ def perturb(model, seed: int) -> None:
     model.operator_norm = lambda: float(nudged(operator_norm()))
 
 
-def run_cell(cell, perturb_seed: int | None = None) -> driver.SolveReport:
-    """One matrix cell solved as the benchmark solves it, perturbed with
-    ``perturb_seed`` unless None."""
+def run_cell(cell, wrap=None) -> driver.SolveReport:
+    """One matrix cell solved as the benchmark solves it. ``wrap``, unless
+    None, is called with the model before the solve and may put wrappers
+    on the instance, as ``perturb`` does."""
     spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
                          max_iter=cell.max_iter)
     model = build_model(spec.hessian, cell.problem, memory=spec.memory)
-    if perturb_seed is not None:
-        perturb(model, perturb_seed)
+    if wrap is not None:
+        wrap(model)
     return bench.solve_cell(spec, cell.problem, model)
 
 
@@ -140,7 +142,7 @@ def floor_lines(runs, perturbations: int):
     for name, cell, base in runs:
         base_solved += base.status == "first_order"
         base_total += base.iterations
-        perturbed = [run_cell(cell, seed) for seed in seeds]
+        perturbed = [run_cell(cell, partial(perturb, seed=seed)) for seed in seeds]
         for seed, run in zip(seeds, perturbed):
             solved[seed] += run.status == "first_order"
             total[seed] += run.iterations

@@ -1,25 +1,39 @@
-"""Cost of each LAPACK call of ``trfam.hessians``: numpy.linalg's public
-wrapper against the kernel trfam calls in its place.
+"""Cost of each LAPACK and BLAS call of trfam: numpy's public form against
+the call trfam makes in its place.
 
     python3 benchmarks/kernels.py
 
 Run from the repository root; trfam is imported from ``src/``. For each
 window shape a matrix-qn cell builds (n in {4, 10, 30, 100}, widths 5 and
 10: memory 5 for L-SR1 and L-BFGS), it draws a random W (n x width) and a
-random symmetric M, and times the calls one factorization makes:
+random symmetric M, and times the LAPACK calls one factorization makes,
+numpy.linalg's public wrapper against ``trfam.hessians``' kernel:
 
     qr        np.linalg.qr(W, mode="r")           _qr_r(W)           n > width only
     solve     np.linalg.solve(M, [W^T | R^T])     _solve             [W^T] when n <= width
     eigvalsh  np.linalg.eigvalsh(R M^-1 R^T)      _eigvalsh
 
-and ``eigvalsh`` of a symmetric n x n matrix, the exact model's norm. Each
-kernel's output is asserted bitwise equal to numpy's before it is timed.
-Prints the Python and numpy versions, then one line per call and shape,
+and ``eigvalsh`` of a symmetric n x n matrix, the exact model's norm. Then
+the BLAS calls, each product ``a @ b`` against the ``a.dot(b)`` trfam forms
+in its place, with operands laid out as trfam lays them out; these are the
+layer cost of the ``B v`` products and the CG's inner products:
+
+    sW        s @ W                               a new pair's row of M
+    RMR       R @ KR[:, n:], or W @ K             the norm's small matrix
+    Kv        KR[:, :n] @ v, or K @ v             the first half of a compact product
+    Wu        W @ u                               its second half, u = K v
+    vv        v @ u                               n only: the CG's and the boundary's dots
+    Hv        H @ v                               n only: an exact model's product
+    JTr, JTJ  (2 * J.T) @ r, (2 * J.T) @ J        n only: a least-squares g and h
+
+Each kernel's output is asserted bitwise equal to numpy's before it is
+timed. Prints the Python and numpy versions, then one line per call and
+shape,
 
     call n width numpy_us trfam_us
 
 with the best of ``--repeat`` timings of ``--number`` calls each, in
-microseconds per call.
+microseconds per call; width is ``-`` for the calls that have none.
 """
 
 from __future__ import annotations
@@ -66,6 +80,36 @@ def exact_norm(rng, n: int):
     return ("eigvalsh", n, n, lambda: np.linalg.eigvalsh(H), lambda: _eigvalsh(H))
 
 
+def window_products(rng, n: int, width: int):
+    """(name, n, width, a @ b, a.dot(b)) of each product of one window."""
+    W = rng.standard_normal((n, width))
+    M = rng.standard_normal((width, width))
+    M = M + M.T
+    s, u = rng.standard_normal(n), rng.standard_normal(width)
+    if n > width:
+        R = _qr_r(W)
+        KR = _solve(M, np.concatenate((W.T, R.T), axis=1))
+        K, RMR = KR[:, :n], (R, KR[:, n:])
+    else:
+        K = _solve(M, W.T)
+        RMR = (W, K)
+    pairs = [("sW", s, W), ("RMR", *RMR), ("Kv", K, s), ("Wu", W, u)]
+    return [(name, n, width, lambda a=a, b=b: a @ b, lambda a=a, b=b: a.dot(b))
+            for name, a, b in pairs]
+
+
+def vector_products(rng, n: int):
+    """(name, n, "-", a @ b, a.dot(b)) of each product of dimension n alone."""
+    v, u = rng.standard_normal(n), rng.standard_normal(n)
+    H = rng.standard_normal((n, n))
+    H = H + H.T
+    J = rng.standard_normal((n, n))
+    JT2 = 2 * J.T  # F-ordered
+    pairs = [("vv", v, u), ("Hv", H, v), ("JTr", JT2, v), ("JTJ", JT2, J)]
+    return [(name, n, "-", lambda a=a, b=b: a @ b, lambda a=a, b=b: a.dot(b))
+            for name, a, b in pairs]
+
+
 def per_call_us(fn, number: int, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
 
@@ -81,11 +125,13 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     cases = [case for n in DIMS for width in WIDTHS for case in calls(rng, n, width)]
     cases += [exact_norm(rng, n) for n in DIMS]
+    cases += [case for n in DIMS for width in WIDTHS for case in window_products(rng, n, width)]
+    cases += [case for n in DIMS for case in vector_products(rng, n)]
     print(f"python {platform.python_version()}, numpy {np.__version__}; "
           f"best of {args.repeat} x {args.number} calls")
     print("call n width numpy_us trfam_us")
     for name, n, width, ref, fast in cases:
-        expected, actual = ref(), fast()
+        expected, actual = np.asarray(ref()), np.asarray(fast())
         if not (expected.shape == actual.shape
                 and expected.tobytes() == actual.tobytes()):
             raise AssertionError(f"{name} at n={n}, width={width}: outputs differ")

@@ -28,6 +28,11 @@ the shape of each Hessian it is given before its norm is taken.
 ``tests/test_hessians.py::TestKernels`` holds the kernels to numpy's
 results and errors, so a numpy release that changes the private module
 fails there.
+
+Every product is ``ndarray.dot``, not ``@``: both end in the same BLAS
+call, but ``@`` dispatches through the matmul gufunc, which costs about as
+much again as the call itself on these small operands. ``TestKernels``
+holds the two bitwise equal at every operand layout trfam forms.
 """
 
 from __future__ import annotations
@@ -204,7 +209,7 @@ class ExactHessian(HessianModel):
         self._norm: float | None = None  # of _mat, computed on first use
 
     def _apply(self, v):
-        return self._mat @ v
+        return self._mat.dot(v)
 
     def update(self, s, y):
         self._x = self._x + np.asarray(s, dtype=float)
@@ -262,7 +267,7 @@ class _PairModel(HessianModel):
         drop = self._width if self._W.shape[1] == self._width * self.memory else 0
         W = np.concatenate((self._W[:, drop:], *self._columns(s, y)), axis=1)
         k = self._M.shape[0] - drop  # the kept pairs' rows; s's row is next
-        row = s @ W
+        row = s.dot(W)
         M = np.zeros((W.shape[1], W.shape[1]))
         M[:k, :k] = self._M[drop:, drop:]
         M[k, :k + 1] = M[:k + 1, k] = row[:k + 1]
@@ -290,10 +295,10 @@ class _PairModel(HessianModel):
             # for n <= width the identity already is such a Q, with R = W
             R = _qr_r(W)
             KR = _solve(M, np.concatenate((W.T, R.T), axis=1))
-            K, RMR = KR[:, :n], R @ KR[:, n:]
+            K, RMR = KR[:, :n], R.dot(KR[:, n:])
         else:
             K = _solve(M, W.T)
-            RMR = W @ K
+            RMR = W.dot(K)
         lam = _eigvalsh(RMR)
         # |1 -/+ lambda| is largest at an end of the ascending spectrum
         combine = self._combine
@@ -307,7 +312,7 @@ class _PairModel(HessianModel):
         if not factors:
             return v.copy()
         W, K, _ = factors
-        return self._combine(v, W @ (K @ v))
+        return self._combine(v, W.dot(K.dot(v)))
 
     def operator_norm(self):
         factors = self._compact()
@@ -333,7 +338,7 @@ class LbfgsModel(_PairModel):
     def _admits(self, s, y, snorm):
         # curvature safeguard: s'y >= tol * |s| * |y|, and strictly positive;
         # written as a negated rejection test, which admits a NaN s'y
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         return not (sy <= 0.0 or sy < BFGS_CURVATURE_TOL * snorm * _norm(y))
 
 
@@ -367,7 +372,7 @@ class Lsr1Model(_PairModel):
         z = y - self.apply(s)
         nz = _norm(z)
         # both-zero case counts as rejected: the update is a no-op anyway
-        return not (nz == 0.0 or abs(float(s @ z)) < SR1_DENOM_TOL * snorm * nz)
+        return not (nz == 0.0 or abs(float(s.dot(z))) < SR1_DENOM_TOL * snorm * nz)
 
 
 def build_model(

@@ -277,11 +277,11 @@ def _least_squares(name, res, jac, curv, x0):
         return float((res(x) ** 2).sum())
 
     def g(x):
-        return 2 * jac(x).T @ res(x)
+        return (2 * jac(x).T).dot(res(x))
 
     def h(x):
         jac_x = jac(x)
-        m = 2 * jac_x.T @ jac_x
+        m = (2 * jac_x.T).dot(jac_x)
         m[np.diag_indices(len(x))] += 2 * curv(x, res(x))
         return m
 
@@ -294,16 +294,16 @@ def _quartic_ridge(name, v, c, x0):
 
     def f(x):
         y = x - c
-        w = v @ y
+        w = v.dot(y)
         return float((y * y).sum() + w**2 + w**4)
 
     def g(x):
         y = x - c
-        w = v @ y
+        w = v.dot(y)
         return 2 * y + (2 * w + 4 * w**3) * v
 
     def h(x):
-        w = v @ (x - c)
+        w = v.dot(x - c)
         return 2 * np.eye(n) + (2 + 12 * w**2) * np.outer(v, v)
 
     return Problem(name, n, f, g, _start(x0), 0.0, h)

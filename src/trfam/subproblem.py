@@ -90,9 +90,9 @@ def _to_boundary(s: Array, d: Array, radius: float) -> float:
     sigma, about radius / |d|, need not; s / radius, d / radius and the
     unit ball then give the same sigma (scaling by a radius of 1 cannot).
     """
-    dd = float(d @ d)
-    sd = float(s @ d)
-    ss = float(s @ s)
+    dd = float(d.dot(d))
+    sd = float(s.dot(d))
+    ss = float(s.dot(s))
     disc = sd * sd + dd * (radius * radius - ss)
     if disc == math.inf and radius != 1.0:
         return _to_boundary(s / radius, d / radius, 1.0)
@@ -152,17 +152,17 @@ class SteihaugPath:
                 self._end = i
                 return
             r = self._r + self._alpha * self._Bd
-            rr = float(r @ r)
+            rr = float(r.dot(r))
             if math.sqrt(rr) <= self._stop:
                 self._end = i
                 return
-            d = -r + (rr / self._rr) * self._d[-1]
+            d = (rr / self._rr) * self._d[-1] - r
             self._r, self._rr = r, rr
         Bd = self._B.apply(d)
-        dBd = float(d @ Bd)
+        dBd = float(d.dot(Bd))
         self._d.append(d)
         self._dBd.append(dBd)
-        self._rd.append(float(self._r @ d))
+        self._rd.append(float(self._r.dot(d)))
         if dBd <= 0.0:
             self._trial_norm.append(math.inf)  # every walk stops on the boundary here
             return

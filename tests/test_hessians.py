@@ -292,6 +292,44 @@ def random_windows(rng, width):
         yield W[:, 2:].copy(), M[2:, 2:].copy()
 
 
+def many_magnitudes(rng, shape):
+    """Normal entries at one scale drawn from 1e-60 .. 1e60, each entry
+    spread over four more decades around it."""
+    scale = 10.0 ** rng.uniform(-60, 60)
+    return scale * rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2, shape)
+
+
+def blas_operands(rng, n, width):
+    """(a, b) of every product trfam forms as ``a.dot(b)``, for dimension n
+    and window width, laid out as trfam lays them out: 1-d vectors; an
+    n x width window W, C-contiguous as ``update`` borders it and a column
+    slice as L-SR1 sheds a pair, with its K and R from trfam's own kernels
+    (K the strided slice ``KR[:, :n]`` when n > width); an exact Hessian;
+    and a least-squares problem's ``2 * J.T``, which is F-ordered. s'W
+    takes the C-contiguous W alone, its only layout in trfam: with a column
+    slice, numpy 2.4.6's dot and @ round differently."""
+    v, u = many_magnitudes(rng, n), many_magnitudes(rng, n)
+    shed = many_magnitudes(rng, (n, width + 1))[:, 1:]
+    bordered = shed.copy()
+    M = many_magnitudes(rng, (width, width))
+    M = M + M.T
+    J = many_magnitudes(rng, (n, n))
+    JT2 = 2 * J.T
+    assert JT2.flags.f_contiguous
+    out = [(v, u), (J, v), (JT2, v), (JT2, J), (v, bordered)]
+    for W in (bordered, shed):
+        if n > width:
+            R = hessians._qr_r(W)
+            KR = hessians._solve(M, np.concatenate((W.T, R.T), axis=1))
+            K = KR[:, :n]
+            out.append((R, KR[:, n:]))
+        else:
+            K = hessians._solve(M, W.T)
+            out.append((W, K))
+        out += [(K, v), (W, K.dot(v))]
+    return out
+
+
 class TestKernels:
     """``hessians._qr_r``, ``_solve`` and ``_eigvalsh`` call numpy's private
     LAPACK gufuncs directly; they must give np.linalg's results bit for bit
@@ -339,6 +377,16 @@ class TestKernels:
         for A, B in ((M, W_bad.T), (M_bad, W.T)):  # a non-finite M raises neither
             assert outcome(hessians._solve, A, B) == outcome(np.linalg.solve, A, B)
             assert outcome(hessians._solve, A, B)[0] == (4, 9)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 30, 100])
+    def test_dot_equals_matmul_bitwise(self, n):
+        # trfam forms every product with ndarray.dot, which skips the matmul
+        # gufunc's dispatch; both must end in the same BLAS call
+        rng = np.random.default_rng(n)
+        for width in range(1, 11):
+            for _ in range(3):
+                for a, b in blas_operands(rng, n, width):
+                    assert outcome(a.dot, b) == outcome(np.matmul, a, b), (a.shape, b.shape)
 
 
 class TestBorderedWindows:

@@ -1,6 +1,7 @@
 """The scripts under benchmarks/ still run against the package, and the
 package's benchmark recipes agree with perfbench, which restates them."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -38,6 +39,27 @@ def test_compact_accuracy_smoke():
     assert products.startswith("products: ") and int(products.split()[-1]) > 0
     assert off.startswith("off by more than 1e-09 relative: ")
     assert int(off.split()[-1]) == len(lines) - 1
+
+
+def test_kernels_smoke():
+    done = run("benchmarks/kernels.py", "--number", "1", "--repeat", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1] == "call n width numpy_us trfam_us"
+    assert {ln.split()[0] for ln in lines[2:]} == {
+        "qr", "solve", "eigvalsh", "sW", "RMR", "Kv", "Wu", "vv", "Hv", "JTr", "JTJ"}
+
+
+def test_no_matmul_operator_in_the_package():
+    # trfam forms every product with ndarray.dot, the same BLAS call as `@`
+    # without the matmul gufunc's dispatch; TestKernels in test_hessians.py
+    # holds the two equal bit for bit
+    for path in sorted((ROOT / "src" / "trfam").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.MatMult)]
+        assert not lines, f"{path.name}: @ at lines {lines}"
 
 
 def load_digests(monkeypatch):
