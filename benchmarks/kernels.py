@@ -20,7 +20,7 @@ layer cost of the ``B v`` products and the CG's inner products:
 
     sW        s @ W                               a new pair's row of M
     RMR       R @ KR[:, n:], or W @ K             the norm's small matrix
-    Kv        KR[:, :n] @ v, or K @ v             the first half of a compact product
+    Kv        K @ v, K C-contiguous               the first half of a compact product
     Wu        W @ u                               its second half, u = K v
     vv        v @ u                               n only: the CG's and the boundary's dots
     Hv        H @ v                               n only: an exact model's product
@@ -89,7 +89,7 @@ def window_products(rng, n: int, width: int):
     if n > width:
         R = _qr_r(W)
         KR = _solve(M, np.concatenate((W.T, R.T), axis=1))
-        K, RMR = KR[:, :n], (R, KR[:, n:])
+        K, RMR = np.ascontiguousarray(KR[:, :n]), (R, KR[:, n:])
     else:
         K = _solve(M, W.T)
         RMR = (W, K)

@@ -16,18 +16,20 @@ rows than columns), the nonzero spectrum of W M^{-1} W^T is that of the
 small matrix R M^{-1} R^T, at most 2 * memory square (Erway and Marcia
 2015; Brust, Erway and Marcia 2017), and ``operator_norm`` reads the exact
 |B| off its end eigenvalues. One solve with M gives both K and M^{-1} R^T.
+L-BFGS and L-SR1 alike factor the longest trailing run of whole pairs
+whose M is nonsingular, and store K C-contiguous, so no product copies it.
 
 This module is the only one that factorizes, and it calls numpy's LAPACK
 gufuncs (``numpy.linalg._umath_linalg``) through ``_qr_r``, ``_solve`` and
-``_eigvalsh``: the same calls, error handling and results as
-``np.linalg.qr(mode="r")``, ``np.linalg.solve`` and
-``np.linalg.eigvalsh(UPLO="L")``, bit for bit, without their per-call
-coercion, which is most of a small factorization's cost. Every input is a
-float64 array of the right shape by construction; ``ExactHessian`` checks
-the shape of each Hessian it is given before its norm is taken.
-``tests/test_hessians.py::TestKernels`` holds the kernels to numpy's
-results and errors, so a numpy release that changes the private module
-fails there.
+``_eigvalsh``, each with its ``np.errstate`` declared once, as a decorator:
+the same calls, error handling and results as ``np.linalg.qr(mode="r")``,
+``np.linalg.solve`` and ``np.linalg.eigvalsh(UPLO="L")``, bit for bit,
+without their per-call coercion, which is most of a small factorization's
+cost. Every input is a float64 array of the right shape by construction;
+``ExactHessian`` checks the shape of each Hessian it is given before its
+norm is taken. ``tests/test_hessians.py::TestKernels`` holds the kernels
+to numpy's results and errors, so a numpy release that changes the
+private module fails there.
 
 Every product is ``ndarray.dot``, not ``@``: both end in the same BLAS
 call, but ``@`` dispatches through the matmul gufunc, which costs about as
@@ -57,17 +59,14 @@ _E1 = np.ones(1)  # the unit vector of the base curvature_1d; read-only
 _E1.flags.writeable = False
 
 
-def _raiser(message):
-    """An errstate ``call`` handler that raises numpy.linalg's error."""
+def _fails_with(message):
+    """The errstate decorator of a LAPACK kernel: a failed gufunc sets the
+    invalid flag, which raises numpy.linalg's ``LinAlgError(message)``, and
+    the other flags are ignored, as numpy.linalg ignores them."""
     def raise_linalgerror(err, flag):
         raise LinAlgError(message)
-    return raise_linalgerror
-
-
-# numpy.linalg's messages; a failed gufunc sets the invalid flag
-_QR_FAILED = _raiser("Incorrect argument found while performing QR factorization")
-_SINGULAR = _raiser("Singular matrix")
-_EIG_FAILED = _raiser("Eigenvalues did not converge")
+    return np.errstate(call=raise_linalgerror, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
 @cache
@@ -78,30 +77,27 @@ def _upper(width: int) -> np.ndarray:
     return mask
 
 
+@_fails_with("Incorrect argument found while performing QR factorization")
 def _qr_r(W: np.ndarray) -> np.ndarray:
     """R of W = QR for an n x width W with n > width, forming no Q:
     ``np.linalg.qr(W, mode="r")``."""
     a = W.copy()  # the gufunc overwrites its input with R and reflectors
-    with np.errstate(call=_QR_FAILED, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        _umath_linalg.qr_r_raw(a, signature="d->d")
+    _umath_linalg.qr_r_raw(a, signature="d->d")
     width = a.shape[1]
     return np.where(_upper(width), a[:width], 0.0)
 
 
+@_fails_with("Singular matrix")
 def _solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """M^{-1} B for a 2-d B: ``np.linalg.solve(M, B)``."""
-    with np.errstate(call=_SINGULAR, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.solve(M, B, signature="dd->d")
+    return _umath_linalg.solve(M, B, signature="dd->d")
 
 
+@_fails_with("Eigenvalues did not converge")
 def _eigvalsh(A: np.ndarray) -> np.ndarray:
     """The ascending eigenvalues of symmetric A from its lower triangle:
     ``np.linalg.eigvalsh(A, UPLO="L")``."""
-    with np.errstate(call=_EIG_FAILED, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.eigvalsh_lo(A, signature="d->d")
+    return _umath_linalg.eigvalsh_lo(A, signature="d->d")
 
 
 def _check_memory(memory: int) -> None:
@@ -242,7 +238,8 @@ class _PairModel(HessianModel):
     go on the end of W, and one product s^T W gives its rows of M; eviction
     drops the leading columns and block. K = M^{-1} W^T and |B| are built
     from W and M on first use after an admitted pair, and reused until the
-    next one."""
+    next one. The factors shed the oldest pairs of a window whose M is
+    singular (``_compact``); W and M keep every admitted pair."""
 
     _combine = operator.sub  # the sign of the compact term: sub for BFGS, add for SR1
     _width: int  # columns of W per pair
@@ -278,24 +275,33 @@ class _PairModel(HessianModel):
         return True
 
     def _compact(self) -> tuple:
-        """(W, K, |B|) from ``_factorize``; empty when B = I."""
+        """(W, K, |B|) of the longest trailing run of whole pairs whose M
+        ``_solve`` accepts, a trailing block of the stored W and M; empty
+        when B = I, with no pairs or no such run."""
         if self._factors is None:
-            self._factors = self._factorize() if self._W.shape[1] else ()
+            self._factors = ()
+            W, M = self._W, self._M
+            for start in range(0, W.shape[1], self._width):
+                run = W[:, start:]
+                try:
+                    self._factors = (run, *self._product_factors(run, M[start:, start:]))
+                    break
+                except LinAlgError:
+                    continue  # this run's M is singular; shed its oldest pair
         return self._factors
 
-    def _factorize(self) -> tuple:
-        return self._product_factors(self._W, self._M)  # of the whole window
-
     def _product_factors(self, W, M) -> tuple:
-        """(W, K = M^{-1} W^T, |B|) of B = I -/+ W M^{-1} W^T. The solve
-        raises ``LinAlgError`` when M is singular."""
+        """(K = M^{-1} W^T, |B|) of B = I -/+ W M^{-1} W^T, K C-contiguous.
+        The solve raises ``LinAlgError`` when M is singular."""
         n, width = W.shape
         if n > width:
             # R of W = QR, with Q orthonormal even when W is rank-deficient;
             # for n <= width the identity already is such a Q, with R = W
             R = _qr_r(W)
             KR = _solve(M, np.concatenate((W.T, R.T), axis=1))
-            K, RMR = KR[:, :n], R.dot(KR[:, n:])
+            # one copy of K here, where ndarray.dot would copy the strided
+            # slice on every product
+            K, RMR = np.ascontiguousarray(KR[:, :n]), R.dot(KR[:, n:])
         else:
             K = _solve(M, W.T)
             RMR = W.dot(K)
@@ -305,7 +311,7 @@ class _PairModel(HessianModel):
         norm = max(abs(combine(1.0, float(lam[0]))), abs(combine(1.0, float(lam[-1]))))
         if n > width:
             norm = max(norm, 1.0)  # B = I on the complement of range(W)
-        return W, K, norm
+        return K, norm
 
     def _apply(self, v):
         factors = self._compact()
@@ -348,22 +354,11 @@ class Lsr1Model(_PairModel):
     M = D + L + L^T - S^T S.
 
     W = Y - S and M_ij = s_i^T (y_j - s_j), so a new pair's row of M is
-    s^T W. The factors use the longest suffix of the window whose M is
-    nonsingular to ``_solve``, a trailing block of W and M; W and M
-    themselves keep every admitted pair.
+    s^T W.
     """
 
     _combine = operator.add
     _width = 1
-
-    def _factorize(self):
-        W, M = self._W, self._M
-        for start in range(W.shape[1]):
-            try:
-                return self._product_factors(W[:, start:], M[start:, start:])
-            except LinAlgError:
-                continue  # window made M singular; shed its oldest pair
-        return ()
 
     def _columns(self, s, y):
         return ((y - s)[:, None],)

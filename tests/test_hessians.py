@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from trfam import (
     LbfgsModel,
@@ -163,6 +163,39 @@ class TestCompactFactors:
         assert close_to(m.apply(v), compact_apply_reference("lsr1", pairs[2:], 1.0, v))
         assert not close_to(m.apply(v), compact_apply_reference("lsr1", pairs[4:], 1.0, v))
 
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_lbfgs_sheds_oldest_pair_of_singular_window(self, monkeypatch, n):
+        # the window rule is the pair model's, not L-SR1's alone: when the
+        # solve rejects the full window's M, L-BFGS sheds one whole (s, y)
+        # pair, two columns of W
+        rng = np.random.default_rng(31)
+        m = LbfgsModel(n, memory=3)
+        pairs = feed_pairs(m, rng, 3)
+        assert len(pairs) == 3
+        solve = hessians._solve
+
+        def singular_full_window(M, B):
+            if M.shape[0] == m._W.shape[1]:
+                raise LinAlgError("Singular matrix")
+            return solve(M, B)
+
+        monkeypatch.setattr(hessians, "_solve", singular_full_window)
+        v = rng.standard_normal(n)
+        assert close_to(m.operator_norm(), compact_norm_reference("lbfgs", pairs[1:], n))
+        assert close_to(m.apply(v), compact_apply_reference("lbfgs", pairs[1:], 1.0, v))
+        assert m._compact()[0].shape == (n, 4)
+
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
+    def test_k_is_c_contiguous(self, mode):
+        # K is copied out of the solve's [K | M^{-1} R^T] once per window,
+        # so no product copies a strided K; n = 12 is past every width
+        rng = np.random.default_rng(37)
+        m = build_model(mode, dim=12, memory=5)
+        for _ in range(7):
+            assert feed_pairs(m, rng, 1)
+            W, K, _ = m._compact()
+            assert K.shape == (W.shape[1], 12) and K.flags.c_contiguous
+
     @pytest.mark.parametrize("n,qr_calls", [(4, 0), (9, 1)], ids=["identity", "qr"])
     @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
     def test_both_bases_at_one_memory(self, monkeypatch, mode, n, qr_calls):
@@ -303,11 +336,11 @@ def blas_operands(rng, n, width):
     """(a, b) of every product trfam forms as ``a.dot(b)``, for dimension n
     and window width, laid out as trfam lays them out: 1-d vectors; an
     n x width window W, C-contiguous as ``update`` borders it and a column
-    slice as L-SR1 sheds a pair, with its K and R from trfam's own kernels
-    (K the strided slice ``KR[:, :n]`` when n > width); an exact Hessian;
-    and a least-squares problem's ``2 * J.T``, which is F-ordered. s'W
-    takes the C-contiguous W alone, its only layout in trfam: with a column
-    slice, numpy 2.4.6's dot and @ round differently."""
+    slice as a shed window leaves it, with its K and R from trfam's own
+    kernels (K C-contiguous, copied out of ``KR[:, :n]`` when n > width);
+    an exact Hessian; and a least-squares problem's ``2 * J.T``, which is
+    F-ordered. s'W takes the C-contiguous W alone, its only layout in
+    trfam: with a column slice, numpy 2.4.6's dot and @ round differently."""
     v, u = many_magnitudes(rng, n), many_magnitudes(rng, n)
     shed = many_magnitudes(rng, (n, width + 1))[:, 1:]
     bordered = shed.copy()
@@ -321,7 +354,7 @@ def blas_operands(rng, n, width):
         if n > width:
             R = hessians._qr_r(W)
             KR = hessians._solve(M, np.concatenate((W.T, R.T), axis=1))
-            K = KR[:, :n]
+            K = np.ascontiguousarray(KR[:, :n])
             out.append((R, KR[:, n:]))
         else:
             K = hessians._solve(M, W.T)

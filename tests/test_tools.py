@@ -2,13 +2,17 @@
 package's benchmark recipes agree with perfbench, which restates them."""
 
 import ast
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from trfam import adversarial, bench
 from trfam.hessians import build_model
@@ -72,14 +76,17 @@ def load_digests(monkeypatch):
     return module
 
 
-def matrix_digest(monkeypatch, name: str) -> str:
-    """SHA-256 of the 96 seed-0 digest lines of matrix workload ``name``,
-    joined by newlines, as ``benchmarks/digests.py --seed 0`` prints them."""
-    digests = load_digests(monkeypatch)
-    workloads = digests.workloads
-    wl = workloads.matrix_exact(0, None) if name == "matrix-exact" else workloads.matrix_qn(0)
-    lines = [digests.line(name, cell.label, digests.run_cell(cell)) for cell in wl.cells]
-    assert len(lines) == 96
+@pytest.fixture(scope="module")
+def seed0_output() -> str:
+    """What ``benchmarks/digests.py --seed 0 --perturb 0`` prints, solved
+    once for every pin below."""
+    with (pytest.MonkeyPatch.context() as monkeypatch,
+          contextlib.redirect_stdout(io.StringIO()) as out):
+        assert load_digests(monkeypatch).main(["--seed", "0", "--perturb", "0"]) == 0
+    return out.getvalue()
+
+
+def sha256_of_lines(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -94,8 +101,10 @@ class TestMatrixExactDigest:
 
     DIGEST = "f907a26ad6241dce997b9da483b658ef4deaa6095c6f39839f5dbaa0e55e1f5d"
 
-    def test_seed0_digest_pinned(self, monkeypatch):
-        assert matrix_digest(monkeypatch, "matrix-exact") == self.DIGEST
+    def test_seed0_digest_pinned(self, seed0_output):
+        lines = seed0_output.splitlines()[:96]
+        assert all(ln.startswith("matrix-exact ") for ln in lines)
+        assert sha256_of_lines(lines) == self.DIGEST
 
 
 class TestMatrixQnDigest:
@@ -107,23 +116,28 @@ class TestMatrixQnDigest:
 
     DIGEST = "05b9a1460f60f261b5d015065d18a676eb3b4bdc958747b70ffba55eac9da5a3"
 
-    def test_seed0_digest_pinned(self, monkeypatch):
-        assert matrix_digest(monkeypatch, "matrix-qn") == self.DIGEST
+    def test_seed0_digest_pinned(self, seed0_output):
+        lines = seed0_output.splitlines()[96:192]
+        assert all(ln.startswith("matrix-qn ") for ln in lines)
+        assert sha256_of_lines(lines) == self.DIGEST
 
 
 class TestWorstCaseDigest:
     """The seed-0 worst-case workload pinned as the matrix workloads are:
-    the SHA-256 of its three replay lines and six audit lines from
-    ``digests.worst_case_lines(0)``, joined by newlines. The replays use
-    scalar IEEE arithmetic, but the audits go through numpy reductions and
-    the C math library, so the pin holds for the builds it was taken with."""
+    the SHA-256 of its three replay lines and six audit lines, lines
+    193-195 and 197-202 of ``digests.py --seed 0``, joined by newlines. The
+    replays use scalar IEEE arithmetic, but the audits go through numpy
+    reductions and the C math library, so the pin holds for the builds it
+    was taken with."""
 
     DIGEST = "3687ff45bd33a05790066b19a4b4891f4b3ee26a717e95d35acd5cf12cb21806"
 
-    def test_seed0_digest_pinned(self, monkeypatch):
-        out, audits = load_digests(monkeypatch).worst_case_lines(0)
-        assert (len(out), len(audits)) == (3, 6)
-        assert hashlib.sha256("\n".join(out + audits).encode()).hexdigest() == self.DIGEST
+    def test_seed0_digest_pinned(self, seed0_output):
+        lines = seed0_output.splitlines()
+        worst, audits = lines[192:195], lines[196:202]
+        assert all(ln.startswith("worst-case ") for ln in worst)
+        assert all(ln.startswith("audit ") for ln in audits)
+        assert sha256_of_lines(worst + audits) == self.DIGEST
 
 
 class TestDigestsAgainst:
@@ -203,14 +217,12 @@ class TestFloor:
             "total iterations: unperturbed 74, perturbed min median max 74 74 74",
         ]]
 
-    def test_perturb_0_prints_the_digests_alone(self, monkeypatch, capsys):
+    def test_perturb_0_prints_the_digests_alone(self, seed0_output):
         # the whole seed-0 output, 192 matrix lines, 3 worst-case lines,
         # "all" and 6 audits, pinned for the builds TestMatrixExactDigest
         # names: a saved output of a commit without --perturb still compares
-        assert load_digests(monkeypatch).main(["--seed", "0", "--perturb", "0"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == 202
-        assert hashlib.sha256(out.encode()).hexdigest() == (
+        assert len(seed0_output.splitlines()) == 202
+        assert hashlib.sha256(seed0_output.encode()).hexdigest() == (
             "cb20d5927cb567f9de0a53de7d3fb614e199250d131269bfe6825c326522e425")
 
 
