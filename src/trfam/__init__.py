@@ -27,7 +27,6 @@ from .bounds import (
 )
 from .driver import (
     IterationLog,
-    IterationRecord,
     SolveReport,
     TrParams,
     a_k,

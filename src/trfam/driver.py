@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -93,6 +94,8 @@ class TrParams:
 
 @dataclass(slots=True)
 class IterationRecord:
+    """One iteration of an ``IterationLog``, as its iterator yields it."""
+
     k: int
     f: float
     gnorm: float
@@ -109,28 +112,27 @@ class IterationRecord:
     snorm: float = math.nan
 
 
-_FLOAT_COLUMNS = (
-    "f", "gnorm", "delta", "eff_radius", "rho", "bnorm", "a_k", "model_decrease", "snorm"
-)
-
-
 class IterationLog:
-    """Iteration log with one typed ``array`` per record field.
+    """Iteration log with one typed ``array`` per ``IterationRecord`` field.
 
     ``k`` is not stored: it is the index. ``n_succ`` is not stored either:
     it is read off ``status`` as the running count of accepted steps.
-    ``len``, indexing and iteration give ``IterationRecord`` views.
-    Readers that scan the whole log read the columns instead;
-    ``column(name)`` views one as a numpy array without copying it.
+    ``status`` holds codes into STATUSES. Readers read the columns: the
+    arrays themselves, or ``column(name)``, a read-only numpy view.
+
+    Iteration yields ``IterationRecord`` views, and ``log[i]`` walks that
+    iterator up to i. Only the benchmark still reads them: in
+    ``perfbench/workloads.py``, ``nonfinite_records`` iterates the records
+    and the worst-case pass reads ``report.log[0].a_k``;
+    ``perfbench/tests/test_perfbench.py`` builds records and sums their
+    ``cg_iters``.
     """
 
-    __slots__ = (*_FLOAT_COLUMNS, "status", "cg_iters")
+    __slots__ = tuple(f.name for f in fields(IterationRecord) if f.name not in ("k", "n_succ"))
 
     def __init__(self):
-        for name in _FLOAT_COLUMNS:
-            setattr(self, name, array("d"))
-        self.status = array("b")  # indices into STATUSES
-        self.cg_iters = array("i")
+        for name in self.__slots__:
+            setattr(self, name, array({"status": "b", "cg_iters": "i"}.get(name, "d")))
 
     def append(
         self, f, gnorm, delta, eff_radius, rho, status, bnorm, a_k, cg_iters, model_decrease, snorm
@@ -166,16 +168,7 @@ class IterationLog:
         return len(self.f)
 
     def __getitem__(self, i: int) -> IterationRecord:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("iteration log index out of range")
-        return IterationRecord(
-            i, self.f[i], self.gnorm[i], self.delta[i], self.eff_radius[i], self.rho[i],
-            STATUSES[self.status[i]], self.bnorm[i], i + 1 - self.status[: i + 1].count(_U),
-            self.a_k[i], self.cg_iters[i], self.model_decrease[i], self.snorm[i],
-        )
+        return next(islice(self, range(len(self))[i], None))
 
     def __iter__(self):
         return map(
@@ -360,7 +353,6 @@ def solve(
             # no meaningful model decrease: count as unsuccessful, do not divide
             rho = math.nan
             iter_status = _U
-            f_trial = f_at_k
         else:
             f_trial = float(eval_f(x_trial))
             n_f += 1

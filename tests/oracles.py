@@ -9,11 +9,18 @@ them from the pairs. ``benchmarks/compact_accuracy.py`` reads the compact
 oracles too.
 """
 
+import struct
 from fractions import Fraction
 
 import numpy as np
 
 from trfam import ExactHessian, StepResult
+
+
+def bits(v) -> bytes:
+    """The float v's eight bytes: equal only for the same float, NaN and
+    the sign of zero included."""
+    return struct.pack("<d", v)
 
 
 def matrix_model(A) -> ExactHessian:
@@ -50,6 +57,27 @@ def cauchy_point(g, B, radius: float) -> StepResult:
         cg_iters=0,
         snorm=float(np.linalg.norm(s)),
     )
+
+
+def grid_max_decrease(gnorm, gBg, stop, num=10**6):
+    """The largest t |g|^2 - t^2 g'Bg / 2 over ``np.linspace(0.0, stop, num)``.
+
+    The maximum of this quadratic in t lies at an end of the grid or, for
+    g'Bg > 0, next to its vertex |g|^2 / g'Bg, so only the two ends and the
+    grid points within 3 indices of the vertex are evaluated. They are the
+    points linspace forms, i * step with ``stop`` as the last, so the value
+    is the full grid's maximum bit for bit.
+    """
+    step = stop / (num - 1)
+    idx = {0, num - 1}
+    if gBg > 0:
+        vertex = gnorm**2 / gBg / step
+        if vertex < num + 3:
+            mid = round(vertex)
+            idx.update(i for i in range(mid - 3, mid + 4) if 0 <= i < num)
+    ts = np.array(sorted(idx)) * step
+    ts[-1] = stop
+    return float(np.max(ts * gnorm**2 - 0.5 * ts**2 * gBg))
 
 
 def solve_tcg_reference(g, B, radius: float) -> StepResult:

@@ -42,7 +42,7 @@ from trfam.bench import (
 from trfam.cli import main as cli_main
 from trfam.problems import probe_points
 
-from oracles import beats_cauchy, cauchy_point, matrix_model
+from oracles import beats_cauchy, cauchy_point, grid_max_decrease, matrix_model
 
 RESULTS = []
 
@@ -54,27 +54,6 @@ def report(num, name, ok, detail=""):
     print(line, flush=True)
     RESULTS.append((num, ok))
     assert ok, line
-
-
-def grid_max_decrease(gnorm, gBg, stop, num=10**6):
-    """The largest t |g|^2 - t^2 g'Bg / 2 over ``np.linspace(0.0, stop, num)``.
-
-    The maximum of this quadratic in t lies at an end of the grid or, for
-    g'Bg > 0, next to its vertex |g|^2 / g'Bg, so only the two ends and the
-    grid points within 3 indices of the vertex are evaluated. They are the
-    points linspace forms, i * step with ``stop`` as the last, so the value
-    is the full grid's maximum bit for bit.
-    """
-    step = stop / (num - 1)
-    idx = {0, num - 1}
-    if gBg > 0:
-        vertex = gnorm**2 / gBg / step
-        if vertex < num + 3:
-            mid = round(vertex)
-            idx.update(i for i in range(mid - 3, mid + 4) if 0 <= i < num)
-    ts = np.array(sorted(idx)) * step
-    ts[-1] = stop
-    return float(np.max(ts * gnorm**2 - 0.5 * ts**2 * gBg))
 
 
 def run_cli_json(*argv):
@@ -184,7 +163,7 @@ def test_criterion_06_a_k_lower_bound(sweep_runs):
     ok = True
     worst = math.inf
     for spec, sharp, rep, inst, inputs in runs:
-        min_a = min(r.a_k for r in rep.log)
+        min_a = min(rep.log.a_k)
         worst = min(worst, min_a / inputs.a_min)
         ok = ok and min_a >= inputs.a_min * (1.0 - 1e-10)
     report(6, "a_k never falls below the theoretical a_min", ok, f"min margin {worst:.3f}")

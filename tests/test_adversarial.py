@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from trfam import (
     verify_sharpness,
 )
 from trfam.adversarial import AdversarialInstance, Interpolant1D, bound_inputs, emit_function_csv
+
+from oracles import bits
 
 SWEEP_EPS = (0.9, 0.5, 0.25)
 SWEEP_P = (0.0, 0.3, 0.5, 0.9, 1.0)
@@ -351,10 +352,6 @@ class CountingInterpolant(Interpolant1D):
         return super().__call__(xq)
 
 
-def bits(v) -> bytes:
-    return struct.pack("<d", v)
-
-
 class TestAsProblem:
     def interpolant(self):
         # a knot at 0 with f = -0.0 there: f(+0.0) is 0.0, f(-0.0) is -0.0
@@ -571,7 +568,7 @@ class TestVerifySharpness:
         spec = AdversarialSpec(eps, 0.0)
         sharp, report = verify_sharpness(spec)
         assert sharp.passed
-        for name in driver._FLOAT_COLUMNS:
+        for name in driver.IterationLog.__slots__:
             assert np.isfinite(report.log.column(name)).all(), name
         assert max(report.log.delta) == max(report.log.eff_radius) == driver._DELTA_MAX
         inputs = bound_inputs(spec, report)

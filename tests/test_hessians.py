@@ -1,7 +1,6 @@
 """Tests for the model-Hessian implementations."""
 
 import math
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +22,7 @@ from trfam.driver import SolveError, _fmt
 from trfam.hessians import MODEL_KINDS, ExactHessian, HessianModel
 
 from oracles import (
+    bits,
     compact_apply_exact,
     compact_apply_reference,
     compact_norm_reference,
@@ -681,10 +681,6 @@ class TestModelsThatDoNotLearn:
         assert np.array_equal(m.apply(v), H @ v)
         assert m.operator_norm() == np.max(np.abs(np.linalg.eigvalsh(H)))
         assert (np.array_equal(m.apply(v), before[0]) and m.operator_norm() == before[1]) is same
-
-
-def bits(v) -> bytes:
-    return struct.pack("<d", v)
 
 
 def fed_lbfgs_1d() -> LbfgsModel:

@@ -20,8 +20,8 @@ from trfam import Problem, TrParams, build_model, builtin_collection, check_run_
 from trfam.bounds import BoundInputs, audit_run
 from trfam.driver import (
     _DECREASE_FLOOR,
-    _FLOAT_COLUMNS,
     RADIUS_MODES,
+    IterationLog,
     SolveError,
     theoretical_a_min,
 )
@@ -43,7 +43,7 @@ def floor_iterations(report) -> np.ndarray:
 def check_finite(report) -> None:
     """Every logged number is finite, rho's on a floor iteration aside."""
     log = report.log
-    for name in _FLOAT_COLUMNS:
+    for name in IterationLog.__slots__:
         if name != "rho":
             assert np.isfinite(log.column(name)).all(), name
     assert np.isfinite(log.column("rho")[~floor_iterations(report)]).all()

@@ -2,7 +2,6 @@
 point of ``oracles``."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -12,18 +11,9 @@ from trfam import (
 )
 from trfam.subproblem import SolveError, SteihaugPath, _norm, _to_boundary
 
-from oracles import beats_cauchy, cauchy_point, matrix_model, solve_tcg_reference
-
-
-def grid_cauchy_oracle(g, B, radius, n_grid=10**6):
-    """Brute-force line search in t over [0, radius/|g|] along -g."""
-    g = np.asarray(g, dtype=float)
-    gnorm = np.linalg.norm(g)
-    Bg = np.asarray(B) @ g
-    gBg = float(g @ Bg)
-    ts = np.linspace(0.0, radius / gnorm, n_grid)
-    decrease = ts * gnorm**2 - 0.5 * ts**2 * gBg
-    return float(np.max(decrease))
+from oracles import (
+    beats_cauchy, bits, cauchy_point, grid_max_decrease, matrix_model, solve_tcg_reference,
+)
 
 
 def random_instance(rng, n):
@@ -57,10 +47,6 @@ class TestEffectiveRadius:
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError):
             effective_radius(0.0, 0.0, 1.0, 0.0, 1.0)
-
-
-def bits(v) -> bytes:
-    return struct.pack("<d", v)
 
 
 class TestNorm:
@@ -102,7 +88,7 @@ class TestCauchyPoint:
         assert np.allclose(res.s, [-2.0, 0.0])
         assert res.model_decrease == pytest.approx(2.0)
         assert not res.boundary_hit
-        oracle = grid_cauchy_oracle(np.array([2.0, 0.0]), np.eye(2), 10.0)
+        oracle = grid_max_decrease(2.0, 4.0, 5.0)  # |g| = 2, g'Bg = 4, radius / |g| = 5
         assert res.model_decrease == pytest.approx(oracle, abs=1e-6)
 
     def test_negative_curvature_hits_boundary(self):
@@ -110,14 +96,14 @@ class TestCauchyPoint:
         assert np.allclose(res.s, [-3.0, 0.0])
         assert res.model_decrease == pytest.approx(7.5)
         assert res.boundary_hit
-        oracle = grid_cauchy_oracle(np.array([1.0, 0.0]), -np.eye(2), 3.0)
+        oracle = grid_max_decrease(1.0, -1.0, 3.0)  # |g| = 1, g'Bg = -1
         assert res.model_decrease == pytest.approx(oracle, abs=1e-6)
 
     def test_small_radius_boundary(self):
         res = cauchy_point(np.array([1.0, 0.0]), matrix_model(np.eye(2)), 0.5)
         assert res.model_decrease == pytest.approx(0.375)
         assert res.boundary_hit
-        oracle = grid_cauchy_oracle(np.array([1.0, 0.0]), np.eye(2), 0.5)
+        oracle = grid_max_decrease(1.0, 1.0, 0.5)  # |g| = 1, g'Bg = 1
         assert res.model_decrease == pytest.approx(oracle, abs=1e-6)
 
     def test_zero_gradient_rejected(self):
@@ -186,7 +172,8 @@ class TestTcg:
             assert beats_cauchy(res, g, B, radius)
             assert np.linalg.norm(res.s) <= radius * (1 + 1e-12)
             assert res.snorm == _norm(res.s)
-            oracle = grid_cauchy_oracle(g, A, radius, n_grid=10**4)
+            gnorm = np.linalg.norm(g)
+            oracle = grid_max_decrease(gnorm, float(g @ (A @ g)), radius / gnorm)
             cauchy = cauchy_point(g, B, radius).model_decrease
             assert cauchy >= oracle - 1e-6 * max(1.0, abs(oracle))
 
