@@ -22,7 +22,8 @@ assumption,
 
 where the digest covers the repr of every ``BoundCheck`` field,
 ``mu_hat_successful``, ``a_min`` and ``a_min_margin``. The audit inputs are
-``trfam.adversarial.bound_inputs`` of the case's spec and run.
+``trfam.adversarial.bound_inputs`` of the case's replay, read off its own
+sharpness report.
 
     python3 benchmarks/digests.py --seed 0 --perturb 60
 
@@ -163,8 +164,9 @@ def floor_lines(runs, perturbations: int):
            f"{spread([total[s] for s in seeds])}")
 
 
-def audit_lines(case, report: driver.SolveReport) -> list[str]:
-    inputs = adversarial.bound_inputs(case.spec, report)
+def audit_lines(case, sharp: adversarial.SharpnessReport,
+                report: driver.SolveReport) -> list[str]:
+    inputs = adversarial.bound_inputs(sharp, report)
     out = []
     for assumption in ("successful_counter", "iteration_counter"):
         audit = bounds.audit_run(report, inputs, assumption)
@@ -179,9 +181,9 @@ def worst_case_lines(seed: int) -> tuple[list[str], list[str]]:
     """The trajectory line and the audit lines of every worst-case case."""
     out, audits = [], []
     for case in workloads.worst_case(seed).cases:
-        _, report = adversarial.verify_sharpness(case.spec)
+        sharp, report = adversarial.verify_sharpness(case.spec)
         out.append(line("worst-case", case.label, report))
-        audits += audit_lines(case, report)
+        audits += audit_lines(case, sharp, report)
     return out, audits
 
 

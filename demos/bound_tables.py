@@ -48,11 +48,11 @@ print(f"tau = {tb.tau}, xi_beta = {tb.xi:.6g}, "
 # On the worst-case instances the Lipschitz constant is known exactly (the
 # interpolant's second derivative is piecewise linear), so the audit is a
 # guarantee check: a failure would be an implementation bug. bound_inputs
-# derives the exact f0, infimum, L and a_min of the replay.
+# reads the exact f0, infimum and L off the replay's own sharpness report,
+# and derives a_min from its first a_k.
 print("\nAudit of the p = 0.5, eps = 0.5 worst-case run:")
-spec = AdversarialSpec(0.5, 0.5)
-_, report = verify_sharpness(spec)
-inputs = bound_inputs(spec, report)
+sharp, report = verify_sharpness(AdversarialSpec(0.5, 0.5))
+inputs = bound_inputs(sharp, report)
 print(f"  exact L = {inputs.L:.4g}, a_min = {inputs.a_min:.4g}, "
       f"kappa1 = {kappa1(inputs):.4g}")
 audit = audit_run(report, inputs, "successful_counter")

@@ -175,7 +175,8 @@ class Interpolant1D:
     the junction points of the tails. Knot and segment data, x, f, g and
     the cubic coefficients c2, c3, are kept once as array('d'): a point
     evaluation reads Python floats from them, and the whole-instance bounds
-    read numpy views of the same memory. Widths are formed as needed.
+    read numpy views of the same memory, ``BLOCK`` segments at a time.
+    Widths are formed as needed.
 
     A replay evaluates the knots in order, so a point evaluation first tries
     the segment after the last one it used and bisects only on a miss. For
@@ -185,6 +186,12 @@ class Interpolant1D:
     """
 
     TAIL_CURVATURE = 1.0  # positive, so the tails keep f bounded below
+    # segments per pass of the two whole-instance bounds: their temporaries
+    # then take a few MiB, where whole arrays at k_eps = 8.9e6 (eps = 0.25,
+    # p = 1) would set a replay's peak, and 136 passes there cost next to
+    # nothing. Min and max are exact in any order, so the bounds do not
+    # depend on it.
+    BLOCK = 65_536
 
     def __init__(self, inst: AdversarialInstance):
         x, f, g = inst.knots_x, inst.f_vals, inst.g_vals
@@ -223,15 +230,19 @@ class Interpolant1D:
     def second_derivative_bound(self) -> float:
         """Exact sup of |f''|: per segment f'' is linear in x, so the
         maximum sits at an endpoint; the tails contribute the curvature."""
-        c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
-        h2 = np.diff(np.frombuffer(self._x)) ** 2
-        at0 = np.abs(2.0 * c2) / h2
-        at1 = np.abs(2.0 * c2 + 6.0 * c3) / h2
-        return float(max(self.TAIL_CURVATURE, at0.max(), at1.max()))
+        x, c2, c3 = np.frombuffer(self._x), np.frombuffer(self._c2), np.frombuffer(self._c3)
+        bound = self.TAIL_CURVATURE
+        for lo in range(0, len(c2), self.BLOCK):
+            hi = min(lo + self.BLOCK, len(c2))
+            h2 = np.diff(x[lo : hi + 1]) ** 2
+            at0 = np.abs(2.0 * c2[lo:hi]) / h2
+            at1 = np.abs(2.0 * c2[lo:hi] + 6.0 * c3[lo:hi]) / h2
+            bound = max(bound, at0.max(), at1.max())
+        return float(bound)
 
     def lower_bound(self) -> float:
         """Exact global infimum, from tail vertices, knot values and the
-        interior critical points of every segment at once.
+        interior critical points of every segment.
 
         Those points solve 3 c3 t^2 + 2 c2 t + h g0 = 0; the roots come
         from the cancellation-free form q = -(b + sign(b) sqrt(disc)) / 2,
@@ -240,20 +251,25 @@ class Interpolant1D:
         mask drops; the knot values cover the endpoints.
         """
         tc = self.TAIL_CURVATURE
-        f, g = np.frombuffer(self._f), np.frombuffer(self._g)
+        x, f, g = np.frombuffer(self._x), np.frombuffer(self._f), np.frombuffer(self._g)
+        c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
         left = f[0] if g[0] <= 0 else f[0] - g[0] ** 2 / (2 * tc)
         right = f[-1] if g[-1] >= 0 else f[-1] - g[-1] ** 2 / (2 * tc)
-        c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
-        hg = np.diff(np.frombuffer(self._x)) * g[:-1]
-        a, b = 3.0 * c3, 2.0 * c2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * hg), b))
-            roots = np.stack([q / a, hg / q])
-        inside = (roots > 0.0) & (roots < 1.0)
-        seg = np.nonzero(inside)[1]
-        t = roots[inside]
-        interior = f[seg] + t * (hg[seg] + t * (c2[seg] + t * c3[seg]))
-        return float(min(left, right, f.min(), interior.min(initial=np.inf)))
+        low = min(left, right, f.min())
+        for lo in range(0, len(c2), self.BLOCK):
+            hi = min(lo + self.BLOCK, len(c2))
+            fb, c2b, c3b = f[lo:hi], c2[lo:hi], c3[lo:hi]
+            hg = np.diff(x[lo : hi + 1]) * g[lo:hi]
+            a, b = 3.0 * c3b, 2.0 * c2b
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * hg), b))
+                roots = np.stack([q / a, hg / q])
+            inside = (roots > 0.0) & (roots < 1.0)
+            seg = np.nonzero(inside)[1]
+            t = roots[inside]
+            interior = fb[seg] + t * (hg[seg] + t * (c2b[seg] + t * c3b[seg]))
+            low = min(low, interior.min(initial=np.inf))
+        return float(low)
 
     def as_problem(self) -> Problem:
         """The instance as a 1-d ``Problem`` with f and f' only: the
@@ -291,6 +307,11 @@ def build_interpolant(inst: AdversarialInstance) -> Interpolant1D:
 
 @dataclass
 class SharpnessReport:
+    """The replay's checks and the instance facts its audit needs: f0 and
+    delta0 as the instance sets them, and ``lipschitz`` (the exact sup |f''|)
+    and ``f_low`` (the exact infimum) as the replayed interpolant's
+    ``second_derivative_bound`` and ``lower_bound`` compute them."""
+
     spec: AdversarialSpec
     k_eps: int
     iterations: int
@@ -303,6 +324,8 @@ class SharpnessReport:
     final_grad_error: float
     f0: float
     delta0: float
+    lipschitz: float
+    f_low: float
     mismatches: list[dict] = field(default_factory=list)
 
     @property
@@ -339,7 +362,8 @@ def verify_sharpness(
 
     With ``emit_function``, a path, ``emit_function_csv`` writes the
     instance's interpolant there before the replay, so a caller that wants
-    both builds the instance once.
+    both builds the instance once. The report carries the interpolant's
+    exact sup |f''| and infimum, so ``bound_inputs`` builds nothing more.
     """
     inst = generate(spec, cap)
     k_eps, f0, delta0 = inst.k_eps, float(inst.f_vals[0]), inst.delta0
@@ -350,6 +374,8 @@ def verify_sharpness(
     params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=delta0)
     model = ScriptedModel(inst.B_vals)
     del inst  # through the solve: the script, three scalars, the interpolant's knots
+    # the bounds' blocks run while neither the instance nor the log is held
+    lipschitz, f_low = interp.second_derivative_bound(), interp.lower_bound()
     report = solve(problem, params, model, eps=spec.eps, max_iter=k_eps + 10)
     # the checks read only the log: free the interpolant's data before
     # they allocate their per-iteration temporaries
@@ -399,22 +425,23 @@ def verify_sharpness(
         final_grad_error=final_err,
         f0=f0,
         delta0=delta0,
+        lipschitz=lipschitz,
+        f_low=f_low,
         mismatches=mism,
     )
     return sharp, report
 
 
-def bound_inputs(spec: AdversarialSpec, report: SolveReport) -> BoundInputs:
-    """The audit inputs of ``report``, a replay of ``spec`` as
-    ``verify_sharpness`` returns it, from the regenerated instance: its f0
-    and delta0, the interpolant's exact infimum as f_low and exact sup |f''|
-    as L, and a_min = ``theoretical_a_min`` of the run's first a_k. mu is 1:
-    ``bounds.audit_run`` measures the run's own."""
-    inst = generate(spec)
-    interp = build_interpolant(inst)
-    L = interp.second_derivative_bound()
-    params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
-    return BoundInputs(params, f0=float(inst.f_vals[0]), f_low=interp.lower_bound(),
+def bound_inputs(sharp: SharpnessReport, report: SolveReport) -> BoundInputs:
+    """The audit inputs of ``report``, the replay ``verify_sharpness``
+    returned with ``sharp``, all read off that replay: the spec, f0 and
+    delta0, ``sharp.f_low`` (the interpolant's exact infimum), L =
+    ``sharp.lipschitz`` (its exact sup |f''|), and a_min =
+    ``theoretical_a_min`` of the run's first a_k. mu is 1:
+    ``bounds.audit_run`` measures the run's own. No instance is rebuilt."""
+    spec, L = sharp.spec, sharp.lipschitz
+    params = TrParams(alpha=spec.alpha, beta=spec.beta, delta0=sharp.delta0)
+    return BoundInputs(params, f0=sharp.f0, f_low=sharp.f_low,
                        a_min=theoretical_a_min(report.log.a_k[0], params, L), mu=1.0,
                        p=spec.p, eps=spec.eps, L=L)
 

@@ -215,14 +215,16 @@ def measure_envelope(log, p: float, counter_kind: str = "successful") -> float:
 
     ``log`` is an ``IterationLog``; the counter c_k is its ``n_succ``
     column (|S_k|) or the index k, per ``counter_kind``. The powers are
-    Python's, whose rounding numpy's vectorised power does not share.
+    Python's, whose rounding numpy's vectorised power does not share; they
+    go straight into one array, with no list of float objects between.
     """
     if counter_kind not in ("successful", "iteration"):
         raise ValueError(f"unknown counter_kind {counter_kind!r}")
     if not len(log):
         raise ValueError("empty iteration log")
     counter = log.n_succ if counter_kind == "successful" else range(len(log))
-    envelope = 1.0 + np.array([float(c) ** p for c in counter])
+    envelope = np.fromiter((float(c) ** p for c in counter), dtype=float, count=len(log))
+    envelope += 1.0
     running_max = np.fmax.accumulate(log.column("bnorm"))
     # fmax skips NaN, as a running max(best, value) from 0.0 does
     return float(np.fmax.reduce(running_max / envelope, initial=0.0))

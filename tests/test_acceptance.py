@@ -131,7 +131,7 @@ def sweep_runs():
                 spec = AdversarialSpec(eps, p, 1.0, a, b)
                 sharp, rep = verify_sharpness(spec)
                 inst = generate(spec)
-                runs.append((spec, sharp, rep, inst, bound_inputs(spec, rep)))
+                runs.append((spec, sharp, rep, inst, bound_inputs(sharp, rep)))
     return runs, time.perf_counter() - t0
 
 

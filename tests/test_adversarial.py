@@ -10,6 +10,7 @@ from scipy.interpolate import CubicHermiteSpline
 from trfam import (
     AdversarialSpec,
     adversarial,
+    audit_run,
     build_interpolant,
     check_run_invariants,
     driver,
@@ -399,8 +400,8 @@ class TestLowerBound:
         interp = build_interpolant(generate(AdversarialSpec(eps, p, c)))
         assert interp.lower_bound() == lower_bound_reference(interp)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_root_loop_with_interior_minima(self, seed):
+    @staticmethod
+    def wavy_interpolant(seed):
         # slopes that change sign (a share of them exactly zero) put
         # minima inside segments. The offset keeps the bound larger than
         # the Horner terms: where it is their cancellation, both root forms
@@ -411,10 +412,21 @@ class TestLowerBound:
         f = 10.0 + 0.3 * rng.standard_normal(n)
         g = 3.0 * rng.standard_normal(n)
         g[rng.random(n) < 0.2] = 0.0
-        interp = hand_interpolant(x, f, g)
+        return hand_interpolant(x, f, g), f
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_root_loop_with_interior_minima(self, seed):
+        interp, f = self.wavy_interpolant(seed)
         low, ref = interp.lower_bound(), lower_bound_reference(interp)
         assert low == pytest.approx(ref, rel=1e-15, abs=0.0)
         assert low < f.min()  # an interior minimum decides the bound
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blocks_find_the_whole_array_minimum(self, seed, monkeypatch):
+        interp, _ = self.wavy_interpolant(seed)
+        whole = interp.lower_bound()  # 199 segments: one default block
+        monkeypatch.setattr(Interpolant1D, "BLOCK", 7)  # 28 blocks of 7 and one of 3
+        assert bits(interp.lower_bound()) == bits(whole)
 
     def test_interior_minimum_of_one_segment(self):
         # f = (x - 1/2)^2 on [0, 1] needs no cubic term: a = 0, a linear root
@@ -571,16 +583,46 @@ class TestVerifySharpness:
         for name in driver.IterationLog.__slots__:
             assert np.isfinite(report.log.column(name)).all(), name
         assert max(report.log.delta) == max(report.log.eff_radius) == driver._DELTA_MAX
-        inputs = bound_inputs(spec, report)
+        inputs = bound_inputs(sharp, report)
         assert check_run_invariants(report, inputs.params, inputs.L) == []
+
+
+class TestBoundInputs:
+    def test_replay_and_both_audits_generate_once(self, monkeypatch):
+        calls = []
+        generate_ = adversarial.generate
+        monkeypatch.setattr(adversarial, "generate",
+                            lambda *a, **k: calls.append(a) or generate_(*a, **k))
+        sharp, report = verify_sharpness(AdversarialSpec(0.5, 1.0))
+        inputs = bound_inputs(sharp, report)
+        for assumption in ("successful_counter", "iteration_counter"):
+            assert audit_run(report, inputs, assumption).passed
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", sweep_specs(), ids=lambda s: f"e{s.eps}_p{s.p}_c{s.c}")
+    def test_report_carries_a_fresh_interpolants_bounds(self, spec):
+        sharp, _ = verify_sharpness(spec)
+        fresh = Interpolant1D(generate(spec))
+        assert bits(sharp.f_low) == bits(fresh.lower_bound())
+        assert bits(sharp.lipschitz) == bits(fresh.second_derivative_bound())
+
+    def test_blocks_give_the_whole_array_bounds(self, monkeypatch):
+        spec = AdversarialSpec(0.33, 1.0)  # k_eps 9,727: one default block
+        assert k_epsilon(spec) <= Interpolant1D.BLOCK
+        fresh = Interpolant1D(generate(spec))
+        whole = [fresh.lower_bound(), fresh.second_derivative_bound()]
+        # 32 blocks of 300 segments and a ragged last one of 127
+        monkeypatch.setattr(Interpolant1D, "BLOCK", 300)
+        sharp, _ = verify_sharpness(spec)
+        assert list(map(bits, (sharp.f_low, sharp.lipschitz))) == list(map(bits, whole))
 
 
 def test_decrease_monitors_hold_with_exact_lipschitz():
     # on generated instances L is exact, so the per-iteration decrease and
     # a_k floors are assertions, not diagnostics
     for spec in (AdversarialSpec(0.5, 0.0), AdversarialSpec(0.5, 1.0, 1.0, 1.0, 1.0)):
-        _, report = verify_sharpness(spec)
-        inputs = bound_inputs(spec, report)
+        sharp, report = verify_sharpness(spec)
+        inputs = bound_inputs(sharp, report)
         assert check_run_invariants(report, inputs.params, inputs.L) == []
 
 

@@ -330,7 +330,7 @@ class TestAudit:
     def adversarial_audit(self, spec, assumption="successful_counter"):
         sharp, report = verify_sharpness(spec)
         assert sharp.passed
-        return audit_run(report, bound_inputs(spec, report), assumption), report
+        return audit_run(report, bound_inputs(sharp, report), assumption), report
 
     def test_adversarial_p0(self):
         audit, report = self.adversarial_audit(AdversarialSpec(0.5, 0.0))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import warnings
 
 import pytest
@@ -165,6 +166,9 @@ class TestAdversarial:
         payload = json.loads(out)
         assert payload["iterations"] == 4
         assert payload["passed"] is True
+        # the audit inputs the replay read off its interpolant
+        assert math.isfinite(payload["f_low"]) and payload["f_low"] <= payload["f0"]
+        assert math.isfinite(payload["lipschitz"]) and payload["lipschitz"] >= 1.0
 
     def test_generate_only(self, capsys):
         code, out, _ = run_cli(capsys, "adversarial", "--p", "0.5", "--eps", "0.5", "--json")

@@ -31,6 +31,8 @@ def test_paper_scale_replay_passes():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["passed"] is True
+    assert result["audit_successful_counter"] is True
+    assert result["audit_iteration_counter"] is True
     assert result["k_eps"] == 99
 
 
@@ -250,8 +252,8 @@ class TestRecipesAgreeWithPerfbench:
 
     def test_bound_inputs_match_the_worst_case_case(self, monkeypatch):
         workloads = load_digests(monkeypatch).workloads
-        _, report = adversarial.verify_sharpness(workloads.WARM_SPEC)
-        inputs = adversarial.bound_inputs(workloads.WARM_SPEC, report)
+        sharp, report = adversarial.verify_sharpness(workloads.WARM_SPEC)
+        inputs = adversarial.bound_inputs(sharp, report)
         case = workloads.Case.build(workloads.WARM_SPEC)
         assert (inputs.f0, inputs.f_low, inputs.L) == (case.f0, case.f_low, case.L)
 
