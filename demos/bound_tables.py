@@ -3,8 +3,6 @@
 Run as: python3 demos/bound_tables.py
 """
 
-import math
-
 from trfam import (
     AdversarialSpec,
     BoundInputs,

@@ -3,8 +3,6 @@
 Run as: python3 demos/solve_basics.py
 """
 
-import numpy as np
-
 from trfam import TrParams, build_model, get_problem, log_to_csv, solve
 
 problem = get_problem("rosenbrock")

@@ -10,25 +10,20 @@ iterations at p = 1.
 Run as: python3 demos/worst_case_tour.py
 """
 
-from trfam import AdversarialSpec, build_interpolant, generate, k_epsilon, verify_sharpness
-from trfam.adversarial import emit_function_csv
+from trfam import AdversarialSpec, k_epsilon, verify_sharpness
 
 for p in (0.0, 0.5, 1.0):
     spec = AdversarialSpec(eps=0.5, p=p, c=1.0)
-    inst = generate(spec)
-    print(f"p = {p:g}: k_eps = {inst.k_eps}, f0 = {inst.f_vals[0]:g}, "
-          f"span [0, {inst.knots_x[-1]:.3f}], Delta0 = {inst.delta0:g}")
-
-    sharp, report = verify_sharpness(spec)
+    # the replay also writes the function and its slope on a grid, ready
+    # for plotting, from the instance it builds
+    out = f"adversarial_p{p:g}.csv"
+    sharp, _ = verify_sharpness(spec, emit_function=out)
     assert sharp.passed
+    print(f"p = {p:g}: k_eps = {sharp.k_eps}, f0 = {sharp.f0:g}, Delta0 = {sharp.delta0:g}")
     print(f"    driver took {sharp.iterations} iterations "
           f"(every one very successful: {sharp.all_very_successful}), "
           f"max |rho - 2| = {sharp.max_rho_error:.1e}, "
           f"final |f'| = {sharp.final_grad_abs}")
-
-    # the function and its slope on a grid, ready for plotting
-    out = f"adversarial_p{p:g}.csv"
-    emit_function_csv(build_interpolant(inst), out)
     print(f"    wrote {out} (columns x, f, fprime)")
 
 # Shrinking eps at p = 1 shows the exponential blow-up; the generator caps

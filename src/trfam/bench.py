@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import SolveError, SolveReport, TrParams, check_budgets, solve
+from .driver import STOP_STATUSES, SolveError, SolveReport, TrParams, check_budgets, solve
 from .hessians import DEFAULT_MEMORY, build_model
 from .problems import Problem, builtin_collection, get_problem
 
@@ -195,9 +195,9 @@ def matrix_to_csv(matrix: CostMatrix) -> str:
 
 def read_matrix_csv(path) -> CostMatrix:
     """Read a ``matrix_to_csv`` file; ValueError, naming the file and line,
-    for a row without 7 fields or with a count that is not an integer or a
-    time that is not a number, for a missing or repeated cell, or for a
-    solved one with costs no solve has."""
+    for a row without 7 fields, with a status no run writes, or with a count
+    that is not an integer or a time that is not a number, for a missing or
+    repeated cell, or for a solved one with costs no solve has."""
     text = Path(path).read_text().rstrip().splitlines()
     if not text or text[0] != _MATRIX_HEADER:
         raise ValueError(f"{path}: not a cost-matrix CSV")
@@ -208,6 +208,9 @@ def read_matrix_csv(path) -> CostMatrix:
             raise ValueError(f"{path}, line {lineno}: {len(row)} fields, "
                              f"not {len(_MATRIX_FIELDS)}")
         prob, variant, status, *numbers = row
+        if status not in STOP_STATUSES and status != "error":
+            raise ValueError(f"{path}, line {lineno}: status {status!r} is not one "
+                             "a bench run writes")
         values = []
         for name, kind, value in zip(_MATRIX_FIELDS[3:], (int, int, float, int), numbers):
             try:

@@ -241,7 +241,6 @@ class BoundCheck:
 
 @dataclass
 class AuditResult:
-    assumption: str
     mu_hat_successful: float
     a_min: float
     a_min_margin: float
@@ -310,7 +309,6 @@ def audit_run(
     min_a = min(report.log.a_k, default=math.inf)
     margin = min_a / inputs.a_min if inputs.a_min > 0 else math.inf
     return AuditResult(
-        assumption=assumption,
         mu_hat_successful=mu_s,
         a_min=inputs.a_min,
         a_min_margin=margin,

@@ -26,6 +26,9 @@ VERY_SUCCESSFUL = "very_successful"
 SUCCESSFUL = "successful"
 UNSUCCESSFUL = "unsuccessful"
 
+# Why a run stopped: the status ``solve`` returns.
+STOP_STATUSES = ("first_order", "max_iter", "eval_budget", "delta_underflow")
+
 # The status column stores indices into STATUSES, the loop's codes _VS, _S, _U.
 STATUSES = (VERY_SUCCESSFUL, SUCCESSFUL, UNSUCCESSFUL)
 _VS, _S, _U = range(len(STATUSES))
@@ -252,9 +255,9 @@ def solve(
     truncated CG step (``solve_tcg``). While x and the model stay as they
     are, as after a rejected step, every CG step walks one
     ``SteihaugPath``, built with the |g| of the stopping test; an accepted
-    step, or an update that changes the model, drops it. The run stops
-    with ``delta_underflow`` when the effective radius falls below 1e-15
-    max(1, |x|). An eps that is not positive and finite raises ValueError,
+    step, or an ``update`` that returns True (B changes only there), drops
+    it. The run stops with ``delta_underflow`` when the effective radius
+    falls below 1e-15 max(1, |x|). An eps that is not positive and finite raises ValueError,
     as ``check_budgets`` does.
     """
     if not eps > 0:
@@ -267,9 +270,7 @@ def solve(
     # What the loop reads but never changes, read once. The step solvers
     # are this module's names as they are when the run starts.
     eval_f, eval_grad = problem.eval_f, problem.eval_grad
-    begin_iteration, operator_norm, update = (
-        model.begin_iteration, model.operator_norm, model.update
-    )
+    operator_norm, update = model.operator_norm, model.update
     eta1, eta2, gamma2, gamma3 = params.eta1, params.eta2, params.gamma2, params.gamma3
     alpha, beta = params.alpha, params.beta
     history = params.radius_mode == "history"
@@ -311,7 +312,6 @@ def solve(
             status = "eval_budget"
             break
 
-        begin_iteration(k)
         bnorm = float(operator_norm())
         if gnorm < hist_min_g:
             hist_min_g = gnorm

@@ -115,7 +115,8 @@ def _doubles(v) -> array:
 
 class HessianModel:
     """Base class; concrete models override ``_apply`` and
-    ``operator_norm``, and models that learn from steps override ``update``.
+    ``operator_norm``, and models whose B changes override ``update``, the
+    one place B may change.
 
     A model instance is mutable and owned by a single solver run; distinct
     runs must not share one.
@@ -133,7 +134,7 @@ class HessianModel:
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Ingest the step s and gradient change y; True when B changed.
 
-        Models that never learn keep this default, which reads neither.
+        Models whose B never changes keep this default, which reads neither.
         """
         return False
 
@@ -144,13 +145,6 @@ class HessianModel:
     def curvature_1d(self) -> float:
         """B of a 1-d model as a float; ``apply`` rejects any other dim."""
         return float(self.apply(_E1)[0])
-
-    def begin_iteration(self, k: int) -> None:
-        """Hook called by the driver at the top of iteration k.
-
-        A model of more than one dimension must not change B here: the
-        driver keeps its truncated-CG path until ``update`` returns True.
-        """
 
     def _apply(self, v):
         raise NotImplementedError
@@ -165,11 +159,12 @@ class ZeroModel(HessianModel):
 
 
 class ScriptedModel(HessianModel):
-    """One-dimensional model B_k = values[k], indexed by the iteration
-    counter; it never learns from steps.
+    """One-dimensional model that reads B off a script: values[j] after j
+    updates, whatever their s and y. A worst-case run accepts every step,
+    so B_k = values[k].
 
-    Iterations beyond the script hold the last value; the worst-case
-    verifier detects any overrun through its own iteration-count check.
+    Updates beyond the script hold the last value; the worst-case verifier
+    detects any overrun through its own iteration-count check.
     ``curvature_1d`` returns ``scalar``, which equals ``scalar * 1.0`` bitwise.
     """
 
@@ -178,10 +173,13 @@ class ScriptedModel(HessianModel):
         self.values = _doubles(values)  # 8 B per value; indexing gives a float
         if not self.values:
             raise ValueError("empty script")
-        self.begin_iteration(0)
+        self._script = iter(self.values)
+        self.scalar = next(self._script)
 
-    def begin_iteration(self, k: int) -> None:
-        self.scalar = self.values[min(k, len(self.values) - 1)]
+    def update(self, s, y):
+        """Move to the next value of the script; s and y are not read."""
+        self.scalar = next(self._script, self.scalar)
+        return True
 
     def _apply(self, v):
         return self.scalar * v

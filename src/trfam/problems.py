@@ -7,7 +7,7 @@ lowercase identifiers used on the command line (``--problem rosenbrock``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -556,7 +556,8 @@ def _engval1(n=50):
             m[i + 1, i] += 8 * x[i] * x[i + 1]
         return m
 
-    return Problem("engval1", n, f, g, _start(np.full(n, 2.0)), None, h)
+    # each term is at least x_i^4 - 4 x_i + 3 = (x_i - 1)^2 (x_i^2 + 2 x_i + 3) >= 0
+    return Problem("engval1", n, f, g, _start(np.full(n, 2.0)), 0.0, h)
 
 
 def _penalty1(n=10, a=1e-5):

@@ -550,16 +550,20 @@ class TestVerifySharpness:
 
     def test_nan_curvature_is_a_report_with_mismatches(self, monkeypatch):
         # with beta != 0 a NaN B_3 makes the radius and the step at k = 3
-        # NaN; the interpolant gives NaN there, so the step is rejected and
-        # the replay goes on one iteration late instead of raising
+        # NaN; the interpolant gives NaN there, so the step is rejected.
+        # The script moves only on an accepted step, so B stays NaN and
+        # every later step is rejected too: the replay runs to max_iter
+        # instead of raising
         def spoil_curvature(inst):
             inst.B_vals[3] = math.nan
 
         self.edit_instances(monkeypatch, spoil_curvature)
         sharp, report = verify_sharpness(AdversarialSpec(0.1, 0.0, beta=1.0))
-        assert report.status == "first_order" and sharp.iterations == 100
+        assert report.status == "max_iter" and sharp.iterations == sharp.k_eps + 10 == 109
         assert [(m["check"], m.get("k")) for m in sharp.mismatches] == [
-            ("iteration_count", None), ("rho", 3), ("step_inside", 3)]
+            ("iteration_count", None),
+            *((check, k) for k in range(3, 109) for check in ("rho", "step_inside")),
+            ("final_gradient", None)]
 
     def test_final_gradient_off_eps_is_a_final_gradient_mismatch(self, monkeypatch):
         # |g| at the last knot just below eps: the run still stops there

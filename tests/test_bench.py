@@ -1,7 +1,5 @@
 """Tests for the benchmark matrix, profiles, and their serialization."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -255,6 +255,14 @@ class TestAdversarial:
                                  "--json")
         assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
+    def test_accepted_spec_whose_a_k_leaves_the_float_range_is_domain_error(self, capsys):
+        # the spec passes AdversarialSpec, but the driver's a_k monitor
+        # overflows while the replay itself is fine
+        code, out, err = run_cli(capsys, "adversarial", "--p", "0.5", "--eps", "0.5",
+                                 "--alpha=-600", "--verify")
+        assert (code, out, err) == (
+            1, "", "error: adversarial: a_k out of the float range at k=15\n")
+
     def test_k_eps_past_the_float_range_is_domain_error(self, capsys):
         # eps^-2 overflows; this used to end in a traceback
         code, out, err = run_cli(capsys, "adversarial", "--p=1", "--eps=1e-300")
@@ -469,6 +477,8 @@ class TestBenchProfile:
          "matrix.csv, line 2: cost_f 'inf' is not an integer"),
         ("time", ["p,0_0,first_order,4,3,1.5", "p,1_1,first_order,4,3,fast"],
          "matrix.csv, line 3: time_ms 'fast' is not a number"),
+        ("fevals", ["booth,0_0,bogus,4,3,1.5", "booth,1_1,first_order,4,3,1.5"],
+         "matrix.csv, line 2: status 'bogus' is not one a bench run writes"),
     ])
     def test_profile_rejects_an_impossible_matrix(self, capsys, tmp_path, metric, rows, message):
         lines = ["problem,variant,status,cost_f,cost_g,time_ms,iters"] + [f"{r},2" for r in rows]

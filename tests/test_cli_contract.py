@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from trfam.bench import _MATRIX_HEADER, METRICS
 from trfam.cli import _PARAM_FLAGS
-from trfam.driver import RADIUS_MODES, TrParams
+from trfam.driver import RADIUS_MODES
 from trfam.hessians import MODEL_KINDS
 
 from test_cli import run_cli

@@ -561,9 +561,10 @@ class TestOperatorNorm:
         assert LbfgsModel(4).operator_norm() == 1.0
 
     def test_scripted_power(self):
-        # B_k = k^p at k = 9 with p = 0.5
+        # B_k = k^p at k = 9 with p = 0.5, after nine accepted steps
         m = ScriptedModel(np.arange(10.0) ** 0.5)
-        m.begin_iteration(9)
+        for _ in range(9):
+            m.update(np.ones(1), np.ones(1))
         assert m.operator_norm() == 3.0
 
     @pytest.mark.parametrize("collinear", [False, True], ids=["general", "collinear"])
@@ -642,7 +643,9 @@ class TestOperatorNorm:
 
 
 class TestModelsThatDoNotLearn:
-    """Models without pairs ignore update; the exact model re-evaluates."""
+    """Models without pairs read neither s nor y: the zero model ignores
+    update, a scripted model moves one value along its script, and the exact
+    model re-evaluates."""
 
     def test_zero_model(self):
         m = ZeroModel(2)
@@ -652,19 +655,17 @@ class TestModelsThatDoNotLearn:
         assert m.operator_norm() == 0.0
 
     def test_scripted_model(self):
-        m = ScriptedModel([2.0, -5.0])
+        m = ScriptedModel([2.0, -5.0, 3.0])
         v = np.array([1.5])
-        m.begin_iteration(0)
-        before = (m.apply(v), m.operator_norm())
-        # a zero step, and one a pair model would accept: neither is read
-        for s, y in ((np.zeros(1), np.zeros(1)), (np.ones(1), 2.0 * np.ones(1))):
-            assert m.update(s, y) is False
-            assert np.array_equal(m.apply(v), before[0])
-            assert m.operator_norm() == before[1] == 2.0
-        for k in (1, 7):  # past the script, the last value holds
-            m.begin_iteration(k)
-            assert np.array_equal(m.apply(v), -5.0 * v)
-            assert m.operator_norm() == 5.0
+        assert np.array_equal(m.apply(v), 2.0 * v) and m.operator_norm() == 2.0
+        # a zero step, one a pair model would accept, and one it would
+        # reject: each moves the script one value
+        steps = [(np.zeros(1), np.zeros(1)), (np.ones(1), 2.0 * np.ones(1)),
+                 (np.ones(1), -np.ones(1)), (np.ones(1), np.full(1, math.nan))]
+        for (s, y), b in zip(steps, (-5.0, 3.0, 3.0, 3.0)):  # the last value holds
+            assert m.update(s, y) is True
+            assert np.array_equal(m.apply(v), b * v)
+            assert m.operator_norm() == abs(b) and m.curvature_1d() == b
         with pytest.raises(ValueError, match="empty script"):
             ScriptedModel([])
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trfam import adversarial, bench
+from trfam import adversarial, bench, driver
 from trfam.hessians import build_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +66,26 @@ def test_no_matmul_operator_in_the_package():
                  if isinstance(node, (ast.BinOp, ast.AugAssign))
                  and isinstance(node.op, ast.MatMult)]
         assert not lines, f"{path.name}: @ at lines {lines}"
+
+
+def test_no_unused_imports():
+    # an imported name that no expression reads; an __init__.py re-exports
+    # what it imports, and a __future__ import binds no name
+    unused = []
+    for path in sorted(p for top in ("src", "benchmarks", "demos", "tests")
+                       for p in (ROOT / top).rglob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert not unused, unused
 
 
 def load_digests(monkeypatch):
@@ -249,6 +269,10 @@ class TestRecipesAgreeWithPerfbench:
         assert [res.iterations, res.fevals, res.gevals, res.solved] == [
             sum(r.iterations for r in reports), sum(r.evals.n_f for r in reports),
             sum(r.evals.n_g for r in reports), sum(r.status == "first_order" for r in reports)]
+
+    def test_stop_statuses_match_perfbench(self, monkeypatch):
+        workloads = load_digests(monkeypatch).workloads
+        assert sorted(driver.STOP_STATUSES) == sorted(workloads.DRIVER_STATUSES)
 
     def test_bound_inputs_match_the_worst_case_case(self, monkeypatch):
         workloads = load_digests(monkeypatch).workloads
