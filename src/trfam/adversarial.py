@@ -170,19 +170,22 @@ class Interpolant1D:
     """C^1 realization of an instance: cubic Hermite segments between the
     knots plus quadratic tails of unit curvature on both sides.
 
-    Evaluation at a knot returns the stored value/slope exactly: the local
-    Horner forms are anchored at the left endpoint of each segment and at
-    the junction points of the tails. Knot and segment data, x, f, g and
-    the cubic coefficients c2, c3, are kept once as array('d'): a point
-    evaluation reads Python floats from them, and the whole-instance bounds
-    read numpy views of the same memory, ``BLOCK`` segments at a time.
-    Widths are formed as needed.
+    Evaluation at a knot returns the knot's stored value and slope, bit for
+    bit and whatever the order of the calls: it reads them and forms no
+    cubic. Strictly between two knots it evaluates that segment's cubic, a
+    Horner form anchored at the segment's left knot; beyond an end knot, the
+    tail anchored there. Knot and segment data, x, f, g and the cubic
+    coefficients c2, c3, are kept once as array('d'): a point evaluation
+    reads Python floats from them, and the whole-instance bounds read numpy
+    views of the same memory, ``BLOCK`` segments at a time. Widths are
+    formed as needed.
 
     A replay evaluates the knots in order, so a point evaluation first tries
-    the segment after the last one it used and bisects only on a miss. For
-    knots in non-decreasing order, as ``generate`` makes them, the segment
-    i with knots[i] <= x < knots[i + 1] is the one bisection finds, so the
-    values do not depend on the order of the calls.
+    the knot after the last one it used and bisects only on a miss; every
+    trial point of a replay is that knot, so each of its evaluations is an
+    index read. For knots in increasing order, as ``generate`` makes them,
+    the knot or the segment bisection finds is the only one that holds the
+    point, so the values do not depend on the order of the calls.
     """
 
     TAIL_CURVATURE = 1.0  # positive, so the tails keep f bounded below
@@ -201,31 +204,32 @@ class Interpolant1D:
         self._x, self._f, self._g = _doubles(x), _doubles(f), _doubles(g)
         self._c2 = _doubles(3.0 * d - h * (2.0 * g[:-1] + g[1:]))
         self._c3 = _doubles(-2.0 * d + h * (g[:-1] + g[1:]))
-        self._next = 0  # the segment a point evaluation tries first
+        self._next = 0  # the knot a point evaluation tries first
 
     def __call__(self, xq: float) -> tuple[float, float]:
         """Return (f(x), f'(x)), and (nan, nan) at a NaN point."""
         x = float(xq)
         knots = self._x
-        tc = self.TAIL_CURVATURE
-        if x < knots[0] or x >= knots[-1]:  # a tail, from its end knot j
-            j = 0 if x < knots[0] else -1
-            dx = x - knots[j]
-            return self._f[j] + self._g[j] * dx + 0.5 * tc * dx * dx, self._g[j] + tc * dx
-        # x is NaN or knots[0] <= x < knots[-1] here, so a segment i stays
-        # below the last knot; a cursor at the last knot fails knots[i] <= x
         i = self._next
-        if not knots[i] <= x < knots[i + 1]:
-            if x != x:  # NaN fails every comparison: bisection would run off the end
-                return math.nan, math.nan
-            i = bisect_right(knots, x) - 1
-        self._next = i + 1
-        h = knots[i + 1] - knots[i]
-        t = (x - knots[i]) / h
-        c2, c3 = self._c2[i], self._c3[i]
-        val = self._f[i] + t * (h * self._g[i] + t * (c2 + t * c3))
-        slope = self._g[i] + t * (2.0 * c2 + 3.0 * c3 * t) / h
-        return val, slope
+        if x != knots[i]:  # not the cursor's knot
+            if knots[0] < x < knots[-1]:
+                i = bisect_right(knots, x) - 1
+                if x != knots[i]:  # strictly inside segment i
+                    self._next = i + 1
+                    h = knots[i + 1] - knots[i]
+                    t = (x - knots[i]) / h
+                    c2, c3 = self._c2[i], self._c3[i]
+                    val = self._f[i] + t * (h * self._g[i] + t * (c2 + t * c3))
+                    slope = self._g[i] + t * (2.0 * c2 + 3.0 * c3 * t) / h
+                    return val, slope
+            else:  # an end knot, a point beyond one, or NaN
+                i = 0 if x <= knots[0] else len(knots) - 1
+                dx = x - knots[i]
+                if dx:  # on the tail of end knot i; NaN reads NaN there
+                    tc = self.TAIL_CURVATURE
+                    return self._f[i] + self._g[i] * dx + 0.5 * tc * dx * dx, self._g[i] + tc * dx
+        self._next = i + 1 if x < knots[-1] else i  # the last knot keeps the cursor
+        return self._f[i], self._g[i]
 
     def second_derivative_bound(self) -> float:
         """Exact sup of |f''|: per segment f'' is linear in x, so the
@@ -274,23 +278,22 @@ class Interpolant1D:
     def as_problem(self) -> Problem:
         """The instance as a 1-d ``Problem`` with f and f' only: the
         verifier drives it with a ``ScriptedModel``, not a Hessian."""
-        # The driver asks for the gradient where it just asked for f, so
-        # one evaluation serves both. A nonzero float equal to the key has
-        # the key's bits; zero, whose sign == ignores, and NaN are always
-        # evaluated afresh.
-        last = [math.nan, None]  # x, (f(x), f'(x))
-
-        def at(x):
-            xq = float(x[0])
-            if xq != last[0] or xq == 0.0:
-                last[0], last[1] = xq, self(xq)
-            return last[1]
+        # The driver asks for the gradient where it just asked for f, so f
+        # keeps its point and slope for g. Equal points evaluate to the same
+        # bits (a knot's are stored), so the point's value is the key; NaN
+        # equals nothing and is evaluated afresh.
+        x_f = slope_f = math.nan
 
         def f(x):
-            return at(x)[0]
+            nonlocal x_f, slope_f
+            xq = float(x[0])
+            val, slope_f = self(xq)
+            x_f = xq
+            return val
 
         def g(x):
-            return np.array([at(x)[1]])
+            xq = float(x[0])
+            return np.array([slope_f if xq == x_f else self(xq)[1]])
 
         return Problem(
             name="adversarial",

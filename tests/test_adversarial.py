@@ -253,12 +253,30 @@ class TestGenerate:
 
 class TestInterpolant:
     def test_reproduces_knot_data(self):
+        # the stored bits at every knot: walked in order, each knot is the
+        # cursor's; in reverse on a fresh interpolant, the two end knots take
+        # the end-knot branch and every other knot is found by bisection
         inst = generate(AdversarialSpec(0.5, 0.5))
-        interp = build_interpolant(inst)
-        for xk, fk, gk in zip(inst.knots_x, inst.f_vals, inst.g_vals):
-            val, slope = interp(xk)
-            assert abs(val - fk) <= 1e-12
-            assert abs(slope - gk) <= 1e-12
+        knots = list(zip(inst.knots_x, inst.f_vals, inst.g_vals))
+        for interp, order in ((build_interpolant(inst), knots),
+                              (build_interpolant(inst), knots[::-1])):
+            for xk, fk, gk in order:
+                assert [bits(v) for v in interp(xk)] == [bits(fk), bits(gk)], xk
+
+    def test_every_knot_returns_its_stored_bits(self):
+        # a -0.0 value at knot 1, whose rising cubic gives +0.0 at t = 0, and
+        # a segment 2 whose c2 overflows, which turns the cubic at knot 2
+        # into NaN; as does segment 3 at knot 3
+        x, f, g = [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, -0.0, 1.0, 1e308, 1.0], [-1.0, 1.0, 1.0, 1.0, 1.0]
+        inst = hand_instance(x, f, g)
+        order = [0, 1, 2, 3, 4, 4, 2, 0, 3, 1, 1, 0, 4]
+        with np.errstate(over="ignore"):  # the overflowing coefficients
+            interp, fresh = Interpolant1D(inst), [Interpolant1D(inst) for _ in order]
+        assert math.isinf(interp._c2[2]) and math.isinf(interp._c2[3])
+        for k, first in zip(order, fresh):  # one interpolant through the order, and a fresh one
+            want = [bits(f[k]), bits(g[k])]
+            assert [bits(v) for v in interp(x[k])] == want, k
+            assert [bits(v) for v in first(x[k])] == want, k
 
     def test_midpoint_against_hermite_oracle(self):
         # first segment of the p = 0, eps = 0.5 instance: data (6, -1), (5, -0.875), h = 1
@@ -355,7 +373,7 @@ class CountingInterpolant(Interpolant1D):
 
 class TestAsProblem:
     def interpolant(self):
-        # a knot at 0 with f = -0.0 there: f(+0.0) is 0.0, f(-0.0) is -0.0
+        # a knot at 0 with f = -0.0 there: f(+0.0) and f(-0.0) both read it
         inst = hand_instance([-1.0, 0.0, 2.0], [1.0, -0.0, 3.0], [-1.0, 1.0, 2.0])
         return CountingInterpolant(inst)
 
@@ -371,7 +389,7 @@ class TestAsProblem:
             want = interp(x)[0 if which == "f" else 1]
             assert got == want, (which, x)
             assert bits(got) == bits(want), (which, x)
-        assert bits(interp(0.0)[0]) != bits(interp(-0.0)[0])
+        assert bits(interp(0.0)[0]) == bits(interp(-0.0)[0]) == bits(-0.0)
 
     def test_gradient_after_f_at_the_same_point_reuses_it(self):
         interp = self.interpolant()

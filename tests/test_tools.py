@@ -8,14 +8,17 @@ import importlib.util
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trfam import adversarial, bench, driver
-from trfam.hessians import build_model
+from trfam.hessians import ScriptedModel, build_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,11 +91,11 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
-def load_digests(monkeypatch):
-    """benchmarks/digests.py as a module; the sys.path entries it adds are
+def load_script(monkeypatch, name="digests"):
+    """benchmarks/<name>.py as a module; the sys.path entries it adds are
     dropped after the test."""
     monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("digests", ROOT / "benchmarks" / "digests.py")
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -104,7 +107,7 @@ def seed0_output() -> str:
     once for every pin below."""
     with (pytest.MonkeyPatch.context() as monkeypatch,
           contextlib.redirect_stdout(io.StringIO()) as out):
-        assert load_digests(monkeypatch).main(["--seed", "0", "--perturb", "0"]) == 0
+        assert load_script(monkeypatch).main(["--seed", "0", "--perturb", "0"]) == 0
     return out.getvalue()
 
 
@@ -171,11 +174,11 @@ class TestDigestsAgainst:
     ]
 
     def test_identical_outputs(self, monkeypatch):
-        digests = load_digests(monkeypatch)
+        digests = load_script(monkeypatch)
         assert digests.changes(self.BEFORE, self.BEFORE) == ["no changed cells"]
 
     def test_changed_cells_and_audits(self, monkeypatch):
-        digests = load_digests(monkeypatch)
+        digests = load_script(monkeypatch)
         after = [
             "matrix-exact a/exact/0_0 d9 e1 first_order 5 6 6",
             "matrix-qn b/lbfgs/1_1 d8 e8 first_order 40 41 35",
@@ -193,7 +196,7 @@ class TestDigestsAgainst:
     def test_verdicts_from_a_floor_file(self, monkeypatch, tmp_path):
         # before.txt as digests.py --perturb 60 writes it: the floor lines
         # come last; d/lsr1/1_1 has none
-        digests = load_digests(monkeypatch)
+        digests = load_script(monkeypatch)
         (tmp_path / "before.txt").write_text("\n".join([
             "matrix-qn b/lbfgs/1_1 d2 e2 first_order 40 41 35",
             "matrix-qn c/lsr1/0_0 d3 e3 first_order 7 8 8",
@@ -223,7 +226,7 @@ class TestDigestsAgainst:
 
 class TestFloor:
     def test_floor_lines_of_two_cells(self, monkeypatch):
-        digests = load_digests(monkeypatch)
+        digests = load_script(monkeypatch)
         workloads = digests.workloads
         runs = [(name, cell, digests.run_cell(cell))
                 for name, wl in (("matrix-exact", workloads.matrix_exact(0, None)),
@@ -248,9 +251,34 @@ class TestFloor:
             "cb20d5927cb567f9de0a53de7d3fb614e199250d131269bfe6825c326522e425")
 
 
+class TestCalls:
+    def test_worst_case_row_counts_driver_solve_alone(self, monkeypatch):
+        # benchmarks/calls.py's row of a replay with k_eps = 1,000: the calls
+        # a hook sees around driver.solve alone, as TestCallCount counts them,
+        # and none of verify_sharpness's instance, bounds or checks
+        calls = load_script(monkeypatch, "calls")
+        spec = adversarial.AdversarialSpec(10**-1.5, 0.0)
+        inst = adversarial.generate(spec)
+        problem = adversarial.build_interpolant(inst).as_problem()
+        params = driver.TrParams(alpha=spec.alpha, beta=spec.beta, delta0=inst.delta0)
+        model = ScriptedModel(inst.B_vals)
+        events = Counter()
+        sys.setprofile(lambda frame, event, arg: events.update([event]))
+        try:
+            report = driver.solve(problem, params, model, eps=spec.eps, max_iter=inst.k_eps + 10)
+        finally:
+            sys.setprofile(None)  # a C call the hook sees
+        _, python, c = calls.solve_calls(lambda: [adversarial.verify_sharpness(spec)[1]])
+        assert (python, c) == (events["call"], events["c_call"] - 1)
+        row = calls.worst_case_row("k1000", spec).split()
+        assert row == ["worst-case", "k1000", "1000", f"{python / 1000:.2f}", f"{c / 1000:.2f}",
+                       platform.python_version(), np.__version__]
+        assert report.iterations == 1000 and python / 1000 < 13.5
+
+
 class TestRecipesAgreeWithPerfbench:
     def test_solve_cell_matches_a_matrix_pass(self, monkeypatch):
-        workloads = load_digests(monkeypatch).workloads
+        workloads = load_script(monkeypatch).workloads
         spec = bench.RunSpec("sphere", 0.0, 0.0)
         assert (spec.memory, spec.eps, spec.eval_budget) == (
             workloads.MEMORY, workloads.EPS, workloads.EVAL_BUDGET)
@@ -271,11 +299,11 @@ class TestRecipesAgreeWithPerfbench:
             sum(r.evals.n_g for r in reports), sum(r.status == "first_order" for r in reports)]
 
     def test_stop_statuses_match_perfbench(self, monkeypatch):
-        workloads = load_digests(monkeypatch).workloads
+        workloads = load_script(monkeypatch).workloads
         assert sorted(driver.STOP_STATUSES) == sorted(workloads.DRIVER_STATUSES)
 
     def test_bound_inputs_match_the_worst_case_case(self, monkeypatch):
-        workloads = load_digests(monkeypatch).workloads
+        workloads = load_script(monkeypatch).workloads
         sharp, report = adversarial.verify_sharpness(workloads.WARM_SPEC)
         inputs = adversarial.bound_inputs(sharp, report)
         case = workloads.Case.build(workloads.WARM_SPEC)
@@ -285,7 +313,7 @@ class TestRecipesAgreeWithPerfbench:
         # Tracer.patched() reads each trfam name it swaps from its owner's
         # __dict__, so renaming one would end perfbench/run.py --trace 1 in
         # a KeyError
-        workloads = load_digests(monkeypatch).workloads
+        workloads = load_script(monkeypatch).workloads
         import tracing  # perfbench/ is on sys.path now
         wl = workloads.WorstCaseWorkload([workloads.Case.build(workloads.WARM_SPEC)], None)
         plain = wl.run_pass()
