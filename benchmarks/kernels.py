@@ -26,14 +26,21 @@ layer cost of the ``B v`` products and the CG's inner products:
     Hv        H @ v                               n only: an exact model's product
     JTr, JTJ  (2 * J.T) @ r, (2 * J.T) @ J        n only: a least-squares g and h
 
-Each kernel's output is asserted bitwise equal to numpy's before it is
-timed. Prints the Python and numpy versions, then one line per call and
-shape,
+Last, the exact model's input: ``eval_hess(x0)`` of each built-in problem
+with a Hessian, one ``hess`` row per problem, against the element loop
+that its whole-array form replaced (``tests/oracles.py``) where there is
+one.
+
+Each kernel's output is asserted bitwise equal to its reference's before
+it is timed. Prints the Python and numpy versions, then one line per call
+and shape,
 
     call n width numpy_us trfam_us
 
 with the best of ``--repeat`` timings of ``--number`` calls each, in
-microseconds per call; width is ``-`` for the calls that have none.
+microseconds per call; width is ``-`` for the calls that have none, and
+the problem's name on a ``hess`` row, whose numpy_us column times the
+loop form, or reads ``-`` where no loop form was replaced.
 """
 
 from __future__ import annotations
@@ -47,8 +54,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from oracles import HESSIAN_LOOPS  # noqa: E402
+from trfam import builtin_collection  # noqa: E402
 from trfam.hessians import _eigvalsh, _qr_r, _solve  # noqa: E402
 
 DIMS = (4, 10, 30, 100)
@@ -110,6 +119,19 @@ def vector_products(rng, n: int):
             for name, a, b in pairs]
 
 
+def hessians():
+    """("hess", n, name, loop form or None, eval_hess) at x0 of each built-in
+    problem with a Hessian."""
+    out = []
+    for p in builtin_collection():
+        if p.eval_hess is None:
+            continue
+        loop = HESSIAN_LOOPS.get(p.name)
+        ref = None if loop is None else (lambda p=p, loop=loop: loop(p.x0))
+        out.append(("hess", p.dim, p.name, ref, lambda p=p: p.eval_hess(p.x0)))
+    return out
+
+
 def per_call_us(fn, number: int, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
 
@@ -127,16 +149,20 @@ def main(argv=None) -> int:
     cases += [exact_norm(rng, n) for n in DIMS]
     cases += [case for n in DIMS for width in WIDTHS for case in window_products(rng, n, width)]
     cases += [case for n in DIMS for case in vector_products(rng, n)]
+    cases += hessians()
     print(f"python {platform.python_version()}, numpy {np.__version__}; "
           f"best of {args.repeat} x {args.number} calls")
     print("call n width numpy_us trfam_us")
     for name, n, width, ref, fast in cases:
-        expected, actual = np.asarray(ref()), np.asarray(fast())
-        if not (expected.shape == actual.shape
-                and expected.tobytes() == actual.tobytes()):
-            raise AssertionError(f"{name} at n={n}, width={width}: outputs differ")
-        print(f"{name} {n} {width} {per_call_us(ref, args.number, args.repeat):.2f} "
-              f"{per_call_us(fast, args.number, args.repeat):.2f}", flush=True)
+        ref_us = "-"
+        if ref is not None:
+            expected, actual = np.asarray(ref()), np.asarray(fast())
+            if not (expected.shape == actual.shape
+                    and expected.tobytes() == actual.tobytes()):
+                raise AssertionError(f"{name} at n={n}, width={width}: outputs differ")
+            ref_us = f"{per_call_us(ref, args.number, args.repeat):.2f}"
+        print(f"{name} {n} {width} {ref_us} {per_call_us(fast, args.number, args.repeat):.2f}",
+              flush=True)
     return 0
 
 

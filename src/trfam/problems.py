@@ -7,7 +7,10 @@ lowercase identifiers used on the command line (``--problem rosenbrock``).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,11 +53,11 @@ def check_gradient(p: Problem, x: Array, h: float) -> float:
     """Max relative error between analytic gradient and central differences.
 
     The relative error of component i uses denominator max(1, |g_i|).
-    Raises if h <= 0 or if any evaluation is non-finite (a defective
-    problem definition).
+    Raises if h is not positive and finite, or if any evaluation is
+    non-finite (a defective problem definition).
     """
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"finite-difference step h must be positive and finite, not {h!r}")
     x = np.asarray(x, dtype=float)
     g = np.asarray(p.eval_grad(x), dtype=float)
     if g.shape != (p.dim,):
@@ -76,6 +79,24 @@ def probe_points(p: Problem, count: int = 10, seed: int = 0):
     """Fixed pseudo-random points x0 + u, u uniform in [-0.5, 0.5]^n."""
     rng = Lcg(seed)
     return [p.x0 + rng.vector(p.dim, -0.5, 0.5) for _ in range(count)]
+
+
+def _squares(v: Array) -> Array:
+    """v_i ** 2 for each element, taken as a float64 scalar power.
+
+    That is C ``pow``, which rounds differently from the vector ``v ** 2``
+    (numpy forms ``v * v``) at about 1 in 1,000 points. The Hessians below
+    square an element this way wherever their element-by-element forms in
+    ``tests/oracles.py`` take ``x[i] ** 2``, and so keep those forms' bits.
+    No Python frame is made per element.
+    """
+    return np.fromiter(map(operator.pow, v, repeat(2)), float, len(v))
+
+
+# The Hessians and Jacobians below write their diagonals through strided
+# views of the fresh, C-contiguous n x n matrix m: with flat = m.reshape(-1),
+# flat[::n + 1] is the diagonal, flat[1::n + 1] the one above it and
+# flat[n::n + 1] the one below it.
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +156,11 @@ def _ext_rosenbrock(n=20):
     def h(x):
         a, b = x[0::2], x[1::2]
         m = np.zeros((n, n))
-        for j in range(n // 2):
-            i = 2 * j
-            m[i, i] = 2 - 400 * (b[j] - 3 * a[j] ** 2)
-            m[i, i + 1] = m[i + 1, i] = -400 * a[j]
-            m[i + 1, i + 1] = 200.0
+        flat = m.reshape(-1)
+        diag = flat[::n + 1]
+        diag[0::2] = 2 - 400 * (b - 3 * _squares(a))
+        diag[1::2] = 200.0
+        flat[1::n + 1][0::2] = flat[n::n + 1][0::2] = -400 * a
         return m
 
     x0 = np.tile([-1.2, 1.0], n // 2)
@@ -257,13 +278,14 @@ def _dixon_price(n=10):
     def h(x):
         u = 2 * x[1:] ** 2 - x[:-1]
         m = np.zeros((n, n))
-        m[0, 0] = 2.0
-        for j in range(1, n):
-            i = idx[j - 1]
-            m[j, j] += 8 * i * (u[j - 1] + 4 * x[j] ** 2)
-            m[j - 1, j - 1] += 2 * i
-            m[j, j - 1] += -8 * i * x[j]
-            m[j - 1, j] += -8 * i * x[j]
+        flat = m.reshape(-1)
+        diag = flat[::n + 1]
+        diag[0] = 2.0
+        diag[1:] += 8 * idx * (u + 4 * _squares(x[1:]))
+        diag[:-1] += 2 * idx
+        off = -8 * idx * x[1:]
+        flat[n::n + 1] += off
+        flat[1::n + 1] += off
         return m
 
     return Problem("dixon_price", n, f, g, _start(np.full(n, 1.0)), 0.0, h)
@@ -282,7 +304,7 @@ def _least_squares(name, res, jac, curv, x0):
     def h(x):
         jac_x = jac(x)
         m = (2 * jac_x.T).dot(jac_x)
-        m[np.diag_indices(len(x))] += 2 * curv(x, res(x))
+        m.reshape(-1)[::len(x) + 1] += 2 * curv(x, res(x))
         return m
 
     return Problem(name, len(x0), f, g, _start(x0), 0.0, h)
@@ -318,7 +340,7 @@ def _trigonometric(n=10):
     def _jac(x):
         # J_ij = sin(x_j) + delta_ij * (i sin(x_i) - cos(x_i))
         jac = np.tile(np.sin(x), (n, 1))
-        jac[np.diag_indices(n)] += w * np.sin(x) - np.cos(x)
+        jac.reshape(-1)[::n + 1] += w * np.sin(x) - np.cos(x)
         return jac
 
     def _curv(x, r):
@@ -499,12 +521,10 @@ def _broyden_tridiagonal(n=12):
 
     def _jac(x):
         jac = np.zeros((n, n))
-        for i in range(n):
-            jac[i, i] = 3 - 4 * x[i]
-            if i > 0:
-                jac[i, i - 1] = -1.0
-            if i < n - 1:
-                jac[i, i + 1] = -2.0
+        flat = jac.reshape(-1)
+        flat[::n + 1] = 3 - 4 * x
+        flat[n::n + 1] = -1.0
+        flat[1::n + 1] = -2.0
         return jac
 
     return _least_squares("broyden_tridiagonal", _res, _jac, lambda x, r: -4.0 * r,
@@ -526,7 +546,7 @@ def _arwhead(n=100):
     def h(x):
         q = x[:-1] ** 2 + x[-1] ** 2
         m = np.zeros((n, n))
-        m[np.arange(n - 1), np.arange(n - 1)] = 4 * q + 8 * x[:-1] ** 2
+        m.reshape(-1)[::n + 1][:-1] = 4 * q + 8 * x[:-1] ** 2
         m[:-1, -1] = m[-1, :-1] = 8 * x[:-1] * x[-1]
         m[-1, -1] = (4 * q + 8 * x[-1] ** 2).sum()
         return m
@@ -548,12 +568,17 @@ def _engval1(n=50):
 
     def h(x):
         q = x[:-1] ** 2 + x[1:] ** 2
+        q4, sq = 4 * q, _squares(x)
+        off = 8 * x[:-1] * x[1:]
         m = np.zeros((n, n))
-        for i in range(n - 1):
-            m[i, i] += 4 * q[i] + 8 * x[i] ** 2
-            m[i + 1, i + 1] += 4 * q[i] + 8 * x[i + 1] ** 2
-            m[i, i + 1] += 8 * x[i] * x[i + 1]
-            m[i + 1, i] += 8 * x[i] * x[i + 1]
+        # m[j, j] adds term j - 1's part before term j's: that order sets
+        # which NaN a sum of two NaNs keeps
+        flat = m.reshape(-1)
+        diag = flat[::n + 1]
+        diag[1:] += q4 + 8 * sq[1:]
+        diag[:-1] += q4 + 8 * sq[:-1]
+        flat[1::n + 1] += off
+        flat[n::n + 1] += off
         return m
 
     # each term is at least x_i^4 - 4 x_i + 3 = (x_i - 1)^2 (x_i^2 + 2 x_i + 3) >= 0

@@ -83,8 +83,8 @@ class StepResult:
     snorm: float
 
 
-def _to_boundary(s: Array, d: Array, radius: float) -> float:
-    """Positive sigma with |s + sigma d| = radius.
+def _to_boundary(s: Array, d: Array, ss: float, radius: float) -> float:
+    """Positive sigma with |s + sigma d| = radius, where ss = s's.
 
     The discriminant overflows once |d| radius passes about 1e154, though
     sigma, about radius / |d|, need not; s / radius, d / radius and the
@@ -92,10 +92,10 @@ def _to_boundary(s: Array, d: Array, radius: float) -> float:
     """
     dd = float(d.dot(d))
     sd = float(s.dot(d))
-    ss = float(s.dot(s))
-    disc = sd * sd + dd * (radius * radius - ss)
+    disc = sd * sd + dd * (radius * radius - float(ss))
     if disc == math.inf and radius != 1.0:
-        return _to_boundary(s / radius, d / radius, 1.0)
+        s = s / radius
+        return _to_boundary(s, d / radius, s.dot(s), 1.0)
     return (-sd + math.sqrt(max(disc, 0.0))) / dd
 
 
@@ -109,11 +109,12 @@ class SteihaugPath:
     on the boundary of any ball. None of this reads the radius, so one path
     serves every radius: ``walk`` stops at the first trial point that leaves
     the ball, or at the end of the path. The path is extended lazily, one CG
-    iteration at a time, and keeps per iteration the iterate s_i, the
-    direction d_i, the trial norm |s_{i+1}|, d_i'Bd_i, r_i'd_i (r_i the
-    model gradient at s_i) and the model decrease at s_i, which the
-    recurrence dec_{i+1} = dec_i + alpha_i r_i'r_i / 2 carries. B must not
-    change while the path is in use.
+    iteration at a time, and keeps per iteration the iterate s_i and s_i's_i,
+    the direction d_i, the residual r_i (the model gradient at s_i), the
+    trial norm |s_{i+1}|, d_i'Bd_i and the model decrease at s_i, which the
+    recurrence dec_{i+1} = dec_i + alpha_i r_i'r_i / 2 carries. Only a walk
+    that stops on the boundary at i reads r_i'd_i; it is formed then, once
+    per index. B must not change while the path is in use.
 
     ``gnorm`` is |g| as ``_norm`` gives it. The driver passes the value it
     has already computed for its stopping test; without one the path
@@ -130,14 +131,15 @@ class SteihaugPath:
         self._stop = min(0.1, math.sqrt(gnorm)) * gnorm  # the residual that ends the path
         self._max_cg = g.size
         self._s = [np.zeros(g.size)]
+        self._ss = [0.0]
         self._d: list[Array] = []
+        self._r = [g]
         self._trial_norm: list[float] = []  # inf where d_i'Bd_i <= 0
         self._dBd: list[float] = []
-        self._rd: list[float] = []
+        self._rd: dict[int, float] = {}  # r_i'd_i, for the i a walk has stopped at
         self._dec = [0.0]
         self._end: int | None = None  # index of the iterate the path stops at inside
-        # the residual recurrence: r_i, r_i'r_i, and B d_i and alpha_i once known
-        self._r = g
+        # the residual recurrence: r_i'r_i of the last r_i, and B d_i and alpha_i once known
         self._rr = gnorm**2
         self._Bd: Array | None = None
         self._alpha = 0.0
@@ -146,30 +148,32 @@ class SteihaugPath:
         """Add CG iteration i = len(d), or mark s_i as the end of the path."""
         i = len(self._d)
         if i == 0:
-            d = -self._r
+            d = -self._r[0]
         else:
             if i == self._max_cg:
                 self._end = i
                 return
-            r = self._r + self._alpha * self._Bd
+            r = self._r[-1] + self._alpha * self._Bd
             rr = float(r.dot(r))
             if math.sqrt(rr) <= self._stop:
                 self._end = i
                 return
             d = (rr / self._rr) * self._d[-1] - r
-            self._r, self._rr = r, rr
+            self._r.append(r)
+            self._rr = rr
         Bd = self._B.apply(d)
         dBd = float(d.dot(Bd))
         self._d.append(d)
         self._dBd.append(dBd)
-        self._rd.append(float(self._r.dot(d)))
         if dBd <= 0.0:
             self._trial_norm.append(math.inf)  # every walk stops on the boundary here
             return
         alpha = self._rr / dBd
         s = self._s[-1] + alpha * d
+        ss = s.dot(s)
         self._s.append(s)
-        self._trial_norm.append(_norm(s))
+        self._ss.append(ss)
+        self._trial_norm.append(math.sqrt(ss))  # _norm(s), bit for bit
         self._dec.append(self._dec[-1] + alpha * self._rr / 2)
         self._Bd, self._alpha = Bd, alpha
 
@@ -184,9 +188,12 @@ class SteihaugPath:
                 self._extend()
             elif trial_norm[i] >= radius:
                 s, d = self._s[i], self._d[i]
-                sigma = _to_boundary(s, d, radius)
+                sigma = _to_boundary(s, d, self._ss[i], radius)
+                rd = self._rd.get(i)
+                if rd is None:
+                    rd = self._rd[i] = float(self._r[i].dot(d))
                 q = self._dBd[i]  # on zero curvature the term is q, even if sigma^2 is inf
-                decrease = self._dec[i] - (sigma * self._rd[i] + (sigma * sigma * q / 2 if q else q))
+                decrease = self._dec[i] - (sigma * rd + (sigma * sigma * q / 2 if q else q))
                 s = s + sigma * d
                 step = StepResult(s, decrease, True, i + 1, _norm(s))
                 break

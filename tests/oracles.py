@@ -3,18 +3,22 @@
 None of these is on a solver's code path: ``trfam``'s step solvers meet
 the fraction-of-Cauchy-decrease contract by construction, its models are
 never materialised as dense matrices, its truncated CG walks a stored
-path instead of running the one-shot loop below, and its limited-memory
-models border their compact factors once per pair instead of rebuilding
-them from the pairs. ``benchmarks/compact_accuracy.py`` reads the compact
-oracles too.
+path instead of running the one-shot loop below and forms r'd only where
+a walk stops on the boundary, its limited-memory models border their
+compact factors once per pair instead of rebuilding them from the pairs,
+and its built-in Hessians are whole-array expressions, not element loops.
+``benchmarks/compact_accuracy.py`` reads the compact oracles too, and
+``benchmarks/kernels.py`` the Hessian loops.
 """
 
+import math
 import struct
 from fractions import Fraction
 
 import numpy as np
 
 from trfam import ExactHessian, StepResult
+from trfam.subproblem import _norm
 
 
 def bits(v) -> bytes:
@@ -133,6 +137,82 @@ def solve_tcg_reference(g, B, radius: float) -> StepResult:
                       snorm=float(np.linalg.norm(s)))
 
 
+class EagerSteihaugPath:
+    """``trfam.subproblem.SteihaugPath`` as it was when every CG iteration
+    formed r_i'd_i and the boundary step formed s_i's_i again: the same
+    walk, bit for bit, with more work per iteration."""
+
+    def __init__(self, g, B):
+        g = np.asarray(g, dtype=float)
+        gnorm = _norm(g)
+        self._B = B
+        self._stop = min(0.1, math.sqrt(gnorm)) * gnorm
+        self._max_cg = g.size
+        self._s = [np.zeros(g.size)]
+        self._d, self._trial_norm, self._dBd, self._rd = [], [], [], []
+        self._dec = [0.0]
+        self._end = None
+        self._r, self._rr = g, gnorm**2
+        self._Bd, self._alpha = None, 0.0
+
+    @staticmethod
+    def _to_boundary(s, d, radius):
+        dd = float(d.dot(d))
+        sd = float(s.dot(d))
+        ss = float(s.dot(s))
+        disc = sd * sd + dd * (radius * radius - ss)
+        if disc == math.inf and radius != 1.0:
+            return EagerSteihaugPath._to_boundary(s / radius, d / radius, 1.0)
+        return (-sd + math.sqrt(max(disc, 0.0))) / dd
+
+    def _extend(self):
+        i = len(self._d)
+        if i == 0:
+            d = -self._r
+        else:
+            if i == self._max_cg:
+                self._end = i
+                return
+            r = self._r + self._alpha * self._Bd
+            rr = float(r.dot(r))
+            if math.sqrt(rr) <= self._stop:
+                self._end = i
+                return
+            d = (rr / self._rr) * self._d[-1] - r
+            self._r, self._rr = r, rr
+        Bd = self._B.apply(d)
+        dBd = float(d.dot(Bd))
+        self._d.append(d)
+        self._dBd.append(dBd)
+        self._rd.append(float(self._r.dot(d)))
+        if dBd <= 0.0:
+            self._trial_norm.append(math.inf)
+            return
+        alpha = self._rr / dBd
+        s = self._s[-1] + alpha * d
+        self._s.append(s)
+        self._trial_norm.append(_norm(s))
+        self._dec.append(self._dec[-1] + alpha * self._rr / 2)
+        self._Bd, self._alpha = Bd, alpha
+
+    def walk(self, radius):
+        trial_norm = self._trial_norm
+        i = 0
+        while i != self._end:
+            if i == len(trial_norm):
+                self._extend()
+            elif trial_norm[i] >= radius:
+                s, d = self._s[i], self._d[i]
+                sigma = self._to_boundary(s, d, radius)
+                q = self._dBd[i]
+                decrease = self._dec[i] - (sigma * self._rd[i] + (sigma * sigma * q / 2 if q else q))
+                s = s + sigma * d
+                return StepResult(s, decrease, True, i + 1, _norm(s))
+            else:
+                i += 1
+        return StepResult(self._s[i], self._dec[i], False, i, trial_norm[i - 1])
+
+
 def beats_cauchy(step: StepResult, g, B, radius: float) -> bool:
     """The step's model decrease is at least the Cauchy point's, up to a
     relative rounding slack of 1e-12."""
@@ -248,3 +328,111 @@ def compact_apply_exact(mode, pairs, v) -> list[float]:
         return [float(vi + sign * sum((zj * w[i] for zj, w in zip(z, W)), Fraction(0)))
                 for i, vi in enumerate(v)]
     return [float(vi) for vi in v]
+
+
+# The built-in Hessians and Jacobians entry by entry, as element loops (and,
+# for trigonometric, an np.diag_indices scatter), with each square of an
+# element a float64 scalar power. Keyed by problem name; the least-squares
+# problems also map to their gradient, which reads the Jacobian.
+
+def _ext_rosenbrock_hess(x):
+    n = len(x)
+    a, b = x[0::2], x[1::2]
+    m = np.zeros((n, n))
+    for j in range(n // 2):
+        i = 2 * j
+        m[i, i] = 2 - 400 * (b[j] - 3 * a[j] ** 2)
+        m[i, i + 1] = m[i + 1, i] = -400 * a[j]
+        m[i + 1, i + 1] = 200.0
+    return m
+
+
+def _dixon_price_hess(x):
+    n = len(x)
+    idx = np.arange(2, n + 1)
+    u = 2 * x[1:] ** 2 - x[:-1]
+    m = np.zeros((n, n))
+    m[0, 0] = 2.0
+    for j in range(1, n):
+        i = idx[j - 1]
+        m[j, j] += 8 * i * (u[j - 1] + 4 * x[j] ** 2)
+        m[j - 1, j - 1] += 2 * i
+        m[j, j - 1] += -8 * i * x[j]
+        m[j - 1, j] += -8 * i * x[j]
+    return m
+
+
+def _engval1_hess(x):
+    n = len(x)
+    q = x[:-1] ** 2 + x[1:] ** 2
+    m = np.zeros((n, n))
+    for i in range(n - 1):
+        m[i, i] += 4 * q[i] + 8 * x[i] ** 2
+        m[i + 1, i + 1] += 4 * q[i] + 8 * x[i + 1] ** 2
+        m[i, i + 1] += 8 * x[i] * x[i + 1]
+        m[i + 1, i] += 8 * x[i] * x[i + 1]
+    return m
+
+
+def _broyden_tridiagonal_res(x):
+    xp = np.concatenate(([0.0], x, [0.0]))
+    return (3 - 2 * xp[1:-1]) * xp[1:-1] - xp[:-2] - 2 * xp[2:] + 1
+
+
+def _broyden_tridiagonal_jac(x):
+    n = len(x)
+    jac = np.zeros((n, n))
+    for i in range(n):
+        jac[i, i] = 3 - 4 * x[i]
+        if i > 0:
+            jac[i, i - 1] = -1.0
+        if i < n - 1:
+            jac[i, i + 1] = -2.0
+    return jac
+
+
+def _trigonometric_res(x):
+    n = len(x)
+    w = np.arange(1.0, n + 1)
+    return n - np.cos(x).sum() + w * (1 - np.cos(x)) - np.sin(x)
+
+
+def _trigonometric_jac(x):
+    n = len(x)
+    w = np.arange(1.0, n + 1)
+    jac = np.tile(np.sin(x), (n, 1))
+    jac[np.diag_indices(n)] += w * np.sin(x) - np.cos(x)
+    return jac
+
+
+def _trigonometric_curv(x, r):
+    w = np.arange(1.0, len(x) + 1)
+    return r.sum() * np.cos(x) + r * (w * np.cos(x) + np.sin(x))
+
+
+def _least_squares(res, jac, curv):
+    def g(x):
+        return (2 * jac(x).T).dot(res(x))
+
+    def h(x):
+        jac_x = jac(x)
+        m = (2 * jac_x.T).dot(jac_x)
+        m[np.diag_indices(len(x))] += 2 * curv(x, res(x))
+        return m
+
+    return g, h
+
+
+_broyden_g, _broyden_h = _least_squares(_broyden_tridiagonal_res, _broyden_tridiagonal_jac,
+                                        lambda x, r: -4.0 * r)
+_trigonometric_g, _trigonometric_h = _least_squares(_trigonometric_res, _trigonometric_jac,
+                                                    _trigonometric_curv)
+
+HESSIAN_LOOPS = {
+    "ext_rosenbrock": _ext_rosenbrock_hess,
+    "dixon_price": _dixon_price_hess,
+    "engval1": _engval1_hess,
+    "broyden_tridiagonal": _broyden_h,
+    "trigonometric": _trigonometric_h,
+}
+GRADIENT_LOOPS = {"broyden_tridiagonal": _broyden_g, "trigonometric": _trigonometric_g}

@@ -1,10 +1,16 @@
 """Tests for the built-in problem collection and the gradient checker."""
 
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from trfam import builtin_collection, check_gradient, get_problem
+from trfam import builtin_collection, check_gradient, get_problem, problems
 from trfam.problems import probe_points
+
+from oracles import GRADIENT_LOOPS, HESSIAN_LOOPS
 
 REQUIRED = {
     "sphere",
@@ -61,8 +67,9 @@ def test_check_gradient_rosenbrock():
 
 def test_check_gradient_rejects_degenerate_step():
     p = get_problem("sphere")
-    with pytest.raises(ValueError):
-        check_gradient(p, p.x0, 0.0)
+    for h in (0.0, -1e-6, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="step h must be positive and finite"):
+            check_gradient(p, p.x0, h)
 
 
 def test_check_gradient_flags_defective_problem():
@@ -131,3 +138,58 @@ def test_probe_points_reproducible():
         assert np.array_equal(u, v)
     c = probe_points(p, count=3, seed=1)
     assert not np.array_equal(a[0], c[0])
+
+
+SPECIAL_ENTRIES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 5e-324, -5e-324]
+
+
+def seeded_points(dim, count=300):
+    """Seeded points with entries over [1e-3, 1e3] in magnitude, up to four
+    of them replaced by a zero, an infinity, NaN, 1e200 or a subnormal."""
+    rng = np.random.default_rng(dim)
+    for _ in range(count):
+        x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3, dim)
+        k = int(rng.integers(0, min(dim, 4) + 1))
+        x[rng.choice(dim, k, replace=False)] = rng.choice(SPECIAL_ENTRIES, k)
+        yield x
+
+
+class TestWholeArrayHessians:
+    """The Hessians and Jacobians built by whole-array expressions against
+    the element loops of ``oracles``, bit for bit, at finite points and past
+    the float range."""
+
+    @pytest.mark.parametrize("name", sorted(HESSIAN_LOOPS))
+    @np.errstate(all="ignore")
+    def test_hessians_and_gradients_match_the_loops(self, name):
+        p = get_problem(name)
+        for x in seeded_points(p.dim):
+            assert p.eval_hess(x).tobytes() == HESSIAN_LOOPS[name](x).tobytes(), x
+            if name in GRADIENT_LOOPS:
+                assert p.eval_grad(x).tobytes() == GRADIENT_LOOPS[name](x).tobytes(), x
+
+    @pytest.mark.parametrize("name, index", [("ext_rosenbrock", 363), ("dixon_price", 161),
+                                             ("engval1", 388)])
+    @np.errstate(all="ignore")
+    def test_squares_are_scalar_powers(self, monkeypatch, name, index):
+        # at this seeded point, squaring as v * v (the vector v ** 2) in
+        # place of the scalar power moves the Hessian off the loop's bits
+        *_, x = seeded_points(get_problem(name).dim, count=index + 1)
+        assert get_problem(name).eval_hess(x).tobytes() == HESSIAN_LOOPS[name](x).tobytes()
+        monkeypatch.setattr(problems, "_squares", lambda v: v * v)
+        assert get_problem(name).eval_hess(x).tobytes() != HESSIAN_LOOPS[name](x).tobytes()
+
+
+def test_no_range_loop_in_an_objective():
+    # the objectives a builder nests are whole-array expressions: no loop
+    # over range(...) in any of them (beale's three-term enumerate loops
+    # are not over the dimension, and check_gradient is no builder's)
+    tree = ast.parse(Path(problems.__file__).read_text())
+    loops = [f"{builder.name}.{objective.name} line {node.lineno}"
+             for builder in tree.body if isinstance(builder, ast.FunctionDef)
+             for objective in ast.walk(builder)
+             if isinstance(objective, ast.FunctionDef) and objective is not builder
+             for node in ast.walk(objective)
+             if isinstance(node, (ast.For, ast.comprehension))
+             and isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range"]
+    assert not loops, loops

@@ -12,7 +12,8 @@ from trfam import (
 from trfam.subproblem import SolveError, SteihaugPath, _norm, _to_boundary
 
 from oracles import (
-    beats_cauchy, bits, cauchy_point, grid_max_decrease, matrix_model, solve_tcg_reference,
+    EagerSteihaugPath, beats_cauchy, bits, cauchy_point, grid_max_decrease, matrix_model,
+    solve_tcg_reference,
 )
 
 
@@ -295,6 +296,19 @@ class TestSteihaugPath:
         assert extended > 50  # 84 of the 180 larger radii go further along the path
         assert rewalked_to_boundary > 500  # 772 of the 900 halved radii
 
+    def test_walks_match_the_eager_path_bit_for_bit(self):
+        # the eager path forms r_i'd_i on every CG iteration and s_i's_i
+        # again at the boundary; this path forms the first only where a walk
+        # stops on the boundary, and keeps the second
+        for g, B, radius in path_cases():
+            path, eager = SteihaugPath(g, B), EagerSteihaugPath(g, B)
+            for r in [*(radius * 0.5 ** np.arange(6)), 1e6 * radius]:
+                step, ref = path.walk(r), eager.walk(r)
+                assert step.s.tobytes() == ref.s.tobytes()
+                assert bits(step.model_decrease) == bits(ref.model_decrease)
+                assert bits(step.snorm) == bits(ref.snorm)
+                assert (step.cg_iters, step.boundary_hit) == (ref.cg_iters, ref.boundary_hit)
+
     def test_interior_stop_needs_no_final_product(self):
         m = counting(matrix_model(np.diag([1.0, 4.0])))
         step = solve_tcg(np.array([1.0, 1.0]), m, 1e6)
@@ -308,9 +322,20 @@ class TestSteihaugPath:
                 m = counting(matrix_model((Q * np.geomspace(0.1, 10.0, n)) @ Q.T))
             else:
                 m = counting(full_window_model(mode, n, rng))
-            step = solve_tcg(rng.standard_normal(n), m, 1e6)
+            path = SteihaugPath(rng.standard_normal(n), m)
+            step = path.walk(1e6)
             assert not step.boundary_hit, (mode, n)
             assert m.products == step.cg_iters
+            assert path._rd == {}  # no r_i'd_i formed for a walk that ends inside
+            # a walk that stops on the boundary at i forms r_i'd_i alone, and
+            # a second walk that stops there reads the stored value
+            r = 0.5 * step.snorm
+            step = path.walk(r)
+            assert step.boundary_hit
+            [(i, rd)] = path._rd.items()
+            assert i == step.cg_iters - 1
+            path.walk(r)
+            assert list(path._rd) == [i] and path._rd[i] is rd
 
     @pytest.mark.parametrize("matrix", [
         np.full((3, 3), math.nan),
@@ -330,7 +355,7 @@ class TestSteihaugPath:
 
     def test_boundary_past_where_the_discriminant_overflows(self):
         # |d| radius = 1e160: the discriminant is inf, sigma = 1e140 is not
-        assert _to_boundary(np.zeros(2), np.array([1e10, 0.0]), 1e150) == 1e140
+        assert _to_boundary(np.zeros(2), np.array([1e10, 0.0]), 0.0, 1e150) == 1e140
         step = solve_tcg(np.array([1e10, 0.0]), ZeroModel(2), 1e150)
         assert step.boundary_hit
         assert step.snorm == 1e150

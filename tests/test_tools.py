@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trfam import adversarial, bench, driver
+from trfam import adversarial, bench, builtin_collection, driver
 from trfam.hessians import ScriptedModel, build_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +56,14 @@ def test_kernels_smoke():
     lines = done.stdout.splitlines()
     assert lines[1] == "call n width numpy_us trfam_us"
     assert {ln.split()[0] for ln in lines[2:]} == {
-        "qr", "solve", "eigvalsh", "sW", "RMR", "Kv", "Wu", "vv", "Hv", "JTr", "JTJ"}
+        "qr", "solve", "eigvalsh", "sW", "RMR", "Kv", "Wu", "vv", "Hv", "JTr", "JTJ", "hess"}
+    # one hess row per built-in problem with a Hessian, timed against the
+    # element-by-element form of oracles.HESSIAN_LOOPS where there is one
+    hess = {width: ref_us for call, _, width, ref_us, _ in map(str.split, lines[2:])
+            if call == "hess"}
+    assert sorted(hess) == sorted(p.name for p in builtin_collection() if p.eval_hess)
+    assert {name for name, ref_us in hess.items() if ref_us != "-"} == {
+        "ext_rosenbrock", "dixon_price", "engval1", "broyden_tridiagonal", "trigonometric"}
 
 
 def test_no_matmul_operator_in_the_package():
