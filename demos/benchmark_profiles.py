@@ -7,14 +7,12 @@ experimental design the radius family was proposed with.
 Run as: python3 demos/benchmark_profiles.py
 """
 
-from trfam.bench import default_matrix_specs, emit, performance_profile, run_matrix
-
-specs = default_matrix_specs(
-    variants=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)),
-    hessian="exact",
-    eps=1e-6,
+from trfam.bench import (
+    DEFAULT_VARIANTS, METRICS, default_matrix_specs, emit, performance_profile, run_matrix,
 )
-print(f"Running {len(specs)} solves (4 variants x full collection)...")
+
+specs = default_matrix_specs()  # the cells trfam bench runs by default
+print(f"Running {len(specs)} solves ({len(DEFAULT_VARIANTS)} variants x full collection)...")
 matrix = run_matrix(specs)
 
 for variant in matrix.variants:
@@ -27,7 +25,7 @@ for variant in matrix.variants:
     print(f"  variant {variant}: solved {solved}/{len(matrix.problems)}, "
           f"{fevals} f-evals on solved problems")
 
-profiles = {m: performance_profile(matrix, m) for m in ("fevals", "gevals", "time")}
+profiles = {m: performance_profile(matrix, m) for m in METRICS}
 written = emit(matrix, profiles, "demos_out")
 print("\nWrote:")
 for path in written:

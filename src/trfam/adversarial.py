@@ -166,19 +166,25 @@ def _check_instance(inst: AdversarialInstance) -> None:
         raise AssertionError("gradient magnitudes must exceed eps until the last knot")
 
 
+def _cubic(h, d, g0, g1):
+    """(c2, c3) of f(x0 + t h) = f0 + t (h g0 + t (c2 + t c3)) on a segment of width h,
+    rise d and end slopes g0, g1: the same bits for Python floats and numpy blocks."""
+    return 3.0 * d - h * (2.0 * g0 + g1), -2.0 * d + h * (g0 + g1)
+
+
 class Interpolant1D:
     """C^1 realization of an instance: cubic Hermite segments between the
     knots plus quadratic tails of unit curvature on both sides.
 
     Evaluation at a knot returns the knot's stored value and slope, bit for
     bit and whatever the order of the calls: it reads them and forms no
-    cubic. Strictly between two knots it evaluates that segment's cubic, a
+    cubic. Strictly between two knots it forms that segment's cubic, a
     Horner form anchored at the segment's left knot; beyond an end knot, the
-    tail anchored there. Knot and segment data, x, f, g and the cubic
-    coefficients c2, c3, are kept once as array('d'): a point evaluation
-    reads Python floats from them, and the whole-instance bounds read numpy
-    views of the same memory, ``BLOCK`` segments at a time. Widths are
-    formed as needed.
+    tail anchored there. Only the knot data x, f and g are kept, once, as
+    array('d'), 24 B per knot: a point evaluation reads Python floats from
+    them, and the whole-instance bounds read numpy views of the same memory,
+    ``BLOCK`` segments at a time. Widths and cubic coefficients are formed
+    where they are read.
 
     A replay evaluates the knots in order, so a point evaluation first tries
     the knot after the last one it used and bisects only on a miss; every
@@ -189,21 +195,14 @@ class Interpolant1D:
     """
 
     TAIL_CURVATURE = 1.0  # positive, so the tails keep f bounded below
-    # segments per pass of the two whole-instance bounds: their temporaries
-    # then take a few MiB, where whole arrays at k_eps = 8.9e6 (eps = 0.25,
-    # p = 1) would set a replay's peak, and 136 passes there cost next to
-    # nothing. Min and max are exact in any order, so the bounds do not
-    # depend on it.
+    # segments per block of the two whole-instance bounds: a block's arrays
+    # take a few MiB, where whole arrays at k_eps = 8.9e6 (eps = 0.25, p = 1)
+    # would set a replay's peak, and 136 blocks there cost next to nothing.
+    # Min and max are exact in any order, so the bounds do not depend on it.
     BLOCK = 65_536
 
     def __init__(self, inst: AdversarialInstance):
-        x, f, g = inst.knots_x, inst.f_vals, inst.g_vals
-        h = np.diff(x)
-        d = np.diff(f)
-        # cubic f(x0 + t h) = f0 + t (h g0 + t (c2 + t c3)) on each segment
-        self._x, self._f, self._g = _doubles(x), _doubles(f), _doubles(g)
-        self._c2 = _doubles(3.0 * d - h * (2.0 * g[:-1] + g[1:]))
-        self._c3 = _doubles(-2.0 * d + h * (g[:-1] + g[1:]))
+        self._x, self._f, self._g = map(_doubles, (inst.knots_x, inst.f_vals, inst.g_vals))
         self._next = 0  # the knot a point evaluation tries first
 
     def __call__(self, xq: float) -> tuple[float, float]:
@@ -218,7 +217,7 @@ class Interpolant1D:
                     self._next = i + 1
                     h = knots[i + 1] - knots[i]
                     t = (x - knots[i]) / h
-                    c2, c3 = self._c2[i], self._c3[i]
+                    c2, c3 = _cubic(h, self._f[i + 1] - self._f[i], self._g[i], self._g[i + 1])
                     val = self._f[i] + t * (h * self._g[i] + t * (c2 + t * c3))
                     slope = self._g[i] + t * (2.0 * c2 + 3.0 * c3 * t) / h
                     return val, slope
@@ -231,16 +230,22 @@ class Interpolant1D:
         self._next = i + 1 if x < knots[-1] else i  # the last knot keeps the cursor
         return self._f[i], self._g[i]
 
+    def _blocks(self):
+        """Widths, left-knot f and g, and c2, c3 of each ``BLOCK`` segments, in order."""
+        knots = [np.frombuffer(a) for a in (self._x, self._f, self._g)]
+        for lo in range(0, len(self._x) - 1, self.BLOCK):
+            x, f, g = (v[lo : lo + self.BLOCK + 1] for v in knots)  # its segments' knots
+            h, g0 = np.diff(x), g[:-1]
+            yield (h, f[:-1], g0, *_cubic(h, np.diff(f), g0, g[1:]))
+
     def second_derivative_bound(self) -> float:
         """Exact sup of |f''|: per segment f'' is linear in x, so the
         maximum sits at an endpoint; the tails contribute the curvature."""
-        x, c2, c3 = np.frombuffer(self._x), np.frombuffer(self._c2), np.frombuffer(self._c3)
         bound = self.TAIL_CURVATURE
-        for lo in range(0, len(c2), self.BLOCK):
-            hi = min(lo + self.BLOCK, len(c2))
-            h2 = np.diff(x[lo : hi + 1]) ** 2
-            at0 = np.abs(2.0 * c2[lo:hi]) / h2
-            at1 = np.abs(2.0 * c2[lo:hi] + 6.0 * c3[lo:hi]) / h2
+        for h, _, _, c2, c3 in self._blocks():
+            h2 = h**2
+            at0 = np.abs(2.0 * c2) / h2
+            at1 = np.abs(2.0 * c2 + 6.0 * c3) / h2
             bound = max(bound, at0.max(), at1.max())
         return float(bound)
 
@@ -255,23 +260,20 @@ class Interpolant1D:
         mask drops; the knot values cover the endpoints.
         """
         tc = self.TAIL_CURVATURE
-        x, f, g = np.frombuffer(self._x), np.frombuffer(self._f), np.frombuffer(self._g)
-        c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
+        f, g = np.frombuffer(self._f), np.frombuffer(self._g)
         left = f[0] if g[0] <= 0 else f[0] - g[0] ** 2 / (2 * tc)
         right = f[-1] if g[-1] >= 0 else f[-1] - g[-1] ** 2 / (2 * tc)
         low = min(left, right, f.min())
-        for lo in range(0, len(c2), self.BLOCK):
-            hi = min(lo + self.BLOCK, len(c2))
-            fb, c2b, c3b = f[lo:hi], c2[lo:hi], c3[lo:hi]
-            hg = np.diff(x[lo : hi + 1]) * g[lo:hi]
-            a, b = 3.0 * c3b, 2.0 * c2b
+        for h, fb, g0, c2, c3 in self._blocks():
+            hg = h * g0
+            a, b = 3.0 * c3, 2.0 * c2
             with np.errstate(divide="ignore", invalid="ignore"):
                 q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * hg), b))
                 roots = np.stack([q / a, hg / q])
             inside = (roots > 0.0) & (roots < 1.0)
             seg = np.nonzero(inside)[1]
             t = roots[inside]
-            interior = fb[seg] + t * (hg[seg] + t * (c2b[seg] + t * c3b[seg]))
+            interior = fb[seg] + t * (hg[seg] + t * (c2[seg] + t * c3[seg]))
             low = min(low, interior.min(initial=np.inf))
         return float(low)
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import adversarial as adv
 from . import bench as bench_mod
 from . import bounds as bounds_mod
-from .driver import RADIUS_MODES, SolveError, TrParams, solve, theoretical_a_min, write_log_csv
+from .driver import RADIUS_MODES, SolveError, TrParams, log_to_csv, solve, theoretical_a_min
 from .hessians import MODEL_KINDS, build_model
 from .problems import get_problem
 
@@ -89,7 +89,8 @@ def _cmd_solve(args) -> int:
     )
     if args.log_csv:
         try:
-            write_log_csv(report, args.log_csv)
+            with open(args.log_csv, "w") as fh:
+                fh.write(log_to_csv(report))
         except OSError as exc:
             raise DomainError(str(exc)) from exc
     payload = {  # the text output, in order

@@ -436,11 +436,6 @@ def log_to_csv(report: SolveReport) -> str:
     return "\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n"
 
 
-def write_log_csv(report: SolveReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(log_to_csv(report))
-
-
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 

@@ -6,18 +6,22 @@ never materialised as dense matrices, its truncated CG walks a stored
 path instead of running the one-shot loop below and forms r'd only where
 a walk stops on the boundary, its limited-memory models border their
 compact factors once per pair instead of rebuilding them from the pairs,
-and its built-in Hessians are whole-array expressions, not element loops.
+its built-in Hessians are whole-array expressions, not element loops, and
+its worst-case interpolant forms each cubic's coefficients where it reads
+them instead of storing them.
 ``benchmarks/compact_accuracy.py`` reads the compact oracles too, and
 ``benchmarks/kernels.py`` the Hessian loops.
 """
 
 import math
 import struct
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 
 from trfam import ExactHessian, StepResult
+from trfam.hessians import _doubles
 from trfam.subproblem import _norm
 
 
@@ -436,3 +440,80 @@ HESSIAN_LOOPS = {
     "trigonometric": _trigonometric_h,
 }
 GRADIENT_LOOPS = {"broyden_tridiagonal": _broyden_g, "trigonometric": _trigonometric_g}
+
+
+class StoredCoefficientInterpolant:
+    """``Interpolant1D`` as it was when it stored each segment's cubic
+    coefficients c2 and c3 beside the knots' x, f and g, all five as
+    array('d') filled from whole-array numpy expressions: the reference
+    its point evaluations and both bounds are held byte-equal to."""
+
+    TAIL_CURVATURE = 1.0
+    BLOCK = 65_536
+
+    def __init__(self, inst):
+        x, f, g = inst.knots_x, inst.f_vals, inst.g_vals
+        h = np.diff(x)
+        d = np.diff(f)
+        # cubic f(x0 + t h) = f0 + t (h g0 + t (c2 + t c3)) on each segment
+        self._x, self._f, self._g = _doubles(x), _doubles(f), _doubles(g)
+        self._c2 = _doubles(3.0 * d - h * (2.0 * g[:-1] + g[1:]))
+        self._c3 = _doubles(-2.0 * d + h * (g[:-1] + g[1:]))
+        self._next = 0
+
+    def __call__(self, xq: float) -> tuple[float, float]:
+        x = float(xq)
+        knots = self._x
+        i = self._next
+        if x != knots[i]:
+            if knots[0] < x < knots[-1]:
+                i = bisect_right(knots, x) - 1
+                if x != knots[i]:
+                    self._next = i + 1
+                    h = knots[i + 1] - knots[i]
+                    t = (x - knots[i]) / h
+                    c2, c3 = self._c2[i], self._c3[i]
+                    val = self._f[i] + t * (h * self._g[i] + t * (c2 + t * c3))
+                    slope = self._g[i] + t * (2.0 * c2 + 3.0 * c3 * t) / h
+                    return val, slope
+            else:
+                i = 0 if x <= knots[0] else len(knots) - 1
+                dx = x - knots[i]
+                if dx:
+                    tc = self.TAIL_CURVATURE
+                    return self._f[i] + self._g[i] * dx + 0.5 * tc * dx * dx, self._g[i] + tc * dx
+        self._next = i + 1 if x < knots[-1] else i
+        return self._f[i], self._g[i]
+
+    def second_derivative_bound(self) -> float:
+        x, c2, c3 = np.frombuffer(self._x), np.frombuffer(self._c2), np.frombuffer(self._c3)
+        bound = self.TAIL_CURVATURE
+        for lo in range(0, len(c2), self.BLOCK):
+            hi = min(lo + self.BLOCK, len(c2))
+            h2 = np.diff(x[lo : hi + 1]) ** 2
+            at0 = np.abs(2.0 * c2[lo:hi]) / h2
+            at1 = np.abs(2.0 * c2[lo:hi] + 6.0 * c3[lo:hi]) / h2
+            bound = max(bound, at0.max(), at1.max())
+        return float(bound)
+
+    def lower_bound(self) -> float:
+        tc = self.TAIL_CURVATURE
+        x, f, g = np.frombuffer(self._x), np.frombuffer(self._f), np.frombuffer(self._g)
+        c2, c3 = np.frombuffer(self._c2), np.frombuffer(self._c3)
+        left = f[0] if g[0] <= 0 else f[0] - g[0] ** 2 / (2 * tc)
+        right = f[-1] if g[-1] >= 0 else f[-1] - g[-1] ** 2 / (2 * tc)
+        low = min(left, right, f.min())
+        for lo in range(0, len(c2), self.BLOCK):
+            hi = min(lo + self.BLOCK, len(c2))
+            fb, c2b, c3b = f[lo:hi], c2[lo:hi], c3[lo:hi]
+            hg = np.diff(x[lo : hi + 1]) * g[lo:hi]
+            a, b = 3.0 * c3b, 2.0 * c2b
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * hg), b))
+                roots = np.stack([q / a, hg / q])
+            inside = (roots > 0.0) & (roots < 1.0)
+            seg = np.nonzero(inside)[1]
+            t = roots[inside]
+            interior = fb[seg] + t * (hg[seg] + t * (c2b[seg] + t * c3b[seg]))
+            low = min(low, interior.min(initial=np.inf))
+        return float(low)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -21,18 +22,22 @@ from trfam import (
 )
 from trfam.adversarial import AdversarialInstance, Interpolant1D, bound_inputs, emit_function_csv
 
-from oracles import bits
+from oracles import StoredCoefficientInterpolant, bits
 
 SWEEP_EPS = (0.9, 0.5, 0.25)
 SWEEP_P = (0.0, 0.3, 0.5, 0.9, 1.0)
 SWEEP_C = (0.5, 1.0)
+# (p, eps, c) of the benchmark's seed-0 worst-case specs, k_eps near 1e4 each
+WORST_CASE_SPECS = [(0.0, 0.01, 1.0), (0.5, 0.1, 1.0), (1.0, 0.33, 1.0)]
 
 
 def lower_bound_reference(interp):
-    """The per-segment np.roots loop that lower_bound replaced."""
+    """The per-segment np.roots loop that lower_bound replaced, on the
+    stored coefficients of the oracle over interp's knots."""
     tc = interp.TAIL_CURVATURE
-    f, g, c2, c3 = interp._f, interp._g, interp._c2, interp._c3
-    h = np.diff(interp._x)
+    ref = StoredCoefficientInterpolant(hand_instance(interp._x, interp._f, interp._g))
+    f, g, c2, c3 = ref._f, ref._g, ref._c2, ref._c3
+    h = np.diff(ref._x)
     best = float(f[0]) if g[0] <= 0 else float(f[0] - g[0] ** 2 / (2 * tc))
     right = float(f[-1]) if g[-1] >= 0 else float(f[-1] - g[-1] ** 2 / (2 * tc))
     best = min(best, right)
@@ -270,9 +275,10 @@ class TestInterpolant:
         x, f, g = [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, -0.0, 1.0, 1e308, 1.0], [-1.0, 1.0, 1.0, 1.0, 1.0]
         inst = hand_instance(x, f, g)
         order = [0, 1, 2, 3, 4, 4, 2, 0, 3, 1, 1, 0, 4]
-        with np.errstate(over="ignore"):  # the overflowing coefficients
-            interp, fresh = Interpolant1D(inst), [Interpolant1D(inst) for _ in order]
-        assert math.isinf(interp._c2[2]) and math.isinf(interp._c2[3])
+        interp, fresh = Interpolant1D(inst), [Interpolant1D(inst) for _ in order]
+        for j in (2, 3):
+            c2, _ = adversarial._cubic(x[j + 1] - x[j], f[j + 1] - f[j], g[j], g[j + 1])
+            assert math.isinf(c2)
         for k, first in zip(order, fresh):  # one interpolant through the order, and a fresh one
             want = [bits(f[k]), bits(g[k])]
             assert [bits(v) for v in interp(x[k])] == want, k
@@ -360,6 +366,50 @@ class TestInterpolant:
         # the right-tail vertex attains it
         assert low == pytest.approx(inst.f_vals[-1] - 0.5 * inst.g_vals[-1] ** 2)
 
+    def test_holds_only_its_knots(self):
+        # x, f and g as array('d'), 24 B per knot; no per-segment arrays
+        inst = generate(AdversarialSpec(0.5, 0.5))
+        held = [v for v in vars(Interpolant1D(inst)).values() if isinstance(v, (array, np.ndarray))]
+        assert [(type(v), v.itemsize, len(v)) for v in held] == [(array, 8, len(inst.knots_x))] * 3
+
+
+class TestStoredCoefficientOracle:
+    """Forming each cubic where it is read gives the bytes the stored
+    coefficients gave: point values and both bounds."""
+
+    SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324)
+
+    @staticmethod
+    def assert_byte_equal(inst, rng):
+        x = np.asarray(inst.knots_x)
+        with np.errstate(all="ignore"):  # the special instances overflow and divide by 0
+            mid = x[:-1] + np.diff(x) * rng.uniform(0.0, 1.0, len(x) - 1)
+            tails = [x[0] - 1.0, x[0] - 1e-9, x[-1] + 1e-9, x[-1] + 2.0, math.nan]
+            points = [*x, *mid, *tails]
+            rng.shuffle(points)
+            ours, ref = Interpolant1D(inst), StoredCoefficientInterpolant(inst)
+            for p in [*x, *points]:  # the knots in order, then shuffled with the rest
+                assert [bits(v) for v in ours(p)] == [bits(v) for v in ref(p)], p
+            for bound in ("lower_bound", "second_derivative_bound"):
+                assert bits(getattr(ours, bound)()) == bits(getattr(ref, bound)()), bound
+
+    @pytest.mark.parametrize("p,eps,c", WORST_CASE_SPECS)
+    def test_worst_case_instances(self, p, eps, c):
+        self.assert_byte_equal(generate(AdversarialSpec(eps, p, c)), np.random.default_rng(5))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hand_instances_with_special_values(self, seed):
+        # knots, values and slopes drawn from finite values and the specials;
+        # half of the instances with sorted knots, half in any order
+        rng = np.random.default_rng(seed)
+        for _ in range(75):
+            n = int(rng.integers(2, 9))
+            x, f, g = (np.where(rng.random(n) < 0.3, rng.choice(self.SPECIALS, n),
+                                rng.standard_normal(n)) for _ in range(3))
+            if rng.random() < 0.5:
+                x = np.sort(x)
+            self.assert_byte_equal(hand_instance(x, f, g), rng)
+
 
 class CountingInterpolant(Interpolant1D):
     def __init__(self, inst):
@@ -413,7 +463,7 @@ class TestAsProblem:
 
 
 class TestLowerBound:
-    @pytest.mark.parametrize("p,eps,c", [(0.0, 0.01, 1.0), (0.5, 0.1, 1.0), (1.0, 0.33, 1.0)])
+    @pytest.mark.parametrize("p,eps,c", WORST_CASE_SPECS)
     def test_equals_root_loop_on_worst_case_instances(self, p, eps, c):
         interp = build_interpolant(generate(AdversarialSpec(eps, p, c)))
         assert interp.lower_bound() == lower_bound_reference(interp)
