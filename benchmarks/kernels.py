@@ -31,9 +31,12 @@ with a Hessian, one ``hess`` row per problem, against the element loop
 that its whole-array form replaced (``tests/oracles.py``) where there is
 one.
 
-Each kernel's output is asserted bitwise equal to its reference's before
-it is timed. Prints the Python and numpy versions, then one line per call
-and shape,
+BLAS and LAPACK run on one thread, as in ``perfbench/run.py``, unless
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is
+set: a threaded call reads high on a busy host. Each kernel's output is
+asserted bitwise equal to its reference's before it is timed. Prints the
+Python and numpy versions and the effective ``OPENBLAS_NUM_THREADS``, then
+one line per call and shape,
 
     call n width numpy_us trfam_us
 
@@ -46,12 +49,16 @@ loop form, or reads ``-`` where no loop form was replaced.
 from __future__ import annotations
 
 import argparse
+import os
 import platform
 import sys
 import timeit
 from pathlib import Path
 
-import numpy as np
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")  # before numpy loads its BLAS
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -150,7 +157,8 @@ def main(argv=None) -> int:
     cases += [case for n in DIMS for width in WIDTHS for case in window_products(rng, n, width)]
     cases += [case for n in DIMS for case in vector_products(rng, n)]
     cases += hessians()
-    print(f"python {platform.python_version()}, numpy {np.__version__}; "
+    print(f"python {platform.python_version()}, numpy {np.__version__}, "
+          f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}; "
           f"best of {args.repeat} x {args.number} calls")
     print("call n width numpy_us trfam_us")
     for name, n, width, ref, fast in cases:

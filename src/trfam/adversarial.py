@@ -21,6 +21,8 @@ from .driver import STATUSES, SolveReport, TrParams, VERY_SUCCESSFUL, solve, the
 from .hessians import ScriptedModel, _doubles
 from .problems import Problem
 
+# the most knots an instance may have: a larger k_eps would let generate ask
+# for more memory than any host has
 K_EPS_CAP = 10**8
 
 RHO_TOL = 1e-9
@@ -58,26 +60,16 @@ class AdversarialSpec:
             raise ValueError("need alpha > -1022, or delta0 = 2^(2 - alpha) overflows")
 
 
-def check_cap(cap: int) -> None:
-    """A k_eps cap must admit at least one iteration and be at most ``K_EPS_CAP``:
-    a larger one would let ``generate`` ask for more memory than any host has."""
-    if not cap >= 1:
-        raise ValueError(f"the k_eps cap must be at least 1, not {cap}")
-    if cap > K_EPS_CAP:
-        raise ValueError(f"the k_eps cap must be at most {K_EPS_CAP:g}")
-
-
-def k_epsilon(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> int:
+def k_epsilon(spec: AdversarialSpec) -> int:
     """floor(eps^(-2/(1-p))) for p < 1, floor(exp(c eps^-2)) for p = 1."""
-    check_cap(cap)
     if spec.p == 1.0:
         try:
             log_k = spec.c * spec.eps**-2
         except OverflowError:  # eps below about 1e-154
             log_k = math.inf
-        if log_k > math.log(cap):
+        if log_k > math.log(K_EPS_CAP):
             raise ValueError(
-                f"k_eps = exp({log_k:.3g}) exceeds the cap {cap:g}; use a larger eps"
+                f"k_eps = exp({log_k:.3g}) exceeds the cap {K_EPS_CAP:g}; use a larger eps"
             )
         k = int(math.floor(math.exp(log_k)))
     else:
@@ -86,13 +78,13 @@ def k_epsilon(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> int:
         # leaves every value within the cap to the exact test below, so an
         # accepted k_eps is what it was
         log_value = -2.0 / (1.0 - spec.p) * math.log(spec.eps)
-        if log_value > math.log(cap) + 1.0:
+        if log_value > math.log(K_EPS_CAP) + 1.0:
             raise ValueError(
-                f"k_eps = exp({log_value:.3g}) exceeds the cap {cap:g}; use a larger eps"
+                f"k_eps = exp({log_value:.3g}) exceeds the cap {K_EPS_CAP:g}; use a larger eps"
             )
         value = spec.eps ** (-2.0 / (1.0 - spec.p))
-        if value > cap:
-            raise ValueError(f"k_eps = {value:.3g} exceeds the cap {cap:g}; use a larger eps")
+        if value > K_EPS_CAP:
+            raise ValueError(f"k_eps = {value:.3g} exceeds the cap {K_EPS_CAP:g}; use a larger eps")
         k = int(math.floor(value))
     return k
 
@@ -109,7 +101,7 @@ class AdversarialInstance:
     spec: AdversarialSpec
 
 
-def generate(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> AdversarialInstance:
+def generate(spec: AdversarialSpec) -> AdversarialInstance:
     """Build the knot sequences.
 
     g_k = -eps (1 + (k_eps - k)/k_eps), B_0 = 1 and B_k = k^p, steps
@@ -118,7 +110,7 @@ def generate(spec: AdversarialSpec, cap: int = K_EPS_CAP) -> AdversarialInstance
     sums are ``np.add.accumulate``, which adds strictly in order, so a
     driver walking the knots in float64 reproduces them exactly.
     """
-    keps = k_epsilon(spec, cap)
+    keps = k_epsilon(spec)
     ks = np.arange(keps + 1, dtype=float)
     omega = (keps - ks) / keps
     g = -spec.eps * (1.0 + omega)
@@ -346,7 +338,7 @@ class SharpnessReport:
 
 
 def verify_sharpness(
-    spec: AdversarialSpec, cap: int = K_EPS_CAP, emit_function=None
+    spec: AdversarialSpec, emit_function=None
 ) -> tuple[SharpnessReport, SolveReport]:
     """Run the driver on the generated instance and check the worst-case
     facts it was built to force: exactly k_eps iterations, agreement ratio
@@ -370,7 +362,7 @@ def verify_sharpness(
     both builds the instance once. The report carries the interpolant's
     exact sup |f''| and infimum, so ``bound_inputs`` builds nothing more.
     """
-    inst = generate(spec, cap)
+    inst = generate(spec)
     k_eps, f0, delta0 = inst.k_eps, float(inst.f_vals[0]), inst.delta0
     interp = build_interpolant(inst)
     if emit_function is not None:

@@ -120,12 +120,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_adversarial(args) -> int:
-    adv.check_cap(args.cap)  # a usage error, raised outside the domain errors below
     spec = adv.AdversarialSpec(eps=args.eps, p=args.p, c=args.c, alpha=args.alpha, beta=args.beta)
     try:
         if args.verify:
-            sharp, _ = adv.verify_sharpness(spec, cap=args.cap,
-                                            emit_function=args.emit_function or None)
+            sharp, _ = adv.verify_sharpness(spec, emit_function=args.emit_function or None)
             payload = sharp.to_dict()
             if args.json:
                 _emit_json(payload)
@@ -139,7 +137,7 @@ def _cmd_adversarial(args) -> int:
             if not sharp.passed:
                 raise DomainError(f"sharpness verification failed: {sharp.mismatches[:3]}")
         else:
-            inst = adv.generate(spec, cap=args.cap)
+            inst = adv.generate(spec)
             if args.emit_function:
                 adv.emit_function_csv(adv.build_interpolant(inst), args.emit_function)
             payload = {
@@ -295,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--beta", type=float, default=adv.AdversarialSpec.beta)
     p_adv.add_argument("--verify", action="store_true")
     p_adv.add_argument("--emit-function", default=None, dest="emit_function")
-    p_adv.add_argument("--cap", type=int, default=adv.K_EPS_CAP)
     p_adv.add_argument("--json", action="store_true")
     p_adv.set_defaults(func=_cmd_adversarial)
 

@@ -368,18 +368,11 @@ class Lsr1Model(_PairModel):
         return not (nz == 0.0 or abs(float(s.dot(z))) < SR1_DENOM_TOL * snorm * nz)
 
 
-def build_model(
-    mode: str,
-    problem=None,
-    memory: int = DEFAULT_MEMORY,
-    dim: int | None = None,
-) -> HessianModel:
-    """Construct the model named by ``mode`` for a problem (or raw dim)."""
+def build_model(mode: str, problem, memory: int = DEFAULT_MEMORY) -> HessianModel:
+    """Construct the model named by ``mode`` for ``problem``; build a model of
+    a bare dimension from its class (``LbfgsModel(n)`` and so on)."""
     _check_memory(memory)
-    if dim is None:
-        if problem is None:
-            raise ValueError("need a problem or an explicit dim")
-        dim = problem.dim
+    dim = problem.dim
     if mode == "zero":
         return ZeroModel(dim)
     if mode == "lbfgs":
@@ -387,7 +380,7 @@ def build_model(
     if mode == "lsr1":
         return Lsr1Model(dim, memory)
     if mode == "exact":
-        if problem is None or problem.eval_hess is None:
+        if problem.eval_hess is None:
             raise ValueError("exact mode needs a problem with eval_hess")
         return ExactHessian(problem.eval_hess, problem.x0)
     raise ValueError(f"unknown hessian mode {mode!r}")

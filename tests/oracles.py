@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from trfam import ExactHessian, StepResult
+from trfam import ExactHessian, Problem, StepResult
 from trfam.hessians import _doubles
 from trfam.subproblem import _norm
 
@@ -29,6 +29,12 @@ def bits(v) -> bytes:
     """The float v's eight bytes: equal only for the same float, NaN and
     the sign of zero included."""
     return struct.pack("<d", v)
+
+
+def stub(n: int) -> Problem:
+    """A dimension-n problem at x0 = 0 that ``build_model`` reads only for
+    its dimension; its f and g are never called."""
+    return Problem("stub", n, None, None, np.zeros(n))
 
 
 def matrix_model(A) -> ExactHessian:

@@ -134,26 +134,19 @@ class TestKEpsilon:
             k_epsilon(AdversarialSpec(0.9, 0.999999))
 
     def test_log_domain_check_keeps_every_accepted_value(self):
-        # values at and just past the cap: the log-domain margin leaves the
-        # decision to the exact test, and an accepted k_eps is the floor of
-        # the power as before; every cap is within K_EPS_CAP
-        for eps, p in ((0.5, 0.5), (0.1, 0.0), (0.01, 0.5), (0.4, 0.9)):
-            value = eps ** (-2.0 / (1.0 - p))
-            cap = math.ceil(value)
-            assert k_epsilon(AdversarialSpec(eps, p), cap) == math.floor(value)
-            if value > 1.0:
-                with pytest.raises(ValueError, match="exceeds the cap"):
-                    k_epsilon(AdversarialSpec(eps, p), math.ceil(value) - 1)
-
-    @pytest.mark.parametrize("cap", [0, -1, -(10**9)])
-    @pytest.mark.parametrize("p", [0.5, 1.0])
-    def test_cap_below_one_rejected(self, cap, p):
-        with pytest.raises(ValueError, match="cap must be at least 1"):
-            k_epsilon(AdversarialSpec(0.5, p), cap)
-
-    def test_cap_above_the_largest_rejected(self):
-        with pytest.raises(ValueError, match=r"cap must be at most 1e\+08"):
-            k_epsilon(AdversarialSpec(0.5, 0.5), cap=adversarial.K_EPS_CAP + 1)
+        # at p = 0.5 around the cap of 1e8: 0.01^-4 rounds to just under it
+        # and the exact test accepts its floor; 0.008^-4 lies in (1e8, e 1e8],
+        # inside the log-domain margin, and the exact test rejects it;
+        # 0.005^-4 lies past e 1e8 and the log-domain check rejects it
+        cap = adversarial.K_EPS_CAP
+        assert cap - 1 < 0.01**-4.0 < cap
+        assert k_epsilon(AdversarialSpec(0.01, 0.5)) == math.floor(0.01**-4.0) == cap - 1
+        assert cap < 0.008**-4.0 <= math.e * cap
+        with pytest.raises(ValueError, match=r"^k_eps = 2\.44e\+08 exceeds the cap 1e\+08"):
+            k_epsilon(AdversarialSpec(0.008, 0.5))
+        assert 0.005**-4.0 > math.e * cap
+        with pytest.raises(ValueError, match=r"^k_eps = exp\(21\.2\) exceeds the cap 1e\+08"):
+            k_epsilon(AdversarialSpec(0.005, 0.5))
 
     def test_p1_eps_whose_inverse_square_overflows_is_over_the_cap(self):
         with pytest.raises(ValueError, match=r"k_eps = exp\(inf\) exceeds the cap"):
@@ -561,8 +554,8 @@ class TestVerifySharpness:
         """Make verify_sharpness replay instances that ``edit`` changes in place."""
         original = adversarial.generate
 
-        def edited(spec, cap=adversarial.K_EPS_CAP):
-            inst = original(spec, cap)
+        def edited(spec):
+            inst = original(spec)
             edit(inst)
             return inst
 

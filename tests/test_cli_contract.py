@@ -11,8 +11,8 @@ in one of
 - exit 1 with one ``error:`` line on stderr;
 - exit 2 with one ``usage error:`` line or argparse's usage message.
 
-Runs are in process, with --max-iter <= 50, --cap <= 2000 and at most two
-bench problems. A warning counts as a line of stderr, as it would be one
+Runs are in process, with --max-iter <= 50, adversarial k_eps <= 54 and at
+most two bench problems. A warning counts as a line of stderr, as it would be one
 outside pytest. A passing ``solve --log-csv`` writes one row per iteration.
 A passing ``adversarial --emit-function`` writes the header and 2001
 finite rows. A profile run leaves its matrix.csv as it was, and a passing
@@ -141,7 +141,7 @@ def test_solve(capsys, problem, hessian, mode, drawn, update, as_json, log_csv):
 @fuzz
 @given(
     p=st.sampled_from(["0", "0.5", "1"]),
-    drawn=flags({"eps": "0.5", "c": None, "alpha": None, "beta": None, "cap": "2000"}),
+    drawn=flags({"eps": "0.5", "c": None, "alpha": None, "beta": None}),
     verify=switch("--verify"),
     as_json=switch("--json"),
     emit=st.booleans(),

@@ -164,7 +164,7 @@ class TestSolve:
 
     def test_delta_underflow_on_liar(self):
         p = liar_problem()
-        r = solve(p, TrParams(), build_model("zero", dim=2), eps=1e-8, max_iter=10_000)
+        r = solve(p, TrParams(), build_model("zero", p), eps=1e-8, max_iter=10_000)
         assert r.status == "delta_underflow"
         assert r.n_succ_total == 0
 
@@ -308,7 +308,7 @@ class TestSolve:
             "bad", 1, lambda x: float("inf"), lambda x: np.ones(1), np.zeros(1)
         )
         with pytest.raises(SolveError):
-            solve(bad, TrParams(), build_model("zero", dim=1), eps=1e-6)
+            solve(bad, TrParams(), build_model("zero", bad), eps=1e-6)
 
     # (1e300, 1e300) is finite, but |y| of the gradient change overflows
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -321,7 +321,7 @@ class TestSolve:
             lambda x: np.array([1.0, 0.0] if np.array_equal(x, x0) else g_trial),
             x0,
         )
-        model = build_model("zero", dim=2)
+        model = build_model("zero", p)
         if math.isfinite(sum(g_trial)):
             assert solve(p, TrParams(), model, eps=1e-6, max_iter=1).n_succ_total == 1
         else:
@@ -440,7 +440,8 @@ class TestPathReuse:
     def test_one_dimensional_run_builds_no_path(self, monkeypatch):
         built = []
         monkeypatch.setattr(driver, "SteihaugPath", lambda *a: built.append(a))
-        r = solve(quartic_1d(), TrParams(), build_model("lbfgs", dim=1), eps=1e-8)
+        p = quartic_1d()
+        r = solve(p, TrParams(), build_model("lbfgs", p), eps=1e-8)
         assert r.iterations > 0 and built == []
 
 

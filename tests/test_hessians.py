@@ -28,6 +28,7 @@ from oracles import (
     compact_norm_reference,
     compact_windows,
     dense_matrix,
+    stub,
 )
 
 
@@ -109,7 +110,7 @@ class TestCompactFactors:
     @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
     def test_apply_matches_per_call_formula(self, mode, n):
         rng = np.random.default_rng(13)
-        m = build_model(mode, dim=n, memory=3)
+        m = build_model(mode, stub(n), memory=3)
         v = rng.standard_normal(n)
         admitted = []
         for _ in range(6):  # past the memory, so pairs are evicted too
@@ -124,7 +125,7 @@ class TestCompactFactors:
         # the name is kept so the case ids stay comparable across commits;
         # the norm matches the block route to COMPACT_RTOL, not to the bit
         rng = np.random.default_rng(17)
-        m = build_model(mode, dim=n, memory=memory)
+        m = build_model(mode, stub(n), memory=memory)
         assert m.operator_norm() == compact_norm_reference(mode, [], n)
         admitted = []
         # past the memory, so pairs are evicted too
@@ -190,7 +191,7 @@ class TestCompactFactors:
         # K is copied out of the solve's [K | M^{-1} R^T] once per window,
         # so no product copies a strided K; n = 12 is past every width
         rng = np.random.default_rng(37)
-        m = build_model(mode, dim=12, memory=5)
+        m = build_model(mode, stub(12), memory=5)
         for _ in range(7):
             assert feed_pairs(m, rng, 1)
             W, K, _ = m._compact()
@@ -203,7 +204,7 @@ class TestCompactFactors:
         # full, so n = 4 needs no basis beyond the identity and n = 9 takes
         # one thin QR per accepted pair
         rng = np.random.default_rng(19)
-        m = build_model(mode, dim=n, memory=4)
+        m = build_model(mode, stub(n), memory=4)
         admitted = feed_pairs(m, rng, 4)
         assert len(admitted) == 4
         m.operator_norm()  # build this window's factors: each QR counted below is a new pair's
@@ -247,7 +248,7 @@ class TestCompactFactors:
 
         monkeypatch.setattr(hessians, "_qr_r", qr_r_checked)
         rng = np.random.default_rng(19)
-        m = build_model(mode, dim=n, memory=4)
+        m = build_model(mode, stub(n), memory=4)
         v = rng.standard_normal(n)
         for _ in range(6):
             assert feed_pairs(m, rng, 1)
@@ -432,7 +433,7 @@ class TestBorderedWindows:
     @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
     def test_stored_factors_match_the_rebuilt_window(self, mode, n, memory, collinear):
         rng = np.random.default_rng(29)
-        m = build_model(mode, dim=n, memory=memory)
+        m = build_model(mode, stub(n), memory=memory)
         admitted = []
         # past the memory, so pairs are evicted too
         for s, y in curved_pairs(rng, n, memory + 3, collinear):
@@ -478,7 +479,7 @@ class TestUpdates:
     def test_zero_step_rejected_loudly(self):
         for mode in ("lbfgs", "lsr1"):
             with pytest.raises(ValueError, match="zero step"):
-                build_model(mode, dim=2).update(np.zeros(2), np.ones(2))
+                build_model(mode, stub(2)).update(np.zeros(2), np.ones(2))
 
     def test_rejected_update_leaves_apply_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -540,7 +541,7 @@ class TestSymmetry:
     def test_symmetry_100_random_pairs(self, mode):
         rng = np.random.default_rng(7)
         n = 8
-        m = build_model(mode, dim=n, memory=5)
+        m = build_model(mode, stub(n), memory=5)
         A = np.diag(np.arange(1.0, n + 1))
         for _ in range(7):
             s = rng.standard_normal(n)
@@ -574,7 +575,7 @@ class TestOperatorNorm:
         # memory 5: n <= 2m and n > 2m for L-BFGS, and collinear steps make
         # W rank-deficient
         rng = np.random.default_rng(11)
-        m = build_model(mode, dim=n, memory=5)
+        m = build_model(mode, stub(n), memory=5)
         assert feed_pairs(m, rng, 7, collinear)
         dense = float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(m)))))
         assert abs(m.operator_norm() - dense) <= 1e-9 * dense
@@ -582,7 +583,7 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("mode", ["lbfgs", "lsr1"])
     def test_sigma_off_the_pair_range(self, mode):
         # one pair with y = s / 4: B = 1/4 along s and sigma = 1 elsewhere
-        m = build_model(mode, dim=12, memory=5)
+        m = build_model(mode, stub(12), memory=5)
         s = np.arange(1.0, 13.0)
         assert m.update(s, 0.25 * s)
         assert m.operator_norm() == pytest.approx(1.0, rel=1e-12)

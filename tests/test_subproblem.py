@@ -13,7 +13,7 @@ from trfam.subproblem import SolveError, SteihaugPath, _norm, _to_boundary
 
 from oracles import (
     EagerSteihaugPath, beats_cauchy, bits, cauchy_point, grid_max_decrease, matrix_model,
-    solve_tcg_reference,
+    solve_tcg_reference, stub,
 )
 
 
@@ -181,7 +181,7 @@ class TestTcg:
 
 def full_window_model(mode, n, rng, memory=5):
     """A limited-memory model holding a full window of curved-map pairs."""
-    m = build_model(mode, dim=n, memory=memory)
+    m = build_model(mode, stub(n), memory=memory)
     A = np.diag(np.geomspace(0.1, 10.0, n))
     u = rng.standard_normal(n)
     admitted = 0

@@ -50,10 +50,13 @@ def test_compact_accuracy_smoke():
     assert int(off.split()[-1]) == len(lines) - 1
 
 
-def test_kernels_smoke():
+def test_kernels_smoke(monkeypatch):
+    # unset, the thread count is pinned to 1 before numpy loads its BLAS
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     done = run("benchmarks/kernels.py", "--number", "1", "--repeat", "1")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
+    assert "OPENBLAS_NUM_THREADS=1;" in lines[0]
     assert lines[1] == "call n width numpy_us trfam_us"
     assert {ln.split()[0] for ln in lines[2:]} == {
         "qr", "solve", "eigvalsh", "sW", "RMR", "Kv", "Wu", "vv", "Hv", "JTr", "JTJ", "hess"}
