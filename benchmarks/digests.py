@@ -25,21 +25,35 @@ where the digest covers the repr of every ``BoundCheck`` field,
 ``trfam.adversarial.bound_inputs`` of the case's replay, read off its own
 sharpness report.
 
+Last come the family's other regimes. The lines above are the benchmark's
+own: current-mode radii and no update on rejected steps. After the audits,
+each matrix cell is solved again in history mode (``radius_mode =
+"history"``), and each matrix-qn cell with the pair update on rejected
+steps (``update_on_unsuccessful``), alone and in history mode; the update
+acts on pair models alone, so the exact cells do not run it. One cell line
+per cell and regime, with the regime appended to the label,
+
+    matrix-qn beale/lsr1/1_1/history+unsuccessful ...
+
+and one SHA-256 over those lines. Everything before them reads as a
+digests.py without regimes prints it.
+
     python3 benchmarks/digests.py --seed 0 --perturb 60
 
 also records the noise floor: how far 1-ulp rounding moves each matrix
-cell. Each cell is solved once as it is, then once per perturbation seed
-0 .. N-1. In a perturbed run every entry of every ``B v`` product, and
-every |B| (``operator_norm``), moves by -1, 0 or +1 ulp (``np.nextafter``),
-drawn from a generator seeded with the perturbation seed. The wrappers sit
-on the model instance, so the program itself is unchanged. After the audits
-come one line per matrix cell,
+cell in each regime. Each is solved once as it is, then once per
+perturbation seed 0 .. N-1. In a perturbed run every entry of every
+``B v`` product, and every |B| (``operator_norm``), moves by -1, 0 or +1
+ulp (``np.nextafter``), drawn from a generator seeded with the
+perturbation seed. The wrappers sit on the model instance, so the program
+itself is unchanged. After the regime lines come one line per matrix cell
+and regime,
 
     floor workload label status iterations | statuses seen | min median max iterations
 
 then the fragile cells (those whose status moved in some perturbed run),
-and the spread of ``solved`` (first_order cells) and of total iterations
-over the perturbed runs, each line starting with ``floor``.
+and the spread of ``solved`` (first_order runs) and of total iterations
+over the perturbed runs, regimes included, each line starting with ``floor``.
 
     python3 benchmarks/digests.py --seed 0 --against before.txt
 
@@ -78,6 +92,16 @@ from trfam.hessians import build_model  # noqa: E402
 
 RHO = driver.CSV_HEADER.split(",").index("rho")
 
+# Each regime's label suffix, the TrParams fields it sets and the matrix
+# workloads it runs on, in output order; "" is the benchmark's own.
+REGIMES = {
+    "": ({}, ("matrix-exact", "matrix-qn")),
+    "history": ({"radius_mode": "history"}, ("matrix-exact", "matrix-qn")),
+    "unsuccessful": ({"update_on_unsuccessful": True}, ("matrix-qn",)),
+    "history+unsuccessful": ({"radius_mode": "history", "update_on_unsuccessful": True},
+                             ("matrix-qn",)),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -108,16 +132,20 @@ def perturb(model, seed: int) -> None:
     model.operator_norm = lambda: float(nudged(operator_norm()))
 
 
-def run_cell(cell, wrap=None) -> driver.SolveReport:
-    """One matrix cell solved as the benchmark solves it. ``wrap``, unless
-    None, is called with the model before the solve and may put wrappers
-    on the instance, as ``perturb`` does."""
+def run_cell(cell, wrap=None, regime="") -> driver.SolveReport:
+    """One matrix cell solved as the benchmark solves it, in one of the
+    ``REGIMES``. ``wrap``, unless None, is called with the model before the
+    solve and may put wrappers on the instance, as ``perturb`` does."""
     spec = bench.RunSpec(cell.problem.name, cell.alpha, cell.beta, cell.hessian,
                          max_iter=cell.max_iter)
     model = build_model(spec.hessian, cell.problem, memory=spec.memory)
     if wrap is not None:
         wrap(model)
-    return bench.solve_cell(spec, cell.problem, model)
+    return bench.solve_cell(spec, cell.problem, model, **REGIMES[regime][0])
+
+
+def label(cell, regime: str) -> str:
+    return f"{cell.label}/{regime}" if regime else cell.label
 
 
 def spread(values) -> str:
@@ -125,34 +153,36 @@ def spread(values) -> str:
 
 
 def matrix_runs(seed: int) -> list[tuple]:
-    """(workload, cell, report) of every matrix cell of the seed, unperturbed."""
-    return [(name, cell, run_cell(cell)) for name, wl in (
-        ("matrix-exact", workloads.matrix_exact(seed, None)),
-        ("matrix-qn", workloads.matrix_qn(seed))) for cell in wl.cells]
+    """(workload, cell, regime, report) of every matrix cell of the seed in
+    each regime it runs in, unperturbed, regime by regime."""
+    cells = {"matrix-exact": workloads.matrix_exact(seed, None).cells,
+             "matrix-qn": workloads.matrix_qn(seed).cells}
+    return [(name, cell, regime, run_cell(cell, regime=regime))
+            for regime, (_, names) in REGIMES.items() for name in names for cell in cells[name]]
 
 
 def floor_lines(runs, perturbations: int):
-    """The floor lines of ``runs``, (workload, cell, unperturbed report)
-    triples, over perturbation seeds 0 .. perturbations-1, one cell line at
-    a time."""
+    """The floor lines of ``runs``, (workload, cell, regime, unperturbed
+    report) tuples, over perturbation seeds 0 .. perturbations-1, one cell
+    line at a time."""
     seeds = range(perturbations)
     fragile = []
-    solved = Counter()  # first_order cells per perturbation seed
+    solved = Counter()  # first_order runs per perturbation seed
     total = Counter()  # iterations per perturbation seed
     base_solved = base_total = 0
-    for name, cell, base in runs:
+    for name, cell, regime, base in runs:
         base_solved += base.status == "first_order"
         base_total += base.iterations
-        perturbed = [run_cell(cell, partial(perturb, seed=seed)) for seed in seeds]
+        perturbed = [run_cell(cell, partial(perturb, seed=seed), regime) for seed in seeds]
         for seed, run in zip(seeds, perturbed):
             solved[seed] += run.status == "first_order"
             total[seed] += run.iterations
         seen = Counter(run.status for run in perturbed)
-        yield (f"floor {name} {cell.label} {base.status} {base.iterations} | "
+        yield (f"floor {name} {label(cell, regime)} {base.status} {base.iterations} | "
                + " ".join(f"{st}:{n}" for st, n in sorted(seen.items()))
                + f" | {spread([run.iterations for run in perturbed])}")
         if set(seen) != {base.status}:
-            fragile.append(f"{name} {cell.label} {base.status} -> " + ", ".join(
+            fragile.append(f"{name} {label(cell, regime)} {base.status} -> " + ", ".join(
                 f"{st} {n}/{perturbations}" for st, n in sorted(seen.items())
                 if st != base.status))
     yield f"floor fragile cells: {len(fragile)} of {len(runs)}"
@@ -244,18 +274,21 @@ def main(argv=None) -> int:
     if args.perturb and args.against is not None:
         ap.error("--perturb records a floor for a later --against; it takes no --against")
     runs = matrix_runs(args.seed)
-    lines = [line(name, cell.label, report) for name, cell, report in runs]
+    lines, regime_lines = [], []
+    for name, cell, regime, report in runs:
+        (regime_lines if regime else lines).append(line(name, label(cell, regime), report))
     worst, audits = worst_case_lines(args.seed)
     lines += worst
     if args.against is not None:
-        for ln in changes(args.against.read_text().splitlines(), lines + audits):
+        for ln in changes(args.against.read_text().splitlines(), lines + audits + regime_lines):
             print(ln)
         return 0
     for ln in lines:
         print(ln)
     print("all", sha256("\n".join(lines)))
-    for ln in audits:
+    for ln in audits + regime_lines:
         print(ln)
+    print("all", sha256("\n".join(regime_lines)))
     if args.perturb:
         for ln in floor_lines(runs, args.perturb):
             print(ln, flush=True)

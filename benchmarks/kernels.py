@@ -7,11 +7,15 @@ Run from the repository root; trfam is imported from ``src/``. For each
 window shape a matrix-qn cell builds (n in {4, 10, 30, 100}, widths 5 and
 10: memory 5 for L-SR1 and L-BFGS), it draws a random W (n x width) and a
 random symmetric M, and times the LAPACK calls one factorization makes,
-numpy.linalg's public wrapper against ``trfam.hessians``' kernel:
+numpy.linalg's public wrapper against ``trfam.hessians``' kernel, and then
+the whole window build, (K, |B|) from the three public calls against the
+build trfam makes once per admitted pair, under one error guard:
 
     qr        np.linalg.qr(W, mode="r")           _qr_r(W)           n > width only
     solve     np.linalg.solve(M, [W^T | R^T])     _solve             [W^T] when n <= width
     eigvalsh  np.linalg.eigvalsh(R M^-1 R^T)      _eigvalsh
+    factors   the three calls above               _compact()         of an L-SR1 (width 5) or
+                                                                     L-BFGS (width 10) model
 
 and ``eigvalsh`` of a symmetric n x n matrix, the exact model's norm. Then
 the BLAS calls, each product ``a @ b`` against the ``a.dot(b)`` trfam forms
@@ -33,8 +37,9 @@ one.
 
 BLAS and LAPACK run on one thread, as in ``perfbench/run.py``, unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is
-set: a threaded call reads high on a busy host. Each kernel's output is
-asserted bitwise equal to its reference's before it is timed. Prints the
+set: a threaded call reads high on a busy host. Each kernel's output (K
+and |B| of a factors row) is asserted bitwise equal to its reference's
+before it is timed. Prints the
 Python and numpy versions and the effective ``OPENBLAS_NUM_THREADS``, then
 one line per call and shape,
 
@@ -65,7 +70,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oracles import HESSIAN_LOOPS  # noqa: E402
 from trfam import builtin_collection  # noqa: E402
-from trfam.hessians import _eigvalsh, _qr_r, _solve  # noqa: E402
+from trfam.hessians import LbfgsModel, Lsr1Model, _eigvalsh, _qr_r, _solve  # noqa: E402
 
 DIMS = (4, 10, 30, 100)
 WIDTHS = (5, 10)
@@ -86,6 +91,23 @@ def calls(rng, n: int, width: int):
     out.append(("solve", lambda: np.linalg.solve(M, rhs), lambda: _solve(M, rhs)))
     RMR = R @ np.linalg.solve(M, R.T)
     out.append(("eigvalsh", lambda: np.linalg.eigvalsh(RMR), lambda: _eigvalsh(RMR)))
+    model = (Lsr1Model if width == 5 else LbfgsModel)(n, memory=5)
+    model._W, model._M = W, M
+
+    def numpy_factors():
+        if n > width:
+            R = np.linalg.qr(W, mode="r")
+            KR = np.linalg.solve(M, np.concatenate((W.T, R.T), axis=1))
+            K, RMR = np.ascontiguousarray(KR[:, :n]), R @ KR[:, n:]
+        else:
+            K = np.linalg.solve(M, W.T)
+            RMR = W @ K
+        lam = np.linalg.eigvalsh(RMR)
+        norm = max(abs(model._combine(1.0, float(lam[0]))),
+                   abs(model._combine(1.0, float(lam[-1]))))
+        return K, max(norm, 1.0) if n > width else norm
+
+    out.append(("factors", numpy_factors, lambda: model._compact()[1:]))
     return [(name, n, width, ref, fast) for name, ref, fast in out]
 
 
@@ -139,6 +161,13 @@ def hessians():
     return out
 
 
+def bits(out) -> list:
+    """(shape, bytes) of each part of a result: an array, or a tuple of
+    arrays and floats."""
+    return [(np.shape(part), np.asarray(part).tobytes())
+            for part in (out if isinstance(out, tuple) else (out,))]
+
+
 def per_call_us(fn, number: int, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
 
@@ -164,9 +193,7 @@ def main(argv=None) -> int:
     for name, n, width, ref, fast in cases:
         ref_us = "-"
         if ref is not None:
-            expected, actual = np.asarray(ref()), np.asarray(fast())
-            if not (expected.shape == actual.shape
-                    and expected.tobytes() == actual.tobytes()):
+            if bits(ref()) != bits(fast()):
                 raise AssertionError(f"{name} at n={n}, width={width}: outputs differ")
             ref_us = f"{per_call_us(ref, args.number, args.repeat):.2f}"
         print(f"{name} {n} {width} {ref_us} {per_call_us(fast, args.number, args.repeat):.2f}",

@@ -87,12 +87,14 @@ class CostMatrix:
         raise ValueError(f"unknown metric {metric!r}")
 
 
-def solve_cell(spec: RunSpec, problem: Problem, model) -> SolveReport:
+def solve_cell(spec: RunSpec, problem: Problem, model, **regime) -> SolveReport:
     """Solve one cell as ``trfam bench`` does: the family's default
     constants with ``spec``'s alpha and beta, and ``spec``'s eps, max_iter
     and eval_budget. The caller builds ``problem`` and ``model``, so a tool
-    can move the start or wrap the model instance."""
-    params = TrParams(alpha=spec.alpha, beta=spec.beta)
+    can move the start or wrap the model instance; ``regime`` sets other
+    ``TrParams`` fields (``radius_mode``, ``update_on_unsuccessful``), which
+    ``trfam bench`` leaves at their defaults."""
+    params = TrParams(alpha=spec.alpha, beta=spec.beta, **regime)
     return solve(problem, params, model, eps=spec.eps, max_iter=spec.max_iter,
                  eval_budget=spec.eval_budget)
 

@@ -21,11 +21,16 @@ whose M is nonsingular, and store K C-contiguous, so no product copies it.
 
 This module is the only one that factorizes, and it calls numpy's LAPACK
 gufuncs (``numpy.linalg._umath_linalg``) through ``_qr_r``, ``_solve`` and
-``_eigvalsh``, each with its ``np.errstate`` declared once, as a decorator:
-the same calls, error handling and results as ``np.linalg.qr(mode="r")``,
-``np.linalg.solve`` and ``np.linalg.eigvalsh(UPLO="L")``, bit for bit,
-without their per-call coercion, which is most of a small factorization's
-cost. Every input is a float64 array of the right shape by construction;
+``_eigvalsh``: the same calls, error handling and results as
+``np.linalg.qr(mode="r")``, ``np.linalg.solve`` and
+``np.linalg.eigvalsh(UPLO="L")``, bit for bit, without their per-call
+coercion, which is most of a small factorization's cost. The error rule is
+one errstate per window build: numpy.linalg's ``np.errstate``, under which
+a failed gufunc raises, is entered once around all the kernels of a window
+(``_PairModel._compact``) and once around an exact model's norm, and each
+kernel turns the failure into numpy.linalg's ``LinAlgError`` and message;
+outside the guard a failure only warns. Every input is a float64 array of
+the right shape by construction;
 ``ExactHessian`` checks the shape of each Hessian it is given before its
 norm is taken. ``tests/test_hessians.py::TestKernels`` holds the kernels
 to numpy's results and errors, so a numpy release that changes the
@@ -59,45 +64,61 @@ _E1 = np.ones(1)  # the unit vector of the base curvature_1d; read-only
 _E1.flags.writeable = False
 
 
-def _fails_with(message):
-    """The errstate decorator of a LAPACK kernel: a failed gufunc sets the
-    invalid flag, which raises numpy.linalg's ``LinAlgError(message)``, and
-    the other flags are ignored, as numpy.linalg ignores them."""
-    def raise_linalgerror(err, flag):
-        raise LinAlgError(message)
-    return np.errstate(call=raise_linalgerror, invalid="call", over="ignore",
-                       divide="ignore", under="ignore")
+class _LapackFailure(Exception):
+    """A call under the guard set the invalid flag. From a LAPACK gufunc it
+    is the sign of failure, which each kernel turns into numpy.linalg's
+    ``LinAlgError``; from the product between a build's kernels, it is an
+    inf - inf or 0 * inf of a solve that overflowed."""
+
+
+def _lapack_failed(err, flag):
+    raise _LapackFailure
+
+
+# numpy.linalg's error handling, entered once per window build as a
+# decorator: a failed gufunc raises, and the other flags are ignored, as
+# numpy.linalg ignores them. Outside it a failure only warns.
+_lapack_errors = np.errstate(call=_lapack_failed, invalid="call", over="ignore",
+                             divide="ignore", under="ignore")
 
 
 @cache
-def _upper(width: int) -> np.ndarray:
-    """The read-only mask of a square upper triangle, diagonal included."""
-    mask = ~np.tri(width, width, -1, dtype=bool)
+def _lower(width: int) -> np.ndarray:
+    """The read-only mask of a square strict lower triangle."""
+    mask = np.tri(width, width, -1, dtype=bool)
     mask.flags.writeable = False
     return mask
 
 
-@_fails_with("Incorrect argument found while performing QR factorization")
 def _qr_r(W: np.ndarray) -> np.ndarray:
     """R of W = QR for an n x width W with n > width, forming no Q:
     ``np.linalg.qr(W, mode="r")``."""
     a = W.copy()  # the gufunc overwrites its input with R and reflectors
-    _umath_linalg.qr_r_raw(a, signature="d->d")
+    try:
+        _umath_linalg.qr_r_raw(a, signature="d->d")
+    except _LapackFailure:
+        raise LinAlgError("Incorrect argument found while performing QR factorization") from None
     width = a.shape[1]
-    return np.where(_upper(width), a[:width], 0.0)
+    R = a[:width]
+    R[_lower(width)] = 0.0  # the reflectors
+    return R
 
 
-@_fails_with("Singular matrix")
 def _solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """M^{-1} B for a 2-d B: ``np.linalg.solve(M, B)``."""
-    return _umath_linalg.solve(M, B, signature="dd->d")
+    try:
+        return _umath_linalg.solve(M, B, signature="dd->d")
+    except _LapackFailure:
+        raise LinAlgError("Singular matrix") from None
 
 
-@_fails_with("Eigenvalues did not converge")
 def _eigvalsh(A: np.ndarray) -> np.ndarray:
     """The ascending eigenvalues of symmetric A from its lower triangle:
     ``np.linalg.eigvalsh(A, UPLO="L")``."""
-    return _umath_linalg.eigvalsh_lo(A, signature="d->d")
+    try:
+        return _umath_linalg.eigvalsh_lo(A, signature="d->d")
+    except _LapackFailure:
+        raise LinAlgError("Eigenvalues did not converge") from None
 
 
 def _check_memory(memory: int) -> None:
@@ -114,9 +135,9 @@ def _doubles(v) -> array:
 
 
 class HessianModel:
-    """Base class; concrete models override ``_apply`` and
-    ``operator_norm``, and models whose B changes override ``update``, the
-    one place B may change.
+    """Base class; concrete models override ``_apply`` (``ExactHessian``
+    overrides ``apply`` itself) and ``operator_norm``, and models whose B
+    changes override ``update``, the one place B may change.
 
     A model instance is mutable and owned by a single solver run; distinct
     runs must not share one.
@@ -192,23 +213,30 @@ class ScriptedModel(HessianModel):
 
 
 class ExactHessian(HessianModel):
-    """Dense Hessian of the objective, re-evaluated as the iterate moves."""
+    """Dense Hessian of the objective at the current iterate, evaluated
+    when first read: a Hessian that nothing reads is never formed."""
 
     def __init__(self, eval_hess, x0):
         x0 = np.asarray(x0, dtype=float)
         super().__init__(len(x0))
         self._eval_hess = eval_hess
         self._x = x0.copy()
-        self._mat = np.asarray(eval_hess(self._x), dtype=float)
+        self._mat: np.ndarray | None = None  # the Hessian at _x, evaluated on first use
         self._norm: float | None = None  # of _mat, computed on first use
 
-    def _apply(self, v):
-        return self._mat.dot(v)
+    def apply(self, v):
+        # the base apply and its _apply in one frame, one per product
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,):
+            raise ValueError(f"vector of shape {v.shape}, model dim {self.dim}")
+        mat = self._mat
+        if mat is None:
+            mat = self._mat = np.asarray(self._eval_hess(self._x), dtype=float)
+        return mat.dot(v)
 
     def update(self, s, y):
         self._x = self._x + np.asarray(s, dtype=float)
-        self._mat = np.asarray(self._eval_hess(self._x), dtype=float)
-        self._norm = None
+        self._mat = self._norm = None
         return True
 
     def operator_norm(self):
@@ -216,16 +244,24 @@ class ExactHessian(HessianModel):
         SolveError, where eigvalsh would fail with a bare ValueError or read
         it as a finite spectrum."""
         if self._norm is None:
-            if self._mat.shape != (self.dim, self.dim):
-                raise SolveError(f"the exact Hessian has shape {self._mat.shape}, "
+            mat = self._mat
+            if mat is None:
+                mat = self._mat = np.asarray(self._eval_hess(self._x), dtype=float)
+            if mat.shape != (self.dim, self.dim):
+                raise SolveError(f"the exact Hessian has shape {mat.shape}, "
                                  f"not ({self.dim}, {self.dim})")
-            if not np.isfinite(self._mat).all():
+            if not np.isfinite(mat).all():
                 raise SolveError("the exact Hessian has a non-finite entry")
-            # eigvalsh's output is ascending, so |B| is at one of its ends;
-            # both abs keep a zero matrix's norm +0.0, not -0.0
-            lam = _eigvalsh(self._mat)
-            self._norm = max(abs(float(lam[0])), abs(float(lam[-1])))
+            self._norm = _spectral_norm(mat)
         return self._norm
+
+
+@_lapack_errors
+def _spectral_norm(A: np.ndarray) -> float:
+    """max |lambda| of symmetric A. eigvalsh's output is ascending, so it is
+    at one of its ends; both abs keep a zero matrix's norm +0.0, not -0.0."""
+    lam = _eigvalsh(A)
+    return max(abs(float(lam[0])), abs(float(lam[-1])))
 
 
 class _PairModel(HessianModel):
@@ -260,8 +296,10 @@ class _PairModel(HessianModel):
             return False
         # evict the oldest pair from a full window
         drop = self._width if self._W.shape[1] == self._width * self.memory else 0
-        W = np.concatenate((self._W[:, drop:], *self._columns(s, y)), axis=1)
-        k = self._M.shape[0] - drop  # the kept pairs' rows; s's row is next
+        k = self._M.shape[0] - drop  # the kept pairs' columns and rows; s's row is next
+        W = np.empty((self.dim, k + self._width))
+        W[:, :k] = self._W[:, drop:]
+        self._border(W, k, s, y)
         row = s.dot(W)
         M = np.zeros((W.shape[1], W.shape[1]))
         M[:k, :k] = self._M[drop:, drop:]
@@ -272,20 +310,22 @@ class _PairModel(HessianModel):
         self._factors = None
         return True
 
+    @_lapack_errors
     def _compact(self) -> tuple:
-        """(W, K, |B|) of the longest trailing run of whole pairs whose M
-        ``_solve`` accepts, a trailing block of the stored W and M; empty
-        when B = I, with no pairs or no such run."""
-        if self._factors is None:
-            self._factors = ()
-            W, M = self._W, self._M
-            for start in range(0, W.shape[1], self._width):
-                run = W[:, start:]
-                try:
-                    self._factors = (run, *self._product_factors(run, M[start:, start:]))
-                    break
-                except LinAlgError:
-                    continue  # this run's M is singular; shed its oldest pair
+        """Build and keep (W, K, |B|) of the longest trailing run of whole
+        pairs whose M ``_solve`` accepts and whose factors do not overflow
+        into an invalid value, a trailing block of the stored W and M; empty
+        when B = I, with no pairs or no such run. Products and norms build
+        them only when none are kept."""
+        W, M = self._W, self._M
+        self._factors = ()
+        for start in range(0, W.shape[1], self._width):
+            run = W[:, start:]
+            try:
+                self._factors = (run, *self._product_factors(run, M[start:, start:]))
+                break
+            except (LinAlgError, _LapackFailure):
+                continue  # shed this run's oldest pair
         return self._factors
 
     def _product_factors(self, W, M) -> tuple:
@@ -296,7 +336,10 @@ class _PairModel(HessianModel):
             # R of W = QR, with Q orthonormal even when W is rank-deficient;
             # for n <= width the identity already is such a Q, with R = W
             R = _qr_r(W)
-            KR = _solve(M, np.concatenate((W.T, R.T), axis=1))
+            rhs = np.empty((width, n + width))
+            rhs[:, :n] = W.T
+            rhs[:, n:] = R.T
+            KR = _solve(M, rhs)
             # one copy of K here, where ndarray.dot would copy the strided
             # slice on every product
             K, RMR = np.ascontiguousarray(KR[:, :n]), R.dot(KR[:, n:])
@@ -312,14 +355,18 @@ class _PairModel(HessianModel):
         return K, norm
 
     def _apply(self, v):
-        factors = self._compact()
+        factors = self._factors
+        if factors is None:
+            factors = self._compact()
         if not factors:
             return v.copy()
         W, K, _ = factors
         return self._combine(v, W.dot(K.dot(v)))
 
     def operator_norm(self):
-        factors = self._compact()
+        factors = self._factors
+        if factors is None:
+            factors = self._compact()
         return factors[2] if factors else 1.0
 
 
@@ -336,8 +383,9 @@ class LbfgsModel(_PairModel):
 
     _width = 2
 
-    def _columns(self, s, y):
-        return s[:, None], y[:, None]
+    def _border(self, W, k, s, y):
+        W[:, k] = s
+        W[:, k + 1] = y
 
     def _admits(self, s, y, snorm):
         # curvature safeguard: s'y >= tol * |s| * |y|, and strictly positive;
@@ -358,8 +406,8 @@ class Lsr1Model(_PairModel):
     _combine = operator.add
     _width = 1
 
-    def _columns(self, s, y):
-        return ((y - s)[:, None],)
+    def _border(self, W, k, s, y):
+        np.subtract(y, s, out=W[:, k])
 
     def _admits(self, s, y, snorm):
         z = y - self.apply(s)

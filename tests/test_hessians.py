@@ -1,6 +1,7 @@
 """Tests for the model-Hessian implementations."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from trfam import (
     solve,
 )
 from trfam import hessians
-from trfam.driver import SolveError, _fmt
+from trfam.driver import _U, SolveError, _fmt
 from trfam.hessians import MODEL_KINDS, ExactHessian, HessianModel
 
 from oracles import (
@@ -299,9 +300,12 @@ class TestCompactFactors:
 
 
 def outcome(fn, *args):
-    """(shape, bytes) of fn's result, or ("LinAlgError", its message)."""
+    """(shape, bytes) of fn's result, or ("LinAlgError", its message), with
+    fn called under the error guard that trfam enters once per window build
+    (``hessians._lapack_errors``): outside it a kernel's failure only warns.
+    np.linalg's functions enter their own errstate inside it."""
     try:
-        out = fn(*args)
+        out = hessians._lapack_errors(fn)(*args)
     except np.linalg.LinAlgError as err:
         return "LinAlgError", str(err)
     return out.shape, out.tobytes()
@@ -421,6 +425,84 @@ class TestKernels:
             for _ in range(3):
                 for a, b in blas_operands(rng, n, width):
                     assert outcome(a.dot, b) == outcome(np.matmul, a, b), (a.shape, b.shape)
+
+
+class TestErrorGuard:
+    """A window build enters numpy.linalg's error handling once, around all
+    its kernels: the caller's ``np.geterr()`` is the same after it, whether
+    the kernels succeeded or one failed, and no RuntimeWarning escapes."""
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    @pytest.mark.parametrize("mode", ["lbfgs", "lsr1", "exact"])
+    def test_factorizations_leave_errstate_as_they_found_it(self, mode, n):
+        rng = np.random.default_rng(41)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if mode == "exact":
+                H = rng.standard_normal((n, n))
+                m = ExactHessian(lambda x: H + H.T, np.zeros(n))
+                assert m.operator_norm() > 0
+            else:
+                m = build_model(mode, stub(n), memory=3)
+                admitted = 0
+                for _ in range(5):
+                    admitted += len(feed_pairs(m, rng, 1))
+                    assert m.operator_norm() >= 1.0 and np.geterr() == before
+                    m.apply(rng.standard_normal(n))
+                assert admitted >= 3
+        assert np.geterr() == before
+
+    def test_shed_window_leaves_errstate_as_it_found_it(self):
+        # the singular window of test_lsr1_sheds_oldest_pair_of_singular_window:
+        # its solve fails inside the guard, and the build sheds a pair
+        m = Lsr1Model(2, memory=2)
+        steps = [([1.0, 2.0], [-1.0, 1.0]), ([-2.0, 0.0], [-2.0, 0.0]),
+                 ([-2.0, 2.0], [2.0, -2.0])]
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s, y in steps:
+                assert m.update(np.array(s), np.array(y))
+            assert m._compact()[0].shape == (2, 1)
+        assert np.geterr() == before
+
+    def test_run_whose_factors_overflow_is_shed(self):
+        # the solve with this nearly singular M overflows to K = [inf, -inf]',
+        # and the product W K meets 0 * inf: under the guard the run is shed
+        # as a singular one is, leaving the newest pair, whose column is zero
+        m = Lsr1Model(1, memory=2)
+        m._W = np.array([[1e300, 0.0]])
+        m._M = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W, K, norm = m._compact()
+        assert W.shape == (1, 1) and K.tolist() == [[0.0]] and norm == 1.0
+
+    @pytest.mark.parametrize("kernel", ["qr", "solve", "eigvalsh"])
+    def test_each_kernel_fails_with_numpys_message(self, monkeypatch, kernel):
+        # no input makes LAPACK's QR fail, so its gufunc is replaced by one
+        # that sets the invalid flag, as a failed gufunc does
+        W = np.ones((3, 2))
+        if kernel == "qr":
+            monkeypatch.setattr(_umath_linalg, "qr_r_raw",
+                                lambda a, signature: np.sqrt(np.full(1, -1.0)))
+            call, expected = (lambda: hessians._qr_r(W),
+                              "Incorrect argument found while performing QR factorization")
+        elif kernel == "solve":
+            call, expected = lambda: hessians._solve(np.zeros((2, 2)), W.T), "Singular matrix"
+        else:
+            W = np.ones((4, 3))
+            W[0, 0] = math.nan
+            gram = W.T @ W  # a NaN row and column, as in the non-finite kernel test
+            call, expected = lambda: hessians._eigvalsh(gram), "Eigenvalues did not converge"
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinAlgError) as err:
+                hessians._lapack_errors(call)()
+        assert str(err.value) == expected and err.value.__cause__ is None
+        assert np.geterr() == before
 
 
 class TestBorderedWindows:
@@ -683,6 +765,34 @@ class TestModelsThatDoNotLearn:
         assert np.array_equal(m.apply(v), H @ v)
         assert m.operator_norm() == np.max(np.abs(np.linalg.eigvalsh(H)))
         assert (np.array_equal(m.apply(v), before[0]) and m.operator_norm() == before[1]) is same
+
+
+class TestExactHessianOnRead:
+    def test_a_run_stopping_after_an_accepted_step_forms_only_read_hessians(self, monkeypatch):
+        # the exact model evaluates a Hessian when its norm or a product
+        # first reads it: the one at the stopping iterate, where the run
+        # ends right after the accepted step that reached it, is never formed
+        p = get_problem("rosenbrock")
+        hess, eigvalsh = p.eval_hess, hessians._eigvalsh
+        hess_calls = eig_calls = 0
+
+        def counted_hess(x):
+            nonlocal hess_calls
+            hess_calls += 1
+            return hess(x)
+
+        def counted_eigvalsh(A):
+            nonlocal eig_calls
+            eig_calls += 1
+            return eigvalsh(A)
+
+        monkeypatch.setattr(hessians, "_eigvalsh", counted_eigvalsh)
+        p = replace(p, eval_hess=counted_hess)
+        model = build_model("exact", p)
+        assert hess_calls == 0
+        report = solve(p, TrParams(), model, eps=1e-6)
+        assert report.status == "first_order" and report.log.status[-1] != _U
+        assert hess_calls == eig_calls == report.n_succ_total
 
 
 def fed_lbfgs_1d() -> LbfgsModel:

@@ -59,7 +59,11 @@ def test_kernels_smoke(monkeypatch):
     assert "OPENBLAS_NUM_THREADS=1;" in lines[0]
     assert lines[1] == "call n width numpy_us trfam_us"
     assert {ln.split()[0] for ln in lines[2:]} == {
-        "qr", "solve", "eigvalsh", "sW", "RMR", "Kv", "Wu", "vv", "Hv", "JTr", "JTJ", "hess"}
+        "qr", "solve", "eigvalsh", "factors", "sW", "RMR", "Kv", "Wu", "vv", "Hv", "JTr", "JTJ",
+        "hess"}
+    # one whole window build per window shape, checked against numpy first
+    assert [tuple(ln.split()[1:3]) for ln in lines[2:] if ln.startswith("factors ")] == [
+        (str(n), str(width)) for n in (4, 10, 30, 100) for width in (5, 10)]
     # one hess row per built-in problem with a Hessian, timed against the
     # element-by-element form of oracles.HESSIAN_LOOPS where there is one
     hess = {width: ref_us for call, _, width, ref_us, _ in map(str.split, lines[2:])
@@ -175,6 +179,27 @@ class TestWorstCaseDigest:
         assert sha256_of_lines(worst + audits) == self.DIGEST
 
 
+class TestRegimeDigest:
+    """The seed-0 runs in the family's other regimes pinned as the
+    benchmark's own are: history mode on all 192 matrix cells, then the
+    update on rejected steps, alone and in history mode, on the 96
+    matrix-qn cells. Their 384 lines, 203-586 of ``digests.py --seed 0``,
+    follow the audits, and line 587 is the SHA-256 of them joined by
+    newlines, the pin. The pin holds for the builds
+    ``TestMatrixQnDigest`` names."""
+
+    DIGEST = "b851895d6a25843db388908994996d6585d6e747c87a7f1e2f275344ef63bb6a"
+
+    def test_seed0_digest_pinned(self, seed0_output):
+        lines = seed0_output.splitlines()
+        regimes = Counter((ln.split()[0], ln.split()[1].split("/", 3)[3]) for ln in lines[202:586])
+        assert regimes == {("matrix-exact", "history"): 96, ("matrix-qn", "history"): 96,
+                           ("matrix-qn", "unsuccessful"): 96,
+                           ("matrix-qn", "history+unsuccessful"): 96}
+        assert sha256_of_lines(lines[202:586]) == self.DIGEST
+        assert lines[586] == f"all {self.DIGEST}"
+
+
 class TestDigestsAgainst:
     BEFORE = [
         "matrix-exact a/exact/0_0 d1 e1 first_order 5 6 6",
@@ -238,7 +263,7 @@ class TestFloor:
     def test_floor_lines_of_two_cells(self, monkeypatch):
         digests = load_script(monkeypatch)
         workloads = digests.workloads
-        runs = [(name, cell, digests.run_cell(cell))
+        runs = [(name, cell, "", digests.run_cell(cell))
                 for name, wl in (("matrix-exact", workloads.matrix_exact(0, None)),
                                  ("matrix-qn", workloads.matrix_qn(0)))
                 for cell in wl.cells
@@ -252,13 +277,32 @@ class TestFloor:
             "total iterations: unperturbed 74, perturbed min median max 74 74 74",
         ]]
 
+    def test_regime_runs_are_cells_of_their_own(self, monkeypatch):
+        # floor lines name a regime run by its label, and --against judges
+        # its line against them
+        digests = load_script(monkeypatch)
+        cell = next(c for c in digests.workloads.matrix_qn(0).cells
+                    if c.label == "beale/lsr1/1_1")
+        runs = [("matrix-qn", cell, regime, digests.run_cell(cell, regime=regime))
+                for regime in ("history", "history+unsuccessful")]
+        floor = list(digests.floor_lines(runs, 1))
+        assert floor[:2] == ["floor matrix-qn beale/lsr1/1_1/" + ln for ln in [
+            "history first_order 23 | first_order:1 | 23 23 23",
+            "history+unsuccessful first_order 35 | first_order:1 | 35 35 35"]]
+        lines = [digests.line(name, digests.label(c, regime), report)
+                 for name, c, regime, report in runs]
+        after = [lines[0], lines[1].replace(" first_order 35 ", " max_iter 35 ")]
+        assert digests.changes(lines + floor, after) == [
+            "matrix-qn beale/lsr1/1_1/history+unsuccessful first_order 35 -> max_iter 35 stable"]
+
     def test_perturb_0_prints_the_digests_alone(self, seed0_output):
         # the whole seed-0 output, 192 matrix lines, 3 worst-case lines,
-        # "all" and 6 audits, pinned for the builds TestMatrixExactDigest
-        # names: a saved output of a commit without --perturb still compares
-        assert len(seed0_output.splitlines()) == 202
+        # "all", 6 audits, 384 regime lines and their "all", pinned for the
+        # builds TestMatrixExactDigest names: a saved output of a commit
+        # without --perturb still compares
+        assert len(seed0_output.splitlines()) == 587
         assert hashlib.sha256(seed0_output.encode()).hexdigest() == (
-            "cb20d5927cb567f9de0a53de7d3fb614e199250d131269bfe6825c326522e425")
+            "6f6a797555c618aeebc4ca2ffce901916a1a1843161e487fc042457f33920eb0")
 
 
 class TestCalls:
