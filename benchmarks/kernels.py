@@ -9,18 +9,24 @@ window shape a matrix-qn cell builds (n in {4, 10, 30, 100}, widths 5 and
 random symmetric M, and times the LAPACK calls one factorization makes,
 numpy.linalg's public wrapper against ``trfam.hessians``' kernel, and then
 the whole window build, (K, |B|) from the three public calls against the
-build trfam makes once per admitted pair, under one error guard:
+build trfam makes once per admitted pair, under one errstate that ignores
+every flag:
 
     qr        np.linalg.qr(W, mode="r")           _qr_r(W)           n > width only
     solve     np.linalg.solve(M, [W^T | R^T])     _solve             [W^T] when n <= width
     eigvalsh  np.linalg.eigvalsh(R M^-1 R^T)      _eigvalsh
     factors   the three calls above               _compact()         of an L-SR1 (width 5) or
                                                                      L-BFGS (width 10) model
+    shed      the same, LinAlgError caught        _compact()         of that window with a zero
+                                                                     first row and column of M
 
-and ``eigvalsh`` of a symmetric n x n matrix, the exact model's norm. Then
-the BLAS calls, each product ``a @ b`` against the ``a.dot(b)`` trfam forms
-in its place, with operands laid out as trfam lays them out; these are the
-layer cost of the ``B v`` products and the CG's inner products:
+A ``shed`` row times a window whose full M is singular: np.linalg raises
+and trfam's solve is all NaN, so both routes fail once and then factor
+the run without the oldest pair. Then come ``eigvalsh`` of a symmetric
+n x n matrix, the exact model's norm, and the BLAS calls, each product
+``a @ b`` against the ``a.dot(b)`` trfam forms in its place, with
+operands laid out as trfam lays them out; these are the layer cost of the
+``B v`` products and the CG's inner products:
 
     sW        s @ W                               a new pair's row of M
     RMR       R @ KR[:, n:], or W @ K             the norm's small matrix
@@ -38,8 +44,8 @@ one.
 BLAS and LAPACK run on one thread, as in ``perfbench/run.py``, unless
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is
 set: a threaded call reads high on a busy host. Each kernel's output (K
-and |B| of a factors row) is asserted bitwise equal to its reference's
-before it is timed. Prints the
+and |B| of a factors or shed row) is asserted bitwise equal to its
+reference's before it is timed. Prints the
 Python and numpy versions and the effective ``OPENBLAS_NUM_THREADS``, then
 one line per call and shape,
 
@@ -91,24 +97,46 @@ def calls(rng, n: int, width: int):
     out.append(("solve", lambda: np.linalg.solve(M, rhs), lambda: _solve(M, rhs)))
     RMR = R @ np.linalg.solve(M, R.T)
     out.append(("eigvalsh", lambda: np.linalg.eigvalsh(RMR), lambda: _eigvalsh(RMR)))
-    model = (Lsr1Model if width == 5 else LbfgsModel)(n, memory=5)
+    model = pair_model(n, width)
     model._W, model._M = W, M
+    # a zero first row and column make the full M singular but leave the
+    # run without its oldest pair nonsingular: one failed build, then one
+    shed = pair_model(n, width)
+    shed._W, shed._M = W, M.copy()
+    shed._M[0] = shed._M[:, 0] = 0.0
+    assert shed._compact()[0].shape[1] == width - shed._width
+    out.append(("factors", lambda: numpy_compact(model), lambda: model._compact()[1:]))
+    out.append(("shed", lambda: numpy_compact(shed), lambda: shed._compact()[1:]))
+    return [(name, n, width, ref, fast) for name, ref, fast in out]
 
-    def numpy_factors():
-        if n > width:
-            R = np.linalg.qr(W, mode="r")
-            KR = np.linalg.solve(M, np.concatenate((W.T, R.T), axis=1))
-            K, RMR = np.ascontiguousarray(KR[:, :n]), R @ KR[:, n:]
-        else:
-            K = np.linalg.solve(M, W.T)
-            RMR = W @ K
-        lam = np.linalg.eigvalsh(RMR)
+
+def pair_model(n: int, width: int):
+    """An empty L-SR1 (width 5) or L-BFGS (width 10) model of memory 5."""
+    return (Lsr1Model if width == 5 else LbfgsModel)(n, memory=5)
+
+
+def numpy_compact(model) -> tuple:
+    """(K, |B|) of ``model._compact()`` from the three public np.linalg
+    calls: of the longest trailing run of whole pairs that np.linalg
+    factors without a LinAlgError."""
+    for start in range(0, model._W.shape[1], model._width):
+        W, M = model._W[:, start:], model._M[start:, start:]
+        n, width = W.shape
+        try:
+            if n > width:
+                R = np.linalg.qr(W, mode="r")
+                KR = np.linalg.solve(M, np.concatenate((W.T, R.T), axis=1))
+                K, RMR = np.ascontiguousarray(KR[:, :n]), R @ KR[:, n:]
+            else:
+                K = np.linalg.solve(M, W.T)
+                RMR = W @ K
+            lam = np.linalg.eigvalsh(RMR)
+        except np.linalg.LinAlgError:
+            continue
         norm = max(abs(model._combine(1.0, float(lam[0]))),
                    abs(model._combine(1.0, float(lam[-1]))))
         return K, max(norm, 1.0) if n > width else norm
-
-    out.append(("factors", numpy_factors, lambda: model._compact()[1:]))
-    return [(name, n, width, ref, fast) for name, ref, fast in out]
+    return ()
 
 
 def exact_norm(rng, n: int):

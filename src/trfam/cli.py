@@ -139,7 +139,7 @@ def _cmd_adversarial(args) -> int:
         else:
             inst = adv.generate(spec)
             if args.emit_function:
-                adv.emit_function_csv(adv.build_interpolant(inst), args.emit_function)
+                adv.emit_function_csv(adv.Interpolant1D(inst), args.emit_function)
             payload = {
                 "k_eps": inst.k_eps,
                 "f0": float(inst.f_vals[0]),

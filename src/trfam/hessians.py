@@ -17,24 +17,27 @@ small matrix R M^{-1} R^T, at most 2 * memory square (Erway and Marcia
 2015; Brust, Erway and Marcia 2017), and ``operator_norm`` reads the exact
 |B| off its end eigenvalues. One solve with M gives both K and M^{-1} R^T.
 L-BFGS and L-SR1 alike factor the longest trailing run of whole pairs
-whose M is nonsingular, and store K C-contiguous, so no product copies it.
+whose |B| is finite, and store K C-contiguous, so no product copies it.
 
 This module is the only one that factorizes, and it calls numpy's LAPACK
 gufuncs (``numpy.linalg._umath_linalg``) through ``_qr_r``, ``_solve`` and
-``_eigvalsh``: the same calls, error handling and results as
-``np.linalg.qr(mode="r")``, ``np.linalg.solve`` and
-``np.linalg.eigvalsh(UPLO="L")``, bit for bit, without their per-call
-coercion, which is most of a small factorization's cost. The error rule is
-one errstate per window build: numpy.linalg's ``np.errstate``, under which
-a failed gufunc raises, is entered once around all the kernels of a window
-(``_PairModel._compact``) and once around an exact model's norm, and each
-kernel turns the failure into numpy.linalg's ``LinAlgError`` and message;
-outside the guard a failure only warns. Every input is a float64 array of
-the right shape by construction;
-``ExactHessian`` checks the shape of each Hessian it is given before its
-norm is taken. ``tests/test_hessians.py::TestKernels`` holds the kernels
-to numpy's results and errors, so a numpy release that changes the
-private module fails there.
+``_eigvalsh``: the same calls and results as ``np.linalg.qr(mode="r")``,
+``np.linalg.solve`` and ``np.linalg.eigvalsh(UPLO="L")``, bit for bit,
+without their per-call coercion, which is most of a small factorization's
+cost. A failed gufunc fills its output with NaN, so a failure is read off
+the value: a window's factors are used only when the first entry of K and
+both end eigenvalues of R M^{-1} R^T are finite, which a singular M, a
+failed eigvalsh and a solve that overflows all break, and an exact norm
+whose end eigenvalues are not finite raises ``SolveError``. The factors
+of a window are built, and an exact norm taken, under one errstate that
+ignores every flag (``_quiet``), so nothing warns. K is not scanned past
+its first entry: when n > width, a K that overflows elsewhere while |B|
+stays finite is kept. Every input is a float64 array of the right shape
+by construction; ``ExactHessian`` checks the shape of each Hessian it is
+given before its norm is taken.
+``tests/test_hessians.py::TestKernels`` holds the kernels to numpy's
+results, and to all-NaN outputs where numpy raises, so a numpy release
+that changes the private module fails there.
 
 Every product is ``ndarray.dot``, not ``@``: both end in the same BLAS
 call, but ``@`` dispatches through the matmul gufunc, which costs about as
@@ -47,9 +50,10 @@ from __future__ import annotations
 import operator
 from array import array
 from functools import cache
+from math import isfinite
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 from .subproblem import SolveError, _norm
 
@@ -64,22 +68,10 @@ _E1 = np.ones(1)  # the unit vector of the base curvature_1d; read-only
 _E1.flags.writeable = False
 
 
-class _LapackFailure(Exception):
-    """A call under the guard set the invalid flag. From a LAPACK gufunc it
-    is the sign of failure, which each kernel turns into numpy.linalg's
-    ``LinAlgError``; from the product between a build's kernels, it is an
-    inf - inf or 0 * inf of a solve that overflowed."""
-
-
-def _lapack_failed(err, flag):
-    raise _LapackFailure
-
-
-# numpy.linalg's error handling, entered once per window build as a
-# decorator: a failed gufunc raises, and the other flags are ignored, as
-# numpy.linalg ignores them. Outside it a failure only warns.
-_lapack_errors = np.errstate(call=_lapack_failed, invalid="call", over="ignore",
-                             divide="ignore", under="ignore")
+# Every flag ignored, entered once per window build and once per exact
+# norm as a decorator: a failure shows in the values those read, so no flag
+# needs to warn or raise.
+_quiet = np.errstate(all="ignore")
 
 
 @cache
@@ -94,10 +86,7 @@ def _qr_r(W: np.ndarray) -> np.ndarray:
     """R of W = QR for an n x width W with n > width, forming no Q:
     ``np.linalg.qr(W, mode="r")``."""
     a = W.copy()  # the gufunc overwrites its input with R and reflectors
-    try:
-        _umath_linalg.qr_r_raw(a, signature="d->d")
-    except _LapackFailure:
-        raise LinAlgError("Incorrect argument found while performing QR factorization") from None
+    _umath_linalg.qr_r_raw(a, signature="d->d")
     width = a.shape[1]
     R = a[:width]
     R[_lower(width)] = 0.0  # the reflectors
@@ -105,20 +94,15 @@ def _qr_r(W: np.ndarray) -> np.ndarray:
 
 
 def _solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """M^{-1} B for a 2-d B: ``np.linalg.solve(M, B)``."""
-    try:
-        return _umath_linalg.solve(M, B, signature="dd->d")
-    except _LapackFailure:
-        raise LinAlgError("Singular matrix") from None
+    """M^{-1} B for a 2-d B: ``np.linalg.solve(M, B)``; all NaN when M is
+    singular."""
+    return _umath_linalg.solve(M, B, signature="dd->d")
 
 
 def _eigvalsh(A: np.ndarray) -> np.ndarray:
     """The ascending eigenvalues of symmetric A from its lower triangle:
-    ``np.linalg.eigvalsh(A, UPLO="L")``."""
-    try:
-        return _umath_linalg.eigvalsh_lo(A, signature="d->d")
-    except _LapackFailure:
-        raise LinAlgError("Eigenvalues did not converge") from None
+    ``np.linalg.eigvalsh(A, UPLO="L")``; all NaN when they do not converge."""
+    return _umath_linalg.eigvalsh_lo(A, signature="d->d")
 
 
 def _check_memory(memory: int) -> None:
@@ -240,9 +224,9 @@ class ExactHessian(HessianModel):
         return True
 
     def operator_norm(self):
-        """|B|; a Hessian that is not n x n or has a non-finite entry raises
-        SolveError, where eigvalsh would fail with a bare ValueError or read
-        it as a finite spectrum."""
+        """|B|; a Hessian that is not n x n, has a non-finite entry or has
+        an end eigenvalue that is not finite (eigvalsh failed or overflowed)
+        raises SolveError."""
         if self._norm is None:
             mat = self._mat
             if mat is None:
@@ -256,12 +240,15 @@ class ExactHessian(HessianModel):
         return self._norm
 
 
-@_lapack_errors
+@_quiet
 def _spectral_norm(A: np.ndarray) -> float:
     """max |lambda| of symmetric A. eigvalsh's output is ascending, so it is
     at one of its ends; both abs keep a zero matrix's norm +0.0, not -0.0."""
     lam = _eigvalsh(A)
-    return max(abs(float(lam[0])), abs(float(lam[-1])))
+    lo, hi = lam.item(0), lam.item(-1)
+    if not (isfinite(lo) and isfinite(hi)):
+        raise SolveError("the exact Hessian's eigenvalues are not finite")
+    return max(abs(lo), abs(hi))
 
 
 class _PairModel(HessianModel):
@@ -272,8 +259,8 @@ class _PairModel(HessianModel):
     go on the end of W, and one product s^T W gives its rows of M; eviction
     drops the leading columns and block. K = M^{-1} W^T and |B| are built
     from W and M on first use after an admitted pair, and reused until the
-    next one. The factors shed the oldest pairs of a window whose M is
-    singular (``_compact``); W and M keep every admitted pair."""
+    next one. The factors shed the oldest pairs of a window whose |B| is
+    not finite (``_compact``); W and M keep every admitted pair."""
 
     _combine = operator.sub  # the sign of the compact term: sub for BFGS, add for SR1
     _width: int  # columns of W per pair
@@ -310,27 +297,27 @@ class _PairModel(HessianModel):
         self._factors = None
         return True
 
-    @_lapack_errors
+    @_quiet
     def _compact(self) -> tuple:
         """Build and keep (W, K, |B|) of the longest trailing run of whole
-        pairs whose M ``_solve`` accepts and whose factors do not overflow
-        into an invalid value, a trailing block of the stored W and M; empty
-        when B = I, with no pairs or no such run. Products and norms build
-        them only when none are kept."""
+        pairs whose |B| is finite, a trailing block of the stored W and M;
+        empty when B = I, with no pairs or no such run. Products and norms
+        build them only when none are kept."""
         W, M = self._W, self._M
         self._factors = ()
         for start in range(0, W.shape[1], self._width):
             run = W[:, start:]
-            try:
-                self._factors = (run, *self._product_factors(run, M[start:, start:]))
+            factors = self._product_factors(run, M[start:, start:])
+            if factors is not None:
+                self._factors = (run, *factors)
                 break
-            except (LinAlgError, _LapackFailure):
-                continue  # shed this run's oldest pair
         return self._factors
 
-    def _product_factors(self, W, M) -> tuple:
-        """(K = M^{-1} W^T, |B|) of B = I -/+ W M^{-1} W^T, K C-contiguous.
-        The solve raises ``LinAlgError`` when M is singular."""
+    def _product_factors(self, W, M) -> tuple | None:
+        """(K = M^{-1} W^T, |B|) of B = I -/+ W M^{-1} W^T, K C-contiguous;
+        None when K's first entry or an end eigenvalue of R M^{-1} R^T is not
+        finite: M is singular (the solve is all NaN), eigvalsh failed (all
+        NaN) or the solve or its product overflowed."""
         n, width = W.shape
         if n > width:
             # R of W = QR, with Q orthonormal even when W is rank-deficient;
@@ -346,10 +333,17 @@ class _PairModel(HessianModel):
         else:
             K = _solve(M, W.T)
             RMR = W.dot(K)
+        if not isfinite(K.item(0)):
+            # a failed solve is all NaN; eigvalsh of its NaN RMR would
+            # iterate to its limit before it failed too
+            return None
         lam = _eigvalsh(RMR)
+        lo, hi = lam.item(0), lam.item(-1)
+        if not (isfinite(lo) and isfinite(hi)):
+            return None
         # |1 -/+ lambda| is largest at an end of the ascending spectrum
         combine = self._combine
-        norm = max(abs(combine(1.0, float(lam[0]))), abs(combine(1.0, float(lam[-1]))))
+        norm = max(abs(combine(1.0, lo)), abs(combine(1.0, hi)))
         if n > width:
             norm = max(norm, 1.0)  # B = I on the complement of range(W)
         return K, norm

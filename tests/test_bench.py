@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trfam import bench
+from trfam import bench, hessians
 from trfam.bench import (
     CellResult,
     CostMatrix,
@@ -98,6 +98,12 @@ class TestRunMatrix:
         emit(matrix, {"fevals": performance_profile(matrix, "fevals")}, tmp_path)
         back = read_matrix_csv(tmp_path / "matrix.csv")
         assert back.cells == matrix.cells
+
+    def test_failed_exact_norm_is_an_error_cell(self, monkeypatch):
+        # a failed eigvalsh fills its output with NaN; the norm raises SolveError
+        monkeypatch.setattr(hessians, "_eigvalsh", lambda A: np.full(len(A), np.nan))
+        matrix = run_matrix([RunSpec("rosenbrock", 0.0, 1.0)])
+        assert list(matrix.cells.values()) == [CellResult("error", 0, 0, 0.0, 0)]
 
     def test_costs_positive(self):
         matrix = run_matrix(small_specs())

@@ -5,9 +5,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from trfam import adversarial, cli
+from trfam import adversarial, cli, hessians
 from trfam.cli import main
 from trfam.driver import SolveError, TrParams
 
@@ -124,6 +125,13 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err == f"error: {exc}\n"
+
+    def test_failed_exact_norm_is_domain_error(self, capsys, monkeypatch):
+        # a failed eigvalsh fills its output with NaN
+        monkeypatch.setattr(hessians, "_eigvalsh", lambda A: np.full(len(A), np.nan))
+        code, out, err = run_cli(capsys, "solve", "--problem", "rosenbrock")
+        assert (code, out) == (1, "")
+        assert err == "error: the exact Hessian's eigenvalues are not finite\n"
 
     # f overflowed Python's ** in the first three; in the last two the
     # boundary step's discriminant overflowed, and the walk stopped the run

@@ -59,11 +59,13 @@ def test_kernels_smoke(monkeypatch):
     assert "OPENBLAS_NUM_THREADS=1;" in lines[0]
     assert lines[1] == "call n width numpy_us trfam_us"
     assert {ln.split()[0] for ln in lines[2:]} == {
-        "qr", "solve", "eigvalsh", "factors", "sW", "RMR", "Kv", "Wu", "vv", "Hv", "JTr", "JTJ",
-        "hess"}
-    # one whole window build per window shape, checked against numpy first
-    assert [tuple(ln.split()[1:3]) for ln in lines[2:] if ln.startswith("factors ")] == [
-        (str(n), str(width)) for n in (4, 10, 30, 100) for width in (5, 10)]
+        "qr", "solve", "eigvalsh", "factors", "shed", "sW", "RMR", "Kv", "Wu", "vv", "Hv", "JTr",
+        "JTJ", "hess"}
+    # one whole window build per window shape, and one of a window that
+    # sheds its oldest pair, each checked against numpy first
+    for call in ("factors", "shed"):
+        assert [tuple(ln.split()[1:3]) for ln in lines[2:] if ln.startswith(call + " ")] == [
+            (str(n), str(width)) for n in (4, 10, 30, 100) for width in (5, 10)]
     # one hess row per built-in problem with a Hessian, timed against the
     # element-by-element form of oracles.HESSIAN_LOOPS where there is one
     hess = {width: ref_us for call, _, width, ref_us, _ in map(str.split, lines[2:])
