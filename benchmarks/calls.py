@@ -12,12 +12,15 @@ events (builtins) from the entry into ``solve`` to its return, so building
 instances, models and checks is not counted. Prints one line per worst-case
 case and one per matrix workload,
 
-    workload label iterations python_calls_per_iteration c_calls_per_iteration python numpy
+    workload label iterations python_calls_per_iteration c_calls_per_iteration solve_c_calls_per_iteration python numpy
 
 where label is the case's, or the number of cells, and the last two fields
 are the Python and numpy versions: C calls include numpy's own builtins,
 and a matrix cell's Python calls include numpy's Python wrappers, so both
-move with the versions.
+move with the versions. ``solve_c_calls_per_iteration`` counts only the C
+calls made from ``solve``'s own frame: the builtins and methods its source
+names, such as the log's column appends, which do not move with numpy's
+version.
 """
 
 from __future__ import annotations
@@ -36,19 +39,22 @@ from digests import run_cell  # noqa: E402
 from trfam import adversarial, driver  # noqa: E402
 
 
-def solve_calls(run) -> tuple[int, int, int]:
+def solve_calls(run) -> tuple[int, int, int, int]:
     """Call ``run()``, which returns a list of ``SolveReport``; return their
-    iterations and the Python and C calls made inside ``driver.solve``."""
+    iterations, the Python and C calls made inside ``driver.solve`` and the
+    C calls made from its own frame."""
     code = driver.solve.__code__
-    inside = python = c = 0
+    inside = python = c = own = 0
 
     def hook(frame, event, arg):
-        nonlocal inside, python, c
+        nonlocal inside, python, c, own
         if event == "call" and frame.f_code is code:
             inside += 1
         if inside:
             python += event == "call"
-            c += event == "c_call"
+            if event == "c_call":
+                c += 1
+                own += frame.f_code is code
         if event == "return" and frame.f_code is code:
             inside -= 1
 
@@ -57,13 +63,13 @@ def solve_calls(run) -> tuple[int, int, int]:
         reports = run()
     finally:
         sys.setprofile(None)
-    return sum(r.iterations for r in reports), python, c
+    return sum(r.iterations for r in reports), python, c, own
 
 
 def row(workload: str, label: str, run) -> str:
-    iterations, python, c = solve_calls(run)
+    iterations, python, c, own = solve_calls(run)
     return (f"{workload} {label} {iterations} {python / iterations:.2f} {c / iterations:.2f} "
-            f"{platform.python_version()} {np.__version__}")
+            f"{own / iterations:.2f} {platform.python_version()} {np.__version__}")
 
 
 def worst_case_row(label: str, spec: adversarial.AdversarialSpec) -> str:

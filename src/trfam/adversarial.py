@@ -271,7 +271,9 @@ class Interpolant1D:
 
     def as_problem(self) -> Problem:
         """The instance as a 1-d ``Problem`` with f and f' only: the
-        verifier drives it with a ``ScriptedModel``, not a Hessian."""
+        verifier drives it with a ``ScriptedModel``, not a Hessian. f and g
+        take a float array and read its point with ``x.item(0)``, a Python
+        float, without the numpy scalar ``float(x[0])`` builds."""
         # The driver asks for the gradient where it just asked for f, so f
         # keeps its point and slope for g. Equal points evaluate to the same
         # bits (a knot's are stored), so the point's value is the key; NaN
@@ -280,13 +282,13 @@ class Interpolant1D:
 
         def f(x):
             nonlocal x_f, slope_f
-            xq = float(x[0])
+            xq = x.item(0)
             val, slope_f = self(xq)
             x_f = xq
             return val
 
         def g(x):
-            xq = float(x[0])
+            xq = x.item(0)
             return np.array([slope_f if xq == x_f else self(xq)[1]])
 
         return Problem(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, fields
-from itertools import islice
 
 import numpy as np
 
@@ -123,10 +122,15 @@ class IterationLog:
     ``status`` holds codes into STATUSES. Readers read the columns: the
     arrays themselves, or ``column(name)``, a read-only numpy view.
 
-    Iteration yields ``IterationRecord`` views, and ``log[i]`` walks that
-    iterator up to i. Only the benchmark still reads them: in
-    ``perfbench/workloads.py``, ``nonfinite_records`` iterates the records
-    and the worst-case pass reads ``report.log[0].a_k``;
+    A writer appends a row through ``column_appends``, the columns' bound
+    ``append`` methods in ``__slots__`` order: the driver binds them once
+    per run, so a row costs no Python frame.
+
+    Iteration yields ``IterationRecord`` views, and ``log[i]`` builds record
+    i from the columns alone, counting its ``n_succ`` over ``status[:i+1]``.
+    Only the benchmark still reads records: in ``perfbench/workloads.py``,
+    ``nonfinite_records`` iterates them and the worst-case pass reads
+    ``report.log[0].a_k``, which costs O(1), not a pass over the log;
     ``perfbench/tests/test_perfbench.py`` builds records and sums their
     ``cg_iters``.
     """
@@ -137,21 +141,10 @@ class IterationLog:
         for name in self.__slots__:
             setattr(self, name, array({"status": "b", "cg_iters": "i"}.get(name, "d")))
 
-    def append(
-        self, f, gnorm, delta, eff_radius, rho, status, bnorm, a_k, cg_iters, model_decrease, snorm
-    ) -> None:
-        """Add one iteration: IterationRecord's fields but k and n_succ, status as a code."""
-        self.f.append(f)
-        self.gnorm.append(gnorm)
-        self.delta.append(delta)
-        self.eff_radius.append(eff_radius)
-        self.rho.append(rho)
-        self.status.append(status)
-        self.bnorm.append(bnorm)
-        self.a_k.append(a_k)
-        self.cg_iters.append(cg_iters)
-        self.model_decrease.append(model_decrease)
-        self.snorm.append(snorm)
+    def column_appends(self) -> list:
+        """Each column's bound ``append``, in ``__slots__`` order: IterationRecord's
+        fields but k and n_succ, status taking a code."""
+        return [getattr(self, name).append for name in self.__slots__]
 
     @property
     def n_succ(self) -> array:
@@ -171,7 +164,12 @@ class IterationLog:
         return len(self.f)
 
     def __getitem__(self, i: int) -> IterationRecord:
-        return next(islice(self, range(len(self))[i], None))
+        i = range(len(self))[i]
+        return IterationRecord(
+            i, self.f[i], self.gnorm[i], self.delta[i], self.eff_radius[i], self.rho[i],
+            STATUSES[self.status[i]], self.bnorm[i], i + 1 - self.status[: i + 1].count(_U),
+            self.a_k[i], self.cg_iters[i], self.model_decrease[i], self.snorm[i],
+        )
 
     def __iter__(self):
         return map(
@@ -278,7 +276,9 @@ def solve(
     step_1d, step_tcg = newton_step_1d, solve_tcg
     isfinite = math.isfinite
     log = IterationLog()
-    log_append = log.append
+    # the log's columns, appended to directly: a row costs no Python frame
+    (log_f, log_gnorm, log_delta, log_radius, log_rho, log_status, log_bnorm, log_ak,
+     log_cg_iters, log_decrease, log_snorm) = log.column_appends()
 
     x = np.array(problem.x0, dtype=float)
     one_d = x.size == 1
@@ -289,7 +289,9 @@ def solve(
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise SolveError(f"{problem.name}: non-finite f or gradient at start")
 
-    delta = min(params.delta0, _DELTA_MAX)
+    delta = params.delta0
+    if delta > _DELTA_MAX:
+        delta = _DELTA_MAX
     hist_min_g = math.inf
     hist_max_b = 0.0
     lip = 0.0
@@ -326,10 +328,13 @@ def solve(
             radius = _DELTA_MAX
         # The run stops when radius < 1e-15 max(1, |x|), which can hold only
         # where radius < 1e-15 max(2 xbound, 1): |x| is computed only then,
-        # and for a NaN bound.
-        if not radius >= _RADIUS_UNDERFLOW * max(2.0 * xbound, 1.0):
+        # and for a NaN bound. Each max(a, b) is written as the builtin
+        # computes it, b if b > a else a, so a NaN 2 xbound stays NaN and
+        # forces the exact |x|, and no builtin is called.
+        x_scale = 2.0 * xbound
+        if not radius >= _RADIUS_UNDERFLOW * (1.0 if 1.0 > x_scale else x_scale):
             xbound = _norm(x)
-            if radius < _RADIUS_UNDERFLOW * max(1.0, xbound):
+            if radius < _RADIUS_UNDERFLOW * (xbound if xbound > 1.0 else 1.0):
                 status = "delta_underflow"
                 break
 
@@ -343,13 +348,14 @@ def solve(
 
         f_at_k = f
         decrease = step.model_decrease
-        decrease_floor = _DECREASE_FLOOR * (1.0 + abs(f_at_k))
+        f_abs = f_at_k if f_at_k >= 0.0 else -f_at_k
+        decrease_floor = _DECREASE_FLOOR * (1.0 + f_abs)
         if decrease < -decrease_floor:
             raise SolveError(
                 f"subproblem contract violation at k={k}: model decrease {decrease!r}"
             )
 
-        if abs(decrease) < decrease_floor:
+        if -decrease_floor < decrease < decrease_floor:  # |decrease| < floor, NaN not
             # no meaningful model decrease: count as unsuccessful, do not divide
             rho = math.nan
             iter_status = _U
@@ -374,7 +380,9 @@ def solve(
                 raise SolveError(f"{problem.name}: non-finite f or gradient at k={k}")
             snorm = step.snorm
             if snorm > 0:
-                lip = max(lip, ynorm / snorm)
+                ratio = ynorm / snorm
+                if ratio > lip:  # lip = max(lip, ratio), which a NaN ratio leaves
+                    lip = ratio
             update(step.s, y)
             x, f, g = x_trial, f_trial, g_new
             xbound += snorm
@@ -389,10 +397,21 @@ def solve(
             ak = a_k(delta, hist_max_b, hist_min_g, alpha, beta)
         except ArithmeticError as exc:
             raise SolveError(f"{problem.name}: a_k out of the float range at k={k}") from exc
-        log_append(f_at_k, gnorm, delta, radius, rho, iter_status, bnorm, ak,
-                   step.cg_iters, decrease, step.snorm)
+        log_f(f_at_k)
+        log_gnorm(gnorm)
+        log_delta(delta)
+        log_radius(radius)
+        log_rho(rho)
+        log_status(iter_status)
+        log_bnorm(bnorm)
+        log_ak(ak)
+        log_cg_iters(step.cg_iters)
+        log_decrease(decrease)
+        log_snorm(step.snorm)
         if iter_status == _VS:
-            delta = min(gamma3 * delta, _DELTA_MAX)
+            delta = gamma3 * delta
+            if delta > _DELTA_MAX:
+                delta = _DELTA_MAX
         elif iter_status == _U:
             delta = gamma2 * delta
         k += 1

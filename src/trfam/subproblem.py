@@ -61,10 +61,11 @@ def _norm(v: Array) -> float:
     ``np.linalg.norm`` computes exactly ``sqrt(v.dot(v))`` for such a
     vector, so this is bit-identical to it, without the wrapper's checks.
     For one element that dot is the single rounded product v0 * v0, which
-    Python floats form without numpy's per-call cost.
+    Python floats form without numpy's per-call cost; ``v.item(0)`` reads
+    v0 as a Python float without the numpy scalar ``float(v[0])`` builds.
     """
     if len(v) == 1:
-        x = float(v[0])
+        x = v.item(0)
         return math.sqrt(x * x)
     return math.sqrt(v.dot(v))
 
@@ -253,11 +254,13 @@ def newton_step_1d(g: Array, B: HessianModel, radius: float) -> StepResult:
     minimizes the model over the whole ball, as this step does. b is
     ``B.curvature_1d()``, which forms no product for a scripted model. A
     non-finite gradient raises ValueError: the boundary branch would
-    otherwise turn it into a finite step. ``g`` is a float array.
+    otherwise turn it into a finite step. ``g`` is a float array, whose
+    element is read as a Python float with ``g.item(0)``; the step is
+    formed in Python floats, with one ``abs``.
     """
     if g.size != 1:
         raise ValueError("newton_step_1d only handles dimension 1")
-    g0 = float(g[0])
+    g0 = g.item(0)
     if g0 == 0.0:
         raise ValueError("zero gradient")
     if not math.isfinite(g0):
@@ -266,8 +269,9 @@ def newton_step_1d(g: Array, B: HessianModel, radius: float) -> StepResult:
     boundary = True
     if b > 0.0:
         step = -(g0 / b)
-        if abs(step) <= radius:
-            boundary = abs(step) == radius
+        size = abs(step)
+        if size <= radius:
+            boundary = size == radius
         else:
             step = math.copysign(radius, -g0)
     else:

@@ -44,10 +44,14 @@ def inputs(**kw):
 def envelope_log(bnorms):
     """A log of very successful iterations, so n_succ is 1, 2, ..."""
     log = IterationLog()
+    appends = dict(zip(IterationLog.__slots__, log.column_appends()))
     for bnorm in bnorms:
-        log.append(f=0.0, gnorm=1.0, delta=1.0, eff_radius=1.0, rho=2.0,
+        row = dict(f=0.0, gnorm=1.0, delta=1.0, eff_radius=1.0, rho=2.0,
                    status=STATUSES.index("very_successful"), bnorm=bnorm, a_k=1.0,
                    cg_iters=1, model_decrease=math.nan, snorm=math.nan)
+        assert row.keys() == appends.keys()
+        for name, value in row.items():
+            appends[name](value)
     return log
 
 
